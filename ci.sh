@@ -153,6 +153,21 @@ cargo run -q -p parda-cli --bin parda -- \
     analyze "$smoke_dir/smoke.trc" --stream --stats=json \
     | python3 -m json.tool > /dev/null
 
+step "windowed stream smoke (default analyze of a v2 trace == --engine seq, byte for byte)"
+# 600K refs over 200K addresses: three 4 × 65,536-ref windows, each
+# resolving against a history of up to 200K addresses.
+cargo run -q -p parda-cli --bin parda -- \
+    gen --pattern zipf --footprint 200000 --refs 600000 --seed 5 \
+    --out "$smoke_dir/windows.trc"
+cargo run -q -p parda-cli --bin parda -- \
+    analyze "$smoke_dir/windows.trc" --json > "$smoke_dir/windowed.json"
+cargo run -q -p parda-cli --bin parda -- \
+    analyze "$smoke_dir/windows.trc" --engine seq --json > "$smoke_dir/seq.json"
+if ! cmp -s "$smoke_dir/windowed.json" "$smoke_dir/seq.json"; then
+    echo "windowed stream smoke: default analyze differs from --engine seq" >&2
+    exit 1
+fi
+
 step "corruption smoke (checksums catch a flipped byte; best-effort recovers)"
 cargo run -q -p parda-cli --bin parda -- \
     gen --pattern zipf --footprint 2000 --refs 200000 --out "$smoke_dir/dirty.trc"

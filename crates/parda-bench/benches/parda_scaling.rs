@@ -1,9 +1,9 @@
 //! Parda scaling microbenchmarks: rank count (D-scaling), cache bound
-//! (ablation D3), phase size (ablation D4), and transport (message-passing
+//! (ablation D3), window size (ablation D4), and transport (message-passing
 //! vs shared-memory cascade).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use parda_core::phased::{parda_phased, parda_phased_with, Reduction};
+use parda_core::phased::parda_phased;
 use parda_core::{parallel, PardaConfig};
 use parda_trace::spec::SpecBenchmark;
 use parda_trace::{AddressStream, SliceStream, Trace};
@@ -99,39 +99,11 @@ fn bench_transport(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_reduction_strategy(c: &mut Criterion) {
-    // D4-adjacent: the §IV-D renumbering enhancement avoids one O(M) state
-    // transfer per phase; visible when phases are short and M is large.
-    let n = 200_000u64;
-    let trace = mcf_trace(n);
-    let config = PardaConfig::with_ranks(4);
-    let mut group = c.benchmark_group("parda/reduction");
-    group.throughput(Throughput::Elements(n));
-    group.sample_size(10);
-    for (name, reduction) in [
-        ("ship-to-zero", Reduction::ShipToRankZero),
-        ("renumber", Reduction::RenumberRanks),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(parda_phased_with::<SplayTree, _>(
-                    SliceStream::new(trace.as_slice()),
-                    4_096,
-                    &config,
-                    reduction,
-                ))
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_rank_scaling,
     bench_bound_sweep,
     bench_phase_size,
-    bench_transport,
-    bench_reduction_strategy
+    bench_transport
 );
 criterion_main!(benches);

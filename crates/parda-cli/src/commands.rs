@@ -29,7 +29,6 @@ use std::time::{Duration, Instant};
 pub const SWITCHES: &[&str] = &[
     "json",
     "stream",
-    "renumber",
     "stats",
     "verify",
     "mrc",
@@ -69,7 +68,7 @@ commands:
              [--approx[=<spec>]]  (constant-space approximate analysis;
                           spec is exact | shards:<rate> | shards-smax:<n>
                           | aet[:<rate>], default shards:0.01)
-             phased:  [--chunk <C>] [--renumber]
+             phased:  [--chunk <C>]  (references per rank per window)
              sampled: [--rate <k>]   (legacy spatial sampling at rate 2^-k;
                           prefer --approx=shards:<rate>)
   mrc      print the miss ratio curve of a trace
@@ -364,9 +363,9 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     // Streamed analysis: decode v2 frames on background threads while the
-    // phased analyzer consumes them. Explicit with --stream; automatic for
+    // windowed streamer consumes them. Explicit with --stream; automatic for
     // v2 files when the engine is left at its default (or is `phased`) —
-    // the phased engine is exact, so the histogram is identical either way.
+    // the streamer is exact, so the histogram is identical either way.
     let requested_stream = args.has("stream");
     if requested_stream {
         if !matches!(engine, "parda" | "phased") {
@@ -390,11 +389,7 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         || (version == 2 && line_bits == 0 && (engine == "phased" || args.get("engine").is_none()));
 
     let chunk: usize = args.get_parsed("chunk", 65_536)?;
-    let reduction = if args.has("renumber") {
-        Reduction::RenumberRanks
-    } else {
-        Reduction::ShipToRankZero
-    };
+    let reduction = Reduction::ShipToRankZero;
 
     let builder = Analysis::new()
         .tree(tree)
@@ -504,7 +499,7 @@ pub fn mrc(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let stats_fmt = stats_format(args)?;
     let degradation = parse_degradation(args)?;
     let approx = parse_approx(args)?.unwrap_or_default();
-    // v2 files stream through the phased engine (exact, same histogram as
+    // v2 files stream through the windowed streamer (exact, same histogram as
     // the sequential analyzer); v1 files use the legacy load-then-analyze.
     // A v2 file whose footer is destroyed falls back to the in-memory
     // salvage decoder under best-effort.

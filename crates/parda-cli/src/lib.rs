@@ -276,15 +276,7 @@ mod tests {
         for extra in [
             vec!["--engine", "seq", "--tree", "vector"],
             vec!["--engine", "phased", "--chunk", "1000", "--ranks", "3"],
-            vec![
-                "--engine",
-                "phased",
-                "--chunk",
-                "1000",
-                "--ranks",
-                "3",
-                "--renumber",
-            ],
+            vec!["--engine", "phased", "--chunk", "7", "--ranks", "2"],
             vec!["--engine", "parda", "--ranks", "2", "--tree", "avl"],
         ] {
             let mut argv = vec!["analyze", p];

@@ -2,8 +2,9 @@
 //!
 //! The original PARDA runs as MPI processes on a cluster; its communication
 //! needs are modest — point-to-point sends of local-infinity lists between
-//! neighbouring ranks, state shipping for the multi-phase reduction, and a
-//! final histogram reduction. This crate reproduces that programming model
+//! neighbouring ranks, state shipping for the multi-phase reduction
+//! (Algorithm 6, which the windowed streamer in `parda-core` replaces),
+//! and a final histogram reduction. This crate reproduces that programming model
 //! on OS threads:
 //!
 //! * [`World::run`] launches `np` ranks, each receiving a [`RankCtx`] with

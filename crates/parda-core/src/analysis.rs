@@ -1,7 +1,7 @@
 //! The unified analysis entry point: [`Analysis`].
 //!
 //! Every engine in this crate — sequential (Algorithm 1), naïve stack
-//! (§III-A), parallel (Algorithm 3), streaming multi-phase (Algorithms 5–6),
+//! (§III-A), parallel (Algorithm 3), windowed streaming (Algorithm 5),
 //! and sampling (§VII) — is reachable through one builder, with runtime tree
 //! selection and an optional observability [`Report`]:
 //!
@@ -77,12 +77,13 @@ pub enum Mode {
     /// Algorithm 3 via the literal message-passing driver
     /// ([`crate::parallel::parda_msg`]).
     Msg,
-    /// Algorithms 5–6: streaming multi-phase analysis.
+    /// Algorithm 5: windowed streaming analysis over a persistent history
+    /// ([`crate::phased`]).
     Phased {
-        /// References per rank per phase (`C`).
+        /// References per rank per window (`C`).
         chunk: usize,
-        /// State-reduction strategy (Algorithm 6 or the renumbering
-        /// enhancement).
+        /// Ignored: the windowed streamer has no Algorithm 6 state
+        /// reduction to choose.
         reduction: Reduction,
     },
     /// §VII: spatial-sampling approximation at rate `2^-rate_log2`.
@@ -111,13 +112,6 @@ impl Mode {
         match self {
             Mode::Phased { chunk, .. } => *chunk,
             _ => 65_536,
-        }
-    }
-
-    fn reduction(&self) -> Reduction {
-        match self {
-            Mode::Phased { reduction, .. } => *reduction,
-            _ => Reduction::ShipToRankZero,
         }
     }
 }
@@ -309,12 +303,11 @@ impl Analysis {
         self.finish(hist, per_rank, phased, None, trace.len() as u64, sw.ns())
     }
 
-    /// Analyze an address stream with the streaming multi-phase engine
-    /// (the only engine that does not need the whole trace in memory).
+    /// Analyze an address stream with the windowed streaming engine (the
+    /// only exact engine that does not need the whole trace in memory).
     ///
-    /// [`Mode::Phased`] supplies the phase chunk size and reduction
-    /// strategy; any other mode streams with the defaults (`C = 65536`,
-    /// ship-to-rank-zero) and is reported as `phased-stream`.
+    /// [`Mode::Phased`] supplies the window chunk size; any other mode
+    /// streams with the default `C = 65536`. Reported as `phased-stream`.
     pub fn run_stream<S>(&self, source: S) -> (ReuseHistogram, Option<Report>)
     where
         S: AddressStream + Send,
@@ -325,12 +318,7 @@ impl Analysis {
         let config = self.config();
         let sw = Stopwatch::start();
         let (hist, per_rank, phased) = dispatch_tree!(self.tree, T, {
-            crate::phased::parda_phased_with_stats::<T, S>(
-                source,
-                self.mode.phase_chunk(),
-                &config,
-                self.mode.reduction(),
-            )
+            crate::phased::parda_phased_with_stats::<T, S>(source, self.mode.phase_chunk(), &config)
         });
         let refs = per_rank.iter().map(|r| r.refs).sum();
         let total_ns = sw.ns();
@@ -527,12 +515,11 @@ impl Analysis {
                 let (hist, ranks) = crate::parallel::parda_msg_with_stats::<T>(trace, config);
                 (hist, ranks, None)
             }
-            Mode::Phased { chunk, reduction } => {
+            Mode::Phased { chunk, .. } => {
                 let (hist, ranks, phased) = crate::phased::parda_phased_with_stats::<T, _>(
                     SliceStream::new(trace),
                     chunk,
                     config,
-                    reduction,
                 );
                 (hist, ranks, Some(phased))
             }
@@ -685,14 +672,14 @@ mod tests {
 
     #[test]
     fn phased_mode_reports_phase_metrics() {
-        // 620 refs with np·C = 150: four full phases plus a ragged fifth,
-        // whose short read marks it as last (skipping the final reduction).
+        // 620 refs with np·C = 150: four full windows plus a ragged fifth,
+        // each followed by one history append.
         let trace: Vec<Addr> = (0..620).map(|i| i % 40).collect();
         let (hist, report) = Analysis::new()
             .ranks(3)
             .mode(Mode::Phased {
                 chunk: 50,
-                reduction: Reduction::RenumberRanks,
+                reduction: Reduction::ShipToRankZero,
             })
             .stats(true)
             .run(&trace);
@@ -700,13 +687,12 @@ mod tests {
         let report = report.unwrap();
         assert_eq!(report.total_rank_refs(), 620);
         let phased = report.phased.expect("phased mode sets phase metrics");
-        assert_eq!(phased.phases, 5, "ceil(620 / 150) = 5 phases");
+        assert_eq!(phased.phases, 5, "ceil(620 / 150) = 5 windows");
         assert_eq!(phased.phase_reduction_ns.len(), 5);
-        assert_eq!(
-            *phased.phase_reduction_ns.last().unwrap(),
-            0,
-            "the last phase skips the reduction"
-        );
+        // Rank 0's own first touches all reach the history: its global
+        // infinities are the histogram's.
+        assert_eq!(phased.history.cold_misses, hist.infinite());
+        assert_eq!(phased.history.live_hwm, 40);
     }
 
     #[test]
@@ -961,8 +947,8 @@ mod tests {
             let reduction = Reduction::ShipToRankZero;
             prop_assert_eq!(
                 base.clone().mode(Mode::Phased { chunk, reduction }).run(&trace).0,
-                crate::phased::parda_phased_with::<SplayTree, _>(
-                    SliceStream::new(&trace), chunk, &config, reduction,
+                crate::phased::parda_phased::<SplayTree, _>(
+                    SliceStream::new(&trace), chunk, &config,
                 )
             );
             prop_assert_eq!(

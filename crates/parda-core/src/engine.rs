@@ -7,7 +7,7 @@
 //! the histogram `hist` — plus the two counters of the optimized/bounded
 //! variants: `l` (local infinities forwarded, Algorithm 7) and `count`
 //! (incoming infinities seen, Algorithm 4). The sequential, parallel, and
-//! multi-phase analyzers are all thin drivers over this type.
+//! windowed streaming analyzers are all thin drivers over this type.
 
 use parda_hash::LastAccessTable;
 use parda_hist::ReuseHistogram;
@@ -65,7 +65,7 @@ pub struct Engine<T: ReuseTree> {
     forwarded: u64,
     /// `count`: incoming local infinities processed so far (Algorithm 4).
     stream_count: u64,
-    /// Cumulative operation counters (never reset at phase boundaries).
+    /// Cumulative operation counters (never reset at window boundaries).
     metrics: EngineMetrics,
 }
 
@@ -131,7 +131,7 @@ impl<T: ReuseTree> Engine<T> {
 
     /// Cumulative operation counters (tree ops, live-set high-water mark,
     /// cascade hit/forward tallies). Unlike [`Engine::forwarded`] and
-    /// [`Engine::stream_count`], these survive phase-counter resets.
+    /// [`Engine::stream_count`], these survive window-counter resets.
     pub fn metrics(&self) -> &EngineMetrics {
         &self.metrics
     }
@@ -424,7 +424,7 @@ impl<T: ReuseTree> Engine<T> {
         // position. Cascade hits cluster inside one chunk's timestamp span,
         // so a bitmap counting sort over [min_t0, max_t0] usually beats a
         // comparison sort; fall back to sorting when the span is too wide
-        // (imported multi-phase state can scatter timestamps arbitrarily).
+        // (a streaming history's hits span the whole trace so far).
         let mut min_t0 = u64::MAX;
         let mut max_t0 = 0u64;
         for &(t0, _) in hits {
@@ -568,43 +568,49 @@ impl<T: ReuseTree> Engine<T> {
         self.tree.to_sorted_vec()
     }
 
-    /// Export the live `(timestamp, addr)` state in timestamp order and
-    /// clear the engine's tree/table (phase reduction, Algorithm 6 sender
-    /// side). The histogram and counters are retained.
-    pub fn drain_state(&mut self) -> Vec<(u64, Addr)> {
-        let pairs = self.tree.to_sorted_vec();
-        self.tree.clear();
-        self.table.clear();
-        pairs
-    }
-
-    /// Import live state pairs (Algorithm 6 receiver side).
+    /// Append live `(timestamp, addr)` pairs, in increasing timestamp order
+    /// and all newer than every entry the engine holds — the windowed
+    /// streamer's history append ([`crate::phased`]). On a
+    /// [`parda_tree::VectorTree`] every insert takes the tail-append path
+    /// (no splice, no rebuild), so a window's append costs time in the
+    /// window's size, not in the live state's.
     ///
-    /// In unbounded mode the space-optimized cascade guarantees addresses
-    /// are disjoint across ranks (every stale replica is deleted when the
-    /// infinity stream hits it), so duplicates indicate a bug and are
-    /// asserted against in debug builds. In bounded mode a replica can
+    /// In unbounded mode the space-optimized cascade guarantees the pairs'
+    /// addresses are disjoint from the engine's (the window's infinity
+    /// stream deleted every older copy), so a duplicate indicates a bug and
+    /// is asserted against in debug builds. In bounded mode a replica can
     /// survive — a first touch beyond the forwarding bound `l ≥ B` is
     /// counted locally and never travels left to delete the older copy —
-    /// so duplicates are resolved by keeping the newest timestamp (the true
-    /// last access).
+    /// so the older entry is dropped (the appended one is the true last
+    /// access). Afterwards a bounded engine evicts its oldest entries until
+    /// at most `B` remain: Algorithm 7's LRU eviction, applied in bulk.
     pub fn import_state(&mut self, pairs: &[(u64, Addr)]) {
-        for &(ts, addr) in pairs {
-            if let Some(prev) = self.table.last_access(addr) {
-                debug_assert!(
-                    self.bound.is_some(),
-                    "duplicate address {addr:#x} during unbounded state merge"
-                );
-                if prev >= ts {
-                    continue;
+        // Prefetch a batch's table slots before upserting any of them, as
+        // `process_chunk` does: a large history's table is far past cache.
+        for batch in pairs.chunks(BATCH) {
+            for &(_, addr) in batch {
+                self.table.prefetch(addr);
+            }
+            for &(ts, addr) in batch {
+                if let Some(prev) = self.table.record(addr, ts) {
+                    debug_assert!(
+                        self.bound.is_some() && prev < ts,
+                        "address {addr:#x} imported twice or out of order"
+                    );
+                    self.tree.remove(prev);
+                    self.metrics.tree_ops += 1;
                 }
-                self.tree.remove(prev);
-                self.table.forget(addr);
+                self.tree.insert(ts, addr);
                 self.metrics.tree_ops += 1;
             }
-            self.tree.insert(ts, addr);
-            self.table.record(addr, ts);
-            self.metrics.tree_ops += 1;
+        }
+        if let Some(b) = self.bound {
+            while self.table.len() as u64 > b {
+                let (old_ts, old_addr) = self.tree.oldest().expect("over-full tree is non-empty");
+                self.tree.remove(old_ts);
+                self.table.forget(old_addr);
+                self.metrics.tree_ops += 1;
+            }
         }
         let live = self.table.len() as u64;
         if live > self.metrics.live_hwm {
@@ -612,8 +618,21 @@ impl<T: ReuseTree> Engine<T> {
         }
     }
 
-    /// Reset the per-phase Algorithm 4/7 counters (`count`, `l`). Called at
-    /// phase boundaries by the multi-phase driver.
+    /// Clear everything — tree, table, histogram, counters and metrics —
+    /// keeping the allocations, so a driver can reuse the engine for the
+    /// next window instead of building a new one.
+    pub fn reset(&mut self) {
+        self.tree.clear();
+        self.table.clear();
+        self.hist.clear();
+        self.forwarded = 0;
+        self.stream_count = 0;
+        self.metrics = EngineMetrics::default();
+    }
+
+    /// Reset the per-window Algorithm 4/7 counters (`count`, `l`). Called
+    /// on the history engine after each window's absorb by the windowed
+    /// streamer.
     pub fn reset_phase_counters(&mut self) {
         self.stream_count = 0;
         self.forwarded = 0;
@@ -763,12 +782,9 @@ mod tests {
     fn export_import_round_trips_state() {
         let mut a: Engine<SplayTree> = Engine::new(None, 0);
         a.process_chunk(&labels("dacb"), 0, MissSink::Infinite);
-        // Read-only export leaves the engine untouched…
-        assert_eq!(a.export_state().len(), 4);
+        // Read-only export leaves the engine untouched.
+        let state = a.export_state();
         assert_eq!(a.live(), 4);
-        // …while drain_state hands the pairs over and clears.
-        let state = a.drain_state();
-        assert_eq!(a.live(), 0);
         assert_eq!(state.len(), 4);
         assert!(state.windows(2).all(|w| w[0].0 < w[1].0), "ts-ordered");
 
@@ -779,6 +795,32 @@ mod tests {
         // distances: `a` was at ts 1 with c, b after it → distance 2.
         b.process_chunk(&labels("a"), 4, MissSink::Infinite);
         assert_eq!(b.histogram().count(2), 1);
+    }
+
+    #[test]
+    fn bounded_import_keeps_newest_and_evicts_oldest() {
+        let mut e: Engine<parda_tree::VectorTree> = Engine::new(Some(3), 0);
+        e.import_state(&[(0, 10), (1, 11), (2, 12)]);
+        // 11 reappears newer (a replica the bounded cascade left behind),
+        // and 13 overfills the bound: 10, the oldest, is evicted.
+        e.import_state(&[(5, 11), (6, 13)]);
+        assert_eq!(e.export_state(), vec![(2, 12), (5, 11), (6, 13)]);
+        assert_eq!(e.metrics().live_hwm, 3);
+    }
+
+    #[test]
+    fn reset_clears_state_and_counters() {
+        let mut e: Engine<SplayTree> = Engine::new(None, 0);
+        let mut out = Vec::new();
+        e.process_chunk(&labels("abca"), 0, MissSink::Forward(&mut out));
+        e.reset();
+        assert_eq!(e.live(), 0);
+        assert_eq!(e.forwarded(), 0);
+        assert_eq!(e.histogram(), &ReuseHistogram::new());
+        assert_eq!(e.metrics(), &EngineMetrics::default());
+        // A reset engine analyzes like a fresh one.
+        e.process_chunk(&labels("dacbccgefa"), 0, MissSink::Infinite);
+        assert_eq!(e.into_histogram(), run_table1::<SplayTree>());
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! | Algorithm 2 — tree distance query | `parda_tree::ReuseTree::distance` |
 //! | Algorithm 3 — the Parda parallel algorithm | [`parallel::parda_msg`], [`parallel::parda_threads`] |
 //! | Algorithm 4 — space-optimized infinity processing | [`Engine::process_infinities`] |
-//! | Algorithms 5–6 — multi-phase streaming analysis | [`phased::parda_phased`] |
+//! | Algorithm 5 — windowed streaming analysis (Algorithm 6's state merge replaced by a persistent history) | [`phased::parda_phased`] |
 //! | Algorithm 7 — bounded (cache-capped) analysis | `bound` option on every engine |
 //! | §III-A — naïve stack algorithm | [`seq::analyze_naive`] |
-//! | §IV-D rank-renaming enhancement | [`phased::Reduction::RenumberRanks`] |
+//! | §IV-D rank-renaming enhancement | superseded: the [`phased`] history never moves |
 //! | §VII object-level applications | [`object::analyze_by_region`] |
 //! | §VII sampling combination | [`approx`] (SHARDS/AET sketches; legacy shim in [`sampled`]) |
 //! | §I cache sharing & partitioning | [`shared::analyze_corun`], [`shared::optimal_partition`] |

@@ -13,8 +13,10 @@
 //!   per rank over [`parda_comm::World`], with the exact send/receive
 //!   rounds of Algorithm 3 (rank `p` performs `np − p` rounds).
 //! * [`parda_threads`] — a shared-memory formulation: chunks are analyzed
-//!   in parallel (rayon), then the cascade is folded sequentially. Same
-//!   operation order per engine, lower overhead; used by the benchmarks.
+//!   in parallel on worker threads while the cascade folds right to left
+//!   on the caller. Same operation order per engine, lower overhead; used
+//!   by the benchmarks. The windowed streamer ([`crate::phased`]) runs
+//!   each window through this same schedule and fold.
 
 use crate::engine::{Engine, MissSink};
 use crate::error::{FaultPolicy, PardaError};
@@ -108,10 +110,11 @@ pub const DEFAULT_SUBCHUNK_REFS: usize = 1 << 17;
 /// Cap on sub-chunks per rank, bounding slot memory and fold overhead.
 pub const MAX_PARTS_PER_RANK: usize = 64;
 
-/// Global reference index at which each chunk starts.
-fn chunk_starts(chunks: &[&[Addr]]) -> Vec<u64> {
+/// Global reference index at which each chunk starts, the first chunk
+/// starting at `base`.
+pub(crate) fn chunk_starts(chunks: &[&[Addr]], base: u64) -> Vec<u64> {
     let mut starts = Vec::with_capacity(chunks.len());
-    let mut acc = 0u64;
+    let mut acc = base;
     for c in chunks {
         starts.push(acc);
         acc += c.len() as u64;
@@ -126,7 +129,7 @@ fn chunk_starts(chunks: &[&[Addr]]) -> Vec<u64> {
 /// analysis (the Section IV-B theorem, property-tested below) — so items
 /// act as extra virtual ranks in the cascade fold while metrics stay
 /// grouped per reported rank.
-struct WorkItem<'a> {
+pub(crate) struct WorkItem<'a> {
     chunk: &'a [Addr],
     start: u64,
     owner: usize,
@@ -137,7 +140,7 @@ struct WorkItem<'a> {
 /// pins ∞-collapse decisions to the partition (both drivers must agree
 /// exactly), and the unoptimized ablation ties its `next_ts` bookkeeping
 /// to one item per rank.
-fn build_items<'a>(
+pub(crate) fn build_items<'a>(
     chunks: &[&'a [Addr]],
     starts: &[u64],
     config: &PardaConfig,
@@ -203,7 +206,7 @@ pub fn parda_msg_with_stats<T: ReuseTree + Default>(
         return (hist, vec![rank]);
     }
     let chunks = chunk_slice(trace, np);
-    let starts = chunk_starts(&chunks);
+    let starts = chunk_starts(&chunks, 0);
 
     let results =
         parda_comm::World::run::<Vec<Addr>, (ReuseHistogram, RankMetrics), _>(np, |mut ctx| {
@@ -301,9 +304,42 @@ pub fn parda_threads_with_stats<T: ReuseTree + Default + Send>(
         return (hist, vec![rank]);
     }
     let chunks = chunk_slice(trace, np);
-    let starts = chunk_starts(&chunks);
+    let starts = chunk_starts(&chunks, 0);
     let items = build_items(&chunks, &starts, config);
+    let mut metrics = rank_metrics(np);
+    let mut total = ReuseHistogram::new();
+    let globals = cascade_items::<T>(
+        &items,
+        config,
+        &mut metrics,
+        &mut total,
+        Vec::new(),
+        |_, _| {},
+    );
+    record_globals(globals.len(), &mut metrics, &mut total);
+    (total, metrics)
+}
+
+/// Analyze `items` on the pipelined worker schedule and fold their
+/// cascade ([`fold_cascade`]), returning the stream left at the leftmost
+/// boundary. Histograms and metrics accumulate into `total` and `metrics`.
+///
+/// `spares[i]`, when present, is an engine from an earlier run that item
+/// `i`'s worker resets and reuses instead of allocating a new one; every
+/// item's engine is handed to `retire` once folded, live state intact.
+pub(crate) fn cascade_items<T: ReuseTree + Default + Send>(
+    items: &[WorkItem<'_>],
+    config: &PardaConfig,
+    metrics: &mut [RankMetrics],
+    total: &mut ReuseHistogram,
+    spares: Vec<Option<Engine<T>>>,
+    retire: impl FnMut(usize, Engine<T>),
+) -> Vec<Addr> {
     let n = items.len();
+    let mut spares = spares.into_iter();
+    let spares: Vec<Mutex<Option<Engine<T>>>> = (0..n)
+        .map(|_| Mutex::new(spares.next().flatten()))
+        .collect();
 
     // Pipelined schedule: workers claim items *right-to-left* off a shared
     // counter and publish each finished engine into its item's slot; the
@@ -317,7 +353,7 @@ pub fn parda_threads_with_stats<T: ReuseTree + Default + Send>(
     // slow rank instead of waiting at the rank boundary.
     let slots: Vec<RankSlot<ChunkResult<T>>> = (0..n).map(|_| RankSlot::default()).collect();
     let claim = AtomicUsize::new(0);
-    let workers = worker_count(np);
+    let workers = worker_count(config.ranks.max(1));
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -328,20 +364,51 @@ pub fn parda_threads_with_stats<T: ReuseTree + Default + Send>(
                 }
                 let i = n - 1 - k;
                 let item = &items[i];
-                slots[i].publish(analyze_rank::<T>(item.chunk, item.start, config, false));
+                let spare = spares[i].lock().unwrap_or_else(|e| e.into_inner()).take();
+                let engine = match spare {
+                    Some(mut engine) => {
+                        engine.reset();
+                        engine
+                    }
+                    None => Engine::new(config.bound, item.chunk.len()),
+                };
+                slots[i].publish(analyze_rank(engine, item.chunk, item.start, false));
             });
         }
 
         // The claim closure cannot fail — `Infallible` makes that
         // type-level: the error arm is an empty match, not a runtime
         // assertion. The fault-tolerant path is [`parda_threads_faulted`].
-        let folded: Result<_, std::convert::Infallible> =
-            fold_cascade(&items, np, config, |i| Ok(slots[i].take()));
+        let folded: Result<_, std::convert::Infallible> = fold_cascade(
+            items,
+            config,
+            metrics,
+            total,
+            |i| Ok(slots[i].take()),
+            retire,
+        );
         match folded {
-            Ok(out) => out,
+            Ok(stream) => stream,
             Err(e) => match e {},
         }
     })
+}
+
+/// Per-rank metrics for `np` ranks, all zero.
+pub(crate) fn rank_metrics(np: usize) -> Vec<RankMetrics> {
+    (0..np)
+        .map(|p| RankMetrics {
+            rank: p,
+            ..Default::default()
+        })
+        .collect()
+}
+
+/// The in-memory drivers' leftmost boundary: every reference left in the
+/// final stream is an authoritative global infinity, recorded on rank 0.
+fn record_globals(n: usize, metrics: &mut [RankMetrics], total: &mut ReuseHistogram) {
+    total.record_infinite_n(n as u64);
+    metrics[0].engine.cold_misses += n as u64;
 }
 
 /// Fault-tolerant shared-memory Parda: [`parda_threads`] with
@@ -368,7 +435,7 @@ pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
 ) -> Result<(ReuseHistogram, Vec<RankMetrics>, RecoveryMetrics), PardaError> {
     let np = config.ranks.max(1);
     let chunks = chunk_slice(trace, np);
-    let starts = chunk_starts(&chunks);
+    let starts = chunk_starts(&chunks, 0);
     // Rank granularity (no subdivision): rescue, retry accounting, and the
     // stall watchdog are all per rank.
     let items = rank_items(&chunks, &starts);
@@ -399,7 +466,8 @@ pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
                     let analyzed = catch_unwind(AssertUnwindSafe(|| {
                         parda_failpoint::failpoint!("parallel::worker");
                         parda_failpoint::failpoint!("parallel::worker_stall");
-                        analyze_rank::<T>(chunks[p], starts[p], config, false)
+                        let engine = Engine::new(config.bound, chunks[p].len());
+                        analyze_rank::<T>(engine, chunks[p], starts[p], false)
                     }));
                     let mut slot = slots[p].lock();
                     *slot = Some(analyzed.map_err(|_| RankPanic));
@@ -410,37 +478,51 @@ pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
         }
 
         let mut recovery = RecoveryMetrics::default();
-        let folded = fold_cascade(&items, np, config, |p| {
-            claim_rank(
-                &slots[p],
-                chunks[p],
-                starts[p],
-                p,
-                config,
-                policy,
-                &mut recovery,
-            )
-        });
-        if folded.is_err() {
-            // Stop workers from claiming further chunks; in-flight chunks
-            // finish and are discarded.
-            abort.store(true, Ordering::Relaxed);
+        let mut metrics = rank_metrics(np);
+        let mut total = ReuseHistogram::new();
+        let folded = fold_cascade(
+            &items,
+            config,
+            &mut metrics,
+            &mut total,
+            |p| {
+                claim_rank(
+                    &slots[p],
+                    chunks[p],
+                    starts[p],
+                    p,
+                    config,
+                    policy,
+                    &mut recovery,
+                )
+            },
+            |_, _| {},
+        );
+        match folded {
+            Ok(globals) => {
+                record_globals(globals.len(), &mut metrics, &mut total);
+                Ok((total, metrics, recovery))
+            }
+            Err(e) => {
+                // Stop workers from claiming further chunks; in-flight
+                // chunks finish and are discarded.
+                abort.store(true, Ordering::Relaxed);
+                Err(e)
+            }
         }
-        folded.map(|(hist, metrics)| (hist, metrics, recovery))
     })
 }
 
-/// One rank's chunk analysis: build an engine, process the chunk
-/// (batched or scalar), return it with the local infinities and wall
-/// time. Shared by the workers and the rescue path.
-fn analyze_rank<T: ReuseTree + Default>(
+/// One rank's chunk analysis: process the chunk (batched or scalar) on an
+/// empty engine, return it with the local infinities and wall time.
+/// Shared by the workers and the rescue path.
+fn analyze_rank<T: ReuseTree>(
+    mut engine: Engine<T>,
     chunk: &[Addr],
     start: u64,
-    config: &PardaConfig,
     scalar: bool,
 ) -> ChunkResult<T> {
     let sw = Stopwatch::start();
-    let mut engine: Engine<T> = Engine::new(config.bound, chunk.len());
     let mut local_inf = Vec::new();
     if scalar {
         engine.process_chunk_scalar(chunk, start, MissSink::Forward(&mut local_inf));
@@ -488,7 +570,7 @@ fn claim_rank<T: ReuseTree + Default>(
                     std::thread::sleep(policy.retry_backoff);
                 }
                 match catch_unwind(AssertUnwindSafe(|| {
-                    analyze_rank::<T>(chunk, start, config, true)
+                    analyze_rank::<T>(Engine::new(config.bound, chunk.len()), chunk, start, true)
                 })) {
                     Ok(result) => {
                         recovery.rank_rescues += 1;
@@ -501,43 +583,43 @@ fn claim_rank<T: ReuseTree + Default>(
     }
 }
 
-/// The right-to-left cascade fold shared by [`parda_threads`] and
-/// [`parda_threads_faulted`]: each item absorbs everything its right
-/// neighbour would have sent over all Algorithm 3 rounds — that item's
-/// own local infinities followed by the survivors of what it absorbed
-/// from *its* right. `claim(i)` produces item `i`'s finished chunk
-/// analysis plus the wait time, blocking / rescuing as the driver
-/// dictates. Items are virtual ranks; metrics are grouped under each
-/// item's owning rank (`0..np`), with timings accumulated and per-round
-/// vectors pushed per absorbed stream.
+/// The right-to-left cascade fold shared by [`parda_threads`],
+/// [`parda_threads_faulted`] and the windowed streamer: each item absorbs
+/// everything its right neighbour would have sent over all Algorithm 3
+/// rounds — that item's own local infinities followed by the survivors of
+/// what it absorbed from *its* right. `claim(i)` produces item `i`'s
+/// finished chunk analysis plus the wait time, blocking / rescuing as the
+/// driver dictates. Items are virtual ranks; metrics are grouped under
+/// each item's owning rank, with timings accumulated and per-round vectors
+/// pushed per absorbed stream. Each folded engine's histogram is merged
+/// into `total` and the engine handed to `retire`.
+///
+/// Returns the stream left at the leftmost boundary: item 0's local
+/// infinities followed by everything no item resolved, in first-touch
+/// order. The in-memory drivers count it as global infinities; the
+/// windowed streamer hands it to its history.
 ///
 /// Generic over the claim error `E` so the plain driver can instantiate
 /// it with [`std::convert::Infallible`] and discharge the error arm with
 /// an empty match.
-fn fold_cascade<T: ReuseTree + Default, E>(
+fn fold_cascade<T: ReuseTree, E>(
     items: &[WorkItem<'_>],
-    np: usize,
     config: &PardaConfig,
+    metrics: &mut [RankMetrics],
+    total: &mut ReuseHistogram,
     mut claim: impl FnMut(usize) -> Result<(ChunkResult<T>, u64), E>,
-) -> Result<(ReuseHistogram, Vec<RankMetrics>), E> {
-    let mut metrics: Vec<RankMetrics> = (0..np)
-        .map(|p| RankMetrics {
-            rank: p,
-            ..Default::default()
-        })
-        .collect();
+    mut retire: impl FnMut(usize, Engine<T>),
+) -> Result<Vec<Addr>, E> {
     for item in items {
         metrics[item.owner].refs += item.chunk.len() as u64;
     }
-    let mut total = ReuseHistogram::new();
 
     // The stream is carried leftward *in place*: each item's survivors
     // overwrite resolved slots (engine-side partition), then the item's
     // own local infinities are prepended by appending the survivors to
     // them — no per-item forwarding allocation.
     let mut stream: Vec<Addr> = Vec::new();
-    for i in (1..items.len()).rev() {
-        let item = &items[i];
+    for (i, item) in items.iter().enumerate().rev() {
         let ((mut engine, mut own_inf, chunk_ns), wait_ns) = claim(i)?;
         let rm = &mut metrics[item.owner];
         rm.chunk_ns += chunk_ns;
@@ -563,45 +645,16 @@ fn fold_cascade<T: ReuseTree + Default, E>(
         }
         rm.cascade_ns += sw.ns();
         own_inf.append(&mut stream);
-        rm.infinities_forwarded += own_inf.len() as u64;
         stream = own_inf;
+        // Only a stream crossing into another item counts as forwarded.
+        if i > 0 {
+            rm.infinities_forwarded += stream.len() as u64;
+        }
         rm.engine.merge(engine.metrics());
         total.merge(engine.histogram());
+        retire(i, engine);
     }
-
-    // Leftmost item (rank 0's first sub-chunk): its own local infinities
-    // and all unresolved survivors are authoritative global infinities.
-    let ((mut engine0, own0, chunk_ns), wait_ns) = claim(0)?;
-    let rm = &mut metrics[0];
-    rm.chunk_ns += chunk_ns;
-    rm.cascade_wait_ns += wait_ns;
-    engine0.record_global_infinities(own0.len() as u64);
-    if !stream.is_empty() {
-        rm.cascade_rounds += 1;
-        rm.round_infinity_lens.push(stream.len() as u64);
-    }
-    let sw = Stopwatch::start();
-    if config.space_optimized {
-        let received = !stream.is_empty();
-        let stats = engine0.process_infinities_in_place(&mut stream);
-        if received {
-            rm.record_round(&stats);
-        }
-    } else {
-        let item = &items[0];
-        let next_ts = item.start + item.chunk.len() as u64;
-        let incoming = std::mem::take(&mut stream);
-        engine0.process_infinities_unoptimized(&incoming, next_ts, &mut stream);
-        if !incoming.is_empty() {
-            rm.record_round(&CascadeRoundStats::default());
-        }
-    }
-    engine0.record_global_infinities(stream.len() as u64);
-    rm.cascade_ns += sw.ns();
-    rm.engine.merge(engine0.metrics());
-    total.merge(engine0.histogram());
-
-    Ok((total, metrics))
+    Ok(stream)
 }
 
 /// A rank's finished chunk analysis: the engine, its local infinities, and

@@ -1,69 +1,51 @@
-//! Multi-phase streaming Parda (paper Algorithms 5 and 6, Section IV-D).
+//! Windowed streaming Parda (paper Algorithm 5, Section IV-D).
 //!
 //! Real traces arrive as unbounded streams (the paper pipes them straight
 //! out of Pin), so the whole-trace chunking of Algorithm 3 cannot be
-//! applied up front. The phase-based algorithm reads `np · C` references per
-//! phase, runs one Parda pass over them, and then *reduces the analysis
-//! state*: every rank ships its live `(address, timestamp)` entries to the
-//! highest rank, which merges them (no duplicate checks needed in unbounded
-//! mode — the space-optimized cascade already deleted stale replicas). The
-//! rank holding the global state answers global infinities authoritatively
-//! in the next phase.
+//! applied up front. The streamer reads the trace in *windows* of `np · C`
+//! references and runs one Parda pass over each: the window is cut into
+//! work items (one per rank, or sub-chunks of one), the items are analyzed
+//! on the [`parda_threads`](crate::parallel::parda_threads) worker
+//! schedule, and their infinity streams fold right to left through the
+//! same cascade.
 //!
-//! Two reduction strategies, selectable via [`Reduction`]:
+//! The leftmost item of every window's cascade is a persistent *history*:
+//! an `Engine<VectorTree>` — whatever tree the items use — holding the
+//! last access of every address seen before the window. It absorbs the
+//! stream that reaches the window's left edge through the Fenwick
+//! galloping `rank_delete_batch` sweep: hits resolve at `tree distance +
+//! count` (Algorithm 4), misses are global infinities. Then each item's
+//! surviving live state is appended in timestamp order. Every item
+//! timestamp is newer than everything in the history, so the append is an
+//! O(window) tail append, not an O(M) rebuild; peak state is O(M + window).
 //!
-//! * [`Reduction::ShipToRankZero`] — the basic Algorithm 6: merge on rank
-//!   `np−1`, then transfer the merged state back to rank 0.
-//! * [`Reduction::RenumberRanks`] — the paper's enhancement: "we can
-//!   reassign processor ids in the reverse order therefore processor np−1
-//!   becomes the processor 0 at next phase" — the merged state never moves;
-//!   all algorithm roles are played by *virtual* ranks whose mapping to
-//!   physical ranks reverses each phase.
-//!
-//! Both produce identical histograms (property-tested); the renumbering
-//! variant saves one O(M) state transfer per phase.
+//! This replaces the paper's Algorithm 6, which drains every rank's state
+//! onto one rank at each phase boundary and rebuilds it there — O(M) per
+//! phase — and with it the §IV-D rank-renumbering enhancement, which saved
+//! one transfer of that merged state. The history never moves at all.
+//! [`Reduction`] survives only as the ignored field of
+//! [`Mode::Phased`](crate::Mode::Phased).
 
-use crate::engine::{Engine, MissSink};
-use crate::parallel::PardaConfig;
+use crate::engine::Engine;
+use crate::parallel::{build_items, cascade_items, chunk_starts, rank_metrics, PardaConfig};
 use parda_hist::ReuseHistogram;
 use parda_obs::{PhasedMetrics, RankMetrics, Stopwatch};
 use parda_trace::{chunk_slice, Addr, AddressStream};
-use parda_tree::ReuseTree;
-use parking_lot::Mutex;
+use parda_tree::{ReuseTree, VectorTree};
 
-/// Messages exchanged by the phased driver.
-enum PhasedMsg {
-    /// A chunk of the current phase starting at the given global index.
-    /// `last` is set when the source ran dry filling this phase, letting
-    /// every rank skip the final state reduction (the merged tree would
-    /// only be consulted by a phase that never comes).
-    Chunk {
-        start_ts: u64,
-        data: Vec<Addr>,
-        last: bool,
-    },
-    /// A local-infinities sequence (cascade round).
-    Infinities(Vec<Addr>),
-    /// Live `(timestamp, addr)` state for the phase reduction.
-    State(Vec<(u64, Addr)>),
-    /// End of input: no further phases.
-    Done,
-}
-
-/// How per-rank state is reduced at each phase boundary (Algorithm 6).
+/// The retired Algorithm 6 reduction choice. The windowed streamer has no
+/// state reduction to choose; the type remains so existing
+/// [`Mode::Phased`](crate::Mode::Phased) values keep compiling, and it is
+/// ignored.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Reduction {
-    /// Merge on rank `np−1`, then ship the merged state to rank 0.
+    /// The only value: the paper's basic Algorithm 6 strategy, now a no-op.
     #[default]
     ShipToRankZero,
-    /// Merge on virtual rank `np−1` and reverse the virtual rank order, so
-    /// the merging rank *becomes* virtual rank 0 — no state transfer.
-    RenumberRanks,
 }
 
-/// Streaming Parda: analyze `source` in phases of `np · phase_chunk`
-/// references (paper Algorithm 5), using the default
-/// [`Reduction::ShipToRankZero`] strategy.
+/// Streaming Parda: analyze `source` in windows of `np · phase_chunk`
+/// references (paper Algorithm 5) over a persistent history.
 ///
 /// Returns the complete reuse-distance histogram; exact equality with the
 /// offline analyzers is property-tested.
@@ -77,7 +59,7 @@ pub enum Reduction {
 /// let trace: Vec<u64> = (0..1000u64).map(|i| i % 50).collect();
 /// let hist = phased::parda_phased::<parda_tree::SplayTree, _>(
 ///     SliceStream::new(&trace),
-///     64, // C: references per rank per phase
+///     64, // C: references per rank per window
 ///     &PardaConfig::with_ranks(4),
 /// );
 /// assert_eq!(hist.total(), 1000);
@@ -85,350 +67,166 @@ pub enum Reduction {
 /// ```
 pub fn parda_phased<T, S>(source: S, phase_chunk: usize, config: &PardaConfig) -> ReuseHistogram
 where
-    T: ReuseTree + Default,
-    S: AddressStream + Send,
+    T: ReuseTree + Default + Send,
+    S: AddressStream,
 {
-    parda_phased_with::<T, S>(source, phase_chunk, config, Reduction::ShipToRankZero)
+    parda_phased_with_stats::<T, S>(source, phase_chunk, config).0
 }
 
-/// Streaming Parda with an explicit reduction strategy.
-pub fn parda_phased_with<T, S>(
-    source: S,
-    phase_chunk: usize,
-    config: &PardaConfig,
-    reduction: Reduction,
-) -> ReuseHistogram
-where
-    T: ReuseTree + Default,
-    S: AddressStream + Send,
-{
-    parda_phased_with_stats::<T, S>(source, phase_chunk, config, reduction).0
-}
-
-/// [`parda_phased_with`] plus the observability breakdown: per-rank chunk
-/// and cascade timings accumulated over all phases, and a [`PhasedMetrics`]
-/// whose `phase_reduction_ns[k]` is the slowest rank's reduction time in
-/// phase `k` (the critical-path cost the paper's renumbering enhancement
-/// attacks).
+/// [`parda_phased`] plus the observability breakdown.
+///
+/// The per-rank metrics group each window's items under their owning rank,
+/// accumulated over all windows; rank 0's `cascade_ns` also holds the
+/// history's stream absorbs and its `reduction_ns` the history appends.
+/// In the [`PhasedMetrics`], `phases` counts windows,
+/// `phase_reduction_ns[k]` is window `k`'s history append, and `history`
+/// holds the history engine's counters.
 pub fn parda_phased_with_stats<T, S>(
-    source: S,
+    mut source: S,
     phase_chunk: usize,
     config: &PardaConfig,
-    reduction: Reduction,
 ) -> (ReuseHistogram, Vec<RankMetrics>, PhasedMetrics)
 where
-    T: ReuseTree + Default,
-    S: AddressStream + Send,
+    T: ReuseTree + Default + Send,
+    S: AddressStream,
 {
-    assert!(phase_chunk > 0, "phase chunk size must be positive");
+    assert!(phase_chunk > 0, "window chunk size must be positive");
     let np = config.ranks.max(1);
-    if np == 1 {
-        return phased_single_rank::<T, S>(source, config.bound);
-    }
-
-    // Physical rank 0 owns the input stream (it is attached to the pipe in
-    // the paper's framework; virtual ranks rotate around it).
-    let source = Mutex::new(Some(source));
-
-    let results = parda_comm::World::run::<PhasedMsg, (ReuseHistogram, RankMetrics, Vec<u64>), _>(
-        np,
-        |mut ctx| {
-            let p = ctx.rank();
-            let mut engine: Engine<T> = Engine::new(config.bound, phase_chunk);
-            let mut rm = RankMetrics {
-                rank: p,
-                ..Default::default()
-            };
-            // Per-phase reduction time on this rank; the driver folds these
-            // element-wise (max across ranks) into [`PhasedMetrics`].
-            let mut phase_red: Vec<u64> = Vec::new();
-            let mut my_source = if p == 0 {
-                Some(source.lock().take().expect("rank 0 takes the source once"))
-            } else {
-                None
-            };
-            let mut phase_base: u64 = 0;
-            let mut read_buf: Vec<Addr> = Vec::new();
-            // Virtual-rank mapping parity: when `reversed`, virtual rank v is
-            // played by physical rank np-1-v.
-            let mut reversed = false;
-            let phys = |v: usize, reversed: bool| if reversed { np - 1 - v } else { v };
-
-            loop {
-                // --- distribution (paper Figure 3: the pipe-attached process
-                //     reads and scatters; chunk i goes to *virtual* rank i) ---
-                let (chunk, start_ts, last_phase) = if p == 0 {
-                    let src = my_source.as_mut().expect("rank 0 has the source");
-                    read_buf.clear();
-                    let got = src.fill(&mut read_buf, np * phase_chunk);
-                    if got == 0 {
-                        for dest in 1..np {
-                            ctx.send(dest, PhasedMsg::Done);
-                        }
-                        break;
-                    }
-                    // A short read means the source is exhausted: this phase is
-                    // the last one (an exactly-full read can't tell, and then
-                    // the reduction below runs once more than needed).
-                    let last = got < np * phase_chunk;
-                    let chunks = chunk_slice(&read_buf, np);
-                    let mut acc = phase_base;
-                    let mut mine = None;
-                    for (v, c) in chunks.iter().enumerate() {
-                        let dest = phys(v, reversed);
-                        if dest == 0 {
-                            mine = Some((c.to_vec(), acc, last));
-                        } else {
-                            ctx.send(
-                                dest,
-                                PhasedMsg::Chunk {
-                                    start_ts: acc,
-                                    data: c.to_vec(),
-                                    last,
-                                },
-                            );
-                        }
-                        acc += c.len() as u64;
-                    }
-                    phase_base = acc;
-                    mine.expect("some virtual rank maps to physical 0")
-                } else {
-                    match ctx.recv_from(0) {
-                        PhasedMsg::Done => break,
-                        PhasedMsg::Chunk {
-                            start_ts,
-                            data,
-                            last,
-                        } => (data, start_ts, last),
-                        _ => unreachable!("rank 0 only sends chunks or Done here"),
-                    }
-                };
-
-                // This phase's virtual rank for this physical rank.
-                let v = if reversed { np - 1 - p } else { p };
-                rm.refs += chunk.len() as u64;
-
-                // --- one Parda pass over the phase (Algorithm 3 rounds, in
-                //     virtual-rank space) ---
-                let sw = Stopwatch::start();
-                if v == 0 {
-                    // Virtual rank 0 analyzes on top of the accumulated global
-                    // state: its local infinities are authoritative.
-                    engine.process_chunk(&chunk, start_ts, MissSink::Infinite);
-                    rm.chunk_ns += sw.ns();
-                } else {
-                    let mut local_inf = Vec::new();
-                    engine.process_chunk(&chunk, start_ts, MissSink::Forward(&mut local_inf));
-                    rm.chunk_ns += sw.ns();
-                    rm.infinities_forwarded += local_inf.len() as u64;
-                    ctx.send(phys(v - 1, reversed), PhasedMsg::Infinities(local_inf));
-                }
-                for _ in 1..(np - v) {
-                    let incoming = match ctx.recv_from(phys(v + 1, reversed)) {
-                        PhasedMsg::Infinities(list) => list,
-                        _ => unreachable!("cascade rounds only carry infinity lists"),
-                    };
-                    rm.cascade_rounds += 1;
-                    rm.round_infinity_lens.push(incoming.len() as u64);
-                    let sw = Stopwatch::start();
-                    let mut survivors = Vec::new();
-                    engine.process_infinities(&incoming, &mut survivors);
-                    if v == 0 {
-                        engine.record_global_infinities(survivors.len() as u64);
-                    } else {
-                        rm.infinities_forwarded += survivors.len() as u64;
-                        ctx.send(phys(v - 1, reversed), PhasedMsg::Infinities(survivors));
-                    }
-                    rm.cascade_ns += sw.ns();
-                }
-
-                // --- state reduction onto virtual rank np-1 (Algorithm 6) ---
-                // The merged state exists solely to answer the *next* phase's
-                // global infinities, so the last phase skips the reduction
-                // entirely — on big traces that saves merging O(M) live
-                // entries into a tree nobody will query.
-                let red_ns = if !last_phase {
-                    let sw = Stopwatch::start();
-                    let merger = phys(np - 1, reversed);
-                    if v != np - 1 {
-                        ctx.send(merger, PhasedMsg::State(engine.drain_state()));
-                    } else {
-                        for src_v in 0..np - 1 {
-                            match ctx.recv_from(phys(src_v, reversed)) {
-                                PhasedMsg::State(pairs) => engine.import_state(&pairs),
-                                _ => unreachable!("reduction expects state messages"),
-                            }
-                        }
-                    }
-                    match reduction {
-                        Reduction::ShipToRankZero => {
-                            // Transfer the merged state back to (virtual =
-                            // physical) rank 0.
-                            if v == np - 1 {
-                                ctx.send(phys(0, reversed), PhasedMsg::State(engine.drain_state()));
-                            }
-                            if v == 0 {
-                                match ctx.recv_from(merger) {
-                                    PhasedMsg::State(pairs) => engine.import_state(&pairs),
-                                    _ => unreachable!("the merger ships the merged state"),
-                                }
-                            }
-                        }
-                        Reduction::RenumberRanks => {
-                            // The merger keeps the state and becomes virtual
-                            // rank 0: reverse the virtual order (np-1 ↦ 0).
-                            reversed = !reversed;
-                        }
-                    }
-                    sw.ns()
-                } else {
-                    0
-                };
-                rm.reduction_ns += red_ns;
-                phase_red.push(red_ns);
-                engine.reset_phase_counters();
-            }
-            rm.engine = engine.metrics().clone();
-            (engine.into_histogram(), rm, phase_red)
-        },
-    );
-
+    // The unoptimized Algorithm 3 ablation keeps replicas alive, which the
+    // history append cannot take: items always run space-optimized.
+    let config = PardaConfig {
+        space_optimized: true,
+        ..config.clone()
+    };
+    let window_refs = np * phase_chunk;
+    let mut history: Engine<VectorTree> = Engine::new(config.bound, 0);
+    let mut metrics = rank_metrics(np);
+    let mut phased = PhasedMetrics::default();
     let mut total = ReuseHistogram::new();
-    let mut ranks = Vec::with_capacity(np);
-    let mut phased = PhasedMetrics::default();
-    for (h, rm, red) in results {
-        total.merge(&h);
-        ranks.push(rm);
-        phased.phases = phased.phases.max(red.len() as u64);
-        if phased.phase_reduction_ns.len() < red.len() {
-            phased.phase_reduction_ns.resize(red.len(), 0);
-        }
-        for (k, ns) in red.into_iter().enumerate() {
-            phased.phase_reduction_ns[k] = phased.phase_reduction_ns[k].max(ns);
-        }
-    }
-    ranks.sort_by_key(|rm| rm.rank);
-    (total, ranks, phased)
-}
-
-/// Degenerate single-rank streaming: plain incremental Algorithm 1 over
-/// batches. `phases` counts input batches; there is no reduction, so
-/// `phase_reduction_ns` stays empty.
-fn phased_single_rank<T: ReuseTree + Default, S: AddressStream>(
-    mut source: S,
-    bound: Option<u64>,
-) -> (ReuseHistogram, Vec<RankMetrics>, PhasedMetrics) {
-    let mut analyzer: crate::seq::SequentialAnalyzer<T> =
-        crate::seq::SequentialAnalyzer::new(bound);
-    let mut rm = RankMetrics::default();
-    let mut phased = PhasedMetrics::default();
-    let mut buf = Vec::new();
+    let mut engines: Vec<Option<Engine<T>>> = Vec::new();
+    let mut window: Vec<Addr> = Vec::with_capacity(window_refs);
+    let mut base = 0u64;
     loop {
-        buf.clear();
-        if source.fill(&mut buf, 1 << 16) == 0 {
+        window.clear();
+        if source.fill(&mut window, window_refs) == 0 {
             break;
         }
-        phased.phases += 1;
-        rm.refs += buf.len() as u64;
+        let chunks = chunk_slice(&window, np);
+        let starts = chunk_starts(&chunks, base);
+        let items = build_items(&chunks, &starts, &config);
+        let mut kept: Vec<Option<Engine<T>>> = items.iter().map(|_| None).collect();
+        let mut stream = cascade_items(
+            &items,
+            &config,
+            &mut metrics,
+            &mut total,
+            std::mem::take(&mut engines),
+            |i, engine| kept[i] = Some(engine),
+        );
+
+        // The history is the cascade's leftmost item: whatever it cannot
+        // resolve was never accessed before.
         let sw = Stopwatch::start();
-        analyzer.process_all(&buf);
-        rm.chunk_ns += sw.ns();
+        history.process_infinities_in_place(&mut stream);
+        history.record_global_infinities(stream.len() as u64);
+        history.reset_phase_counters();
+        metrics[0].cascade_ns += sw.ns();
+
+        // Items cover ascending timestamp ranges, left to right, all newer
+        // than the history: appending them in order keeps it sorted.
+        let sw = Stopwatch::start();
+        for engine in kept.iter().flatten() {
+            history.import_state(&engine.export_state());
+        }
+        let append_ns = sw.ns();
+        phased.phases += 1;
+        phased.phase_reduction_ns.push(append_ns);
+        metrics[0].reduction_ns += append_ns;
+
+        engines = kept;
+        base += window.len() as u64;
     }
-    rm.engine = analyzer.metrics().clone();
-    (analyzer.finish(), vec![rm], phased)
+    total.merge(history.histogram());
+    phased.history = history.metrics().clone();
+    (total, metrics, phased)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::seq::analyze_sequential;
+    use crate::{Analysis, Mode};
     use parda_trace::SliceStream;
-    use parda_tree::SplayTree;
+    use parda_tree::{AvlTree, SplayTree, Treap, TreeKind};
     use proptest::prelude::*;
 
+    fn phased<T: ReuseTree + Default + Send>(
+        trace: &[Addr],
+        chunk: usize,
+        config: &PardaConfig,
+    ) -> ReuseHistogram {
+        parda_phased::<T, _>(SliceStream::new(trace), chunk, config)
+    }
+
     #[test]
-    fn phased_matches_offline_on_small_trace() {
+    fn windowed_matches_offline_on_small_trace() {
         let trace: Vec<Addr> = "dacbccgefafbcmtmacfbdcac".bytes().map(u64::from).collect();
         let seq = analyze_sequential::<SplayTree>(&trace, None);
         for np in [1usize, 2, 3, 4] {
             for chunk in [1usize, 2, 4, 100] {
-                for reduction in [Reduction::ShipToRankZero, Reduction::RenumberRanks] {
-                    let hist = parda_phased_with::<SplayTree, _>(
-                        SliceStream::new(&trace),
-                        chunk,
-                        &PardaConfig::with_ranks(np),
-                        reduction,
-                    );
-                    assert_eq!(hist, seq, "np={np} chunk={chunk} {reduction:?}");
-                }
+                let hist = phased::<SplayTree>(&trace, chunk, &PardaConfig::with_ranks(np));
+                assert_eq!(hist, seq, "np={np} chunk={chunk}");
             }
         }
     }
 
     #[test]
-    fn phase_boundary_splitting_reuse_pairs() {
-        // Reuse pairs straddling phase boundaries exercise the global-state
-        // carry: [0..k] then the same block again in the next phase.
+    fn window_boundary_splitting_reuse_pairs() {
+        // [0..32) then the same block again: with np·C = 32 the second lap
+        // lands entirely in window 2 and resolves against the history.
         let mut trace: Vec<Addr> = (0..32).collect();
         trace.extend(0..32u64);
-        let seq = analyze_sequential::<SplayTree>(&trace, None);
-        for reduction in [Reduction::ShipToRankZero, Reduction::RenumberRanks] {
-            let hist = parda_phased_with::<SplayTree, _>(
-                SliceStream::new(&trace),
-                8, // np*C = 32: the second lap lands entirely in phase 2
-                &PardaConfig::with_ranks(4),
-                reduction,
-            );
-            assert_eq!(hist, seq, "{reduction:?}");
-            assert_eq!(hist.count(31), 32, "each element reused at distance 31");
-        }
+        let hist = phased::<SplayTree>(&trace, 8, &PardaConfig::with_ranks(4));
+        assert_eq!(hist, analyze_sequential::<SplayTree>(&trace, None));
+        assert_eq!(hist.count(31), 32, "each element reused at distance 31");
     }
 
     #[test]
-    fn renumbering_survives_many_phases() {
-        // Odd numbers of phases leave the virtual order reversed; even
-        // numbers restore it. Run enough phases to exercise both parities
-        // with state resident on both ends.
-        let trace: Vec<Addr> = (0..3_000).map(|i| i % 100).collect();
+    fn reuse_several_windows_back() {
+        // A hot set touched every window and cold addresses revisited only
+        // after many windows: their previous access sits deep in the
+        // history, behind several rounds of appends and compactions.
+        let mut trace: Vec<Addr> = Vec::new();
+        for lap in 0..40u64 {
+            trace.extend(0..8u64);
+            trace.extend((0..5).map(|k| 1_000 + (lap * 5 + k) % 60));
+        }
         let seq = analyze_sequential::<SplayTree>(&trace, None);
-        for chunk in [10usize, 17, 100] {
-            let hist = parda_phased_with::<SplayTree, _>(
-                SliceStream::new(&trace),
-                chunk,
-                &PardaConfig::with_ranks(3),
-                Reduction::RenumberRanks,
-            );
-            assert_eq!(hist, seq, "chunk={chunk}");
+        for (np, chunk) in [(2usize, 3usize), (3, 7), (4, 13)] {
+            let hist = phased::<VectorTree>(&trace, chunk, &PardaConfig::with_ranks(np));
+            assert_eq!(hist, seq, "np={np} chunk={chunk}");
         }
     }
 
     #[test]
     fn empty_stream_is_fine() {
-        for reduction in [Reduction::ShipToRankZero, Reduction::RenumberRanks] {
-            let hist = parda_phased_with::<SplayTree, _>(
-                SliceStream::new(&[]),
-                16,
-                &PardaConfig::with_ranks(3),
-                reduction,
-            );
-            assert_eq!(hist.total(), 0, "{reduction:?}");
-        }
+        let hist = phased::<SplayTree>(&[], 16, &PardaConfig::with_ranks(3));
+        assert_eq!(hist.total(), 0);
+        let (_, ranks, metrics) = parda_phased_with_stats::<SplayTree, _>(
+            SliceStream::new(&[]),
+            16,
+            &PardaConfig::with_ranks(3),
+        );
+        assert_eq!(ranks.len(), 3);
+        assert_eq!(metrics.phases, 0);
     }
 
     #[test]
-    fn ragged_final_phase() {
-        // 100 refs with np*C = 48: two full phases + one ragged (4 refs).
+    fn ragged_final_window() {
+        // 100 refs with np·C = 48: two full windows + one ragged (4 refs).
         let trace: Vec<Addr> = (0..100).map(|i| i % 10).collect();
-        let seq = analyze_sequential::<SplayTree>(&trace, None);
-        for reduction in [Reduction::ShipToRankZero, Reduction::RenumberRanks] {
-            let hist = parda_phased_with::<SplayTree, _>(
-                SliceStream::new(&trace),
-                16,
-                &PardaConfig::with_ranks(3),
-                reduction,
-            );
-            assert_eq!(hist, seq, "{reduction:?}");
-        }
+        let hist = phased::<SplayTree>(&trace, 16, &PardaConfig::with_ranks(3));
+        assert_eq!(hist, analyze_sequential::<SplayTree>(&trace, None));
     }
 
     #[test]
@@ -436,42 +234,97 @@ mod tests {
         let trace: Vec<Addr> = (0..1_000).map(|i| (i * 13) % 101).collect();
         let full = analyze_sequential::<SplayTree>(&trace, None);
         let cfg = PardaConfig::with_ranks(3).bounded(16);
-        for reduction in [Reduction::ShipToRankZero, Reduction::RenumberRanks] {
-            let hist =
-                parda_phased_with::<SplayTree, _>(SliceStream::new(&trace), 32, &cfg, reduction);
-            assert_eq!(hist.total(), full.total(), "{reduction:?}");
-            for d in 0..16u64 {
-                assert_eq!(hist.count(d), full.count(d), "{reduction:?} bucket {d}");
-            }
-            for cap in 1..=16u64 {
-                assert_eq!(
-                    hist.miss_count(cap),
-                    full.miss_count(cap),
-                    "{reduction:?} capacity {cap}"
-                );
-            }
+        let (hist, _, metrics) =
+            parda_phased_with_stats::<SplayTree, _>(SliceStream::new(&trace), 32, &cfg);
+        assert_eq!(hist.total(), full.total());
+        for d in 0..16u64 {
+            assert_eq!(hist.count(d), full.count(d), "bucket {d}");
+        }
+        for cap in 1..=16u64 {
+            assert_eq!(hist.miss_count(cap), full.miss_count(cap), "capacity {cap}");
+        }
+        assert!(
+            metrics.history.live_hwm <= 16,
+            "the bounded history evicts down to B after every append"
+        );
+    }
+
+    #[test]
+    fn peak_state_is_history_plus_window() {
+        // N ≫ window over M addresses: the history holds at most M entries,
+        // and no item ever holds more than its window's references.
+        let (m, np, chunk) = (3_000u64, 4usize, 256usize);
+        let trace: Vec<Addr> = (0..60_000u64).map(|i| (i * 7_919 + i / 5) % m).collect();
+        let (hist, report) = Analysis::new()
+            .ranks(np)
+            .tree(TreeKind::Splay)
+            .mode(Mode::Phased {
+                chunk,
+                reduction: Reduction::ShipToRankZero,
+            })
+            .stats(true)
+            .run_stream(SliceStream::new(&trace));
+        assert_eq!(hist, analyze_sequential::<SplayTree>(&trace, None));
+        let report = report.unwrap();
+        let phased = report.phased.expect("windowed stats");
+        assert_eq!(phased.phases, trace.len().div_ceil(np * chunk) as u64);
+        assert!(phased.history.live_hwm <= m);
+        assert_eq!(
+            phased.history.live_hwm,
+            hist.infinite(),
+            "every distinct address ends in the history"
+        );
+        for rm in &report.per_rank {
+            assert!(
+                rm.engine.live_hwm <= (np * chunk) as u64,
+                "rank {} item state {} exceeds the window",
+                rm.rank,
+                rm.engine.live_hwm
+            );
         }
     }
 
     proptest! {
-        /// Streaming = offline, for every trace, rank count, phase size,
-        /// and reduction strategy.
+        /// Streaming = sequential, for every trace, rank count, window
+        /// chunk and item tree — including reuses several windows back and
+        /// ragged final windows.
         #[test]
-        fn phased_equals_offline(
+        fn windowed_equals_sequential(
             trace in proptest::collection::vec(0u64..32, 0..250),
             np in 1usize..5,
             chunk in 1usize..40,
-            renumber in any::<bool>(),
+            tree in 0usize..4,
         ) {
-            let seq = analyze_sequential::<SplayTree>(&trace, None);
-            let reduction = if renumber { Reduction::RenumberRanks } else { Reduction::ShipToRankZero };
-            let hist = parda_phased_with::<SplayTree, _>(
-                SliceStream::new(&trace),
-                chunk,
-                &PardaConfig::with_ranks(np),
-                reduction,
-            );
+            let seq = Analysis::new().mode(Mode::Seq).run(&trace).0;
+            let config = PardaConfig::with_ranks(np);
+            let hist = match TreeKind::ALL[tree] {
+                TreeKind::Splay => phased::<SplayTree>(&trace, chunk, &config),
+                TreeKind::Avl => phased::<AvlTree>(&trace, chunk, &config),
+                TreeKind::Treap => phased::<Treap>(&trace, chunk, &config),
+                TreeKind::Vector => phased::<VectorTree>(&trace, chunk, &config),
+            };
             prop_assert_eq!(hist, seq);
+        }
+
+        /// Bounded streaming honours the Algorithm 7 contract: exact below
+        /// B, mass-conserving, miss-count-exact for every capacity ≤ B.
+        #[test]
+        fn bounded_windowed_contract(
+            trace in proptest::collection::vec(0u64..48, 0..300),
+            np in 1usize..5,
+            chunk in 1usize..24,
+            bound in 1u64..24,
+        ) {
+            let full = analyze_sequential::<SplayTree>(&trace, None);
+            let config = PardaConfig::with_ranks(np).bounded(bound);
+            let hist = phased::<SplayTree>(&trace, chunk, &config);
+            prop_assert_eq!(hist.total(), full.total());
+            for d in 0..bound {
+                prop_assert_eq!(hist.count(d), full.count(d), "bucket {}", d);
+            }
+            for cap in 1..=bound {
+                prop_assert_eq!(hist.miss_count(cap), full.miss_count(cap), "capacity {}", cap);
+            }
         }
     }
 }

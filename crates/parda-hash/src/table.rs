@@ -86,9 +86,7 @@ impl LastAccessTable {
         self.map.clear();
     }
 
-    /// Iterate over `(addr, timestamp)` pairs in unspecified order — used by
-    /// the multi-phase reduction (paper Algorithm 6), which ships the whole
-    /// table to the merging rank.
+    /// Iterate over `(addr, timestamp)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.map.iter().map(|(k, v)| (k, *v))
     }

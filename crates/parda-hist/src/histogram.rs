@@ -261,9 +261,10 @@ impl ReuseHistogram {
         binned
     }
 
-    /// Reset all counts, keeping allocations.
+    /// Reset all counts, keeping allocations. The result equals
+    /// [`ReuseHistogram::new`].
     pub fn clear(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
+        self.counts.clear();
         self.infinite = 0;
         self.total = 0;
     }
@@ -422,6 +423,7 @@ mod tests {
         assert_eq!(hist.total(), 0);
         assert_eq!(hist.infinite(), 0);
         assert_eq!(hist.max_distance(), None);
+        assert_eq!(hist, ReuseHistogram::new());
     }
 
     #[test]

@@ -206,14 +206,18 @@ impl RankMetrics {
     }
 }
 
-/// Phase-level aggregates of the streaming (Algorithm 5–6) engine.
+/// Window-level aggregates of the windowed streaming (Algorithm 5) engine.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct PhasedMetrics {
-    /// Number of phases executed.
+    /// Number of windows analyzed.
     pub phases: u64,
-    /// Per-phase reduction wall time: the maximum across ranks (the
-    /// critical path — every rank waits on the merger).
+    /// Per-window wall time of appending the items' live state to the
+    /// persistent history.
     pub phase_reduction_ns: Vec<u64>,
+    /// The persistent history engine's counters: its stream absorbs, the
+    /// global infinities it records, and its live-set high-water mark
+    /// (at most the number of distinct addresses).
+    pub history: EngineMetrics,
 }
 
 /// Snapshot of the framed-decode pipeline counters.
@@ -786,9 +790,10 @@ impl Report {
         if let Some(p) = &self.phased {
             let reduction_total: u64 = p.phase_reduction_ns.iter().sum();
             out.push_str(&format!(
-                "phases={} reduction_total={} (per-phase max across ranks)\n",
+                "phases={} reduction_total={} (history appends) history_live_hwm={}\n",
                 p.phases,
                 fmt_ns(reduction_total),
+                p.history.live_hwm,
             ));
         }
         if let Some(a) = &self.approx {
@@ -1046,6 +1051,7 @@ mod tests {
             phased: Some(PhasedMetrics {
                 phases: 2,
                 phase_reduction_ns: vec![5, 10],
+                ..Default::default()
             }),
             ..Default::default()
         };

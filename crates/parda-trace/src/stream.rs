@@ -6,8 +6,8 @@
 //! decoder threads; decoded frames flow back through a bounded channel and
 //! are re-sequenced by the consumer. All channels are bounded, so the
 //! pipeline is double-buffered rather than unbounded — while the analyzer
-//! (e.g. `parda_phased`) chews on phase *k*, the decoders are already
-//! producing the frames of phase *k+1*, and if the analyzer stalls, the
+//! (e.g. `parda_phased`) chews on window *k*, the decoders are already
+//! producing the frames of window *k+1*, and if the analyzer stalls, the
 //! readers block instead of ballooning memory.
 //!
 //! This is the paper's "process traces as they are produced" pipeline

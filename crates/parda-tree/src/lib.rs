@@ -21,7 +21,8 @@
 //!
 //! All tree nodes store `(timestamp, addr)`; the address payload is needed by
 //! the bounded algorithm's LRU eviction (paper Algorithm 7, `find_oldest`)
-//! and by the multi-phase state reduction (Algorithm 6).
+//! and by the windowed streamer, which appends each window's live state to
+//! its history.
 
 pub mod avl;
 pub mod fenwick;
@@ -42,8 +43,9 @@ pub(crate) const NIL: u32 = u32::MAX;
 
 /// The ordered-set interface required by the reuse-distance engines.
 ///
-/// Keys are access timestamps (strictly increasing during forward analysis;
-/// arbitrary during the multi-phase merge). Each key carries the address
+/// Keys are access timestamps. Every engine inserts them in increasing
+/// order (forward analysis and the windowed streamer's history append);
+/// the trait itself accepts any order. Each key carries the address
 /// that was accessed at that time.
 pub trait ReuseTree {
     /// Insert a `(timestamp, addr)` pair. Timestamps must be unique;
@@ -91,7 +93,7 @@ pub trait ReuseTree {
     fn reserve(&mut self, _additional: usize) {}
 
     /// Append all `(timestamp, addr)` pairs in increasing timestamp order.
-    /// Used by the multi-phase reduction, which ships per-rank tree state.
+    /// Used by the windowed streamer to append item state to its history.
     fn collect_in_order(&self, out: &mut Vec<(u64, u64)>);
 
     /// Bulk rank+delete sweep — the batched cascade's tree half.
@@ -432,7 +434,7 @@ pub(crate) mod conformance {
         assert_eq!(tree.distance(49), 49);
         assert_eq!(tree.len(), 98);
 
-        // Re-insert in the middle (multi-phase merge does this).
+        // Re-insert in the middle (the contract allows any order).
         tree.insert(50, 777);
         assert_eq!(tree.distance(49), 50);
         assert_eq!(tree.remove(50), Some(777));

@@ -12,10 +12,11 @@
 //! tree is rebuilt — amortized O(1) per access.
 //!
 //! This is the fourth [`ReuseTree`] implementation, used in the D1
-//! structure ablation. Timestamps arriving in increasing order (the
-//! analyzer's normal operation) append in O(log n); out-of-order inserts
-//! (only the multi-phase merge path could do this, and it happens to insert
-//! in order too) fall back to an O(n) splice, documented below.
+//! structure ablation and as the windowed streamer's history. Timestamps
+//! arriving in increasing order — the analyzer's normal operation, and the
+//! history append, whose item timestamps are all newer than the history —
+//! append in O(log n). No engine inserts out of order; the trait allows it,
+//! so it falls back to an O(n) splice, documented below.
 
 use crate::{Fenwick, ReuseTree};
 
@@ -237,26 +238,48 @@ impl ReuseTree for VectorTree {
         );
     }
 
-    /// Fenwick fast path: one galloping scan over the slot array. The batch
-    /// arrives in ascending timestamp order, so each lookup restarts its
-    /// binary search from the previous hit (`partition_point` over the
-    /// remaining suffix), and each rank is a single `suffix_sum`. Earlier
-    /// deletions in the batch sit at strictly smaller slot indices, so they
-    /// never perturb a later suffix count — every reported rank is the
-    /// pre-batch rank, as the contract requires.
+    /// Fenwick fast path: one forward sweep over the slot array. The batch
+    /// arrives in ascending timestamp order, so each lookup gallops forward
+    /// from the previous hit — O(log gap) probes near it, not a search of
+    /// the whole array. Ranks come from a running count of the slots behind
+    /// the cursor that were live at entry: a short gap is counted by
+    /// scanning the slots it skips, a long one by a Fenwick prefix query.
+    /// Earlier deletions in the batch sit at strictly smaller slot indices,
+    /// so they never perturb a later suffix count — every reported rank is
+    /// the pre-batch rank, as the contract requires.
     fn rank_delete_batch(&mut self, sorted_ts: &[u64], out: &mut Vec<u64>) {
+        /// Gaps up to this many slots are counted by a scan.
+        const SCAN_SLOTS: usize = 64;
         out.reserve(sorted_ts.len());
-        let mut idx = 0usize;
-        for &ts in sorted_ts {
-            idx += self.slots[idx..self.used].partition_point(|s| s.ts < ts);
-            let live = self.slots[..self.used]
+        let live_at_entry = self.live as u64;
+        // One past the previous hit, and the entry-live slots before it.
+        let mut cursor = 0usize;
+        let mut behind = 0u64;
+        for (deleted, &ts) in sorted_ts.iter().enumerate() {
+            let slots = &self.slots[..self.used];
+            let (mut lo, mut hi, mut step) = (cursor, cursor, 1);
+            while hi < slots.len() && slots[hi].ts < ts {
+                lo = hi + 1;
+                hi = lo + step;
+                step *= 2;
+            }
+            let idx = lo + slots[lo..hi.min(slots.len())].partition_point(|s| s.ts < ts);
+            let live = slots
                 .get(idx)
                 .is_some_and(|s| s.ts == ts && s.addr != EMPTY_ADDR);
             assert!(
                 live,
                 "rank_delete_batch: timestamp {ts} not live in VectorTree"
             );
-            out.push(self.fenwick.suffix_sum(idx + 1));
+            behind = if idx - cursor <= SCAN_SLOTS {
+                let skipped = &slots[cursor..idx];
+                behind + skipped.iter().filter(|s| s.addr != EMPTY_ADDR).count() as u64
+            } else {
+                self.fenwick.prefix_sum(idx) + deleted as u64
+            };
+            out.push(live_at_entry - behind - 1);
+            behind += 1;
+            cursor = idx + 1;
             self.slots[idx].addr = EMPTY_ADDR;
             self.fenwick.sub(idx, 1);
             self.live -= 1;
@@ -354,6 +377,37 @@ mod tests {
     #[test]
     fn batch_smoke() {
         conformance::batch_smoke(&mut VectorTree::new());
+    }
+
+    #[test]
+    fn batch_ranks_across_short_and_long_gaps() {
+        let mut v = VectorTree::new();
+        for ts in 0..5_000u64 {
+            v.insert(ts, ts);
+        }
+        // Dead slots inside the gaps the sweep must count past.
+        for ts in (0..5_000u64).step_by(3) {
+            v.remove(ts);
+        }
+        let live: Vec<u64> = v.to_sorted_vec().iter().map(|&(ts, _)| ts).collect();
+        // Clusters of adjacent hits (scanned gaps) a few hundred slots
+        // apart (Fenwick-counted gaps).
+        let picked: Vec<(usize, u64)> = live
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(i, _)| i % 211 < 3 || i % 997 == 0)
+            .collect();
+        let batch: Vec<u64> = picked.iter().map(|&(_, ts)| ts).collect();
+        let expected: Vec<u64> = picked
+            .iter()
+            .map(|&(i, _)| (live.len() - 1 - i) as u64)
+            .collect();
+        let mut out = Vec::new();
+        v.rank_delete_batch(&batch, &mut out);
+        assert_eq!(out, expected);
+        assert_eq!(v.len(), live.len() - batch.len());
+        v.validate();
     }
 
     proptest! {

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! A pinsim kernel (standing in for a Pin-instrumented benchmark) streams
-//! its references through a bounded pipe; the multi-phase Parda analyzer
-//! (Algorithms 5–6) consumes the stream in phases, so analysis runs
+//! its references through a bounded pipe; the windowed Parda streamer
+//! (Algorithm 5) consumes the stream in windows, so analysis runs
 //! concurrently with trace generation and memory stays bounded even for
 //! endless traces.
 //!
@@ -30,7 +30,7 @@ fn main() {
     // Pin → pipe: 64 Kw pipe, like the paper's 64 Mw scaled down.
     let reader = run_through_pipe(program, 64 * 1024);
 
-    // Pipe → phased Parda: 4 ranks, 8k references per rank per phase.
+    // Pipe → windowed Parda: 4 ranks, 8k references per rank per window.
     let config = PardaConfig::with_ranks(4);
     let start = std::time::Instant::now();
     let hist = parda_phased::<SplayTree, _>(reader, 8_192, &config);

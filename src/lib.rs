@@ -13,7 +13,7 @@
 //! This facade crate re-exports the workspace:
 //!
 //! * [`core`] — the analyzers: sequential (Algorithm 1), parallel
-//!   (Algorithms 3–4), streaming multi-phase (Algorithms 5–6), and bounded
+//!   (Algorithms 3–4), windowed streaming (Algorithm 5), and bounded
 //!   (Algorithm 7);
 //! * [`trace`] — trace types, generators, SPEC CPU2006 workload models, and
 //!   the binary trace format;
@@ -69,7 +69,7 @@ pub mod prelude {
     };
     pub use parda_core::object::{analyze_by_region, RegionAnalysis, RegionMap};
     pub use parda_core::parallel::{parda_msg, parda_threads, parda_threads_faulted};
-    pub use parda_core::phased::{parda_phased, parda_phased_with, Reduction};
+    pub use parda_core::phased::{parda_phased, Reduction};
     pub use parda_core::seq::{analyze_naive, analyze_sequential, SequentialAnalyzer};
     pub use parda_core::{
         Analysis, Degradation, Engine, FaultPolicy, MissSink, Mode, PardaConfig, PardaError, Report,

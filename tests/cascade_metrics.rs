@@ -1,14 +1,17 @@
 //! Cascade observability invariants: the per-rank [`RankMetrics`] emitted
-//! by both parallel drivers must tell a self-consistent story about the
-//! infinity cascade — every forwarded stream is received exactly once,
+//! by both parallel drivers and the windowed streamer must tell a
+//! self-consistent story about the infinity cascade — every forwarded
+//! stream is received exactly once,
 //! round vectors stay aligned, batch-delete tallies reconcile with the
 //! engines' stream-hit counters, and the new merge/batch timing fields
 //! never exceed the enclosing cascade time.
 
 use parda_core::parallel::{parda_msg_with_stats, parda_threads_with_stats, MAX_PARTS_PER_RANK};
-use parda_core::PardaConfig;
+use parda_core::phased::Reduction;
+use parda_core::{Analysis, Mode, PardaConfig};
 use parda_obs::RankMetrics;
-use parda_tree::{AvlTree, SplayTree, Treap, VectorTree};
+use parda_trace::SliceStream;
+use parda_tree::{AvlTree, SplayTree, Treap, TreeKind, VectorTree};
 use proptest::prelude::*;
 
 fn modular_trace(refs: usize, footprint: u64, stride: u64) -> Vec<u64> {
@@ -141,6 +144,37 @@ fn unoptimized_mode_keeps_rounds_aligned() {
     assert_common_invariants(&msg);
     let (_, threads) = parda_threads_with_stats::<AvlTree>(&trace, &cfg);
     assert_common_invariants(&threads);
+}
+
+#[test]
+fn streamed_report_conserves_cascade_mass() {
+    // Many windows, items subdivided within each: streams cross item
+    // boundaries inside every window, and what reaches a window's left
+    // edge goes to the history, which is no item and forwards nothing.
+    let trace = modular_trace(30_000, 2_053, 7);
+    for (np, grain) in [(2usize, 1_000usize), (4, 100)] {
+        let (hist, report) = Analysis::new()
+            .ranks(np)
+            .tree(TreeKind::Avl)
+            .subchunk_refs(grain)
+            .mode(Mode::Phased {
+                chunk: 1_500,
+                reduction: Reduction::ShipToRankZero,
+            })
+            .stats(true)
+            .run_stream(SliceStream::new(&trace));
+        let report = report.expect("stats requested");
+        assert_eq!(report.per_rank.len(), np);
+        assert_eq!(report.total_rank_refs(), 30_000);
+        assert_common_invariants(&report.per_rank);
+        assert_space_opt_accounting(&report.per_rank);
+        let phased = report.phased.expect("streamed runs report windows");
+        assert_eq!(phased.phases, 30_000u64.div_ceil((np * 1_500) as u64));
+        assert_eq!(phased.phase_reduction_ns.len() as u64, phased.phases);
+        // Items forward first touches; only the history records them.
+        let item_cold: u64 = report.per_rank.iter().map(|m| m.engine.cold_misses).sum();
+        assert_eq!(item_cold + phased.history.cold_misses, hist.infinite());
+    }
 }
 
 proptest! {
