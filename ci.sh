@@ -153,20 +153,26 @@ cargo run -q -p parda-cli --bin parda -- \
     analyze "$smoke_dir/smoke.trc" --stream --stats=json \
     | python3 -m json.tool > /dev/null
 
-step "windowed stream smoke (default analyze of a v2 trace == --engine seq, byte for byte)"
+step "windowed stream smoke (default analyze and --engine parda == sequential splay, byte for byte)"
 # 600K refs over 200K addresses: three 4 × 65,536-ref windows, each
-# resolving against a history of up to 200K addresses.
+# resolving against a history of up to 200K addresses. Both exact paths
+# default to the vector tree, so the oracle names the splay tree: a
+# different structure from the ones it checks.
 cargo run -q -p parda-cli --bin parda -- \
     gen --pattern zipf --footprint 200000 --refs 600000 --seed 5 \
     --out "$smoke_dir/windows.trc"
 cargo run -q -p parda-cli --bin parda -- \
-    analyze "$smoke_dir/windows.trc" --json > "$smoke_dir/windowed.json"
-cargo run -q -p parda-cli --bin parda -- \
-    analyze "$smoke_dir/windows.trc" --engine seq --json > "$smoke_dir/seq.json"
-if ! cmp -s "$smoke_dir/windowed.json" "$smoke_dir/seq.json"; then
-    echo "windowed stream smoke: default analyze differs from --engine seq" >&2
-    exit 1
-fi
+    analyze "$smoke_dir/windows.trc" --engine seq --tree splay --json > "$smoke_dir/seq.json"
+for engine in default parda; do
+    engine_args=()
+    [[ $engine == default ]] || engine_args=(--engine "$engine")
+    cargo run -q -p parda-cli --bin parda -- \
+        analyze "$smoke_dir/windows.trc" "${engine_args[@]}" --json > "$smoke_dir/$engine.json"
+    if ! cmp -s "$smoke_dir/$engine.json" "$smoke_dir/seq.json"; then
+        echo "windowed stream smoke: $engine analyze differs from --engine seq --tree splay" >&2
+        exit 1
+    fi
+done
 
 step "corruption smoke (checksums catch a flipped byte; best-effort recovers)"
 cargo run -q -p parda-cli --bin parda -- \

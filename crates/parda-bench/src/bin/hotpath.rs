@@ -12,7 +12,7 @@ use parda_bench::time;
 use parda_core::{Analysis, Engine, MissSink, Mode, PardaConfig};
 use parda_trace::gen::ZipfGen;
 use parda_trace::{AddressStream, Trace};
-use parda_tree::{AvlTree, ReuseTree, SplayTree, Treap, TreeKind};
+use parda_tree::{AvlTree, ReuseTree, SplayTree, Treap, TreeKind, VectorTree};
 use serde::Serialize;
 use std::hint::black_box;
 
@@ -83,7 +83,7 @@ fn main() {
 
     let mut results = Vec::new();
     let mut speedups = Vec::new();
-    for kind in [TreeKind::Splay, TreeKind::Avl, TreeKind::Treap] {
+    for kind in TreeKind::ALL {
         if let Some(filter) = &tree_filter {
             if !filter.iter().any(|t| t == kind.name()) {
                 continue;
@@ -104,7 +104,7 @@ fn main() {
             TreeKind::Splay => seq_scalar::<SplayTree>(trace.as_slice()),
             TreeKind::Avl => seq_scalar::<AvlTree>(trace.as_slice()),
             TreeKind::Treap => seq_scalar::<Treap>(trace.as_slice()),
-            TreeKind::Vector => unreachable!("vector tree is not benchmarked"),
+            TreeKind::Vector => seq_scalar::<VectorTree>(trace.as_slice()),
         });
         push_row(&mut results, kind, "seq-scalar", refs, secs);
 

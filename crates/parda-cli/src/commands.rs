@@ -54,7 +54,7 @@ commands:
              (v2 is the default: block-framed with a seekable index)
   analyze  analyze a trace file
              <file> [--engine <parda|msg|seq|naive|phased|sampled>] [--ranks <p>]
-             [--bound <B>] [--tree <splay|avl|treap|vector>] [--json]
+             [--bound <B>] [--tree <vector|splay|avl|treap>] [--json]
              [--line-bits <b>]  (fold addresses to 2^b-byte lines first)
              [--stream]  (decode v2 frames concurrently with analysis;
                           automatic for v2 files with the default engine)
@@ -128,7 +128,7 @@ commands:
              --capacity <lines>       shared-cache capacity to split
              [--granularity <lines>]  (default capacity/64, min 1)
              [--model <rr[:burst]|prob[:w,..][@seed]>]
-             [--tree <splay|avl|treap|vector>]
+             [--tree <vector|splay|avl|treap>]
              [--addr <host:port>]  (run the analysis on a daemon via a
                           thread-tagged session; the daemon analyzes the
                           stream as received — model `as-recorded` — and
@@ -272,8 +272,10 @@ pub fn gen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `--tree`, defaulting to the Fenwick time vector: the fastest exact
+/// structure, bit-identical to the paper's splay tree.
 fn parse_tree(args: &Args) -> Result<TreeKind, String> {
-    args.get("tree").unwrap_or("splay").parse()
+    args.get("tree").map_or(Ok(TreeKind::Vector), str::parse)
 }
 
 /// How `--stats` output should be rendered.
@@ -511,6 +513,7 @@ pub fn mrc(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 let counters = stream.stats_handle();
                 let recovery = stream.recovery_handle();
                 let (hist, report) = Analysis::new()
+                    .tree(TreeKind::Vector)
                     .ranks(ranks)
                     .stats(true)
                     .approx(approx)
@@ -535,6 +538,7 @@ pub fn mrc(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let (trace, rec) =
                 load_trace_recovering(path, degradation).map_err(PardaError::from)?;
             let (hist, report) = Analysis::new()
+                .tree(TreeKind::Vector)
                 .mode(Mode::Seq)
                 .stats(true)
                 .approx(approx)

@@ -272,8 +272,8 @@ pub fn parda_msg_with_stats<T: ReuseTree + Default>(
     (total, ranks)
 }
 
-/// Shared-memory Parda: chunk analysis fans out over rayon, the infinity
-/// cascade folds right-to-left on the caller thread.
+/// Shared-memory Parda: chunk analysis runs on `std::thread::scope`
+/// workers, the infinity cascade folds right-to-left on the caller thread.
 ///
 /// Produces a histogram identical to [`parda_msg`] (property-tested): the
 /// sequence of operations applied to each rank's engine is the same, only
@@ -750,7 +750,7 @@ fn worker_count(np: usize) -> usize {
 mod tests {
     use super::*;
     use crate::seq::analyze_sequential;
-    use parda_tree::{AvlTree, SplayTree};
+    use parda_tree::{AvlTree, SplayTree, VectorTree};
     use proptest::prelude::*;
 
     fn labels(s: &str) -> Vec<Addr> {
@@ -1051,7 +1051,9 @@ mod tests {
 
         /// Bounded Parda honours the Algorithm 7 contract for every trace,
         /// rank count, and bound: exact below B, mass-conserving, and
-        /// miss-count-exact for every cache capacity ≤ B.
+        /// miss-count-exact for every cache capacity ≤ B — on the paper's
+        /// splay tree and on the default vector, whose `oldest()` eviction
+        /// goes through the Fenwick `select`.
         #[test]
         fn bounded_parallel_contract_prop(
             trace in proptest::collection::vec(0u64..48, 0..300),
@@ -1060,13 +1062,17 @@ mod tests {
         ) {
             let full = analyze_sequential::<SplayTree>(&trace, None);
             let cfg = PardaConfig::with_ranks(np).bounded(bound);
-            let bounded = parda_threads::<SplayTree>(&trace, &cfg);
-            prop_assert_eq!(bounded.total(), full.total());
-            for d in 0..bound {
-                prop_assert_eq!(bounded.count(d), full.count(d), "bucket {}", d);
-            }
-            for cap in 1..=bound {
-                prop_assert_eq!(bounded.miss_count(cap), full.miss_count(cap), "capacity {}", cap);
+            for bounded in [
+                parda_threads::<SplayTree>(&trace, &cfg),
+                parda_threads::<VectorTree>(&trace, &cfg),
+            ] {
+                prop_assert_eq!(bounded.total(), full.total());
+                for d in 0..bound {
+                    prop_assert_eq!(bounded.count(d), full.count(d), "bucket {}", d);
+                }
+                for cap in 1..=bound {
+                    prop_assert_eq!(bounded.miss_count(cap), full.miss_count(cap), "capacity {}", cap);
+                }
             }
         }
 

@@ -307,7 +307,8 @@ mod tests {
         }
 
         /// Bounded streaming honours the Algorithm 7 contract: exact below
-        /// B, mass-conserving, miss-count-exact for every capacity ≤ B.
+        /// B, mass-conserving, miss-count-exact for every capacity ≤ B —
+        /// with splay items and with the default vector items.
         #[test]
         fn bounded_windowed_contract(
             trace in proptest::collection::vec(0u64..48, 0..300),
@@ -317,13 +318,17 @@ mod tests {
         ) {
             let full = analyze_sequential::<SplayTree>(&trace, None);
             let config = PardaConfig::with_ranks(np).bounded(bound);
-            let hist = phased::<SplayTree>(&trace, chunk, &config);
-            prop_assert_eq!(hist.total(), full.total());
-            for d in 0..bound {
-                prop_assert_eq!(hist.count(d), full.count(d), "bucket {}", d);
-            }
-            for cap in 1..=bound {
-                prop_assert_eq!(hist.miss_count(cap), full.miss_count(cap), "capacity {}", cap);
+            for hist in [
+                phased::<SplayTree>(&trace, chunk, &config),
+                phased::<VectorTree>(&trace, chunk, &config),
+            ] {
+                prop_assert_eq!(hist.total(), full.total());
+                for d in 0..bound {
+                    prop_assert_eq!(hist.count(d), full.count(d), "bucket {}", d);
+                }
+                for cap in 1..=bound {
+                    prop_assert_eq!(hist.miss_count(cap), full.miss_count(cap), "capacity {}", cap);
+                }
             }
         }
     }

@@ -19,9 +19,7 @@
 //!
 //! * engine key absent (`Auto`): references are buffered and analyzed at
 //!   FIN by the panic-isolated parallel cascade with a trace-length-scaled
-//!   rank count and (unless the client picked a tree) the fused Fenwick
-//!   `vector` tree — the fastest exact path on this hardware, bit-identical
-//!   to every other exact engine.
+//!   rank count.
 //! * `engine=phased`: frames stream through the incremental sequential
 //!   analyzer as they arrive — bounded memory regardless of trace length,
 //!   with backpressure propagating to the client via TCP flow control
@@ -29,6 +27,10 @@
 //! * `engine=threads`: collect, then [`parda_core::Analysis::run_faulted`]
 //!   at FIN — rank panics are rescued by the scalar engine under the
 //!   server's [`parda_core::FaultPolicy`], bit-identical on success.
+//!
+//! Every exact engine runs on the Fenwick `vector` tree unless the client
+//! names another (`tree=`) — the fastest exact structure, bit-identical to
+//! every other.
 //!
 //! Approximate sessions (`approx=` other than `exact`) stream through the
 //! constant-space sketch regardless of engine, so per-session memory is
@@ -81,8 +83,8 @@ pub enum ReplyFormat {
 /// Per-session settings parsed from the CONFIG message.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
-    /// Tree substrate for the analysis (`None`: engine-appropriate
-    /// default — `vector` for the auto cascade, `splay` otherwise).
+    /// Tree substrate for the analysis (`None`: the Fenwick `vector`, for
+    /// every engine).
     pub tree: Option<parda_tree::TreeKind>,
     /// Rank count (`None`: hardware parallelism, or trace-scaled under
     /// [`SessionEngine::Auto`]).
@@ -234,19 +236,10 @@ impl SessionConfig {
         policy: parda_core::FaultPolicy,
         default_approx: ApproxMode,
     ) -> (Analysis, bool) {
-        let (tree, mode, auto_ranks) = match self.engine {
-            SessionEngine::Auto => (
-                self.tree.unwrap_or(parda_tree::TreeKind::Vector),
-                Mode::Threads,
-                true,
-            ),
-            SessionEngine::Threads => (
-                self.tree.unwrap_or(parda_tree::TreeKind::Splay),
-                Mode::Threads,
-                false,
-            ),
+        let (mode, auto_ranks) = match self.engine {
+            SessionEngine::Auto => (Mode::Threads, true),
+            SessionEngine::Threads => (Mode::Threads, false),
             SessionEngine::Phased { chunk } => (
-                self.tree.unwrap_or(parda_tree::TreeKind::Splay),
                 Mode::Phased {
                     chunk,
                     reduction: Reduction::ShipToRankZero,
@@ -255,7 +248,7 @@ impl SessionConfig {
             ),
         };
         let mut b = Analysis::new()
-            .tree(tree)
+            .tree(self.tree.unwrap_or(parda_tree::TreeKind::Vector))
             .mode(mode)
             .bound(self.bound)
             .stats(true)
@@ -1044,7 +1037,7 @@ mod tests {
     fn session_config_defaults_and_overrides() {
         let cfg = SessionConfig::parse("", Degradation::Strict).unwrap();
         assert_eq!(cfg.engine, SessionEngine::Auto);
-        assert_eq!(cfg.tree, None, "auto engine picks its own tree");
+        assert_eq!(cfg.tree, None, "no tree named: the session runs vector");
         assert_eq!(cfg.encoding, Encoding::DeltaVarint);
         assert_eq!(cfg.degradation, Degradation::Strict);
         assert_eq!(cfg.reply, ReplyFormat::Binary);
@@ -1081,6 +1074,27 @@ mod tests {
         // A bare chunk= still means phased, as it always has.
         let cfg = SessionConfig::parse("chunk=1000", Degradation::Strict).unwrap();
         assert_eq!(cfg.engine, SessionEngine::Phased { chunk: 1000 });
+    }
+
+    #[test]
+    fn every_engine_runs_vector_unless_the_client_names_a_tree() {
+        let trace: Vec<Addr> = (0..2_000).map(|i| (i * 7) % 97).collect();
+        let tree_of = |config: &str| {
+            let cfg = SessionConfig::parse(config, Degradation::Strict).unwrap();
+            let (builder, _) = cfg.builder(parda_core::FaultPolicy::default(), ApproxMode::Exact);
+            let mut session = builder.session();
+            session.feed(&trace);
+            session
+                .finish()
+                .unwrap()
+                .1
+                .expect("sessions keep stats")
+                .tree
+        };
+        for engine in ["", "engine=threads", "engine=phased"] {
+            assert_eq!(tree_of(engine), "vector", "{engine:?}");
+        }
+        assert_eq!(tree_of("engine=threads\ntree=splay"), "splay");
     }
 
     #[test]

@@ -165,10 +165,7 @@ impl LruStack {
         }
         debug_assert_eq!(write, self.live);
         self.next = write;
-        self.fenwick = Fenwick::new(self.slots.len());
-        for t in 0..write {
-            self.fenwick.add(t, 1);
-        }
+        self.fenwick.reset_prefix_ones(self.slots.len(), write);
     }
 }
 

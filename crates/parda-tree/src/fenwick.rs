@@ -5,7 +5,12 @@
 //! O(log n) point update, prefix sum, and `select` (find the k-th occupied
 //! slot) via binary lifting.
 
-/// Fenwick tree over `u64` counts with rank selection.
+/// Fenwick tree over `u32` counts with rank selection.
+///
+/// Node `i` holds the sum of the slots it covers, at most its span of the
+/// axis when every slot holds 0 or 1 — what every user stores — so `u32`
+/// nodes cannot overflow below 2^32 slots and take half the cache lines
+/// `u64` nodes would. Sums and totals are reported as `u64`.
 ///
 /// # Examples
 ///
@@ -20,10 +25,10 @@
 /// assert_eq!(f.select(2), Some(5));
 /// assert_eq!(f.select(3), None);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Fenwick {
     /// 1-based internal array; `tree[i]` covers `i - lowbit(i) + 1 ..= i`.
-    tree: Vec<u64>,
+    tree: Vec<u32>,
     total: u64,
 }
 
@@ -34,6 +39,25 @@ impl Fenwick {
             tree: vec![0; n + 1],
             total: 0,
         }
+    }
+
+    /// Reset to `len` slots whose first `ones` hold 1 and the rest 0, in
+    /// O(len) and keeping the allocation: node `i` covers slots
+    /// `i - lowbit(i) .. i`, so it counts those below `ones`.
+    pub fn reset_prefix_ones(&mut self, len: usize, ones: usize) {
+        debug_assert!(ones <= len);
+        self.tree.clear();
+        self.tree.push(0);
+        self.tree.extend((1..=len).map(|i| {
+            let first = i - (i & i.wrapping_neg());
+            ones.min(i).saturating_sub(first) as u32
+        }));
+        self.total = ones as u64;
+    }
+
+    /// Reserve memory for `additional` more slots; the length is unchanged.
+    pub fn reserve(&mut self, additional: usize) {
+        self.tree.reserve(additional);
     }
 
     /// Number of slots.
@@ -52,8 +76,8 @@ impl Fenwick {
     }
 
     /// Add `delta` to slot `idx` (0-based).
-    pub fn add(&mut self, idx: usize, delta: u64) {
-        self.total += delta;
+    pub fn add(&mut self, idx: usize, delta: u32) {
+        self.total += u64::from(delta);
         let mut i = idx + 1;
         while i < self.tree.len() {
             self.tree[i] += delta;
@@ -63,9 +87,9 @@ impl Fenwick {
 
     /// Subtract `delta` from slot `idx` (0-based). Panics in debug builds if
     /// the slot would go negative.
-    pub fn sub(&mut self, idx: usize, delta: u64) {
-        debug_assert!(self.total >= delta);
-        self.total -= delta;
+    pub fn sub(&mut self, idx: usize, delta: u32) {
+        debug_assert!(self.total >= u64::from(delta));
+        self.total -= u64::from(delta);
         let mut i = idx + 1;
         while i < self.tree.len() {
             debug_assert!(self.tree[i] >= delta, "Fenwick underflow at {idx}");
@@ -79,7 +103,7 @@ impl Fenwick {
         let mut i = idx.min(self.len());
         let mut sum = 0;
         while i > 0 {
-            sum += self.tree[i];
+            sum += u64::from(self.tree[i]);
             i -= i & i.wrapping_neg();
         }
         sum
@@ -102,8 +126,8 @@ impl Fenwick {
         let mut step = self.tree.len().next_power_of_two() / 2;
         while step > 0 {
             let next = pos + step;
-            if next < self.tree.len() && self.tree[next] < remaining {
-                remaining -= self.tree[next];
+            if next < self.tree.len() && u64::from(self.tree[next]) < remaining {
+                remaining -= u64::from(self.tree[next]);
                 pos = next;
             }
             step /= 2;
@@ -119,7 +143,7 @@ mod tests {
 
     #[test]
     fn prefix_sums_match_naive() {
-        let values = [3u64, 0, 5, 1, 0, 2, 7];
+        let values = [3u32, 0, 5, 1, 0, 2, 7];
         let mut f = Fenwick::new(values.len());
         for (i, &v) in values.iter().enumerate() {
             f.add(i, v);
@@ -128,7 +152,7 @@ mod tests {
         for i in 0..=values.len() {
             assert_eq!(f.prefix_sum(i), acc, "prefix {i}");
             if i < values.len() {
-                acc += values[i];
+                acc += u64::from(values[i]);
             }
         }
         assert_eq!(f.total(), 18);
@@ -190,7 +214,7 @@ mod tests {
     proptest! {
         #[test]
         fn select_is_inverse_of_prefix_sum(
-            values in proptest::collection::vec(0u64..4, 1..200),
+            values in proptest::collection::vec(0u32..4, 1..200),
             k in 1u64..500,
         ) {
             let mut f = Fenwick::new(values.len());
@@ -204,6 +228,25 @@ mod tests {
                     prop_assert!(f.prefix_sum(idx + 1) >= k);
                 }
             }
+        }
+
+        /// The linear build equals one `add` per leading slot, whatever the
+        /// tree held before.
+        #[test]
+        fn prefix_ones_build_equals_repeated_add(
+            len in 0usize..600,
+            ones_pct in 0usize..=100,
+            before in 0usize..300,
+        ) {
+            let ones = len * ones_pct / 100;
+            let mut expect = Fenwick::new(len);
+            for i in 0..ones {
+                expect.add(i, 1);
+            }
+            let mut built = Fenwick::new(before);
+            built.add(before / 2, 1);
+            built.reset_prefix_ones(len, ones);
+            prop_assert_eq!(built, expect);
         }
     }
 }

@@ -7,16 +7,31 @@
 //! `t` is the suffix count of 1s after `t`. A Fenwick tree is the modern
 //! realization of the partial-sum tree: O(log n) update and suffix sum.
 //!
-//! The time axis grows with N, not M, so the structure compacts: when the
-//! slot array fills, dead slots are squeezed out in O(live) and the Fenwick
-//! tree is rebuilt — amortized O(1) per access.
+//! **Axis sizing.** The time axis grows with N, not M, so the structure
+//! compacts: when the axis fills, dead slots are squeezed out in O(live)
+//! and the axis is resized to twice the live count (at least 64 slots) —
+//! never to a capacity hint, so every Fenwick walk spans O(log live)
+//! levels of an array the size of the live set. The survivors are a prefix
+//! of ones, so the Fenwick rebuild is linear, and the slot array grows to
+//! hold the axis. Each compaction buys as many appends as it moved slots:
+//! amortized O(1) per access. A capacity hint (`reserve`) reserves memory
+//! for slots and Fenwick nodes without lengthening the axis: the memory
+//! stays untouched until the axis reaches it, and it spares an engine the
+//! freed growth steps of arrays grown from 64 slots, which stay resident.
 //!
-//! This is the fourth [`ReuseTree`] implementation, used in the D1
-//! structure ablation and as the windowed streamer's history. Timestamps
-//! arriving in increasing order — the analyzer's normal operation, and the
-//! history append, whose item timestamps are all newer than the history —
-//! append in O(log n). No engine inserts out of order; the trait allows it,
-//! so it falls back to an O(n) splice, documented below.
+//! **Run lookup.** The analyzer inserts consecutive timestamps, so the
+//! slots appended since the last compaction form a *run* in which a slot's
+//! index is its timestamp minus the run's first. A hit in the run finds its
+//! slot by subtraction; only older timestamps binary-search the slots
+//! before the run. A gap in the timestamps (the windowed history's imports)
+//! simply starts a new run.
+//!
+//! This is the [`ReuseTree`] the CLI and the daemon run by default, and the
+//! windowed streamer's history. Timestamps arriving in increasing order —
+//! the analyzer's normal operation, and the history append, whose item
+//! timestamps are all newer than the history — append in O(log n). No
+//! engine inserts out of order; the trait allows it, so it falls back to
+//! an O(n) splice and rebuild.
 
 use crate::{Fenwick, ReuseTree};
 
@@ -45,12 +60,15 @@ struct Slot {
 /// ```
 #[derive(Clone, Debug)]
 pub struct VectorTree {
-    /// Slots ordered by timestamp; dead slots keep their ts (for binary
-    /// search) but have `addr == EMPTY_ADDR` and a zero Fenwick count.
+    /// Slots ordered by timestamp; dead slots keep their ts (for lookup)
+    /// but have `addr == EMPTY_ADDR` and a zero Fenwick count.
     slots: Vec<Slot>,
+    /// Live-slot counts over the time axis. Its length is the axis: the
+    /// slots that fit before the next compaction.
     fenwick: Fenwick,
-    /// Number of initialized slots (`slots[..used]`).
-    used: usize,
+    /// First slot of the current run: `slots[run_start..]` hold
+    /// consecutive timestamps.
+    run_start: usize,
     live: usize,
 }
 
@@ -61,67 +79,70 @@ impl Default for VectorTree {
 }
 
 impl VectorTree {
-    const INITIAL_SLOTS: usize = 64;
+    /// Smallest time axis, in slots.
+    const MIN_AXIS: usize = 64;
 
     /// Create an empty structure.
     pub fn new() -> Self {
-        Self::with_capacity(Self::INITIAL_SLOTS)
-    }
-
-    /// Create an empty structure with room for `capacity` live elements.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(Self::INITIAL_SLOTS);
         Self {
-            slots: Vec::with_capacity(cap),
-            fenwick: Fenwick::new(cap),
-            used: 0,
+            slots: Vec::with_capacity(Self::MIN_AXIS),
+            fenwick: Fenwick::new(Self::MIN_AXIS),
+            run_start: 0,
             live: 0,
         }
     }
 
-    /// Binary search for the first slot with `slot.ts >= ts`.
+    /// First slot with `slot.ts >= ts`: by subtraction inside the current
+    /// run, by binary search before it.
     fn lower_bound(&self, ts: u64) -> usize {
-        self.slots[..self.used].partition_point(|s| s.ts < ts)
+        let run = &self.slots[self.run_start..];
+        match run.first() {
+            Some(first) if ts >= first.ts => {
+                self.run_start + (ts - first.ts).min(run.len() as u64) as usize
+            }
+            _ => self.slots[..self.run_start].partition_point(|s| s.ts < ts),
+        }
     }
 
     /// Slot index holding exactly `ts`, if live.
     fn find(&self, ts: u64) -> Option<usize> {
         let idx = self.lower_bound(ts);
-        let slot = self.slots[..self.used].get(idx)?;
+        let slot = self.slots.get(idx)?;
         (slot.ts == ts && slot.addr != EMPTY_ADDR).then_some(idx)
     }
 
-    /// Squeeze out dead slots and rebuild the Fenwick tree, growing the
-    /// slot capacity if more than half the slots are live.
+    /// Squeeze out dead slots and resize the axis to twice the live count,
+    /// growing the slot array to hold it.
     fn compact(&mut self) {
-        let new_cap = if self.live * 2 > self.slots.capacity() {
-            self.slots.capacity() * 2
-        } else {
-            self.slots.capacity()
-        };
         self.slots.retain(|s| s.addr != EMPTY_ADDR);
         debug_assert_eq!(self.slots.len(), self.live);
-        self.slots.reserve(new_cap.saturating_sub(self.slots.len()));
-        self.used = self.slots.len();
-        self.fenwick = Fenwick::new(self.slots.capacity());
-        for i in 0..self.used {
-            self.fenwick.add(i, 1);
-        }
+        let axis = (2 * self.live).max(Self::MIN_AXIS);
+        self.slots.reserve_exact(axis - self.slots.len());
+        self.fenwick.reset_prefix_ones(axis, self.live);
+        // The survivors are no longer consecutive: the next append starts
+        // a new run.
+        self.run_start = self.slots.len();
     }
 
-    /// Structural self-check for tests: ts order, fenwick/live agreement.
+    /// Structural self-check for tests: ts order, the axis and the run,
+    /// fenwick/live agreement.
     #[doc(hidden)]
     pub fn validate(&self) {
-        assert!(self.slots[..self.used]
-            .windows(2)
-            .all(|w| w[0].ts < w[1].ts));
-        let live = self.slots[..self.used]
-            .iter()
-            .filter(|s| s.addr != EMPTY_ADDR)
-            .count();
+        assert!(self.slots.windows(2).all(|w| w[0].ts < w[1].ts));
+        assert!(
+            self.slots.len() <= self.fenwick.len(),
+            "slots overflow the axis"
+        );
+        assert!(
+            self.slots[self.run_start..]
+                .windows(2)
+                .all(|w| w[0].ts + 1 == w[1].ts),
+            "the current run is not consecutive"
+        );
+        let live = self.slots.iter().filter(|s| s.addr != EMPTY_ADDR).count();
         assert_eq!(live, self.live);
         assert_eq!(self.fenwick.total(), self.live as u64);
-        for (i, slot) in self.slots[..self.used].iter().enumerate() {
+        for (i, slot) in self.slots.iter().enumerate() {
             let expect = u64::from(slot.addr != EMPTY_ADDR);
             assert_eq!(
                 self.fenwick.prefix_sum(i + 1) - self.fenwick.prefix_sum(i),
@@ -135,17 +156,20 @@ impl VectorTree {
 impl ReuseTree for VectorTree {
     fn insert(&mut self, timestamp: u64, addr: u64) {
         debug_assert_ne!(addr, EMPTY_ADDR, "sentinel address is reserved");
+        let last = self.slots.last().map(|s| s.ts);
         // Fast path: strictly larger than everything seen — append.
-        if self.used == 0 || self.slots[self.used - 1].ts < timestamp {
-            if self.used == self.slots.capacity() || self.used == self.fenwick.len() {
+        if last.is_none_or(|last| last < timestamp) {
+            if self.slots.len() == self.fenwick.len() {
                 self.compact();
             }
+            if last.is_some_and(|last| last + 1 != timestamp) {
+                self.run_start = self.slots.len();
+            }
+            self.fenwick.add(self.slots.len(), 1);
             self.slots.push(Slot {
                 ts: timestamp,
                 addr,
             });
-            self.fenwick.add(self.used, 1);
-            self.used += 1;
             self.live += 1;
             return;
         }
@@ -156,11 +180,11 @@ impl ReuseTree for VectorTree {
             self.slots[idx].ts != timestamp || self.slots[idx].addr == EMPTY_ADDR,
             "duplicate timestamp {timestamp} inserted into VectorTree"
         );
+        self.live += 1;
         if self.slots[idx].ts == timestamp {
             // Reviving a dead slot in place.
             self.slots[idx].addr = addr;
             self.fenwick.add(idx, 1);
-            self.live += 1;
             return;
         }
         self.slots.insert(
@@ -170,20 +194,12 @@ impl ReuseTree for VectorTree {
                 addr,
             },
         );
-        self.used += 1;
-        self.live += 1;
-        self.fenwick = Fenwick::new(self.slots.capacity().max(self.used));
-        for (i, slot) in self.slots[..self.used].iter().enumerate() {
-            if slot.addr != EMPTY_ADDR {
-                self.fenwick.add(i, 1);
-            }
-        }
+        self.compact();
     }
 
     fn distance(&mut self, timestamp: u64) -> u64 {
         // Count of live slots strictly after `timestamp`.
-        let idx = self.lower_bound(timestamp + 1);
-        self.fenwick.suffix_sum(idx)
+        self.fenwick.suffix_sum(self.lower_bound(timestamp + 1))
     }
 
     fn remove(&mut self, timestamp: u64) -> Option<u64> {
@@ -197,7 +213,7 @@ impl ReuseTree for VectorTree {
 
     fn distance_and_remove(&mut self, timestamp: u64) -> Option<(u64, u64)> {
         // Fused: `timestamp` is live at `idx`, so the strictly-greater count
-        // is the suffix just past it — one binary search serves both halves.
+        // is the suffix just past it — one lookup serves both halves.
         let idx = self.find(timestamp)?;
         let d = self.fenwick.suffix_sum(idx + 1);
         let addr = self.slots[idx].addr;
@@ -218,20 +234,25 @@ impl ReuseTree for VectorTree {
         self.live
     }
 
+    /// Reserve memory only: the axis stays sized to the live set, and the
+    /// reserved slots stay untouched until the axis reaches them.
     fn reserve(&mut self, additional: usize) {
         self.slots.reserve(additional);
+        self.fenwick.reserve(additional);
     }
 
     fn clear(&mut self) {
+        // Keep the axis and the slot allocation for the next fill; its
+        // first compaction sizes the axis to the new live set.
         self.slots.clear();
-        self.fenwick = Fenwick::new(self.slots.capacity().max(Self::INITIAL_SLOTS));
-        self.used = 0;
+        self.fenwick.reset_prefix_ones(self.fenwick.len(), 0);
+        self.run_start = 0;
         self.live = 0;
     }
 
     fn collect_in_order(&self, out: &mut Vec<(u64, u64)>) {
         out.extend(
-            self.slots[..self.used]
+            self.slots
                 .iter()
                 .filter(|s| s.addr != EMPTY_ADDR)
                 .map(|s| (s.ts, s.addr)),
@@ -256,7 +277,7 @@ impl ReuseTree for VectorTree {
         let mut cursor = 0usize;
         let mut behind = 0u64;
         for (deleted, &ts) in sorted_ts.iter().enumerate() {
-            let slots = &self.slots[..self.used];
+            let slots = &self.slots[..];
             let (mut lo, mut hi, mut step) = (cursor, cursor, 1);
             while hi < slots.len() && slots[hi].ts < ts {
                 lo = hi + 1;
@@ -290,19 +311,15 @@ impl ReuseTree for VectorTree {
         self.slots.clear();
         self.slots
             .extend(pairs.iter().map(|&(ts, addr)| Slot { ts, addr }));
-        self.used = pairs.len();
         self.live = pairs.len();
-        self.fenwick = Fenwick::new(self.slots.capacity().max(Self::INITIAL_SLOTS));
-        for i in 0..self.used {
-            self.fenwick.add(i, 1);
-        }
+        self.compact();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conformance::{self, op_strategy};
+    use crate::conformance::{self, op_strategy, Model};
     use proptest::prelude::*;
 
     #[test]
@@ -323,6 +340,47 @@ mod tests {
             }
         }
         assert_eq!(v.len(), 0);
+        v.validate();
+    }
+
+    #[test]
+    fn axis_follows_the_live_set_not_the_capacity_hint() {
+        // An engine passes its chunk length as a capacity hint; a sliding
+        // window of 1,000 live timestamps must still run on a ~2K axis.
+        const LIVE: u64 = 1_000;
+        let mut v = VectorTree::new();
+        v.reserve(1 << 20);
+        for ts in 0..100_000u64 {
+            if ts >= LIVE {
+                assert_eq!(
+                    v.distance_and_remove(ts - LIVE),
+                    Some((LIVE - 1, ts - LIVE))
+                );
+            }
+            v.insert(ts, ts);
+            let axis = v.fenwick.len();
+            assert!(
+                axis <= (2 * v.len()).max(64),
+                "axis {axis} for {} live at ts {ts}",
+                v.len()
+            );
+        }
+        v.validate();
+    }
+
+    #[test]
+    fn a_gap_starts_a_new_run() {
+        let mut v = VectorTree::new();
+        for ts in (0..10u64).chain(20..30) {
+            v.insert(ts, ts);
+        }
+        assert_eq!(v.run_start, 10, "the run begins after the gap");
+        // Old timestamps are found before the run, new ones inside it.
+        assert_eq!(v.distance_and_remove(4), Some((15, 4)));
+        assert_eq!(v.distance_and_remove(25), Some((4, 25)));
+        assert_eq!(v.remove(15), None, "inside the gap");
+        assert_eq!(v.distance(40), 0, "past the run");
+        assert_eq!(v.distance(15), 9);
         v.validate();
     }
 
@@ -410,12 +468,93 @@ mod tests {
         v.validate();
     }
 
+    /// One step of the monotone-timestamp proptest. Queries name a
+    /// timestamp by its distance back from the next append, so most of them
+    /// land in or near the current run.
+    #[derive(Clone, Debug)]
+    enum RunOp {
+        /// Append `gap` past the next consecutive timestamp (a gap starts
+        /// a new run).
+        Append {
+            gap: u64,
+        },
+        Distance {
+            back: u64,
+        },
+        Remove {
+            back: u64,
+        },
+        DistanceAndRemove {
+            back: u64,
+        },
+        Oldest,
+        Compact,
+    }
+
+    fn run_op_strategy() -> impl Strategy<Value = RunOp> {
+        let append = || {
+            (0u64..8).prop_map(|g| RunOp::Append {
+                gap: g.saturating_sub(5),
+            })
+        };
+        prop_oneof![
+            append(),
+            append(),
+            append(),
+            (0u64..80).prop_map(|back| RunOp::Distance { back }),
+            (0u64..80).prop_map(|back| RunOp::Remove { back }),
+            (0u64..80).prop_map(|back| RunOp::DistanceAndRemove { back }),
+            Just(RunOp::Oldest),
+            Just(RunOp::Compact),
+        ]
+    }
+
     proptest! {
         #[test]
         fn conforms_to_model(ops in proptest::collection::vec(op_strategy(), 0..300)) {
             let mut tree = VectorTree::new();
             conformance::run_ops(&mut tree, ops);
             tree.validate();
+        }
+
+        /// Monotone timestamps with random gaps — what the engines insert —
+        /// against the model, with compactions forced at random points so
+        /// the run restarts under every kind of query.
+        #[test]
+        fn monotone_runs_conform_to_model(
+            ops in proptest::collection::vec(run_op_strategy(), 0..400),
+        ) {
+            let mut tree = VectorTree::new();
+            let mut model = Model::default();
+            let mut next = 0u64;
+            for op in ops {
+                let newest = next;
+                let at = |back: u64| newest.saturating_sub(back);
+                match op {
+                    RunOp::Append { gap } => {
+                        let ts = next + gap;
+                        tree.insert(ts, ts + 1_000);
+                        model.insert(ts, ts + 1_000);
+                        next = ts + 1;
+                    }
+                    RunOp::Distance { back } => {
+                        prop_assert_eq!(tree.distance(at(back)), model.distance(at(back)));
+                    }
+                    RunOp::Remove { back } => {
+                        prop_assert_eq!(tree.remove(at(back)), model.remove(at(back)));
+                    }
+                    RunOp::DistanceAndRemove { back } => {
+                        let ts = at(back);
+                        let expect = model.remove(ts).map(|addr| (model.distance(ts), addr));
+                        prop_assert_eq!(tree.distance_and_remove(ts), expect);
+                    }
+                    RunOp::Oldest => prop_assert_eq!(tree.oldest(), model.oldest()),
+                    RunOp::Compact => tree.compact(),
+                }
+                prop_assert_eq!(tree.len(), model.len());
+                tree.validate();
+            }
+            prop_assert_eq!(tree.to_sorted_vec(), model.sorted());
         }
 
         #[test]
