@@ -147,7 +147,7 @@ trap 'rm -rf "$smoke_dir"' EXIT
 cargo run -q -p parda-cli --bin parda -- \
     gen --pattern zipf --footprint 2000 --refs 100000 --out "$smoke_dir/smoke.trc"
 cargo run -q -p parda-cli --bin parda -- \
-    analyze "$smoke_dir/smoke.trc" --engine msg --ranks 8 --stats=json \
+    analyze "$smoke_dir/smoke.trc" --engine parda --ranks 8 --stats=json \
     | python3 -m json.tool > /dev/null
 cargo run -q -p parda-cli --bin parda -- \
     analyze "$smoke_dir/smoke.trc" --stream --stats=json \

@@ -1,6 +1,5 @@
 //! Parda scaling microbenchmarks: rank count (D-scaling), cache bound
-//! (ablation D3), window size (ablation D4), and transport (message-passing
-//! vs shared-memory cascade).
+//! (ablation D3) and window size (ablation D4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use parda_core::phased::parda_phased;
@@ -78,32 +77,10 @@ fn bench_phase_size(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_transport(c: &mut Criterion) {
-    let n = 200_000u64;
-    let trace = mcf_trace(n);
-    let config = PardaConfig::with_ranks(4);
-    let mut group = c.benchmark_group("parda/transport");
-    group.throughput(Throughput::Elements(n));
-    group.sample_size(10);
-    group.bench_function("threads-cascade", |b| {
-        b.iter(|| {
-            black_box(parallel::parda_threads::<SplayTree>(
-                trace.as_slice(),
-                &config,
-            ))
-        })
-    });
-    group.bench_function("message-passing", |b| {
-        b.iter(|| black_box(parallel::parda_msg::<SplayTree>(trace.as_slice(), &config)))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_rank_scaling,
     bench_bound_sweep,
-    bench_phase_size,
-    bench_transport
+    bench_phase_size
 );
 criterion_main!(benches);

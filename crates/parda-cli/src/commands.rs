@@ -53,7 +53,7 @@ commands:
              --out <file> [--encoding <raw|delta>] [--format <v1|v2>]
              (v2 is the default: block-framed with a seekable index)
   analyze  analyze a trace file
-             <file> [--engine <parda|msg|seq|naive|phased|sampled>] [--ranks <p>]
+             <file> [--engine <parda|seq|naive|phased>] [--ranks <p>]
              [--bound <B>] [--tree <vector|splay|avl|treap>] [--json]
              [--line-bits <b>]  (fold addresses to 2^b-byte lines first)
              [--stream]  (decode v2 frames concurrently with analysis;
@@ -69,8 +69,6 @@ commands:
                           spec is exact | shards:<rate> | shards-smax:<n>
                           | aet[:<rate>], default shards:0.01)
              phased:  [--chunk <C>]  (references per rank per window)
-             sampled: [--rate <k>]   (legacy spatial sampling at rate 2^-k;
-                          prefer --approx=shards:<rate>)
   mrc      print the miss ratio curve of a trace
              <file> [--capacities <c1,c2,...>] [--stream]
              [--stats[=json|pretty]] [--degradation <policy>]
@@ -345,13 +343,8 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     let engine = args.get("engine").unwrap_or("parda");
-    if !matches!(
-        engine,
-        "parda" | "msg" | "seq" | "naive" | "phased" | "sampled"
-    ) {
-        return Err(
-            format!("unknown engine `{engine}` (parda|msg|seq|naive|phased|sampled)").into(),
-        );
+    if !matches!(engine, "parda" | "seq" | "naive" | "phased") {
+        return Err(format!("unknown engine `{engine}` (parda|seq|naive|phased)").into());
     }
     let tree = parse_tree(args)?;
     let bound: Option<u64> = args.get_optional("bound")?;
@@ -417,7 +410,7 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 }
                 let mut report = report.expect("stats were requested");
                 report.stream = Some(counters.snapshot());
-                report.recovery = Some(recovery.lock().unwrap_or_else(|e| e.into_inner()).clone());
+                report.merge_recovery(&recovery.lock().unwrap_or_else(|e| e.into_inner()));
                 Some((hist, report))
             }
             Err(_) if degradation == Degradation::BestEffort => None,
@@ -438,25 +431,18 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let mode = match engine {
                 "seq" => Mode::Seq,
                 "naive" => Mode::Naive,
-                "msg" => Mode::Msg,
                 "phased" => Mode::Phased { chunk, reduction },
-                "sampled" => Mode::Sampled {
-                    rate_log2: args.get_parsed("rate", 3)?,
-                },
                 _ => Mode::Threads,
             };
-            // run_faulted: the threads engine gets panic-isolated workers
-            // with scalar rescue; other engines run unchanged.
+            // run_faulted: the threads engine reports an unrescued worker
+            // panic or stall as an error instead of panicking.
             let (hist, report) = builder
                 .clone()
                 .mode(mode)
                 .fault_policy(FaultPolicy::with_degradation(degradation))
                 .run_faulted(trace.as_slice())?;
             let mut report = report.expect("stats were requested");
-            match report.recovery.as_mut() {
-                Some(existing) => existing.merge(&rec),
-                None => report.recovery = Some(rec),
-            }
+            report.merge_recovery(&rec);
             (hist, report)
         }
     };
@@ -523,7 +509,7 @@ pub fn mrc(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 }
                 let mut report = report.expect("stats were requested");
                 report.stream = Some(counters.snapshot());
-                report.recovery = Some(recovery.lock().unwrap_or_else(|e| e.into_inner()).clone());
+                report.merge_recovery(&recovery.lock().unwrap_or_else(|e| e.into_inner()));
                 Some((hist, report))
             }
             Err(_) if degradation == Degradation::BestEffort => None,
@@ -603,9 +589,6 @@ pub fn compare(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
     run(format!("parda-threads/p{ranks}"), &mut || {
         base.clone().mode(Mode::Threads).run(trace.as_slice()).0
-    });
-    run(format!("parda-msg/p{ranks}"), &mut || {
-        base.clone().mode(Mode::Msg).run(trace.as_slice()).0
     });
     run(format!("phased/p{ranks}"), &mut || {
         base.clone()

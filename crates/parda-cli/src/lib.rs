@@ -295,10 +295,13 @@ mod tests {
             "engines disagree: {totals:?}"
         );
 
-        // The sampled engine runs and reports an estimate.
-        let (code, out) = run_to_string(&["analyze", p, "--engine", "sampled", "--rate", "2"]);
-        assert_eq!(code, 0, "sampled failed: {out}");
-        assert!(out.contains("total="));
+        // The retired message-passing and sampling engines are usage
+        // errors that list the engines that remain.
+        for engine in ["msg", "sampled"] {
+            let (code, out) = run_to_string(&["analyze", p, "--engine", engine]);
+            assert_eq!(code, 1, "--engine {engine}: {out}");
+            assert!(out.contains("(parda|seq|naive|phased)"), "{out}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -332,7 +335,7 @@ mod tests {
         assert_eq!(code, 0);
 
         let (code, out) =
-            run_to_string(&["analyze", p, "--engine=msg", "--ranks=8", "--stats=json"]);
+            run_to_string(&["analyze", p, "--engine=parda", "--ranks=8", "--stats=json"]);
         assert_eq!(code, 0, "{out}");
         let doc: Value =
             serde_json::from_str(out.trim()).expect("--stats=json stdout is one JSON document");
@@ -340,7 +343,7 @@ mod tests {
         let stats = doc.field("stats").unwrap();
         assert_eq!(
             stats.field("mode").unwrap(),
-            &Value::Str("parda-msg".into())
+            &Value::Str("parda-threads".into())
         );
         let Value::Array(per_rank) = stats.field("per_rank").unwrap() else {
             panic!("per_rank is not an array");
@@ -798,7 +801,7 @@ mod tests {
         for engine in [
             "seq/splay",
             "seq/vector",
-            "parda-msg/p3",
+            "parda-threads/p3",
             "phased/p3",
             "naive-stack",
         ] {

@@ -2,8 +2,8 @@
 //!
 //! Every engine in this crate — sequential (Algorithm 1), naïve stack
 //! (§III-A), parallel (Algorithm 3), windowed streaming (Algorithm 5),
-//! and sampling (§VII) — is reachable through one builder, with runtime tree
-//! selection and an optional observability [`Report`]:
+//! and the approximate sketches (§VII) — is reachable through one builder,
+//! with runtime tree selection and an optional observability [`Report`]:
 //!
 //! ```
 //! use parda_core::{Analysis, Mode};
@@ -28,7 +28,7 @@
 //! through, and aggregates the per-rank metrics into a [`Report`]. The
 //! histograms are bit-identical to the direct calls (property-tested).
 
-use crate::approx::{ApproxMode, ApproxSketch, SampleRate};
+use crate::approx::{ApproxMode, ApproxSketch};
 use crate::error::{FaultPolicy, PardaError};
 use crate::parallel::PardaConfig;
 use crate::phased::Reduction;
@@ -71,12 +71,8 @@ pub enum Mode {
     Seq,
     /// §III-A: the O(N·M) naïve stack baseline (ignores tree/ranks/bound).
     Naive,
-    /// Algorithm 3 via the shared-memory driver
-    /// ([`crate::parallel::parda_threads`]).
+    /// Algorithm 3 ([`crate::parallel::parda_threads`]).
     Threads,
-    /// Algorithm 3 via the literal message-passing driver
-    /// ([`crate::parallel::parda_msg`]).
-    Msg,
     /// Algorithm 5: windowed streaming analysis over a persistent history
     /// ([`crate::phased`]).
     Phased {
@@ -85,11 +81,6 @@ pub enum Mode {
         /// Ignored: the windowed streamer has no Algorithm 6 state
         /// reduction to choose.
         reduction: Reduction,
-    },
-    /// §VII: spatial-sampling approximation at rate `2^-rate_log2`.
-    Sampled {
-        /// Sampling rate exponent `k` (rate `2^-k`; 0 is exact).
-        rate_log2: u32,
     },
 }
 
@@ -100,9 +91,7 @@ impl Mode {
             Mode::Seq => "seq",
             Mode::Naive => "naive",
             Mode::Threads => "parda-threads",
-            Mode::Msg => "parda-msg",
             Mode::Phased { .. } => "phased",
-            Mode::Sampled { .. } => "sampled",
         }
     }
 
@@ -283,7 +272,7 @@ impl Analysis {
     /// Ranks actually used: 1 for the sequential engines, `np` otherwise.
     fn effective_ranks(&self, config: &PardaConfig) -> usize {
         match self.mode {
-            Mode::Seq | Mode::Naive | Mode::Sampled { .. } => 1,
+            Mode::Seq | Mode::Naive => 1,
             _ => config.ranks.max(1),
         }
     }
@@ -307,7 +296,9 @@ impl Analysis {
     /// only exact engine that does not need the whole trace in memory).
     ///
     /// [`Mode::Phased`] supplies the window chunk size; any other mode
-    /// streams with the default `C = 65536`. Reported as `phased-stream`.
+    /// streams with the default `C = 65536`. Reported as `phased-stream`,
+    /// with the items the scalar engine rescued in the report's
+    /// `recovery`.
     pub fn run_stream<S>(&self, source: S) -> (ReuseHistogram, Option<Report>)
     where
         S: AddressStream + Send,
@@ -317,7 +308,7 @@ impl Analysis {
         }
         let config = self.config();
         let sw = Stopwatch::start();
-        let (hist, per_rank, phased) = dispatch_tree!(self.tree, T, {
+        let (hist, per_rank, phased, recovery) = dispatch_tree!(self.tree, T, {
             crate::phased::parda_phased_with_stats::<T, S>(source, self.mode.phase_chunk(), &config)
         });
         let refs = per_rank.iter().map(|r| r.refs).sum();
@@ -335,7 +326,7 @@ impl Analysis {
             per_rank,
             stream: None,
             phased: Some(phased),
-            recovery: None,
+            recovery: Some(recovery),
             approx: None,
             shared: None,
         };
@@ -395,13 +386,14 @@ impl Analysis {
     /// Analyze an in-memory trace with fault isolation.
     ///
     /// For [`Mode::Threads`] this drives
-    /// [`crate::parallel::parda_threads_faulted`]: panicking rank workers
-    /// are caught and rescued with the scalar reference engine under the
-    /// builder's [`FaultPolicy`] (bit-identical histogram on success), and
-    /// a configured watchdog converts a stalled cascade wait into
-    /// [`PardaError::Stall`]. Other modes run unchanged — their engines
-    /// are single-threaded or message-passing and a panic there is a
-    /// programming error that should surface.
+    /// [`crate::parallel::parda_threads_faulted`]: panicking workers are
+    /// caught and their items rescued with the scalar reference engine
+    /// under the builder's [`FaultPolicy`] (bit-identical histogram on
+    /// success), and a configured watchdog converts a stalled cascade wait
+    /// into [`PardaError::Stall`]. Other modes run through
+    /// [`Analysis::run`]: the sequential engines are single-threaded, so a
+    /// panic there is a programming error that should surface, and
+    /// [`Mode::Phased`] rescues its items under the default policy.
     pub fn run_faulted(
         &self,
         trace: &[Addr],
@@ -466,9 +458,8 @@ impl Analysis {
                     if let Some(e) = errors.take() {
                         return Err(e.into());
                     }
-                    let rec = recovery.lock().unwrap_or_else(|e| e.into_inner()).clone();
                     if let Some(r) = report.as_mut() {
-                        r.recovery = Some(rec);
+                        r.merge_recovery(&recovery.lock().unwrap_or_else(|e| e.into_inner()));
                     }
                     return Ok((hist, report));
                 }
@@ -482,10 +473,7 @@ impl Analysis {
         let (trace, rec) = parda_trace::load_trace_recovering(path, degradation)?;
         let (hist, mut report) = self.run_faulted(trace.as_slice())?;
         if let Some(r) = report.as_mut() {
-            match r.recovery.as_mut() {
-                Some(existing) => existing.merge(&rec),
-                None => r.recovery = Some(rec),
-            }
+            r.merge_recovery(&rec);
         }
         Ok((hist, report))
     }
@@ -511,37 +499,13 @@ impl Analysis {
                 let (hist, ranks) = crate::parallel::parda_threads_with_stats::<T>(trace, config);
                 (hist, ranks, None)
             }
-            Mode::Msg => {
-                let (hist, ranks) = crate::parallel::parda_msg_with_stats::<T>(trace, config);
-                (hist, ranks, None)
-            }
             Mode::Phased { chunk, .. } => {
-                let (hist, ranks, phased) = crate::phased::parda_phased_with_stats::<T, _>(
+                let (hist, ranks, phased, _) = crate::phased::parda_phased_with_stats::<T, _>(
                     SliceStream::new(trace),
                     chunk,
                     config,
                 );
                 (hist, ranks, Some(phased))
-            }
-            Mode::Sampled { rate_log2 } => {
-                let sw = Stopwatch::start();
-                // Historical pow-2 spatial sampling, kept bit-exact: filter
-                // to monitored addresses, scale distances and counts by the
-                // inverse rate, no SHARDS-adj correction.
-                let rate = SampleRate::one_in_pow2(rate_log2);
-                let scale = rate.inverse();
-                let monitored: Vec<Addr> = trace
-                    .iter()
-                    .copied()
-                    .filter(|&a| rate.monitors(a))
-                    .collect();
-                let mut hist = ReuseHistogram::new();
-                crate::seq::analyze_with::<T, _>(&monitored, |_, _, distance| match distance {
-                    parda_hist::Distance::Finite(d) => hist.record_finite_n(d * scale, scale),
-                    parda_hist::Distance::Infinite => hist.record_infinite_n(scale),
-                });
-                let rm = untimed_rank_metrics(trace.len() as u64, &hist, sw.ns());
-                (hist, vec![rm], None)
             }
         }
     }
@@ -587,8 +551,8 @@ fn stream_decoders() -> usize {
 }
 
 /// Rank metrics for the engines without internal instrumentation (naïve
-/// stack, sampling estimator): the whole run is one rank-0 "chunk", and the
-/// operation counts are reconstructed from the histogram.
+/// stack, approximate sketches): the whole run is one rank-0 "chunk", and
+/// the operation counts are reconstructed from the histogram.
 fn untimed_rank_metrics(refs: u64, hist: &ReuseHistogram, ns: u64) -> RankMetrics {
     RankMetrics {
         rank: 0,
@@ -624,13 +588,13 @@ mod tests {
         let trace: Vec<Addr> = (0..1000).map(|i| (i * 13) % 97).collect();
         let (hist, report) = Analysis::new()
             .ranks(8)
-            .mode(Mode::Msg)
+            .mode(Mode::Threads)
             .stats(true)
             .run(&trace);
         let report = report.unwrap();
         assert_eq!(report.per_rank.len(), 8);
         assert_eq!(report.total_rank_refs(), 1000);
-        assert_eq!(report.mode, "parda-msg");
+        assert_eq!(report.mode, "parda-threads");
         // Rank 0 owns every global infinity: its cold misses are exactly
         // the histogram's ∞ count.
         assert_eq!(report.per_rank[0].engine.cold_misses, hist.infinite());
@@ -640,33 +604,6 @@ mod tests {
                 "rank {} forwards, never records",
                 rm.rank
             );
-        }
-    }
-
-    #[test]
-    fn threads_and_msg_agree_on_forwarded_totals() {
-        let trace: Vec<Addr> = (0..2000).map(|i| (i * 31) % 257).collect();
-        let (h1, r1) = Analysis::new()
-            .ranks(4)
-            .mode(Mode::Threads)
-            .stats(true)
-            .run(&trace);
-        let (h2, r2) = Analysis::new()
-            .ranks(4)
-            .mode(Mode::Msg)
-            .stats(true)
-            .run(&trace);
-        assert_eq!(h1, h2);
-        let (r1, r2) = (r1.unwrap(), r2.unwrap());
-        assert_eq!(
-            r1.total_infinities_forwarded(),
-            r2.total_infinities_forwarded(),
-            "same cascade traffic regardless of transport"
-        );
-        for (a, b) in r1.per_rank.iter().zip(&r2.per_rank) {
-            assert_eq!(a.engine.finite_hits, b.engine.finite_hits);
-            assert_eq!(a.engine.cold_misses, b.engine.cold_misses);
-            assert_eq!(a.infinities_forwarded, b.infinities_forwarded);
         }
     }
 
@@ -708,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_sampled_report_single_rank() {
+    fn naive_reports_single_rank() {
         let trace: Vec<Addr> = (0..300).map(|i| i % 20).collect();
         let (hist, report) = Analysis::new().mode(Mode::Naive).stats(true).run(&trace);
         assert_eq!(hist, analyze_naive(&trace));
@@ -716,13 +653,6 @@ mod tests {
         assert_eq!(report.ranks, 1);
         assert_eq!(report.per_rank.len(), 1);
         assert_eq!(report.per_rank[0].engine.finite_hits, hist.finite_total());
-
-        let (exact, report) = Analysis::new()
-            .mode(Mode::Sampled { rate_log2: 0 })
-            .stats(true)
-            .run(&trace);
-        assert_eq!(exact, analyze_naive(&trace), "rate 2^-0 is exact");
-        assert_eq!(report.unwrap().mode, "sampled");
     }
 
     #[test]
@@ -939,10 +869,6 @@ mod tests {
             prop_assert_eq!(
                 base.clone().mode(Mode::Threads).run(&trace).0,
                 crate::parallel::parda_threads::<SplayTree>(&trace, &config)
-            );
-            prop_assert_eq!(
-                base.clone().mode(Mode::Msg).run(&trace).0,
-                crate::parallel::parda_msg::<SplayTree>(&trace, &config)
             );
             let reduction = Reduction::ShipToRankZero;
             prop_assert_eq!(

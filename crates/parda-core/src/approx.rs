@@ -31,9 +31,6 @@
 //! per-chunk or per-tenant sketches compose into the sketch of the
 //! concatenated trace (exactly for fixed-rate SHARDS and AET, approximately
 //! for fixed-size SHARDS where merging takes the minimum threshold).
-//!
-//! The deprecated [`sampled`](crate::sampled) module remains as a thin
-//! shim over the pow-2 subset of this machinery.
 
 use parda_hash::{fx_hash_u64, FxHashMap};
 use parda_hist::ReuseHistogram;

@@ -287,73 +287,37 @@ impl<T: ReuseTree> Engine<T> {
     }
 
     /// Space-optimized processing of a neighbour's local-infinities sequence
-    /// (paper Algorithm 4).
-    ///
-    /// Hits measure their distance as `tree_distance + count` — `count`
-    /// accounts for the distinct elements of the incoming stream that are
-    /// deliberately *not* stored — and then delete the node (Property 4.3:
-    /// the stream never repeats an element, so the node is dead weight).
-    /// Misses are forwarded to `out` (bounded by `l < B` in bounded mode).
-    ///
-    /// Unbounded streams of at least [`Self::BATCH`] elements take the
-    /// batched sorted-slab path (one bulk `rank_delete_batch` sweep instead
-    /// of per-element descents); bounded mode and short streams run the
-    /// scalar reference loop. Both produce bit-identical histograms and
-    /// forward streams — see [`Self::process_infinities_scalar`].
+    /// (paper Algorithm 4): [`Self::process_infinities_in_place`] over a
+    /// copy of `incoming`, with the misses appended to `out`.
     pub fn process_infinities(
         &mut self,
         incoming: &[Addr],
         out: &mut Vec<Addr>,
     ) -> CascadeRoundStats {
-        if self.bound.is_some() || incoming.len() < Self::BATCH {
-            return self.process_infinities_scalar(incoming, out);
-        }
-        debug_assert!(incoming.len() <= u32::MAX as usize);
-        self.metrics.stream_refs += incoming.len() as u64;
-        let base = self.stream_count;
-        let merge_sw = Stopwatch::start();
-        // Pass 1: prefetch-batched table probes, partitioning the stream
-        // into hits `(t0, stream index)` and misses (forwarded in stream
-        // order, exactly as the scalar interleaving would).
-        let mut hits: Vec<(u64, u32)> = Vec::new();
-        for (batch_idx, batch) in incoming.chunks(Self::BATCH).enumerate() {
-            for &z in batch {
-                self.table.prefetch(z);
-            }
-            for (i, &z) in batch.iter().enumerate() {
-                if let Some(t0) = self.table.last_access(z) {
-                    self.table.forget(z);
-                    hits.push((t0, (batch_idx * Self::BATCH + i) as u32));
-                } else {
-                    out.push(z);
-                    self.forwarded += 1;
-                    self.metrics.forwarded += 1;
-                }
-            }
-        }
-        self.stream_count += incoming.len() as u64;
-        let merge_ns = merge_sw.ns();
-        if hits.is_empty() {
-            return CascadeRoundStats {
-                resolved: 0,
-                merge_ns,
-                batch_ns: 0,
-            };
-        }
-        let (order_ns, batch_ns) = self.resolve_hit_batch(&hits, base);
-        CascadeRoundStats {
-            resolved: hits.len() as u64,
-            merge_ns: merge_ns + order_ns,
-            batch_ns,
-        }
+        let mut slab = incoming.to_vec();
+        let stats = self.process_infinities_in_place(&mut slab);
+        out.append(&mut slab);
+        stats
     }
 
-    /// In-place variant for the fold cascade: `slab` is both the incoming
-    /// stream and, on return, the surviving (unresolved) suffix — misses are
-    /// compacted leftward during the probe pass (Kuszmaul-style in-place
-    /// partition), so the cascade never copies survivors into an auxiliary
-    /// array. Semantically identical to [`Self::process_infinities`] with
-    /// `slab` as input and survivors as output.
+    /// Space-optimized processing of a neighbour's local-infinities sequence
+    /// (paper Algorithm 4), in place: `slab` is both the incoming stream
+    /// and, on return, the surviving (unresolved) suffix.
+    ///
+    /// Hits measure their distance as `tree_distance + count` — `count`
+    /// accounts for the distinct elements of the incoming stream that are
+    /// deliberately *not* stored — and then delete the node (Property 4.3:
+    /// the stream never repeats an element, so the node is dead weight).
+    /// Misses are forwarded (bounded by `l < B` in bounded mode), compacted
+    /// leftward during the probe pass (Kuszmaul-style in-place partition),
+    /// so the cascade never copies survivors into an auxiliary array.
+    ///
+    /// Unbounded streams of at least [`Self::BATCH`] elements take the
+    /// batched sorted-slab path (prefetch-batched table probes, then one
+    /// bulk `rank_delete_batch` sweep instead of per-element descents);
+    /// bounded mode and short streams run the scalar reference loop. Both
+    /// produce bit-identical histograms and forward streams — see
+    /// [`Self::process_infinities_scalar`].
     pub fn process_infinities_in_place(&mut self, slab: &mut Vec<Addr>) -> CascadeRoundStats {
         if self.bound.is_some() || slab.len() < Self::BATCH {
             let incoming = std::mem::take(slab);

@@ -7,9 +7,10 @@
 //! *internal worker faults* and react per class (exit codes, retries,
 //! degradation). [`FaultPolicy`] bundles the knobs that govern recovery:
 //! the [`Degradation`] ladder for input corruption, retry budget and
-//! backoff for panicked rank workers, and an optional watchdog deadline
-//! that converts a stalled cascade wait into a structured [`PardaError::Stall`]
-//! instead of a hang.
+//! backoff for work items whose worker panicked, and an optional watchdog
+//! deadline that converts a stalled cascade wait into a structured
+//! [`PardaError::Stall`] instead of a hang. A work item is a rank's chunk
+//! or a work-stealing sub-chunk of one.
 
 use parda_trace::Degradation;
 use std::fmt;
@@ -26,18 +27,19 @@ pub enum PardaError {
     /// CRC mismatch, truncated frame, malformed varint. Under a lossy
     /// [`Degradation`] policy most of these are repaired instead.
     Corrupt(String),
-    /// A rank worker panicked and every rescue attempt (scalar re-analysis
-    /// with backoff) panicked too. `attempts` counts the initial run plus
-    /// all retries.
+    /// A work item's worker panicked and every rescue attempt (scalar
+    /// re-analysis with backoff) panicked too. `attempts` counts the
+    /// initial run plus all retries.
     WorkerPanic {
-        /// The rank whose chunk analysis could not be completed.
+        /// The rank owning the item whose analysis could not be completed.
         rank: usize,
         /// Total attempts made (1 initial + retries).
         attempts: u32,
     },
-    /// A rank failed to publish its result within the watchdog deadline.
+    /// A work item failed to publish its result within the watchdog
+    /// deadline.
     Stall {
-        /// The rank the cascade fold was waiting on.
+        /// The rank owning the item the cascade fold was waiting on.
         rank: usize,
         /// The configured deadline that expired.
         deadline: Duration,
@@ -113,18 +115,20 @@ impl From<io::Error> for PardaError {
 /// Recovery policy for a fault-tolerant analysis run.
 ///
 /// The default is conservative: strict input validation, two rescue
-/// retries with a 10 ms backoff, no watchdog (waits are unbounded, as in
-/// the non-faulted drivers).
+/// retries with a 10 ms backoff, no watchdog (waits are unbounded). The
+/// drivers that return no error — [`crate::parallel::parda_threads`] and
+/// the windowed streamer — run under it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// How to treat corrupt input (see [`Degradation`]).
     pub degradation: Degradation,
-    /// How many times a panicked rank is re-analyzed (with the scalar
-    /// reference engine) before giving up with [`PardaError::WorkerPanic`].
+    /// How many times a work item whose worker panicked is re-analyzed
+    /// (with the scalar reference engine) before giving up with
+    /// [`PardaError::WorkerPanic`].
     pub max_retries: u32,
     /// Pause between rescue attempts.
     pub retry_backoff: Duration,
-    /// Deadline for each cascade wait on a rank slot; `None` waits
+    /// Deadline for each cascade wait on a work item's slot; `None` waits
     /// forever. On expiry the run aborts with [`PardaError::Stall`].
     pub watchdog: Option<Duration>,
 }

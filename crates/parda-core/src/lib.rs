@@ -6,14 +6,14 @@
 //! |---|---|
 //! | Algorithm 1 — tree-based sequential analysis (Olken) | [`seq::analyze_sequential`], [`Engine::process_chunk`] |
 //! | Algorithm 2 — tree distance query | `parda_tree::ReuseTree::distance` |
-//! | Algorithm 3 — the Parda parallel algorithm | [`parallel::parda_msg`], [`parallel::parda_threads`] |
-//! | Algorithm 4 — space-optimized infinity processing | [`Engine::process_infinities`] |
+//! | Algorithm 3 — the Parda parallel algorithm | [`parallel::parda_threads`] (one panic-isolated schedule; [`parallel::parda_threads_faulted`] returns its errors) |
+//! | Algorithm 4 — space-optimized infinity processing | [`Engine::process_infinities_in_place`] |
 //! | Algorithm 5 — windowed streaming analysis (Algorithm 6's state merge replaced by a persistent history) | [`phased::parda_phased`] |
 //! | Algorithm 7 — bounded (cache-capped) analysis | `bound` option on every engine |
 //! | §III-A — naïve stack algorithm | [`seq::analyze_naive`] |
 //! | §IV-D rank-renaming enhancement | superseded: the [`phased`] history never moves |
 //! | §VII object-level applications | [`object::analyze_by_region`] |
-//! | §VII sampling combination | [`approx`] (SHARDS/AET sketches; legacy shim in [`sampled`]) |
+//! | §VII sampling combination | [`approx`] (SHARDS/AET sketches) |
 //! | §I cache sharing & partitioning | [`shared::analyze_corun`], [`shared::optimal_partition`] |
 //! | §I thread-aware shared-cache analysis | [`concurrent::analyze_concurrent`], [`concurrent::recommend_partition`] |
 //! | §VII phase detection | [`window::detect_phases`] |
@@ -55,7 +55,6 @@ pub mod error;
 pub mod object;
 pub mod parallel;
 pub mod phased;
-pub mod sampled;
 pub mod seq;
 pub mod session;
 pub mod shared;

@@ -7,16 +7,15 @@
 //! (space-optimized per Algorithm 4), misses are forwarded again, and
 //! whatever reaches rank 0 unresolved is a global (compulsory) miss.
 //!
-//! Two drivers produce identical histograms:
-//!
-//! * [`parda_msg`] — the faithful message-passing formulation: one thread
-//!   per rank over [`parda_comm::World`], with the exact send/receive
-//!   rounds of Algorithm 3 (rank `p` performs `np − p` rounds).
-//! * [`parda_threads`] — a shared-memory formulation: chunks are analyzed
-//!   in parallel on worker threads while the cascade folds right to left
-//!   on the caller. Same operation order per engine, lower overhead; used
-//!   by the benchmarks. The windowed streamer ([`crate::phased`]) runs
-//!   each window through this same schedule and fold.
+//! One schedule runs it. The chunks, or work-stealing sub-chunks of them,
+//! are analyzed on panic-isolated worker threads while the cascade folds
+//! right to left on the caller; a worker that panics has its item
+//! re-analyzed by the scalar engine under a [`FaultPolicy`].
+//! [`parda_threads`], [`parda_threads_faulted`] and the windowed streamer
+//! ([`crate::phased`]) all drive it. Where the paper's MPI rank `p` absorbs
+//! its right neighbour's lists over `np − p − 1` message rounds, an item
+//! here absorbs everything its right neighbour would have sent in one
+//! stream: the same operations on every engine, so the same histogram.
 
 use crate::engine::{Engine, MissSink};
 use crate::error::{FaultPolicy, PardaError};
@@ -137,9 +136,8 @@ pub(crate) struct WorkItem<'a> {
 
 /// Subdivide each rank's chunk into work-stealing sub-chunks. Subdivision
 /// only applies in the space-optimized unbounded mode: bounded analysis
-/// pins ∞-collapse decisions to the partition (both drivers must agree
-/// exactly), and the unoptimized ablation ties its `next_ts` bookkeeping
-/// to one item per rank.
+/// pins ∞-collapse decisions to the rank partition, and the unoptimized
+/// ablation ties its `next_ts` bookkeeping to one item per rank.
 pub(crate) fn build_items<'a>(
     chunks: &[&'a [Addr]],
     starts: &[u64],
@@ -167,117 +165,17 @@ pub(crate) fn build_items<'a>(
     items
 }
 
-/// One item per rank — no subdivision. Used by the fault-tolerant driver,
-/// whose rescue/watchdog bookkeeping is per rank.
-fn rank_items<'a>(chunks: &[&'a [Addr]], starts: &[u64]) -> Vec<WorkItem<'a>> {
-    chunks
-        .iter()
-        .zip(starts)
-        .enumerate()
-        .map(|(p, (&chunk, &start))| WorkItem {
-            chunk,
-            start,
-            owner: p,
-        })
-        .collect()
-}
-
-/// Message-passing Parda: the literal Algorithm 3 over a thread-backed
-/// rank world.
+/// Shared-memory Parda: chunk analysis runs on scoped worker threads, the
+/// infinity cascade folds right-to-left on the caller thread.
 ///
-/// Rank `p` processes its chunk, then loops `np − p − 1` more rounds, each
-/// receiving its right neighbour's local infinities, resolving them, and
-/// forwarding the survivors left. Rank 0 counts survivors as global
-/// infinities. The final `reduce_sum` merges per-rank histograms.
-pub fn parda_msg<T: ReuseTree + Default>(trace: &[Addr], config: &PardaConfig) -> ReuseHistogram {
-    parda_msg_with_stats::<T>(trace, config).0
-}
-
-/// [`parda_msg`] with the per-rank observability breakdown: chunk-analysis
-/// time, per-round cascade time and infinity-list lengths — the live
-/// counterpart of the paper's Figure 4 bars.
-pub fn parda_msg_with_stats<T: ReuseTree + Default>(
-    trace: &[Addr],
-    config: &PardaConfig,
-) -> (ReuseHistogram, Vec<RankMetrics>) {
-    let np = config.ranks.max(1);
-    if np == 1 {
-        let (hist, rank) = crate::seq::analyze_sequential_with_stats::<T>(trace, config.bound);
-        return (hist, vec![rank]);
-    }
-    let chunks = chunk_slice(trace, np);
-    let starts = chunk_starts(&chunks, 0);
-
-    let results =
-        parda_comm::World::run::<Vec<Addr>, (ReuseHistogram, RankMetrics), _>(np, |mut ctx| {
-            let p = ctx.rank();
-            let mut engine: Engine<T> = Engine::new(config.bound, chunks[p].len());
-            // `next_ts` only matters for the unoptimized variant, which keeps
-            // inserting stream elements with fresh local timestamps.
-            let mut next_ts = starts[p] + chunks[p].len() as u64;
-            let mut rm = RankMetrics {
-                rank: p,
-                refs: chunks[p].len() as u64,
-                ..Default::default()
-            };
-
-            // Round 0: own chunk.
-            let sw = Stopwatch::start();
-            if p == 0 {
-                engine.process_chunk(chunks[0], starts[0], MissSink::Infinite);
-                rm.chunk_ns = sw.ns();
-            } else {
-                let mut local_inf = Vec::new();
-                engine.process_chunk(chunks[p], starts[p], MissSink::Forward(&mut local_inf));
-                rm.chunk_ns = sw.ns();
-                rm.infinities_forwarded += local_inf.len() as u64;
-                ctx.send(p - 1, local_inf);
-            }
-
-            // Rounds 1..np-p: absorb the right neighbour's infinity stream.
-            for _ in 1..(np - p) {
-                let incoming = ctx.recv_from(p + 1);
-                rm.cascade_rounds += 1;
-                rm.round_infinity_lens.push(incoming.len() as u64);
-                let sw = Stopwatch::start();
-                let mut survivors = Vec::new();
-                if config.space_optimized {
-                    let stats = engine.process_infinities(&incoming, &mut survivors);
-                    rm.record_round(&stats);
-                } else {
-                    engine.process_infinities_unoptimized(&incoming, next_ts, &mut survivors);
-                    next_ts += incoming.len() as u64;
-                    // Keep `round_batch_deletes` aligned with
-                    // `round_infinity_lens` in the ablation mode too.
-                    rm.record_round(&CascadeRoundStats::default());
-                }
-                if p == 0 {
-                    engine.record_global_infinities(survivors.len() as u64);
-                } else {
-                    rm.infinities_forwarded += survivors.len() as u64;
-                    ctx.send(p - 1, survivors);
-                }
-                rm.cascade_ns += sw.ns();
-            }
-            rm.engine = engine.metrics().clone();
-            (engine.into_histogram(), rm)
-        });
-
-    let mut total = ReuseHistogram::new();
-    let mut ranks = Vec::with_capacity(np);
-    for (h, rm) in results {
-        total.merge(&h);
-        ranks.push(rm);
-    }
-    (total, ranks)
-}
-
-/// Shared-memory Parda: chunk analysis runs on `std::thread::scope`
-/// workers, the infinity cascade folds right-to-left on the caller thread.
+/// This is [`parda_threads_faulted`] under [`FaultPolicy::default`]: a
+/// panicking worker's item is rescued with the scalar engine, bit-identically.
+/// A single rank runs the sequential analyzer directly.
 ///
-/// Produces a histogram identical to [`parda_msg`] (property-tested): the
-/// sequence of operations applied to each rank's engine is the same, only
-/// the transport differs.
+/// # Panics
+///
+/// If an item still panics after the default retries, with the
+/// [`PardaError`] message.
 pub fn parda_threads<T: ReuseTree + Default + Send>(
     trace: &[Addr],
     config: &PardaConfig,
@@ -291,50 +189,96 @@ pub fn parda_threads<T: ReuseTree + Default + Send>(
 /// subdivided into up to [`MAX_PARTS_PER_RANK`] work-stealing sub-chunks
 /// (grain [`PardaConfig::subchunk_refs`]); every sub-chunk is an extra
 /// virtual rank in the cascade, so a rank's metrics can report several
-/// `cascade_rounds` whose `round_infinity_lens` sum to what
-/// [`parda_msg_with_stats`] forwards in total. Timing fields accumulate
-/// across a rank's items.
+/// `cascade_rounds`. Timing fields accumulate across a rank's items.
+///
+/// # Panics
+///
+/// As [`parda_threads`].
 pub fn parda_threads_with_stats<T: ReuseTree + Default + Send>(
     trace: &[Addr],
     config: &PardaConfig,
 ) -> (ReuseHistogram, Vec<RankMetrics>) {
-    let np = config.ranks.max(1);
-    if np == 1 {
+    if config.ranks.max(1) == 1 {
         let (hist, rank) = crate::seq::analyze_sequential_with_stats::<T>(trace, config.bound);
         return (hist, vec![rank]);
     }
+    let (hist, metrics, _) = parda_threads_faulted::<T>(trace, config, &FaultPolicy::default())
+        .unwrap_or_else(|e| panic!("{e}"));
+    (hist, metrics)
+}
+
+/// Fault-tolerant shared-memory Parda: the one Algorithm 3 schedule, with
+/// panic-isolated workers, bounded rescue retries, and an optional
+/// watchdog on the cascade waits.
+///
+/// Each work item's chunk analysis (a rank's chunk, or a work-stealing
+/// sub-chunk of it, cut as in [`parda_threads_with_stats`]) runs under
+/// [`catch_unwind`]; a panicking worker publishes a failure marker instead
+/// of killing the run, and the cascade fold re-analyzes that item on the
+/// caller thread with the *scalar* reference engine
+/// ([`Engine::process_chunk_scalar`] — the simplest, most-audited code
+/// path), retrying up to [`FaultPolicy::max_retries`] times with
+/// [`FaultPolicy::retry_backoff`] between attempts. Because the scalar
+/// engine is bit-identical to the batched one, a rescued run produces
+/// exactly the histogram the unfaulted run would have. Exhausted retries
+/// yield [`PardaError::WorkerPanic`]; an item that never publishes within
+/// [`FaultPolicy::watchdog`] yields [`PardaError::Stall`] instead of a
+/// hang. Both name the item's owning rank. Recovery activity is tallied
+/// in the returned [`RecoveryMetrics`] (`rank_retries` / `rank_rescues`,
+/// counted per item).
+pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
+    trace: &[Addr],
+    config: &PardaConfig,
+    policy: &FaultPolicy,
+) -> Result<(ReuseHistogram, Vec<RankMetrics>, RecoveryMetrics), PardaError> {
+    let np = config.ranks.max(1);
     let chunks = chunk_slice(trace, np);
     let starts = chunk_starts(&chunks, 0);
     let items = build_items(&chunks, &starts, config);
     let mut metrics = rank_metrics(np);
+    let mut recovery = RecoveryMetrics::default();
     let mut total = ReuseHistogram::new();
     let globals = cascade_items::<T>(
         &items,
         config,
+        policy,
         &mut metrics,
+        &mut recovery,
         &mut total,
         Vec::new(),
         |_, _| {},
-    );
-    record_globals(globals.len(), &mut metrics, &mut total);
-    (total, metrics)
+    )?;
+    // Every reference left at the leftmost boundary is an authoritative
+    // global infinity, recorded on rank 0.
+    total.record_infinite_n(globals.len() as u64);
+    metrics[0].engine.cold_misses += globals.len() as u64;
+    Ok((total, metrics, recovery))
 }
 
-/// Analyze `items` on the pipelined worker schedule and fold their
-/// cascade ([`fold_cascade`]), returning the stream left at the leftmost
-/// boundary. Histograms and metrics accumulate into `total` and `metrics`.
+/// Analyze `items` on panic-isolated worker threads and fold their cascade
+/// ([`fold_cascade`]), returning the stream left at the leftmost boundary.
+/// Histograms, metrics and rescues accumulate into `total`, `metrics` and
+/// `recovery`.
+///
+/// A worker whose item panics publishes a failure marker, and the fold
+/// rescues the item with the scalar engine under `policy`
+/// ([`claim_item`]). On an error the remaining workers stop claiming
+/// items; the ones in flight finish and are discarded.
 ///
 /// `spares[i]`, when present, is an engine from an earlier run that item
 /// `i`'s worker resets and reuses instead of allocating a new one; every
 /// item's engine is handed to `retire` once folded, live state intact.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn cascade_items<T: ReuseTree + Default + Send>(
     items: &[WorkItem<'_>],
     config: &PardaConfig,
+    policy: &FaultPolicy,
     metrics: &mut [RankMetrics],
+    recovery: &mut RecoveryMetrics,
     total: &mut ReuseHistogram,
     spares: Vec<Option<Engine<T>>>,
     retire: impl FnMut(usize, Engine<T>),
-) -> Vec<Addr> {
+) -> Result<Vec<Addr>, PardaError> {
     let n = items.len();
     let mut spares = spares.into_iter();
     let spares: Vec<Mutex<Option<Engine<T>>>> = (0..n)
@@ -351,13 +295,18 @@ pub(crate) fn cascade_items<T: ReuseTree + Default + Send>(
     // (the serial Figure-4 tail) is gone. Subdivision keeps per-item trees
     // small (cache-resident) and lets an idle worker steal the tail of a
     // slow rank instead of waiting at the rank boundary.
-    let slots: Vec<RankSlot<ChunkResult<T>>> = (0..n).map(|_| RankSlot::default()).collect();
+    let slots: Vec<ItemSlot<Result<ChunkResult<T>, ItemPanic>>> =
+        (0..n).map(|_| ItemSlot::default()).collect();
     let claim = AtomicUsize::new(0);
+    let abort = AtomicBool::new(false);
     let workers = worker_count(config.ranks.max(1));
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
+                if abort.load(Ordering::Relaxed) {
+                    break;
+                }
                 let k = claim.fetch_add(1, Ordering::Relaxed);
                 if k >= n {
                     break;
@@ -365,32 +314,44 @@ pub(crate) fn cascade_items<T: ReuseTree + Default + Send>(
                 let i = n - 1 - k;
                 let item = &items[i];
                 let spare = spares[i].lock().unwrap_or_else(|e| e.into_inner()).take();
-                let engine = match spare {
-                    Some(mut engine) => {
-                        engine.reset();
-                        engine
-                    }
-                    None => Engine::new(config.bound, item.chunk.len()),
-                };
-                slots[i].publish(analyze_rank(engine, item.chunk, item.start, false));
+                // The outer catch_unwind covers the publish itself: a
+                // panic at the `parallel::slot_publish` site poisons the
+                // slot lock *after* the value is stored, and the cascade
+                // side recovers it through the poison-tolerant lock. No
+                // panic may escape a scoped thread — that would abort the
+                // whole scope at join.
+                let _ = catch_unwind(AssertUnwindSafe(|| {
+                    let analyzed = catch_unwind(AssertUnwindSafe(|| {
+                        parda_failpoint::failpoint!("parallel::worker");
+                        parda_failpoint::failpoint!("parallel::worker_stall");
+                        let engine = match spare {
+                            Some(mut engine) => {
+                                engine.reset();
+                                engine
+                            }
+                            None => Engine::new(config.bound, item.chunk.len()),
+                        };
+                        analyze_item(engine, item, false)
+                    }));
+                    *slots[i].lock() = Some(analyzed.map_err(|_| ItemPanic));
+                    parda_failpoint::failpoint!("parallel::slot_publish");
+                }));
+                slots[i].ready.notify_one();
             });
         }
 
-        // The claim closure cannot fail — `Infallible` makes that
-        // type-level: the error arm is an empty match, not a runtime
-        // assertion. The fault-tolerant path is [`parda_threads_faulted`].
-        let folded: Result<_, std::convert::Infallible> = fold_cascade(
+        let folded = fold_cascade(
             items,
             config,
             metrics,
             total,
-            |i| Ok(slots[i].take()),
+            |i| claim_item(&slots[i], &items[i], config, policy, recovery),
             retire,
         );
-        match folded {
-            Ok(stream) => stream,
-            Err(e) => match e {},
+        if folded.is_err() {
+            abort.store(true, Ordering::Relaxed);
         }
+        folded
     })
 }
 
@@ -404,192 +365,70 @@ pub(crate) fn rank_metrics(np: usize) -> Vec<RankMetrics> {
         .collect()
 }
 
-/// The in-memory drivers' leftmost boundary: every reference left in the
-/// final stream is an authoritative global infinity, recorded on rank 0.
-fn record_globals(n: usize, metrics: &mut [RankMetrics], total: &mut ReuseHistogram) {
-    total.record_infinite_n(n as u64);
-    metrics[0].engine.cold_misses += n as u64;
-}
-
-/// Fault-tolerant shared-memory Parda: [`parda_threads`] with
-/// panic-isolated workers, bounded rescue retries, and an optional
-/// watchdog on the cascade waits.
-///
-/// Each rank's chunk analysis runs under [`catch_unwind`]; a panicking
-/// worker publishes a failure marker instead of killing the run, and the
-/// cascade fold re-analyzes that rank on the caller thread with the
-/// *scalar* reference engine ([`Engine::process_chunk_scalar`] — the
-/// simplest, most-audited code path), retrying up to
-/// [`FaultPolicy::max_retries`] times with [`FaultPolicy::retry_backoff`]
-/// between attempts. Because the scalar engine is bit-identical to the
-/// batched one, a rescued run produces exactly the histogram the
-/// unfaulted run would have. Exhausted retries yield
-/// [`PardaError::WorkerPanic`]; a rank that never publishes within
-/// [`FaultPolicy::watchdog`] yields [`PardaError::Stall`] instead of a
-/// hang. Recovery activity is tallied in the returned
-/// [`RecoveryMetrics`] (`rank_retries` / `rank_rescues`).
-pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
-    trace: &[Addr],
-    config: &PardaConfig,
-    policy: &FaultPolicy,
-) -> Result<(ReuseHistogram, Vec<RankMetrics>, RecoveryMetrics), PardaError> {
-    let np = config.ranks.max(1);
-    let chunks = chunk_slice(trace, np);
-    let starts = chunk_starts(&chunks, 0);
-    // Rank granularity (no subdivision): rescue, retry accounting, and the
-    // stall watchdog are all per rank.
-    let items = rank_items(&chunks, &starts);
-    let slots: Vec<RankSlot<Result<ChunkResult<T>, RankPanic>>> =
-        (0..np).map(|_| RankSlot::default()).collect();
-    let claim = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let workers = worker_count(np);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let k = claim.fetch_add(1, Ordering::Relaxed);
-                if k >= np {
-                    break;
-                }
-                let p = np - 1 - k;
-                // The outer catch_unwind covers the publish itself: a
-                // panic at the `parallel::slot_publish` site poisons the
-                // slot lock *after* the value is stored, and the cascade
-                // side recovers it through the poison-tolerant lock. No
-                // panic may escape a scoped thread — that would abort the
-                // whole scope at join.
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    let analyzed = catch_unwind(AssertUnwindSafe(|| {
-                        parda_failpoint::failpoint!("parallel::worker");
-                        parda_failpoint::failpoint!("parallel::worker_stall");
-                        let engine = Engine::new(config.bound, chunks[p].len());
-                        analyze_rank::<T>(engine, chunks[p], starts[p], false)
-                    }));
-                    let mut slot = slots[p].lock();
-                    *slot = Some(analyzed.map_err(|_| RankPanic));
-                    parda_failpoint::failpoint!("parallel::slot_publish");
-                }));
-                slots[p].ready.notify_one();
-            });
-        }
-
-        let mut recovery = RecoveryMetrics::default();
-        let mut metrics = rank_metrics(np);
-        let mut total = ReuseHistogram::new();
-        let folded = fold_cascade(
-            &items,
-            config,
-            &mut metrics,
-            &mut total,
-            |p| {
-                claim_rank(
-                    &slots[p],
-                    chunks[p],
-                    starts[p],
-                    p,
-                    config,
-                    policy,
-                    &mut recovery,
-                )
-            },
-            |_, _| {},
-        );
-        match folded {
-            Ok(globals) => {
-                record_globals(globals.len(), &mut metrics, &mut total);
-                Ok((total, metrics, recovery))
-            }
-            Err(e) => {
-                // Stop workers from claiming further chunks; in-flight
-                // chunks finish and are discarded.
-                abort.store(true, Ordering::Relaxed);
-                Err(e)
-            }
-        }
-    })
-}
-
-/// One rank's chunk analysis: process the chunk (batched or scalar) on an
+/// One item's chunk analysis: process the chunk (batched or scalar) on an
 /// empty engine, return it with the local infinities and wall time.
 /// Shared by the workers and the rescue path.
-fn analyze_rank<T: ReuseTree>(
+fn analyze_item<T: ReuseTree>(
     mut engine: Engine<T>,
-    chunk: &[Addr],
-    start: u64,
+    item: &WorkItem<'_>,
     scalar: bool,
 ) -> ChunkResult<T> {
     let sw = Stopwatch::start();
     let mut local_inf = Vec::new();
+    let sink = MissSink::Forward(&mut local_inf);
     if scalar {
-        engine.process_chunk_scalar(chunk, start, MissSink::Forward(&mut local_inf));
+        engine.process_chunk_scalar(item.chunk, item.start, sink);
     } else {
-        engine.process_chunk(chunk, start, MissSink::Forward(&mut local_inf));
+        engine.process_chunk(item.chunk, item.start, sink);
     }
     (engine, local_inf, sw.ns())
 }
 
-/// Claim rank `p`'s result for the fault-tolerant cascade: wait (with the
-/// policy watchdog), and if the worker panicked, rescue the rank by
-/// re-analyzing its chunk with the scalar engine under bounded retries.
-#[allow(clippy::too_many_arguments)]
-fn claim_rank<T: ReuseTree + Default>(
-    slot: &RankSlot<Result<ChunkResult<T>, RankPanic>>,
-    chunk: &[Addr],
-    start: u64,
-    rank: usize,
+/// Claim `item`'s result for the cascade: wait (with the policy watchdog),
+/// and if its worker panicked, rescue the item by re-analyzing its chunk
+/// with the scalar engine under bounded retries. Errors name the item's
+/// owning rank.
+fn claim_item<T: ReuseTree + Default>(
+    slot: &ItemSlot<Result<ChunkResult<T>, ItemPanic>>,
+    item: &WorkItem<'_>,
     config: &PardaConfig,
     policy: &FaultPolicy,
     recovery: &mut RecoveryMetrics,
 ) -> Result<(ChunkResult<T>, u64), PardaError> {
-    let (outcome, wait_ns) = match slot.take_deadline(policy.watchdog) {
-        Some(v) => v,
-        None => {
-            return Err(PardaError::Stall {
-                rank,
-                deadline: policy
-                    .watchdog
-                    .expect("deadline exists when take times out"),
-            })
-        }
+    let rank = item.owner;
+    let Some((outcome, wait_ns)) = slot.take_deadline(policy.watchdog) else {
+        return Err(PardaError::Stall {
+            rank,
+            deadline: policy
+                .watchdog
+                .expect("deadline exists when take times out"),
+        });
     };
-    match outcome {
-        Ok(result) => Ok((result, wait_ns)),
-        Err(RankPanic) => {
-            let mut attempts = 1u32; // the worker's attempt
-            loop {
-                if attempts > policy.max_retries {
-                    return Err(PardaError::WorkerPanic { rank, attempts });
-                }
-                attempts += 1;
-                recovery.rank_retries += 1;
-                if !policy.retry_backoff.is_zero() {
-                    std::thread::sleep(policy.retry_backoff);
-                }
-                match catch_unwind(AssertUnwindSafe(|| {
-                    analyze_rank::<T>(Engine::new(config.bound, chunk.len()), chunk, start, true)
-                })) {
-                    Ok(result) => {
-                        recovery.rank_rescues += 1;
-                        return Ok((result, wait_ns));
-                    }
-                    Err(_) => continue,
-                }
-            }
+    if let Ok(result) = outcome {
+        return Ok((result, wait_ns));
+    }
+    let mut attempts = 1u32; // the worker's attempt
+    while attempts <= policy.max_retries {
+        attempts += 1;
+        recovery.rank_retries += 1;
+        if !policy.retry_backoff.is_zero() {
+            std::thread::sleep(policy.retry_backoff);
+        }
+        let engine = Engine::new(config.bound, item.chunk.len());
+        if let Ok(result) = catch_unwind(AssertUnwindSafe(|| analyze_item(engine, item, true))) {
+            recovery.rank_rescues += 1;
+            return Ok((result, wait_ns));
         }
     }
+    Err(PardaError::WorkerPanic { rank, attempts })
 }
 
-/// The right-to-left cascade fold shared by [`parda_threads`],
-/// [`parda_threads_faulted`] and the windowed streamer: each item absorbs
+/// The right-to-left cascade fold of [`cascade_items`]: each item absorbs
 /// everything its right neighbour would have sent over all Algorithm 3
 /// rounds — that item's own local infinities followed by the survivors of
 /// what it absorbed from *its* right. `claim(i)` produces item `i`'s
-/// finished chunk analysis plus the wait time, blocking / rescuing as the
-/// driver dictates. Items are virtual ranks; metrics are grouped under
+/// finished chunk analysis plus the wait time, blocking and rescuing as
+/// [`claim_item`] does. Items are virtual ranks; metrics are grouped under
 /// each item's owning rank, with timings accumulated and per-round vectors
 /// pushed per absorbed stream. Each folded engine's histogram is merged
 /// into `total` and the engine handed to `retire`.
@@ -598,18 +437,14 @@ fn claim_rank<T: ReuseTree + Default>(
 /// infinities followed by everything no item resolved, in first-touch
 /// order. The in-memory drivers count it as global infinities; the
 /// windowed streamer hands it to its history.
-///
-/// Generic over the claim error `E` so the plain driver can instantiate
-/// it with [`std::convert::Infallible`] and discharge the error arm with
-/// an empty match.
-fn fold_cascade<T: ReuseTree, E>(
+fn fold_cascade<T: ReuseTree>(
     items: &[WorkItem<'_>],
     config: &PardaConfig,
     metrics: &mut [RankMetrics],
     total: &mut ReuseHistogram,
-    mut claim: impl FnMut(usize) -> Result<(ChunkResult<T>, u64), E>,
+    mut claim: impl FnMut(usize) -> Result<(ChunkResult<T>, u64), PardaError>,
     mut retire: impl FnMut(usize, Engine<T>),
-) -> Result<Vec<Addr>, E> {
+) -> Result<Vec<Addr>, PardaError> {
     for item in items {
         metrics[item.owner].refs += item.chunk.len() as u64;
     }
@@ -657,17 +492,17 @@ fn fold_cascade<T: ReuseTree, E>(
     Ok(stream)
 }
 
-/// A rank's finished chunk analysis: the engine, its local infinities, and
-/// the chunk wall time in nanoseconds.
+/// An item's finished chunk analysis: the engine, its local infinities,
+/// and the chunk wall time in nanoseconds.
 type ChunkResult<T> = (Engine<T>, Vec<Addr>, u64);
 
-/// Marker for a rank whose chunk-analysis worker panicked; the cascade
-/// side rescues the rank by re-analyzing the chunk itself.
-struct RankPanic;
+/// Marker for an item whose chunk-analysis worker panicked; the cascade
+/// side rescues the item by re-analyzing the chunk itself.
+struct ItemPanic;
 
-/// Per-rank completion slot of the pipelined schedule: workers publish a
+/// Per-item completion slot of the pipelined schedule: workers publish a
 /// finished value here; the cascade thread blocks on `take` (or
-/// `take_deadline`) for the one rank it needs next.
+/// `take_deadline`) for the one item it needs next.
 ///
 /// All lock acquisitions shed poison ([`Mutex::lock`] →
 /// `unwrap_or_else(PoisonError::into_inner)`): a worker that panicked
@@ -675,12 +510,12 @@ struct RankPanic;
 /// failpoint — must not take the cascade down with it, and an
 /// `Option<V>` is always observable in a coherent state (the value is
 /// written before any panic window).
-struct RankSlot<V> {
+struct ItemSlot<V> {
     result: Mutex<Option<V>>,
     ready: Condvar,
 }
 
-impl<V> Default for RankSlot<V> {
+impl<V> Default for ItemSlot<V> {
     fn default() -> Self {
         Self {
             result: Mutex::new(None),
@@ -689,19 +524,13 @@ impl<V> Default for RankSlot<V> {
     }
 }
 
-impl<V> RankSlot<V> {
+impl<V> ItemSlot<V> {
     /// Poison-tolerant lock on the slot value.
     fn lock(&self) -> MutexGuard<'_, Option<V>> {
         self.result.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Store a finished value and wake the cascade thread.
-    fn publish(&self, value: V) {
-        *self.lock() = Some(value);
-        self.ready.notify_one();
-    }
-
-    /// Block until the rank's value is published, returning it plus the
+    /// Block until the item's value is published, returning it plus the
     /// time spent waiting — the pipeline bubble recorded as
     /// [`RankMetrics::cascade_wait_ns`].
     fn take(&self) -> (V, u64) {
@@ -713,7 +542,7 @@ impl<V> RankSlot<V> {
         (guard.take().expect("slot is filled"), sw.ns())
     }
 
-    /// [`RankSlot::take`] with a total deadline: `None` on expiry (the
+    /// [`ItemSlot::take`] with a total deadline: `None` on expiry (the
     /// watchdog converts that into [`PardaError::Stall`]).
     fn take_deadline(&self, deadline: Option<Duration>) -> Option<(V, u64)> {
         let Some(limit) = deadline else {
@@ -772,7 +601,6 @@ mod tests {
 
         for np in [2, 3, 4] {
             let cfg = PardaConfig::with_ranks(np);
-            assert_eq!(parda_msg::<SplayTree>(&trace, &cfg), seq, "np={np}");
             assert_eq!(parda_threads::<SplayTree>(&trace, &cfg), seq, "np={np}");
         }
     }
@@ -845,7 +673,6 @@ mod tests {
         let seq = analyze_sequential::<SplayTree>(&trace, None);
         for np in [2, 3, 5, 8] {
             let cfg = PardaConfig::with_ranks(np);
-            assert_eq!(parda_msg::<SplayTree>(&trace, &cfg), seq, "np={np}");
             assert_eq!(parda_threads::<SplayTree>(&trace, &cfg), seq, "np={np}");
         }
 
@@ -862,14 +689,12 @@ mod tests {
         let trace = labels("aba");
         let cfg = PardaConfig::with_ranks(16);
         let seq = analyze_sequential::<SplayTree>(&trace, None);
-        assert_eq!(parda_msg::<SplayTree>(&trace, &cfg), seq);
         assert_eq!(parda_threads::<SplayTree>(&trace, &cfg), seq);
     }
 
     #[test]
     fn empty_trace() {
         let cfg = PardaConfig::with_ranks(4);
-        assert_eq!(parda_msg::<SplayTree>(&[], &cfg).total(), 0);
         assert_eq!(parda_threads::<SplayTree>(&[], &cfg).total(), 0);
     }
 
@@ -878,7 +703,6 @@ mod tests {
         let trace: Vec<Addr> = (0..200).map(|i| (i * 3) % 37).collect();
         let cfg = PardaConfig::with_ranks(1);
         let seq = analyze_sequential::<SplayTree>(&trace, None);
-        assert_eq!(parda_msg::<SplayTree>(&trace, &cfg), seq);
         assert_eq!(parda_threads::<SplayTree>(&trace, &cfg), seq);
     }
 
@@ -887,7 +711,6 @@ mod tests {
         let trace: Vec<Addr> = (0..500).map(|i| (i * 17) % 83).collect();
         let seq = analyze_sequential::<SplayTree>(&trace, None);
         let cfg = PardaConfig::with_ranks(4).space_optimized(false);
-        assert_eq!(parda_msg::<SplayTree>(&trace, &cfg), seq);
         assert_eq!(parda_threads::<SplayTree>(&trace, &cfg), seq);
     }
 
@@ -929,13 +752,6 @@ mod tests {
                 let cfg = PardaConfig::with_ranks(np).bounded(bound);
                 let threads = parda_threads::<SplayTree>(&trace, &cfg);
                 assert_bounded_contract(&threads, &full, bound);
-                // Both parallel drivers apply the identical per-rank
-                // operation sequence, so they agree exactly.
-                assert_eq!(
-                    parda_msg::<SplayTree>(&trace, &cfg),
-                    threads,
-                    "np={np} bound={bound}"
-                );
             }
         }
     }
@@ -1000,6 +816,31 @@ mod tests {
     }
 
     #[test]
+    fn faulted_driver_subdivides_like_the_plain_one() {
+        let trace: Vec<Addr> = (0..3_000).map(|i| (i * 29) % 211).collect();
+        let cfg = PardaConfig::with_ranks(3).subchunk_refs(16);
+        let (hist, metrics, _) =
+            parda_threads_faulted::<SplayTree>(&trace, &cfg, &FaultPolicy::default()).unwrap();
+        let (plain_hist, plain) = parda_threads_with_stats::<SplayTree>(&trace, &cfg);
+        assert_eq!(hist, plain_hist);
+        assert_eq!(metrics.len(), plain.len());
+        for (m, p) in metrics.iter().zip(&plain) {
+            let rank = m.rank;
+            assert_eq!(m.refs, p.refs, "rank {rank}");
+            assert_eq!(m.cascade_rounds, p.cascade_rounds, "rank {rank}");
+            assert_eq!(m.round_infinity_lens, p.round_infinity_lens, "rank {rank}");
+            assert_eq!(
+                m.infinities_forwarded, p.infinities_forwarded,
+                "rank {rank}"
+            );
+        }
+        assert!(
+            metrics.iter().any(|m| m.cascade_rounds > 1),
+            "sub-chunks add cascade rounds within a rank"
+        );
+    }
+
+    #[test]
     fn faulted_driver_watchdog_is_quiet_on_healthy_runs() {
         let trace: Vec<Addr> = (0..800).map(|i| (i * 7) % 89).collect();
         let cfg = PardaConfig::with_ranks(4);
@@ -1046,7 +887,7 @@ mod tests {
             let seq = analyze_sequential::<SplayTree>(&trace, None);
             let cfg = PardaConfig::with_ranks(np);
             prop_assert_eq!(parda_threads::<SplayTree>(&trace, &cfg), seq.clone());
-            prop_assert_eq!(parda_msg::<AvlTree>(&trace, &cfg), seq);
+            prop_assert_eq!(parda_threads::<AvlTree>(&trace, &cfg), seq);
         }
 
         /// Bounded Parda honours the Algorithm 7 contract for every trace,

@@ -7,7 +7,7 @@
 //! work items (one per rank, or sub-chunks of one), the items are analyzed
 //! on the [`parda_threads`](crate::parallel::parda_threads) worker
 //! schedule, and their infinity streams fold right to left through the
-//! same cascade.
+//! same cascade, so a panicked item is rescued as it is in memory.
 //!
 //! The leftmost item of every window's cascade is a persistent *history*:
 //! an `Engine<VectorTree>` — whatever tree the items use — holding the
@@ -27,9 +27,10 @@
 //! [`Mode::Phased`](crate::Mode::Phased).
 
 use crate::engine::Engine;
+use crate::error::FaultPolicy;
 use crate::parallel::{build_items, cascade_items, chunk_starts, rank_metrics, PardaConfig};
 use parda_hist::ReuseHistogram;
-use parda_obs::{PhasedMetrics, RankMetrics, Stopwatch};
+use parda_obs::{PhasedMetrics, RankMetrics, RecoveryMetrics, Stopwatch};
 use parda_trace::{chunk_slice, Addr, AddressStream};
 use parda_tree::{ReuseTree, VectorTree};
 
@@ -80,12 +81,22 @@ where
 /// history's stream absorbs and its `reduction_ns` the history appends.
 /// In the [`PhasedMetrics`], `phases` counts windows,
 /// `phase_reduction_ns[k]` is window `k`'s history append, and `history`
-/// holds the history engine's counters.
+/// holds the history engine's counters. The [`RecoveryMetrics`] count the
+/// items whose panicked worker the scalar engine rescued.
+///
+/// # Panics
+///
+/// If an item still panics after the [`FaultPolicy::default`] retries.
 pub fn parda_phased_with_stats<T, S>(
     mut source: S,
     phase_chunk: usize,
     config: &PardaConfig,
-) -> (ReuseHistogram, Vec<RankMetrics>, PhasedMetrics)
+) -> (
+    ReuseHistogram,
+    Vec<RankMetrics>,
+    PhasedMetrics,
+    RecoveryMetrics,
+)
 where
     T: ReuseTree + Default + Send,
     S: AddressStream,
@@ -99,8 +110,10 @@ where
         ..config.clone()
     };
     let window_refs = np * phase_chunk;
+    let policy = FaultPolicy::default();
     let mut history: Engine<VectorTree> = Engine::new(config.bound, 0);
     let mut metrics = rank_metrics(np);
+    let mut recovery = RecoveryMetrics::default();
     let mut phased = PhasedMetrics::default();
     let mut total = ReuseHistogram::new();
     let mut engines: Vec<Option<Engine<T>>> = Vec::new();
@@ -118,11 +131,14 @@ where
         let mut stream = cascade_items(
             &items,
             &config,
+            &policy,
             &mut metrics,
+            &mut recovery,
             &mut total,
             std::mem::take(&mut engines),
             |i, engine| kept[i] = Some(engine),
-        );
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
 
         // The history is the cascade's leftmost item: whatever it cannot
         // resolve was never accessed before.
@@ -148,7 +164,7 @@ where
     }
     total.merge(history.histogram());
     phased.history = history.metrics().clone();
-    (total, metrics, phased)
+    (total, metrics, phased, recovery)
 }
 
 #[cfg(test)]
@@ -212,7 +228,7 @@ mod tests {
     fn empty_stream_is_fine() {
         let hist = phased::<SplayTree>(&[], 16, &PardaConfig::with_ranks(3));
         assert_eq!(hist.total(), 0);
-        let (_, ranks, metrics) = parda_phased_with_stats::<SplayTree, _>(
+        let (_, ranks, metrics, _) = parda_phased_with_stats::<SplayTree, _>(
             SliceStream::new(&[]),
             16,
             &PardaConfig::with_ranks(3),
@@ -234,7 +250,7 @@ mod tests {
         let trace: Vec<Addr> = (0..1_000).map(|i| (i * 13) % 101).collect();
         let full = analyze_sequential::<SplayTree>(&trace, None);
         let cfg = PardaConfig::with_ranks(3).bounded(16);
-        let (hist, _, metrics) =
+        let (hist, _, metrics, _) =
             parda_phased_with_stats::<SplayTree, _>(SliceStream::new(&trace), 32, &cfg);
         assert_eq!(hist.total(), full.total());
         for d in 0..16u64 {

@@ -21,9 +21,7 @@
 //!   or renderable as an aligned text table (`--stats`).
 //!
 //! Everything here is dependency-free on the hot path; serialization uses
-//! the workspace `serde` value-tree. The optional `tracing` feature makes
-//! [`span`] emit enter/exit lines with durations to stderr; without it a
-//! span is a zero-sized no-op.
+//! the workspace `serde` value-tree.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -631,9 +629,10 @@ pub struct RecoveryMetrics {
     /// Byte-level resync scans performed after losing frame alignment
     /// (BestEffort only).
     pub resyncs: u64,
-    /// Rank analyses re-run after a worker panic.
+    /// Work-item analyses re-run after a worker panic. An item is a
+    /// rank's chunk or a sub-chunk of one; the name predates sub-chunks.
     pub rank_retries: u64,
-    /// Ranks whose result came from a successful re-run on the scalar
+    /// Work items whose result came from a successful re-run on the scalar
     /// reference engine rather than the original worker.
     pub rank_rescues: u64,
     /// Indices of the first quarantined frames (capped — see
@@ -688,8 +687,8 @@ impl RecoveryMetrics {
 /// verbatim by `--stats=json` and rendered by [`Report::render_pretty`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct Report {
-    /// Engine mode label (`seq`, `parda-threads`, `parda-msg`, `phased`,
-    /// `naive`, `sampled`).
+    /// Engine mode label (`seq`, `parda-threads`, `phased`,
+    /// `phased-stream`, `naive`, or an approximate sketch's name).
     pub mode: String,
     /// Tree structure used (`splay`, `avl`, `treap`, `vector`).
     pub tree: String,
@@ -708,9 +707,9 @@ pub struct Report {
     pub stream: Option<StreamMetrics>,
     /// Phase-level aggregates, for the streaming multi-phase engine.
     pub phased: Option<PhasedMetrics>,
-    /// Fault-recovery events (frames skipped, rank retries), when the run
-    /// used a lossy degradation policy or survived injected faults. `None`
-    /// when recovery was never engaged.
+    /// Fault-recovery events (frames skipped, rank retries), for the runs
+    /// that decode with a degradation policy or rescue panicked work
+    /// items. `None` for engines without either.
     pub recovery: Option<RecoveryMetrics>,
     /// Sampling configuration and realized accuracy/memory, when the run
     /// used an approximate (sketch) engine. `None` for exact runs.
@@ -740,6 +739,15 @@ impl Report {
     /// Sum of infinities forwarded across ranks (total cascade traffic).
     pub fn total_infinities_forwarded(&self) -> u64 {
         self.per_rank.iter().map(|r| r.infinities_forwarded).sum()
+    }
+
+    /// Fold `rec` into the report's recovery tally, attaching it when the
+    /// report has none yet.
+    pub fn merge_recovery(&mut self, rec: &RecoveryMetrics) {
+        match self.recovery.as_mut() {
+            Some(existing) => existing.merge(rec),
+            None => self.recovery = Some(rec.clone()),
+        }
     }
 
     /// Render an aligned per-rank table plus pipeline/phase summaries —
@@ -866,53 +874,6 @@ fn fmt_ns(ns: u64) -> String {
         _ => format!("{:.2}s", ns as f64 / 1e9),
     }
 }
-
-/// RAII span: emits `enter`/`exit` lines (with duration) to stderr when the
-/// `tracing` feature is enabled; a no-op otherwise.
-///
-/// ```
-/// let _guard = parda_obs::span("cascade");
-/// // ... work ...
-/// // guard drop emits the exit line under `--features tracing`
-/// ```
-pub fn span(name: &'static str) -> SpanGuard {
-    #[cfg(feature = "tracing")]
-    {
-        eprintln!("[parda-obs] enter {name}");
-        SpanGuard {
-            name,
-            start: Stopwatch::start(),
-        }
-    }
-    #[cfg(not(feature = "tracing"))]
-    {
-        let _ = name;
-        SpanGuard {}
-    }
-}
-
-/// Guard returned by [`span`]; logs the span duration on drop when the
-/// `tracing` feature is on.
-#[cfg(feature = "tracing")]
-pub struct SpanGuard {
-    name: &'static str,
-    start: Stopwatch,
-}
-
-#[cfg(feature = "tracing")]
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        eprintln!(
-            "[parda-obs] exit {} ({})",
-            self.name,
-            fmt_ns(self.start.ns())
-        );
-    }
-}
-
-/// No-op guard (the `tracing` feature is off).
-#[cfg(not(feature = "tracing"))]
-pub struct SpanGuard {}
 
 #[cfg(test)]
 mod tests {
@@ -1268,10 +1229,5 @@ mod tests {
         assert_eq!(fmt_ns(1_500_000), "1500.00us");
         assert_eq!(fmt_ns(25_000_000), "25.00ms");
         assert_eq!(fmt_ns(12_000_000_000), "12.00s");
-    }
-
-    #[test]
-    fn span_guard_is_droppable() {
-        let _g = span("test");
     }
 }

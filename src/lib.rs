@@ -23,7 +23,8 @@
 //! * [`hash`] — the Robin Hood hash-table substrate;
 //! * [`obs`] — observability: counters, stopwatches, and the per-rank
 //!   analysis [`Report`](obs::Report) behind `--stats`;
-//! * [`comm`] — the rank/message-passing substrate standing in for MPI;
+//! * [`comm`] — the bounded trace pipe standing in for the Linux pipe
+//!   between tracer and analyzer;
 //! * [`cachesim`] — LRU cache simulators (validation ground truth);
 //! * [`pinsim`] — synthetic instrumented programs standing in for Pin.
 //!
@@ -68,7 +69,7 @@ pub mod prelude {
         recommend_partition, shared_metrics, ConcurrentAnalysis, InterleaveModel, PartitionPlan,
     };
     pub use parda_core::object::{analyze_by_region, RegionAnalysis, RegionMap};
-    pub use parda_core::parallel::{parda_msg, parda_threads, parda_threads_faulted};
+    pub use parda_core::parallel::{parda_threads, parda_threads_faulted};
     pub use parda_core::phased::{parda_phased, Reduction};
     pub use parda_core::seq::{analyze_naive, analyze_sequential, SequentialAnalyzer};
     pub use parda_core::{

@@ -1,7 +1,7 @@
 //! Batched-vs-scalar engine equivalence: the prefetch-batched hot path of
 //! [`Engine::process_chunk`] must be bit-identical to the scalar reference
 //! loop ([`Engine::process_chunk_scalar`]) under every analyzer driver —
-//! sequential, message-passing, pipelined shared-memory, and multi-phase —
+//! sequential, pipelined shared-memory, and windowed streaming —
 //! for all four tree structures, with the space optimization both on and
 //! off.
 //!
@@ -10,7 +10,7 @@
 //! independently-auditable Algorithm 1 transcription, so agreement here is
 //! the correctness argument for the whole hot-path rewrite.
 
-use parda_core::parallel::{parda_msg, parda_threads};
+use parda_core::parallel::parda_threads;
 use parda_core::phased::parda_phased;
 use parda_core::{Engine, MissSink, PardaConfig};
 use parda_hist::ReuseHistogram;
@@ -40,7 +40,6 @@ fn assert_all_drivers_match<T: ReuseTree + Default + Send>(
     engine.process_chunk(trace, 0, MissSink::Infinite);
     assert_eq!(engine.into_histogram(), expected, "seq (batched)");
 
-    assert_eq!(parda_msg::<T>(trace, &config), expected, "msg");
     assert_eq!(parda_threads::<T>(trace, &config), expected, "threads");
 
     // Phase chunk > BATCH so the phased engines hit the batched path too.

@@ -1,12 +1,12 @@
 //! Cascade observability invariants: the per-rank [`RankMetrics`] emitted
-//! by both parallel drivers and the windowed streamer must tell a
+//! by the parallel driver and the windowed streamer must tell a
 //! self-consistent story about the infinity cascade — every forwarded
 //! stream is received exactly once,
 //! round vectors stay aligned, batch-delete tallies reconcile with the
 //! engines' stream-hit counters, and the new merge/batch timing fields
 //! never exceed the enclosing cascade time.
 
-use parda_core::parallel::{parda_msg_with_stats, parda_threads_with_stats, MAX_PARTS_PER_RANK};
+use parda_core::parallel::{parda_threads_with_stats, MAX_PARTS_PER_RANK};
 use parda_core::phased::Reduction;
 use parda_core::{Analysis, Mode, PardaConfig};
 use parda_obs::RankMetrics;
@@ -67,24 +67,6 @@ fn assert_space_opt_accounting(metrics: &[RankMetrics]) {
 }
 
 #[test]
-fn msg_round_structure_is_exact() {
-    let trace = modular_trace(4_000, 509, 13);
-    for np in [2usize, 3, 5] {
-        let cfg = PardaConfig::with_ranks(np);
-        let (_, metrics) = parda_msg_with_stats::<SplayTree>(&trace, &cfg);
-        assert_eq!(metrics.len(), np);
-        for (p, m) in metrics.iter().enumerate() {
-            assert_eq!(m.rank, p);
-            // Algorithm 3: rank p performs exactly np − p − 1 absorb rounds,
-            // counted whether or not the incoming list is empty.
-            assert_eq!(m.cascade_rounds, (np - p - 1) as u64, "np={np} rank={p}");
-        }
-        assert_common_invariants(&metrics);
-        assert_space_opt_accounting(&metrics);
-    }
-}
-
-#[test]
 fn threads_rounds_bounded_by_subdivision() {
     let trace = modular_trace(6_000, 701, 17);
     for np in [2usize, 4] {
@@ -140,8 +122,6 @@ fn batched_rounds_populate_delete_and_timing_fields() {
 fn unoptimized_mode_keeps_rounds_aligned() {
     let trace = modular_trace(3_000, 401, 7);
     let cfg = PardaConfig::with_ranks(3).space_optimized(false);
-    let (_, msg) = parda_msg_with_stats::<AvlTree>(&trace, &cfg);
-    assert_common_invariants(&msg);
     let (_, threads) = parda_threads_with_stats::<AvlTree>(&trace, &cfg);
     assert_common_invariants(&threads);
 }
@@ -179,7 +159,7 @@ fn streamed_report_conserves_cascade_mass() {
 
 proptest! {
     /// The invariants hold for every trace shape, rank count, tree, and
-    /// subdivision grain, in both drivers.
+    /// subdivision grain.
     #[test]
     fn cascade_invariants_prop(
         trace in proptest::collection::vec(0u64..128, 0..600),
@@ -187,9 +167,9 @@ proptest! {
         grain in 1usize..300,
     ) {
         let cfg = PardaConfig::with_ranks(np);
-        let (_, msg) = parda_msg_with_stats::<Treap>(&trace, &cfg);
-        assert_common_invariants(&msg);
-        assert_space_opt_accounting(&msg);
+        let (_, whole) = parda_threads_with_stats::<Treap>(&trace, &cfg);
+        assert_common_invariants(&whole);
+        assert_space_opt_accounting(&whole);
 
         let sub = cfg.subchunk_refs(grain);
         let (_, threads) = parda_threads_with_stats::<VectorTree>(&trace, &sub);

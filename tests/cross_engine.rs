@@ -43,9 +43,9 @@ fn all_engines_agree_on_spec_workloads() {
                 "{name}: parda p={ranks}"
             );
             assert_eq!(
-                parda_msg::<AvlTree>(trace.as_slice(), &cfg),
+                parda_threads::<AvlTree>(trace.as_slice(), &cfg),
                 reference,
-                "{name}: parda-msg p={ranks}"
+                "{name}: parda avl p={ranks}"
             );
         }
         assert_eq!(

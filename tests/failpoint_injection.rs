@@ -42,6 +42,39 @@ fn worker_panic_is_rescued_bit_identically() {
 }
 
 #[test]
+fn worker_panic_in_a_windowed_file_run_is_rescued_and_reported() {
+    let _g = exclusive();
+    let trace = sample_trace(6000);
+    let dir = std::env::temp_dir().join("parda-failpoint-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("windowed-rescue.trc");
+    let f = std::fs::File::create(&path).unwrap();
+    write_trace_v2_framed(f, &Trace::from_vec(trace.clone()), Encoding::Raw, 64).unwrap();
+
+    // Three windows of 4 × 500 references, streamed from the v2 file.
+    let analysis = Analysis::new()
+        .mode(Mode::Phased {
+            chunk: 500,
+            reduction: Reduction::ShipToRankZero,
+        })
+        .ranks(4)
+        .stats(true);
+    let expected = analyze_sequential::<SplayTree>(&trace, None);
+
+    parda_failpoint::configure("parallel::worker", "1*panic").unwrap();
+    let (hist, report) = analysis.run_file(&path).unwrap();
+    parda_failpoint::clear();
+    assert_eq!(hist, expected, "rescued histogram must be bit-identical");
+    let report = report.expect("stats requested");
+    assert_eq!(report.mode, "phased-stream");
+    let recovery = report.recovery.expect("recovery attached");
+    assert_eq!(recovery.rank_rescues, 1);
+    assert_eq!(recovery.rank_retries, 1);
+    assert_eq!(recovery.frames_skipped, 0, "no frame was lost");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn exhausted_retries_surface_as_worker_panic() {
     let _g = exclusive();
     let trace = sample_trace(2000);

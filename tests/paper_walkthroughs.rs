@@ -106,6 +106,4 @@ fn table3_three_processor_analysis() {
     assert_eq!(reference.infinite(), 9);
     let parallel = parda_threads::<SplayTree>(trace.as_slice(), &PardaConfig::with_ranks(3));
     assert_eq!(parallel, reference);
-    let message_passing = parda_msg::<SplayTree>(trace.as_slice(), &PardaConfig::with_ranks(3));
-    assert_eq!(message_passing, reference);
 }
