@@ -157,15 +157,21 @@ step "windowed stream smoke (default analyze and --engine parda == sequential sp
 # 600K refs over 200K addresses: three 4 × 65,536-ref windows, each
 # resolving against a history of up to 200K addresses. Both exact paths
 # default to the vector tree, so the oracle names the splay tree: a
-# different structure from the ones it checks.
+# different structure from the ones it checks. The `small-windows` run
+# cuts the same trace into 49 windows of 3 × 4,096 refs, the last one
+# ragged, so many hand-offs pass through the history stage.
 cargo run -q -p parda-cli --bin parda -- \
     gen --pattern zipf --footprint 200000 --refs 600000 --seed 5 \
     --out "$smoke_dir/windows.trc"
 cargo run -q -p parda-cli --bin parda -- \
     analyze "$smoke_dir/windows.trc" --engine seq --tree splay --json > "$smoke_dir/seq.json"
-for engine in default parda; do
+for engine in default small-windows parda; do
     engine_args=()
-    [[ $engine == default ]] || engine_args=(--engine "$engine")
+    case $engine in
+        default) ;;
+        small-windows) engine_args=(--chunk 4096 --ranks 3) ;;
+        *) engine_args=(--engine "$engine") ;;
+    esac
     cargo run -q -p parda-cli --bin parda -- \
         analyze "$smoke_dir/windows.trc" "${engine_args[@]}" --json > "$smoke_dir/$engine.json"
     if ! cmp -s "$smoke_dir/$engine.json" "$smoke_dir/seq.json"; then

@@ -310,15 +310,6 @@ fn write_stats_json(
     Ok(())
 }
 
-/// Decoder pool size for policy-aware stream opens — the same default
-/// [`FramedStream::open`] uses.
-fn stream_decoders() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8)
-}
-
 /// `parda analyze`: run an analyzer over a trace file and print the binned
 /// histogram and timing.
 pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -398,7 +389,7 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // it is destroyed and the policy is best-effort, fall back to the
     // in-memory salvage decoder below.
     let streamed = if use_stream {
-        match FramedStream::open_with_policy(path, stream_decoders(), degradation) {
+        match FramedStream::open_with_policy(path, FramedStream::default_decoders(), degradation) {
             Ok(stream) => {
                 let builder = builder.clone().mode(Mode::Phased { chunk, reduction });
                 let errors = stream.error_handle();
@@ -493,7 +484,7 @@ pub fn mrc(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // salvage decoder under best-effort.
     let streamed = if args.has("stream") || peek_version(path).map_err(PardaError::from)? == 2 {
         let ranks: usize = args.get_parsed("ranks", 4)?;
-        match FramedStream::open_with_policy(path, stream_decoders(), degradation) {
+        match FramedStream::open_with_policy(path, FramedStream::default_decoders(), degradation) {
             Ok(stream) => {
                 let errors = stream.error_handle();
                 let counters = stream.stats_handle();

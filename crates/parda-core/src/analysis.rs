@@ -33,7 +33,7 @@ use crate::error::{FaultPolicy, PardaError};
 use crate::parallel::PardaConfig;
 use crate::phased::Reduction;
 use parda_hist::ReuseHistogram;
-use parda_obs::{EngineMetrics, PhasedMetrics, RankMetrics, Report, Stopwatch, StreamMetrics};
+use parda_obs::{EngineMetrics, PhasedMetrics, RankMetrics, RecoveryMetrics, Report, Stopwatch};
 use parda_trace::stream::FramedStream;
 use parda_trace::{Addr, AddressStream, Degradation, SliceStream};
 use parda_tree::TreeKind;
@@ -287,9 +287,16 @@ impl Analysis {
         }
         let config = self.config();
         let sw = Stopwatch::start();
-        let (hist, per_rank, phased) =
+        let (hist, per_rank, phased, recovery) =
             dispatch_tree!(self.tree, T, { self.run_typed::<T>(trace, &config) });
-        self.finish(hist, per_rank, phased, None, trace.len() as u64, sw.ns())
+        self.finish(
+            hist,
+            per_rank,
+            phased,
+            recovery,
+            trace.len() as u64,
+            sw.ns(),
+        )
     }
 
     /// Analyze an address stream with the windowed streaming engine (the
@@ -393,7 +400,8 @@ impl Analysis {
     /// into [`PardaError::Stall`]. Other modes run through
     /// [`Analysis::run`]: the sequential engines are single-threaded, so a
     /// panic there is a programming error that should surface, and
-    /// [`Mode::Phased`] rescues its items under the default policy.
+    /// [`Mode::Phased`] rescues its items under the default policy and
+    /// counts them in the report's `recovery`.
     pub fn run_faulted(
         &self,
         trace: &[Addr],
@@ -406,12 +414,14 @@ impl Analysis {
         let (hist, per_rank, recovery) = dispatch_tree!(self.tree, T, {
             crate::parallel::parda_threads_faulted::<T>(trace, &config, &self.fault)
         })?;
-        let (hist, mut report) =
-            self.finish(hist, per_rank, None, None, trace.len() as u64, sw.ns());
-        if let Some(r) = report.as_mut() {
-            r.recovery = Some(recovery);
-        }
-        Ok((hist, report))
+        Ok(self.finish(
+            hist,
+            per_rank,
+            None,
+            Some(recovery),
+            trace.len() as u64,
+            sw.ns(),
+        ))
     }
 
     /// Analyze a trace file end to end under the builder's fault policy.
@@ -447,7 +457,11 @@ impl Analysis {
         if (matches!(self.mode, Mode::Phased { .. }) || !self.approx.is_exact())
             && parda_trace::io::peek_version(path)? == 2
         {
-            match FramedStream::open_with_policy(path, stream_decoders(), degradation) {
+            match FramedStream::open_with_policy(
+                path,
+                FramedStream::default_decoders(),
+                degradation,
+            ) {
                 Ok(stream) => {
                     let errors = stream.error_handle();
                     let recovery = stream.recovery_handle();
@@ -478,34 +492,39 @@ impl Analysis {
         Ok((hist, report))
     }
 
-    /// One engine run with a concrete tree type.
+    /// One engine run with a concrete tree type: the histogram, per-rank
+    /// metrics, and the windowed streamer's window aggregates and rescue
+    /// tally.
     fn run_typed<T: parda_tree::ReuseTree + Default + Send>(
         &self,
         trace: &[Addr],
         config: &PardaConfig,
-    ) -> (ReuseHistogram, Vec<RankMetrics>, Option<PhasedMetrics>) {
+    ) -> (
+        ReuseHistogram,
+        Vec<RankMetrics>,
+        Option<PhasedMetrics>,
+        Option<RecoveryMetrics>,
+    ) {
         match self.mode {
             Mode::Seq => {
                 let (hist, rm) = crate::seq::analyze_sequential_with_stats::<T>(trace, self.bound);
-                (hist, vec![rm], None)
+                (hist, vec![rm], None, None)
             }
             Mode::Naive => {
                 let sw = Stopwatch::start();
                 let hist = crate::seq::analyze_naive(trace);
                 let rm = untimed_rank_metrics(trace.len() as u64, &hist, sw.ns());
-                (hist, vec![rm], None)
+                (hist, vec![rm], None, None)
             }
             Mode::Threads => {
                 let (hist, ranks) = crate::parallel::parda_threads_with_stats::<T>(trace, config);
-                (hist, ranks, None)
+                (hist, ranks, None, None)
             }
             Mode::Phased { chunk, .. } => {
-                let (hist, ranks, phased, _) = crate::phased::parda_phased_with_stats::<T, _>(
-                    SliceStream::new(trace),
-                    chunk,
-                    config,
-                );
-                (hist, ranks, Some(phased))
+                let source = SliceStream::new(trace);
+                let (hist, ranks, phased, recovery) =
+                    crate::phased::parda_phased_with_stats::<T, _>(source, chunk, config);
+                (hist, ranks, Some(phased), Some(recovery))
             }
         }
     }
@@ -515,7 +534,7 @@ impl Analysis {
         hist: ReuseHistogram,
         per_rank: Vec<RankMetrics>,
         phased: Option<PhasedMetrics>,
-        stream: Option<StreamMetrics>,
+        recovery: Option<RecoveryMetrics>,
         trace_refs: u64,
         total_ns: u64,
     ) -> (ReuseHistogram, Option<Report>) {
@@ -531,23 +550,14 @@ impl Analysis {
             trace_refs,
             total_ns,
             per_rank,
-            stream,
+            stream: None,
             phased,
-            recovery: None,
+            recovery,
             approx: None,
             shared: None,
         };
         (hist, Some(report))
     }
-}
-
-/// Decoder-thread count for [`Analysis::run_file`]'s streaming path —
-/// the same default [`FramedStream::open`] uses.
-fn stream_decoders() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8)
 }
 
 /// Rank metrics for the engines without internal instrumentation (naïve

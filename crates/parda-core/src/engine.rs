@@ -532,6 +532,14 @@ impl<T: ReuseTree> Engine<T> {
         self.tree.to_sorted_vec()
     }
 
+    /// [`Engine::export_state`] into a caller-owned buffer, replacing its
+    /// contents and keeping its allocation — the windowed streamer's
+    /// per-item hand-off to its history stage ([`crate::phased`]).
+    pub fn export_state_into(&self, out: &mut Vec<(u64, Addr)>) {
+        out.clear();
+        self.tree.collect_in_order(out);
+    }
+
     /// Append live `(timestamp, addr)` pairs, in increasing timestamp order
     /// and all newer than every entry the engine holds — the windowed
     /// streamer's history append ([`crate::phased`]). On a
@@ -751,6 +759,10 @@ mod tests {
         assert_eq!(a.live(), 4);
         assert_eq!(state.len(), 4);
         assert!(state.windows(2).all(|w| w[0].0 < w[1].0), "ts-ordered");
+        // The buffered export replaces a reused buffer's stale contents.
+        let mut reused = vec![(99, 99)];
+        a.export_state_into(&mut reused);
+        assert_eq!(reused, state);
 
         let mut b: Engine<AvlTree> = Engine::new(None, 0);
         b.import_state(&state);

@@ -17,7 +17,20 @@
 //! count` (Algorithm 4), misses are global infinities. Then each item's
 //! surviving live state is appended in timestamp order. Every item
 //! timestamp is newer than everything in the history, so the append is an
-//! O(window) tail append, not an O(M) rebuild; peak state is O(M + window).
+//! O(window) tail append, not an O(M) rebuild.
+//!
+//! The history runs as its own pipeline stage: one thread owns it for the
+//! whole stream. As a window's cascade retires each item, the main thread
+//! copies the item's live state into a reused buffer. It then hands the
+//! stage the leftover stream and those buffers over a rendezvous channel
+//! and goes straight on to the next window's items, reusing the item
+//! engines. The stage absorbs and appends window `k` while the items of
+//! window `k + 1` run, with the same calls in the same order as a serial
+//! loop, so every histogram, counter and bounded-mode eviction is the
+//! serial one. Peak state is O(M + window): the history, one window of
+//! item engines, and at most two windows of exported state (16 B per live
+//! address) and leftover streams — the one the stage is working on and the
+//! one waiting to be handed over.
 //!
 //! This replaces the paper's Algorithm 6, which drains every rank's state
 //! onto one rank at each phase boundary and rebuilds it there — O(M) per
@@ -33,6 +46,8 @@ use parda_hist::ReuseHistogram;
 use parda_obs::{PhasedMetrics, RankMetrics, RecoveryMetrics, Stopwatch};
 use parda_trace::{chunk_slice, Addr, AddressStream};
 use parda_tree::{ReuseTree, VectorTree};
+use std::panic::resume_unwind;
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 
 /// The retired Algorithm 6 reduction choice. The windowed streamer has no
 /// state reduction to choose; the type remains so existing
@@ -44,6 +59,9 @@ pub enum Reduction {
     #[default]
     ShipToRankZero,
 }
+
+/// Each item's exported live state, in item (and so timestamp) order.
+type ItemStates = Vec<Vec<(u64, Addr)>>;
 
 /// Streaming Parda: analyze `source` in windows of `np · phase_chunk`
 /// references (paper Algorithm 5) over a persistent history.
@@ -76,17 +94,26 @@ where
 
 /// [`parda_phased`] plus the observability breakdown.
 ///
+/// The calling thread reads the windows and folds their cascades; the
+/// history absorbs and appends on a stage thread of its own, one window
+/// behind. Each hand-off is a rendezvous, so the caller waits there
+/// whenever the history is the slower side.
+///
 /// The per-rank metrics group each window's items under their owning rank,
 /// accumulated over all windows; rank 0's `cascade_ns` also holds the
-/// history's stream absorbs and its `reduction_ns` the history appends.
-/// In the [`PhasedMetrics`], `phases` counts windows,
-/// `phase_reduction_ns[k]` is window `k`'s history append, and `history`
-/// holds the history engine's counters. The [`RecoveryMetrics`] count the
-/// items whose panicked worker the scalar engine rescued.
+/// history's stream absorbs and its `reduction_ns` the history appends,
+/// both wall time on the stage thread. In the [`PhasedMetrics`], `phases`
+/// counts windows, `phase_reduction_ns[k]` is window `k`'s history append,
+/// `history_wait_ns` is the time the caller spent blocked handing windows
+/// to the stage, and `history` holds the history engine's counters. The
+/// [`RecoveryMetrics`] count the items whose panicked worker the scalar
+/// engine rescued.
 ///
 /// # Panics
 ///
-/// If an item still panics after the [`FaultPolicy::default`] retries.
+/// If an item still panics after the [`FaultPolicy::default`] retries, with
+/// the [`PardaError`](crate::PardaError) message; if the history stage
+/// panics, with the stage's own panic.
 pub fn parda_phased_with_stats<T, S>(
     mut source: S,
     phase_chunk: usize,
@@ -111,60 +138,110 @@ where
     };
     let window_refs = np * phase_chunk;
     let policy = FaultPolicy::default();
-    let mut history: Engine<VectorTree> = Engine::new(config.bound, 0);
     let mut metrics = rank_metrics(np);
     let mut recovery = RecoveryMetrics::default();
     let mut phased = PhasedMetrics::default();
     let mut total = ReuseHistogram::new();
-    let mut engines: Vec<Option<Engine<T>>> = Vec::new();
-    let mut window: Vec<Addr> = Vec::with_capacity(window_refs);
-    let mut base = 0u64;
-    loop {
-        window.clear();
-        if source.fill(&mut window, window_refs) == 0 {
-            break;
-        }
-        let chunks = chunk_slice(&window, np);
-        let starts = chunk_starts(&chunks, base);
-        let items = build_items(&chunks, &starts, &config);
-        let mut kept: Vec<Option<Engine<T>>> = items.iter().map(|_| None).collect();
-        let mut stream = cascade_items(
-            &items,
-            &config,
-            &policy,
-            &mut metrics,
-            &mut recovery,
-            &mut total,
-            std::mem::take(&mut engines),
-            |i, engine| kept[i] = Some(engine),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
+    let history = std::thread::scope(|scope| {
+        // Capacity 0: `send` returns only once the stage has taken the
+        // window, so at most two windows' hand-offs are alive at a time.
+        let (handoff, windows) = sync_channel::<(Vec<Addr>, ItemStates)>(0);
+        let (recycle, drained) = channel::<ItemStates>();
+        let stage = scope.spawn(move || history_stage(config.bound, windows, recycle));
+        let mut engines: Vec<Option<Engine<T>>> = Vec::new();
+        let mut window: Vec<Addr> = Vec::with_capacity(window_refs);
+        let mut base = 0u64;
+        loop {
+            window.clear();
+            if source.fill(&mut window, window_refs) == 0 {
+                break;
+            }
+            let chunks = chunk_slice(&window, np);
+            let starts = chunk_starts(&chunks, base);
+            let items = build_items(&chunks, &starts, &config);
+            let mut states = drained.try_recv().unwrap_or_default();
+            states.resize_with(items.len(), Vec::new);
+            let mut kept: Vec<Option<Engine<T>>> = items.iter().map(|_| None).collect();
+            let stream = cascade_items(
+                &items,
+                &config,
+                &policy,
+                &mut metrics,
+                &mut recovery,
+                &mut total,
+                std::mem::take(&mut engines),
+                |i, engine| {
+                    engine.export_state_into(&mut states[i]);
+                    kept[i] = Some(engine);
+                },
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
 
+            let sw = Stopwatch::start();
+            // A closed hand-off means the stage panicked: stop reading and
+            // let the join below re-raise its panic.
+            if handoff.send((stream, states)).is_err() {
+                break;
+            }
+            phased.history_wait_ns += sw.ns();
+            phased.phases += 1;
+            engines = kept;
+            base += window.len() as u64;
+        }
+        drop(handoff);
+        stage.join().unwrap_or_else(|panic| resume_unwind(panic))
+    });
+    metrics[0].cascade_ns += history.absorb_ns;
+    metrics[0].reduction_ns += history.append_ns.iter().sum::<u64>();
+    total.merge(history.engine.histogram());
+    phased.phase_reduction_ns = history.append_ns;
+    phased.history = history.engine.metrics().clone();
+    (total, metrics, phased, recovery)
+}
+
+/// The history stage's result: the engine and its absorb and append times.
+struct History {
+    engine: Engine<VectorTree>,
+    /// Wall time of all the stream absorbs.
+    absorb_ns: u64,
+    /// Wall time of each window's append.
+    append_ns: Vec<u64>,
+}
+
+/// The history stage: for each window handed over, absorb its leftover
+/// stream, then append its items' state, and send the state buffers back
+/// on `recycle` for reuse. Returns once the sender hangs up.
+fn history_stage(
+    bound: Option<u64>,
+    windows: Receiver<(Vec<Addr>, ItemStates)>,
+    recycle: Sender<ItemStates>,
+) -> History {
+    let mut history = History {
+        engine: Engine::new(bound, 0),
+        absorb_ns: 0,
+        append_ns: Vec::new(),
+    };
+    while let Ok((mut stream, states)) = windows.recv() {
+        parda_failpoint::failpoint!("phased::history");
         // The history is the cascade's leftmost item: whatever it cannot
         // resolve was never accessed before.
         let sw = Stopwatch::start();
-        history.process_infinities_in_place(&mut stream);
-        history.record_global_infinities(stream.len() as u64);
-        history.reset_phase_counters();
-        metrics[0].cascade_ns += sw.ns();
+        history.engine.process_infinities_in_place(&mut stream);
+        history.engine.record_global_infinities(stream.len() as u64);
+        history.engine.reset_phase_counters();
+        history.absorb_ns += sw.ns();
 
         // Items cover ascending timestamp ranges, left to right, all newer
         // than the history: appending them in order keeps it sorted.
         let sw = Stopwatch::start();
-        for engine in kept.iter().flatten() {
-            history.import_state(&engine.export_state());
+        for state in &states {
+            history.engine.import_state(state);
         }
-        let append_ns = sw.ns();
-        phased.phases += 1;
-        phased.phase_reduction_ns.push(append_ns);
-        metrics[0].reduction_ns += append_ns;
-
-        engines = kept;
-        base += window.len() as u64;
+        history.append_ns.push(sw.ns());
+        // This fails only while the caller unwinds; the buffers just drop.
+        let _ = recycle.send(states);
     }
-    total.merge(history.histogram());
-    phased.history = history.metrics().clone();
-    (total, metrics, phased, recovery)
+    history
 }
 
 #[cfg(test)]

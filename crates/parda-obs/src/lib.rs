@@ -212,6 +212,9 @@ pub struct PhasedMetrics {
     /// Per-window wall time of appending the items' live state to the
     /// persistent history.
     pub phase_reduction_ns: Vec<u64>,
+    /// Time the streamer spent blocked handing windows to its history
+    /// stage: large when the history, not the items, is the bottleneck.
+    pub history_wait_ns: u64,
     /// The persistent history engine's counters: its stream absorbs, the
     /// global infinities it records, and its live-set high-water mark
     /// (at most the number of distinct addresses).
@@ -798,9 +801,11 @@ impl Report {
         if let Some(p) = &self.phased {
             let reduction_total: u64 = p.phase_reduction_ns.iter().sum();
             out.push_str(&format!(
-                "phases={} reduction_total={} (history appends) history_live_hwm={}\n",
+                "phases={} reduction_total={} (history appends) history_wait={} \
+                 history_live_hwm={}\n",
                 p.phases,
                 fmt_ns(reduction_total),
+                fmt_ns(p.history_wait_ns),
                 p.history.live_hwm,
             ));
         }
@@ -1012,6 +1017,7 @@ mod tests {
             phased: Some(PhasedMetrics {
                 phases: 2,
                 phase_reduction_ns: vec![5, 10],
+                history_wait_ns: 7,
                 ..Default::default()
             }),
             ..Default::default()
@@ -1020,6 +1026,7 @@ mod tests {
         assert!(text.contains("mode=parda-msg"));
         assert!(text.contains("rank"));
         assert!(text.contains("phases=2"));
+        assert!(text.contains("history_wait=7ns"), "{text}");
         assert!(text.contains("stream: frames=0"));
         assert_eq!(text.lines().count(), 6, "{text}");
     }

@@ -103,13 +103,19 @@ pub struct FramedStream {
 }
 
 impl FramedStream {
-    /// Open a v2 trace with a decoder pool sized from the machine.
+    /// Open a v2 trace with a decoder pool sized from the machine
+    /// ([`FramedStream::default_decoders`]).
     pub fn open<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        let decoders = std::thread::available_parallelism()
+        Self::open_with(path, Self::default_decoders())
+    }
+
+    /// The default decoder-pool size: the machine's available parallelism,
+    /// between 1 and 8 threads.
+    pub fn default_decoders() -> usize {
+        std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-            .clamp(1, 8);
-        Self::open_with(path, decoders)
+            .clamp(1, 8)
     }
 
     /// Open a v2 trace with an explicit number of decoder threads.

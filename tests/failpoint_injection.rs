@@ -1,6 +1,7 @@
 //! Fault injection through the `failpoints` feature: deterministic panics,
 //! stalls, and decode failures at named sites, driven through the faulted
-//! parallel driver and the recovering trace decoders. Compiled (and run by
+//! parallel driver, the windowed streamer and its history stage, and the
+//! recovering trace decoders. Compiled (and run by
 //! `ci.sh`) only with `--features failpoints`; the sites cost nothing in
 //! normal builds.
 #![cfg(feature = "failpoints")]
@@ -9,7 +10,7 @@ use parda::prelude::*;
 use parda::trace::io::{write_trace_v2_framed, Encoding};
 use parda::trace::load_trace_recovering;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The failpoint registry is process-global; every test serializes on this
 /// and starts from a clean slate.
@@ -72,6 +73,106 @@ fn worker_panic_in_a_windowed_file_run_is_rescued_and_reported() {
     assert_eq!(recovery.rank_retries, 1);
     assert_eq!(recovery.frames_skipped, 0, "no frame was lost");
     std::fs::remove_file(&path).unwrap();
+}
+
+/// The in-memory windowed streamer, three windows of 4 × 500 references.
+fn windowed(tree: TreeKind) -> Analysis {
+    Analysis::new()
+        .mode(Mode::Phased {
+            chunk: 500,
+            reduction: Reduction::ShipToRankZero,
+        })
+        .ranks(4)
+        .tree(tree)
+        .stats(true)
+}
+
+/// Run `f` on a thread of its own and return its panic message, failing
+/// instead of hanging if it has neither returned nor panicked in 10 s.
+fn panic_message(f: impl FnOnce() + Send + 'static) -> String {
+    let run = std::thread::spawn(f);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !run.is_finished() {
+        assert!(Instant::now() < deadline, "the run hung");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let payload = run.join().expect_err("the run must panic");
+    *payload
+        .downcast::<String>()
+        .expect("a formatted panic message")
+}
+
+#[test]
+fn windowed_in_memory_runs_report_their_rescue() {
+    let _g = exclusive();
+    let trace = sample_trace(6000);
+    let expected = analyze_sequential::<SplayTree>(&trace, None);
+    let analysis = windowed(TreeKind::Splay);
+
+    // Four items per window: the sixth worker hit is an item of window 2.
+    parda_failpoint::configure("parallel::worker", "1*every(6)*panic").unwrap();
+    let (hist, report) = analysis.run(&trace);
+    assert_eq!(hist, expected, "rescued histogram must be bit-identical");
+    let recovery = report.unwrap().recovery.expect("recovery attached");
+    assert_eq!(recovery.rank_rescues, 1);
+
+    parda_failpoint::configure("parallel::worker", "1*every(6)*panic").unwrap();
+    let (hist, report) = analysis.run_faulted(&trace).unwrap();
+    parda_failpoint::clear();
+    assert_eq!(hist, expected);
+    assert_eq!(report.unwrap().recovery.unwrap().rank_rescues, 1);
+}
+
+#[test]
+fn rescue_in_a_middle_window_keeps_the_history_accounting() {
+    let _g = exclusive();
+    let trace = sample_trace(6000);
+    let expected = analyze_sequential::<SplayTree>(&trace, None);
+    for tree in [TreeKind::Splay, TreeKind::Vector] {
+        parda_failpoint::configure("parallel::worker", "1*every(6)*panic").unwrap();
+        let (hist, report) = windowed(tree).run_stream(SliceStream::new(&trace));
+        parda_failpoint::clear();
+        assert_eq!(
+            hist, expected,
+            "{tree:?}: rescued histogram must be bit-identical"
+        );
+        let report = report.expect("stats requested");
+        assert_eq!(report.recovery.unwrap().rank_rescues, 1, "{tree:?}");
+        let phased = report.phased.expect("windowed stats");
+        assert_eq!(phased.phases, 3, "{tree:?}");
+        assert_eq!(phased.phase_reduction_ns.len() as u64, phased.phases);
+        assert_eq!(
+            report.per_rank[0].reduction_ns,
+            phased.phase_reduction_ns.iter().sum::<u64>(),
+            "{tree:?}: rank 0 carries the history appends"
+        );
+    }
+}
+
+#[test]
+fn windowed_item_past_its_retries_ends_the_run_with_its_error() {
+    let _g = exclusive();
+    // An item of window 2 panics on its worker and in every rescue.
+    parda_failpoint::configure("parallel::worker", "every(6)*panic").unwrap();
+    parda_failpoint::configure("engine::process_chunk_scalar", "panic").unwrap();
+    let message = panic_message(|| {
+        let trace = sample_trace(6000);
+        windowed(TreeKind::Vector).run_stream(SliceStream::new(&trace));
+    });
+    parda_failpoint::clear();
+    assert!(message.contains("worker panicked"), "got {message:?}");
+}
+
+#[test]
+fn history_stage_panic_is_re_raised() {
+    let _g = exclusive();
+    parda_failpoint::configure("phased::history", "1*panic").unwrap();
+    let message = panic_message(|| {
+        let trace = sample_trace(6000);
+        windowed(TreeKind::Vector).run_stream(SliceStream::new(&trace));
+    });
+    parda_failpoint::clear();
+    assert_eq!(message, "failpoint phased::history panic");
 }
 
 #[test]
