@@ -180,6 +180,27 @@ for engine in default small-windows parda; do
     fi
 done
 
+step "peak-memory smoke (release analyze of the windowed trace must stay under the committed RSS ceiling)"
+# Run the release binary itself, not `cargo run`: RUSAGE_CHILDREN would
+# count cargo too. The ceiling holds on the core count it was measured on.
+cargo build -q --release -p parda-cli
+python3 - target/release/parda "$smoke_dir/windows.trc" BENCH_memory_floor.json "$(nproc)" <<'EOF'
+import json, resource, subprocess, sys
+binary, trace, gate_path, nproc = sys.argv[1:]
+gate = json.load(open(gate_path))
+if int(nproc) != gate["host"]["nproc"]:
+    print(f"  skipped: the ceiling was measured on {gate['host']['nproc']} cores,"
+          f" this host has {nproc}")
+    sys.exit(0)
+subprocess.run([binary, "analyze", trace, "--json"], stdout=subprocess.DEVNULL, check=True)
+peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+ceiling = gate["ceilings_mib"]["analyze"]
+ok = peak_mib <= ceiling
+print(f"  analyze windows.trc: peak RSS {peak_mib:.1f} MiB (ceiling {ceiling} MiB)"
+      f" {'ok' if ok else 'REGRESSED'}")
+sys.exit(0 if ok else 1)
+EOF
+
 step "corruption smoke (checksums catch a flipped byte; best-effort recovers)"
 cargo run -q -p parda-cli --bin parda -- \
     gen --pattern zipf --footprint 2000 --refs 200000 --out "$smoke_dir/dirty.trc"

@@ -3,9 +3,9 @@
 use crate::{Args, CliError};
 use parda_core::phased::Reduction;
 use parda_core::{
-    analyze_concurrent_kind, default_granularity, interleave_threads, recommend_partition,
-    shared_metrics, Analysis, ApproxMode, Degradation, FaultPolicy, InterleaveModel, Mode,
-    PardaError, Report,
+    analyze_concurrent_kind, check_limits, default_granularity, interleave_threads,
+    recommend_partition, shared_metrics, Analysis, ApproxMode, Degradation, FaultPolicy,
+    InterleaveModel, Mode, PardaError, Report,
 };
 use parda_obs::SharedMetrics;
 use parda_pinsim::{collect_mt_trace, collect_trace};
@@ -341,6 +341,8 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let bound: Option<u64> = args.get_optional("bound")?;
     let ranks: usize = args.get_parsed("ranks", 4)?;
     let line_bits: u32 = args.get_parsed("line-bits", 0)?;
+    let chunk: usize = args.get_parsed("chunk", 65_536)?;
+    check_limits(ranks, Some(chunk), bound, line_bits)?;
     let stats_fmt = stats_format(args)?;
     let degradation = parse_degradation(args)?;
     let approx = parse_approx(args)?;
@@ -374,7 +376,6 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let use_stream = requested_stream
         || (version == 2 && line_bits == 0 && (engine == "phased" || args.get("engine").is_none()));
 
-    let chunk: usize = args.get_parsed("chunk", 65_536)?;
     let reduction = Reduction::ShipToRankZero;
 
     let builder = Analysis::new()
@@ -484,6 +485,7 @@ pub fn mrc(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // salvage decoder under best-effort.
     let streamed = if args.has("stream") || peek_version(path).map_err(PardaError::from)? == 2 {
         let ranks: usize = args.get_parsed("ranks", 4)?;
+        check_limits(ranks, None, None, 0)?;
         match FramedStream::open_with_policy(path, FramedStream::default_decoders(), degradation) {
             Ok(stream) => {
                 let errors = stream.error_handle();
@@ -558,6 +560,7 @@ pub fn stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 pub fn compare(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args.require_positional(0, "trace file")?;
     let ranks: usize = args.get_parsed("ranks", 4)?;
+    check_limits(ranks, None, None, 0)?;
     let naive_limit: usize = args.get_parsed("naive-limit", 50_000)?;
     let trace = load_trace(path).map_err(io_err)?;
 

@@ -166,3 +166,62 @@ fn mrc_streams_v2_and_matches_sequential() {
     std::fs::remove_file(&v1).unwrap();
     std::fs::remove_file(&v2).unwrap();
 }
+
+/// Out-of-range sizes are configuration errors (exit 1, `[config]`),
+/// never a panic or an allocation that aborts the process.
+#[test]
+fn out_of_range_sizes_exit_1_as_config_errors() {
+    let path = tmp("limits.v2.trc");
+    let (code, out) = run_to_string(&[
+        "gen",
+        "--pattern",
+        "zipf",
+        "--footprint",
+        "2000",
+        "--refs",
+        "20000",
+        "--out",
+        &path,
+    ]);
+    assert_eq!(code, 0, "gen failed: {out}");
+
+    let huge_ranks = "1000000000000";
+    for argv in [
+        &["analyze", &path, "--chunk", "0"][..],
+        &["analyze", &path, "--bound", "0"],
+        &["analyze", &path, "--engine", "parda", "--bound", "0"],
+        &["analyze", &path, "--engine", "parda", "--line-bits", "64"],
+        &["analyze", &path, "--engine", "parda", "--line-bits", "70"],
+        &["analyze", &path, "--ranks", huge_ranks],
+        &["analyze", &path, "--engine", "parda", "--ranks", huge_ranks],
+        &["analyze", &path, "--ranks", "1025"],
+        &[
+            "analyze",
+            &path,
+            "--ranks",
+            "1024",
+            "--chunk",
+            "18014398509481985",
+        ],
+        &["mrc", &path, "--ranks", huge_ranks],
+        &["compare", &path, "--ranks", huge_ranks],
+    ] {
+        let (code, out) = run_to_string(argv);
+        assert_eq!(code, 1, "{argv:?}: {out}");
+        assert!(out.contains("error: [config]"), "{argv:?}: {out}");
+    }
+
+    // A window larger than the trace is legal: the streamer grows its
+    // buffer to what the file holds instead of reserving the window.
+    let (code, default) = run_to_string(&["analyze", &path, "--json"]);
+    assert_eq!(code, 0, "{default}");
+    let (code, one_window) =
+        run_to_string(&["analyze", &path, "--chunk", "1099511627776", "--json"]);
+    assert_eq!(code, 0, "{one_window}");
+    assert_eq!(one_window, default);
+    let (code, most_ranks) = run_to_string(&["analyze", &path, "--ranks", "1024", "--json"]);
+    assert_eq!(code, 0, "{most_ranks}");
+    assert_eq!(most_ranks, default);
+
+    std::fs::remove_file(&path).unwrap();
+}

@@ -68,7 +68,7 @@ pub use concurrent::{
 };
 pub use engine::{Engine, MissSink};
 pub use error::{FaultPolicy, PardaError};
-pub use parallel::{parda_threads_faulted, PardaConfig};
+pub use parallel::{check_limits, parda_threads_faulted, PardaConfig};
 pub use parda_obs::Report;
 pub use parda_trace::Degradation;
 pub use session::{SessionAnalysis, SessionStep};

@@ -101,6 +101,49 @@ impl PardaConfig {
     }
 }
 
+/// Most ranks a run accepts. The paper ran at most 64 processes; every rank
+/// costs per-rank state before the first reference arrives.
+pub const MAX_RANKS: usize = 1024;
+
+/// Check the sizes a user asked for before any driver allocates or asserts
+/// on them; the CLI and the daemon's CONFIG parser both call this. `chunk`
+/// is the streamer's references per rank per window (`None`: the default)
+/// and `line_bits` the address fold (`0`: none).
+///
+/// # Errors
+///
+/// [`PardaError::Config`] for a zero bound or chunk, a fold of 64 bits or
+/// more, more than [`MAX_RANKS`] ranks, or a window (`ranks × chunk`) past
+/// `usize::MAX`.
+pub fn check_limits(
+    ranks: usize,
+    chunk: Option<usize>,
+    bound: Option<u64>,
+    line_bits: u32,
+) -> Result<(), PardaError> {
+    let refuse = |msg: String| Err(PardaError::Config(msg));
+    if bound == Some(0) {
+        return refuse("bound must be at least 1".into());
+    }
+    if chunk == Some(0) {
+        return refuse("chunk must be at least 1".into());
+    }
+    if line_bits >= 64 {
+        return refuse(format!("line-bits {line_bits} must be below 64"));
+    }
+    if ranks > MAX_RANKS {
+        return refuse(format!("ranks {ranks} exceeds the maximum of {MAX_RANKS}"));
+    }
+    if let Some(chunk) = chunk {
+        if ranks.max(1).checked_mul(chunk).is_none() {
+            return refuse(format!(
+                "a window of {ranks} ranks × chunk {chunk} overflows"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Default sub-chunk grain: large enough that chunk analysis dominates the
 /// per-item cascade absorb, small enough that per-item trees stay within
 /// the outer cache levels on dense traces.
@@ -584,6 +627,29 @@ mod tests {
 
     fn labels(s: &str) -> Vec<Addr> {
         s.bytes().map(u64::from).collect()
+    }
+
+    #[test]
+    fn check_limits_refuses_sizes_no_driver_can_take() {
+        assert!(check_limits(4, Some(65_536), Some(1), 63).is_ok());
+        assert!(check_limits(0, None, None, 0).is_ok(), "0 ranks runs as 1");
+        assert!(check_limits(MAX_RANKS, Some(usize::MAX / MAX_RANKS), None, 0).is_ok());
+        for (ranks, chunk, bound, line_bits) in [
+            (4, None, Some(0), 0),
+            (4, Some(0), None, 0),
+            (4, None, None, 64),
+            (4, None, None, 70),
+            (MAX_RANKS + 1, None, None, 0),
+            (1_000_000_000_000, None, None, 0),
+            (2, Some(usize::MAX / 2 + 1), None, 0),
+        ] {
+            let err = check_limits(ranks, chunk, bound, line_bits).unwrap_err();
+            assert_eq!(
+                err.class(),
+                "config",
+                "{ranks} {chunk:?} {bound:?} {line_bits}"
+            );
+        }
     }
 
     /// Paper Table II trace: two chunks, local vs global distances.

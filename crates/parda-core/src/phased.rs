@@ -136,7 +136,7 @@ where
         space_optimized: true,
         ..config.clone()
     };
-    let window_refs = np * phase_chunk;
+    let window_refs = np.saturating_mul(phase_chunk);
     let policy = FaultPolicy::default();
     let mut metrics = rank_metrics(np);
     let mut recovery = RecoveryMetrics::default();
@@ -149,7 +149,9 @@ where
         let (recycle, drained) = channel::<ItemStates>();
         let stage = scope.spawn(move || history_stage(config.bound, windows, recycle));
         let mut engines: Vec<Option<Engine<T>>> = Vec::new();
-        let mut window: Vec<Addr> = Vec::with_capacity(window_refs);
+        // `fill` grows the buffer to what the stream delivers: a window
+        // larger than the whole stream reserves nothing up front.
+        let mut window: Vec<Addr> = Vec::new();
         let mut base = 0u64;
         loop {
             window.clear();

@@ -10,6 +10,9 @@
 //! * the bounded algorithm (paper Algorithm 7) deletes evicted victims, so
 //!   deletion must not poison the table — backward-shift deletion leaves no
 //!   tombstones and keeps probe distances tight;
+//! * the table grows with the address footprint, so a slot holds only its
+//!   key, its value and one byte of probe length — 17 bytes for
+//!   `u64 → u64` — and fills fewer cache lines and pages;
 //! * keys are word-granular addresses, hashed with one multiply via
 //!   [`crate::fx_hash_u64`].
 
@@ -46,18 +49,24 @@ impl FixedKey for usize {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Slot<K, V> {
-    key: K,
-    value: V,
-    /// Probe distance from the home bucket, plus one. Zero marks an empty
-    /// slot, which lets `Option`-free occupancy checks stay in one word.
-    dib: u32,
+/// Slot byte of an entry whose probe distance is 255 or more. The byte then
+/// says only "at least 255": the exact distance is recomputed from the
+/// resident key's home slot.
+const SATURATED: u8 = u8::MAX;
+
+/// The slot byte for an entry `dib - 1` slots past its home.
+#[inline]
+fn dib_byte(dib: usize) -> u8 {
+    dib.min(SATURATED as usize) as u8
 }
 
 /// Open-addressing hash map with Robin Hood probing.
 ///
 /// Capacity is always a power of two; the table resizes at 87.5% load.
+/// Each slot is a bare `(K, V)` entry plus one byte in a parallel array
+/// holding the entry's probe distance from its home slot, plus one. A zero
+/// byte marks an empty slot, so an entry is meaningful only while its byte
+/// is non-zero. For `u64 → u64` that is 17 bytes a slot.
 ///
 /// # Examples
 ///
@@ -72,18 +81,22 @@ struct Slot<K, V> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct RobinHoodMap<K, V> {
-    slots: Vec<Option<Slot<K, V>>>,
+    /// Per slot: probe distance plus one, saturating at [`SATURATED`];
+    /// zero marks an empty slot.
+    dibs: Vec<u8>,
+    /// Per slot: the resident pair, stale wherever `dibs` is zero.
+    entries: Vec<(K, V)>,
     mask: usize,
     len: usize,
 }
 
-impl<K: FixedKey, V> Default for RobinHoodMap<K, V> {
+impl<K: FixedKey + Default, V: Copy + Default> Default for RobinHoodMap<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: FixedKey, V> RobinHoodMap<K, V> {
+impl<K: FixedKey + Default, V: Copy + Default> RobinHoodMap<K, V> {
     const MIN_CAPACITY: usize = 8;
 
     /// Create an empty map with a small initial capacity.
@@ -97,10 +110,9 @@ impl<K: FixedKey, V> RobinHoodMap<K, V> {
         // Head-room for the 7/8 load factor, then round up to a power of two.
         let wanted = capacity.max(Self::MIN_CAPACITY) * 8 / 7 + 1;
         let cap = wanted.next_power_of_two();
-        let mut slots = Vec::new();
-        slots.resize_with(cap, || None);
         Self {
-            slots,
+            dibs: vec![0; cap],
+            entries: vec![(K::default(), V::default()); cap],
             mask: cap - 1,
             len: 0,
         }
@@ -120,14 +132,13 @@ impl<K: FixedKey, V> RobinHoodMap<K, V> {
 
     /// Current slot count (diagnostic; not the number of entries).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.dibs.len()
     }
 
-    /// Remove all entries, keeping the allocation.
+    /// Remove all entries, keeping the allocation. Only the slot bytes are
+    /// rewritten: the entries behind them go stale.
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
-        }
+        self.dibs.fill(0);
         self.len = 0;
     }
 
@@ -136,111 +147,106 @@ impl<K: FixedKey, V> RobinHoodMap<K, V> {
         (fx_hash_u64(key.as_u64()) as usize) & self.mask
     }
 
-    /// Issue a software prefetch for `key`'s home slot (and the line after
-    /// it, covering the short Robin Hood probe tail). Purely a latency hint:
-    /// the batched engine hot path calls this for a whole batch of keys
-    /// before probing, turning a chain of dependent cache misses into
-    /// overlapped ones. No-op on architectures without a prefetch intrinsic.
+    /// Issue a software prefetch for `key`'s home slot: its entry and its
+    /// byte. Purely a latency hint: the batched engine hot path calls this
+    /// for a whole batch of keys before probing, turning a chain of
+    /// dependent cache misses into overlapped ones. No-op on architectures
+    /// without a prefetch intrinsic.
     #[inline]
     pub fn prefetch(&self, key: K) {
         let idx = self.home(key);
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `idx <= mask` keeps the base pointer in-bounds; the line
-        // after it may be one-past-the-end (wrapping_add, never
-        // dereferenced) — prefetch has no architectural effect beyond the
-        // cache even for unmapped addresses.
+        // SAFETY: `idx <= mask` and both arrays hold `mask + 1` slots, so
+        // both pointers are in bounds; prefetch has no architectural effect
+        // beyond the cache.
         unsafe {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let base = self.slots.as_ptr().add(idx) as *const i8;
-            _mm_prefetch(base, _MM_HINT_T0);
-            _mm_prefetch(base.wrapping_add(64), _MM_HINT_T0);
+            _mm_prefetch(self.entries.as_ptr().add(idx) as *const i8, _MM_HINT_T0);
+            _mm_prefetch(self.dibs.as_ptr().add(idx) as *const i8, _MM_HINT_T0);
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = idx;
     }
 
-    /// Look up `key`, returning a reference to its value.
+    /// Probe distance plus one of slot `idx`'s entry; 0 if the slot is
+    /// empty. Exact past 255 too: a saturated byte recomputes it from the
+    /// resident key's home.
     #[inline]
-    pub fn get(&self, key: K) -> Option<&V> {
-        let mut idx = self.home(key);
-        let mut dib: u32 = 1;
-        loop {
-            match &self.slots[idx] {
-                None => return None,
-                Some(slot) => {
-                    if slot.key == key {
-                        return Some(&slot.value);
-                    }
-                    // Robin Hood invariant: if this resident is closer to its
-                    // home than we are to ours, the key cannot be further on.
-                    if slot.dib < dib {
-                        return None;
-                    }
-                }
-            }
-            idx = (idx + 1) & self.mask;
-            dib += 1;
+    fn dib(&self, idx: usize) -> usize {
+        match self.dibs[idx] {
+            SATURATED => (idx.wrapping_sub(self.home(self.entries[idx].0)) & self.mask) + 1,
+            byte => byte as usize,
         }
     }
 
-    /// Look up `key`, returning a mutable reference to its value.
+    /// `true` if a probe that reaches slot `idx` at distance `dib` stops
+    /// there: the slot is empty, or its resident sits nearer its home. By
+    /// the Robin Hood invariant the probed key cannot be at or past it.
     #[inline]
-    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
+    fn stops(&self, idx: usize, dib: usize) -> bool {
+        let byte = self.dibs[idx];
+        (byte as usize) < dib && (byte < SATURATED || self.dib(idx) < dib)
+    }
+
+    /// Slot holding `key`, if present.
+    #[inline]
+    fn find(&self, key: K) -> Option<usize> {
         let mut idx = self.home(key);
-        let mut dib: u32 = 1;
-        loop {
-            match &self.slots[idx] {
-                None => return None,
-                Some(slot) => {
-                    if slot.key == key {
-                        // Re-borrow mutably; the borrow checker cannot see
-                        // through the loop otherwise.
-                        return self.slots[idx].as_mut().map(|s| &mut s.value);
-                    }
-                    if slot.dib < dib {
-                        return None;
-                    }
-                }
+        let mut dib = 1;
+        while !self.stops(idx, dib) {
+            if self.entries[idx].0 == key {
+                return Some(idx);
             }
             idx = (idx + 1) & self.mask;
             dib += 1;
         }
+        None
+    }
+
+    /// Look up `key`, returning a reference to its value.
+    #[inline]
+    pub fn get(&self, key: K) -> Option<&V> {
+        self.find(key).map(|idx| &self.entries[idx].1)
     }
 
     /// `true` if `key` is present.
     #[inline]
     pub fn contains_key(&self, key: K) -> bool {
-        self.get(key).is_some()
+        self.find(key).is_some()
     }
 
     /// Insert `key → value`; returns the previous value if the key was
     /// already present.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        if (self.len + 1) * 8 > self.slots.len() * 7 {
+        if (self.len + 1) * 8 > self.capacity() * 7 {
             self.grow();
         }
         let mut idx = self.home(key);
-        let mut incoming = Slot { key, value, dib: 1 };
-        loop {
-            match &mut self.slots[idx] {
-                empty @ None => {
-                    *empty = Some(incoming);
-                    self.len += 1;
-                    return None;
-                }
-                Some(resident) => {
-                    if resident.key == incoming.key {
-                        return Some(std::mem::replace(&mut resident.value, incoming.value));
-                    }
-                    if resident.dib < incoming.dib {
-                        // Rob from the rich: displace the resident that is
-                        // closer to home and keep probing with it.
-                        std::mem::swap(resident, &mut incoming);
-                    }
-                }
+        let mut dib = 1;
+        while !self.stops(idx, dib) {
+            if self.entries[idx].0 == key {
+                return Some(std::mem::replace(&mut self.entries[idx].1, value));
             }
             idx = (idx + 1) & self.mask;
-            incoming.dib += 1;
+            dib += 1;
+        }
+        // `key` is absent and belongs at `idx`. Rob from the rich: each slot
+        // that stops the carried entry takes it and hands on its resident,
+        // until an empty slot ends the chain.
+        self.len += 1;
+        let mut carried = (key, value);
+        loop {
+            if self.stops(idx, dib) {
+                let resident = self.dib(idx);
+                self.dibs[idx] = dib_byte(dib);
+                carried = std::mem::replace(&mut self.entries[idx], carried);
+                if resident == 0 {
+                    return None;
+                }
+                dib = resident;
+            }
+            idx = (idx + 1) & self.mask;
+            dib += 1;
         }
     }
 
@@ -248,77 +254,46 @@ impl<K: FixedKey, V> RobinHoodMap<K, V> {
     /// deletion: subsequent displaced entries slide one slot back toward
     /// their home buckets, so no tombstones are needed.
     pub fn remove(&mut self, key: K) -> Option<V> {
-        let mut idx = self.home(key);
-        let mut dib: u32 = 1;
-        loop {
-            match &self.slots[idx] {
-                None => return None,
-                Some(slot) => {
-                    if slot.key == key {
-                        break;
-                    }
-                    if slot.dib < dib {
-                        return None;
-                    }
-                }
-            }
-            idx = (idx + 1) & self.mask;
-            dib += 1;
-        }
-        let removed = self.slots[idx].take().expect("found slot is occupied");
+        let mut hole = self.find(key)?;
+        let removed = self.entries[hole].1;
         self.len -= 1;
-        // Backward shift: pull each follower with dib > 1 one slot closer.
-        let mut hole = idx;
+        // Backward shift: pull each follower not at its home one slot back.
         loop {
             let next = (hole + 1) & self.mask;
-            match &self.slots[next] {
-                Some(slot) if slot.dib > 1 => {
-                    let mut moved = self.slots[next].take().expect("checked occupied");
-                    moved.dib -= 1;
-                    self.slots[hole] = Some(moved);
-                    hole = next;
-                }
-                _ => break,
+            let dib = self.dib(next);
+            if dib <= 1 {
+                break;
             }
+            self.entries[hole] = self.entries[next];
+            self.dibs[hole] = dib_byte(dib - 1);
+            hole = next;
         }
-        Some(removed.value)
+        self.dibs[hole] = 0;
+        Some(removed)
     }
 
-    /// Iterate over `(key, &value)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> + '_ {
-        self.slots
-            .iter()
-            .filter_map(|slot| slot.as_ref().map(|s| (s.key, &s.value)))
-    }
-
-    /// Drain all entries, leaving the map empty but allocated.
-    pub fn drain(&mut self) -> impl Iterator<Item = (K, V)> + '_ {
-        self.len = 0;
-        self.slots
-            .iter_mut()
-            .filter_map(|slot| slot.take().map(|s| (s.key, s.value)))
-    }
-
-    /// Longest probe distance currently present (diagnostic for tests and
-    /// benchmarks; 0 for an empty map).
-    pub fn max_probe_distance(&self) -> u32 {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|s| s.dib)
+    /// Longest probe distance currently present, exact past 255
+    /// (diagnostic for tests and benchmarks; 0 for an empty map).
+    pub fn max_probe_distance(&self) -> usize {
+        (0..self.capacity())
+            .map(|idx| self.dib(idx))
             .max()
             .unwrap_or(0)
     }
 
     fn grow(&mut self) {
-        let new_cap = self.slots.len() * 2;
-        let mut old = Vec::new();
-        old.resize_with(new_cap, || None);
-        std::mem::swap(&mut self.slots, &mut old);
+        let new_cap = self.capacity() * 2;
+        let dibs = std::mem::replace(&mut self.dibs, vec![0; new_cap]);
+        let entries = std::mem::replace(
+            &mut self.entries,
+            vec![(K::default(), V::default()); new_cap],
+        );
         self.mask = new_cap - 1;
         self.len = 0;
-        for slot in old.into_iter().flatten() {
-            self.insert(slot.key, slot.value);
+        for (&byte, &(key, value)) in dibs.iter().zip(&entries) {
+            if byte != 0 {
+                self.insert(key, value);
+            }
         }
     }
 }
@@ -390,15 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_mutates_in_place() {
-        let mut map = RobinHoodMap::new();
-        map.insert(7u64, 10u64);
-        *map.get_mut(7).unwrap() += 5;
-        assert_eq!(map.get(7), Some(&15));
-        assert_eq!(map.get_mut(8), None);
-    }
-
-    #[test]
     fn clear_retains_capacity() {
         let mut map = RobinHoodMap::new();
         for i in 0u64..1_000 {
@@ -413,22 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_and_drain_visit_everything() {
-        let mut map = RobinHoodMap::new();
-        for i in 0u64..64 {
-            map.insert(i, i * 2);
-        }
-        let mut seen: Vec<u64> = map.iter().map(|(k, _)| k).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..64).collect::<Vec<_>>());
-
-        let drained: HashMap<u64, u64> = map.drain().collect();
-        assert_eq!(drained.len(), 64);
-        assert!(map.is_empty());
-        assert_eq!(map.get(1), None);
-    }
-
-    #[test]
     fn probe_distances_stay_bounded_at_load() {
         let mut map = RobinHoodMap::with_capacity(16);
         for i in 0u64..100_000 {
@@ -440,6 +390,63 @@ mod tests {
             "max probe distance {} is pathological",
             map.max_probe_distance()
         );
+    }
+
+    #[test]
+    fn colliding_keys_past_the_byte_limit() {
+        // The rotate-xor of `k << 26` keeps its 26 low bits zero and the
+        // multiply cannot set them, and 0 and u64::MAX hash to 0: every key
+        // here shares home slot 0, so the cluster is as long as the map,
+        // far past the 255 a slot byte holds.
+        let keys: Vec<u64> = (1u64..=1_200)
+            .map(|k| k << 26)
+            .chain([0, u64::MAX])
+            .collect();
+        assert!(keys.iter().all(|&k| fx_hash_u64(k) & ((1 << 26) - 1) == 0));
+        let mut ours: RobinHoodMap<u64, u64> = RobinHoodMap::new();
+        let mut reference: HashMap<u64, u64> = HashMap::new();
+        let sweep = |ours: &RobinHoodMap<u64, u64>, reference: &HashMap<u64, u64>| {
+            assert_eq!(ours.len(), reference.len());
+            for &k in &keys {
+                assert_eq!(ours.get(k), reference.get(&k), "key {k:#x}");
+            }
+        };
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(ours.insert(k, i as u64), reference.insert(k, i as u64));
+        }
+        sweep(&ours, &reference);
+        assert_eq!(ours.max_probe_distance(), keys.len());
+
+        // Interleave overwrites, fresh inserts and removes (7 in 16) over
+        // the same keys; the live set hovers near 680, still past 255.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..6_000u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let k = keys[(state % keys.len() as u64) as usize];
+            if state >> 60 < 7 {
+                assert_eq!(ours.remove(k), reference.remove(&k), "step {step}");
+            } else {
+                assert_eq!(
+                    ours.insert(k, step),
+                    reference.insert(k, step),
+                    "step {step}"
+                );
+            }
+            assert_eq!(ours.len(), reference.len());
+            assert_eq!(ours.get(k), reference.get(&k), "step {step}");
+            if step % 1_000 == 999 {
+                sweep(&ours, &reference);
+                assert_eq!(ours.max_probe_distance(), ours.len());
+            }
+        }
+        for &k in &keys {
+            assert_eq!(ours.insert(k, k), reference.insert(k, k));
+        }
+        sweep(&ours, &reference);
+        assert!(ours.max_probe_distance() >= 1_000);
+        assert_eq!(ours.max_probe_distance(), keys.len());
     }
 
     proptest! {

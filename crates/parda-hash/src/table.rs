@@ -85,26 +85,6 @@ impl LastAccessTable {
     pub fn clear(&mut self) {
         self.map.clear();
     }
-
-    /// Iterate over `(addr, timestamp)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.map.iter().map(|(k, v)| (k, *v))
-    }
-
-    /// Drain all `(addr, timestamp)` pairs.
-    pub fn drain(&mut self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.map.drain()
-    }
-}
-
-impl FromIterator<(u64, u64)> for LastAccessTable {
-    fn from_iter<I: IntoIterator<Item = (u64, u64)>>(iter: I) -> Self {
-        let mut table = Self::new();
-        for (addr, ts) in iter {
-            table.record(addr, ts);
-        }
-        table
-    }
 }
 
 #[cfg(test)]
@@ -130,25 +110,5 @@ mod tests {
         assert_eq!(t.forget(1), None);
         assert_eq!(t.last_access(1), None);
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn from_iter_takes_last_write() {
-        let t: LastAccessTable = vec![(1u64, 1u64), (2, 2), (1, 9)].into_iter().collect();
-        assert_eq!(t.last_access(1), Some(9));
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn drain_empties_table() {
-        let mut t = LastAccessTable::new();
-        for i in 0..10u64 {
-            t.record(i, i + 100);
-        }
-        let mut pairs: Vec<_> = t.drain().collect();
-        pairs.sort_unstable();
-        assert_eq!(pairs.len(), 10);
-        assert_eq!(pairs[0], (0, 100));
-        assert!(t.is_empty());
     }
 }

@@ -196,6 +196,8 @@ impl SessionConfig {
                 other => return Err(format!("unknown config key `{other}`")),
             }
         }
+        parda_core::check_limits(cfg.ranks.unwrap_or(1), chunk, cfg.bound, 0)
+            .map_err(|e| e.to_string())?;
         cfg.engine = match (engine_name.as_deref(), chunk) {
             // A bare `chunk=` keeps its historical meaning: phased with
             // that chunk. Only a CONFIG naming neither engine nor chunk

@@ -318,6 +318,60 @@ fn admission_rejects_the_session_over_the_cap_with_a_structured_error() {
 }
 
 #[test]
+fn hostile_sizes_are_config_errors_and_the_daemon_keeps_serving() {
+    let (addr, stop, join) = private_server(ServerConfig {
+        max_sessions: 4,
+        idle_timeout: Some(Duration::from_secs(10)),
+        ..ServerConfig::default()
+    });
+    // An in-flight session that must outlive the hostile ones.
+    let held_trace = zipfish(23, 5_000);
+    let mut held = TcpStream::connect(&addr).unwrap();
+    write_msg(&mut held, MsgKind::Hello, &hello_payload()).unwrap();
+    write_msg(&mut held, MsgKind::Config, b"reply=binary\nencoding=raw\n").unwrap();
+    expect_accept(&mut held);
+    write_msg(
+        &mut held,
+        MsgKind::Data,
+        &encode_data_frame(&held_trace, Encoding::Raw),
+    )
+    .unwrap();
+
+    // Each of these once reached a panic or a multi-terabyte allocation
+    // that aborted the whole daemon.
+    let trace = zipfish(29, 20_000);
+    for config in [
+        &[("ranks", "1000000000000"), ("engine", "threads")][..],
+        &[("ranks", "1000000000000")],
+        &[("bound", "0")],
+        &[("chunk", "0")],
+        &[("ranks", "1024"), ("chunk", "18014398509481985")],
+    ] {
+        let opts = SubmitOptions {
+            config: config
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            ..SubmitOptions::default()
+        };
+        match submit(&addr, &trace, &opts) {
+            Err(PardaError::Config(_)) => {}
+            other => panic!("{config:?}: expected a config error, got {other:?}"),
+        }
+    }
+
+    write_msg(&mut held, MsgKind::Fin, &[]).unwrap();
+    assert_eq!(expect_binary_stats(&mut held), offline(&held_trace));
+    let reply = submit(&addr, &trace, &SubmitOptions::default()).unwrap();
+    assert_eq!(reply.histogram, offline(&trace));
+
+    stop.shutdown();
+    let metrics = join.join().unwrap();
+    assert_eq!(metrics.sessions_completed, 2);
+    assert_eq!(metrics.sessions_failed, 0);
+}
+
+#[test]
 fn shutdown_drains_the_in_flight_session_without_losing_its_reply() {
     let (addr, stop, join) = private_server(ServerConfig {
         idle_timeout: Some(Duration::from_secs(10)),
