@@ -46,14 +46,23 @@ cargo test -p parda-server --features failpoints -q
 step "cargo bench --no-run (benches must compile)"
 cargo bench --workspace --no-run --quiet
 
-step "hotpath perf smoke (1M refs; threads8/seq must hold the committed floors)"
+step "hotpath perf smoke (4M refs; threads8/seq must hold the committed floors)"
+# The run takes its config from the floor file, and the floors hold on
+# the core count they were measured on.
+cargo build -q --release -p parda-bench --bin hotpath
 hotpath_out=$(mktemp)
-cargo run -q --release -p parda-bench --bin hotpath -- \
-    --refs 1000000 --footprint 100000 --runs 2 --out "$hotpath_out" > /dev/null
-python3 - "$hotpath_out" BENCH_hotpath_floor.json <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-floors = json.load(open(sys.argv[2]))["floors"]
+python3 - target/release/hotpath "$hotpath_out" BENCH_hotpath_floor.json "$(nproc)" <<'EOF'
+import json, subprocess, sys
+binary, out, gate_path, nproc = sys.argv[1:]
+gate = json.load(open(gate_path))
+if int(nproc) != gate["host"]["nproc"]:
+    print(f"  skipped: the floors were measured on {gate['host']['nproc']} cores,"
+          f" this host has {nproc}")
+    sys.exit(0)
+args = [arg for key, value in gate["config"].items() for arg in (f"--{key}", str(value))]
+subprocess.run([binary, *args, "--out", out], stdout=subprocess.DEVNULL, check=True)
+report = json.load(open(out))
+floors = gate["floors"]
 measured = {s["tree"]: s["threads8_over_seq"] for s in report["speedups"]}
 failed = False
 for tree, floor in floors.items():

@@ -5,7 +5,8 @@
 use parda_cli::run;
 use parda_core::parallel::parda_threads;
 use parda_core::PardaConfig;
-use parda_trace::io::load_trace;
+use parda_trace::io::{load_trace, save_trace, Encoding};
+use parda_trace::Trace;
 use parda_tree::SplayTree;
 
 fn run_to_string(argv: &[&str]) -> (i32, String) {
@@ -117,6 +118,30 @@ fn v1_traces_load_via_legacy_path_and_reject_stream() {
 
     std::fs::remove_file(&path).unwrap();
     std::fs::remove_file(&path2).unwrap();
+}
+
+#[test]
+fn the_largest_address_is_analyzed_like_any_other() {
+    // Address u64::MAX once doubled as the vector tree's dead-slot mark.
+    let path = tmp("max-addr.v1.trc");
+    let trace = Trace::from_vec(vec![u64::MAX, 0, 1, u64::MAX, 0, u64::MAX]);
+    save_trace(&path, &trace, Encoding::Raw).unwrap();
+    let (code, oracle) = run_to_string(&[
+        "analyze", &path, "--engine", "seq", "--tree", "splay", "--json",
+    ]);
+    assert_eq!(code, 0, "splay analyze failed: {oracle}");
+    assert_eq!(
+        oracle.trim_end(),
+        r#"{"counts":[0,1,2],"infinite":3,"total":6}"#
+    );
+    for engine in [&[][..], &["--engine", "seq"], &["--engine", "parda"]] {
+        let mut argv = vec!["analyze", path.as_str(), "--json"];
+        argv.extend_from_slice(engine);
+        let (code, out) = run_to_string(&argv);
+        assert_eq!(code, 0, "{engine:?} analyze failed: {out}");
+        assert_eq!(out, oracle, "{engine:?} differs from the splay oracle");
+    }
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

@@ -430,7 +430,7 @@ impl ShardsSketch {
         let ts = self.ts;
         self.ts += 1;
         if let Some(entry) = self.table.get_mut(&addr) {
-            let (d_s, _) = self
+            let d_s = self
                 .tree
                 .distance_and_remove(entry.last_ts)
                 .expect("monitored entry must be in the tree");
@@ -535,7 +535,7 @@ impl ShardsSketch {
                 // `self` survivors plus already-replayed `other` first
                 // touches — exactly the distinct monitored addresses in
                 // between.
-                let (d_s, _) = self
+                let d_s = self
                     .tree
                     .distance_and_remove(mine.last_ts)
                     .expect("monitored entry must be in the tree");

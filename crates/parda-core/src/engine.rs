@@ -193,7 +193,7 @@ impl<T: ReuseTree> Engine<T> {
             for (i, &z) in batch.iter().enumerate() {
                 let ts = base_ts + i as u64;
                 if hits & (1 << i) != 0 {
-                    let (d, _) = self
+                    let d = self
                         .tree
                         .distance_and_remove(prev[i])
                         .expect("table and tree are kept in sync");
@@ -241,7 +241,7 @@ impl<T: ReuseTree> Engine<T> {
             // timestamp, which is all Algorithm 1 needs (`H(z)` then
             // `H(z) ← t` in the paper).
             if let Some(t0) = self.table.record(z, ts) {
-                let (d, _) = self
+                let d = self
                     .tree
                     .distance_and_remove(t0)
                     .expect("table and tree are kept in sync");
@@ -466,7 +466,7 @@ impl<T: ReuseTree> Engine<T> {
         let mut resolved = 0u64;
         for &z in incoming {
             if let Some(t0) = self.table.last_access(z) {
-                let (d, _) = self
+                let d = self
                     .tree
                     .distance_and_remove(t0)
                     .expect("table and tree are kept in sync");

@@ -135,7 +135,7 @@ where
         let ts = i as u64;
         let distance = match table.last_access(z) {
             Some(t0) => {
-                let (d, _) = tree
+                let d = tree
                     .distance_and_remove(t0)
                     .expect("table and tree are kept in sync");
                 parda_hist::Distance::Finite(d)

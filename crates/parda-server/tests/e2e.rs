@@ -177,6 +177,25 @@ fn client_submit_round_trips_both_reply_formats() {
 }
 
 #[test]
+fn the_largest_address_is_analyzed_like_any_other() {
+    // Address u64::MAX once doubled as the vector tree's dead-slot mark.
+    let trace = [u64::MAX, 0, 1, u64::MAX, 0, u64::MAX];
+    let expect = offline(&trace);
+    assert_eq!(
+        serde_json::to_string(&expect).unwrap(),
+        r#"{"counts":[0,1,2],"infinite":3,"total":6}"#
+    );
+    for config in [vec![], vec![("engine".into(), "phased".into())]] {
+        let options = SubmitOptions {
+            config,
+            ..SubmitOptions::default()
+        };
+        let reply = submit(shared_addr(), &trace, &options).unwrap();
+        assert_eq!(reply.histogram, expect, "config {:?}", options.config);
+    }
+}
+
+#[test]
 fn flipped_data_byte_strict_session_gets_typed_corrupt_error() {
     let trace = zipfish(23, 2000);
     let mut stream = TcpStream::connect(shared_addr()).unwrap();

@@ -165,7 +165,7 @@ impl LruStack {
         }
         debug_assert_eq!(write, self.live);
         self.next = write;
-        self.fenwick.reset_prefix_ones(self.slots.len(), write);
+        self.fenwick.reset_prefix_filled(self.slots.len(), write, 1);
     }
 }
 

@@ -329,13 +329,13 @@ impl ReuseTree for AvlTree {
         removed
     }
 
-    fn distance_and_remove(&mut self, timestamp: u64) -> Option<(u64, u64)> {
+    fn distance_and_remove(&mut self, timestamp: u64) -> Option<u64> {
         // Fused: the rank accumulates along the removal descent itself, so
         // the hot path pays one root-to-node walk instead of two.
         let mut removed = None;
         let mut rank = 0;
         self.root = self.remove_rank_at(self.root, timestamp, &mut rank, &mut removed);
-        removed.map(|addr| (rank, addr))
+        removed.map(|_| rank)
     }
 
     fn oldest(&self) -> Option<(u64, u64)> {

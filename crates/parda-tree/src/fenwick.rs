@@ -1,16 +1,19 @@
 //! Fenwick (binary indexed) tree with prefix sums and rank selection.
 //!
-//! Backs [`crate::VectorTree`] (the Bennett–Kruskal partial-sum structure)
-//! and `parda_trace::LruStack`: occupancy counts over time slots, with
-//! O(log n) point update, prefix sum, and `select` (find the k-th occupied
-//! slot) via binary lifting.
+//! Backs [`crate::VectorTree`] (the Bennett–Kruskal partial-sum structure,
+//! over live counts of 512-slot time blocks) and `parda_trace::LruStack`
+//! (over 0/1 time slots), with O(log n) point update, prefix sum, and
+//! `select` (find the k-th occupied slot) via binary lifting.
 
 /// Fenwick tree over `u32` counts with rank selection.
 ///
-/// Node `i` holds the sum of the slots it covers, at most its span of the
-/// axis when every slot holds 0 or 1 — what every user stores — so `u32`
-/// nodes cannot overflow below 2^32 slots and take half the cache lines
-/// `u64` nodes would. Sums and totals are reported as `u64`.
+/// Node `i` holds the sum of the slots it covers. Every user counts live
+/// time slots: a slot of `LruStack` holds 0 or 1, and one of
+/// `VectorTree`'s holds the live count of a 512-slot block of its time
+/// axis, at most 512. Either way a node holds at most the number of time
+/// slots under it, so `u32` nodes cannot overflow below 2^32 time slots
+/// (2^23 blocks), and they take half the cache lines `u64` nodes would.
+/// Sums and totals are reported as `u64`.
 ///
 /// # Examples
 ///
@@ -41,23 +44,21 @@ impl Fenwick {
         }
     }
 
-    /// Reset to `len` slots whose first `ones` hold 1 and the rest 0, in
-    /// O(len) and keeping the allocation: node `i` covers slots
-    /// `i - lowbit(i) .. i`, so it counts those below `ones`.
-    pub fn reset_prefix_ones(&mut self, len: usize, ones: usize) {
-        debug_assert!(ones <= len);
+    /// Reset to `len` slots of `per_slot` units each, filled in order with
+    /// `total` units: the first `total / per_slot` slots hold `per_slot`,
+    /// the next the remainder, the rest 0 (with `per_slot` 1, a prefix of
+    /// ones). O(len), keeping the allocation: node `i` covers slots
+    /// `i - lowbit(i) .. i`, so it counts the units below `total` in that
+    /// span.
+    pub fn reset_prefix_filled(&mut self, len: usize, total: usize, per_slot: usize) {
+        debug_assert!(total <= len * per_slot);
         self.tree.clear();
         self.tree.push(0);
         self.tree.extend((1..=len).map(|i| {
             let first = i - (i & i.wrapping_neg());
-            ones.min(i).saturating_sub(first) as u32
+            total.min(i * per_slot).saturating_sub(first * per_slot) as u32
         }));
-        self.total = ones as u64;
-    }
-
-    /// Reserve memory for `additional` more slots; the length is unchanged.
-    pub fn reserve(&mut self, additional: usize) {
-        self.tree.reserve(additional);
+        self.total = total as u64;
     }
 
     /// Number of slots.
@@ -109,11 +110,6 @@ impl Fenwick {
         sum
     }
 
-    /// Sum of slots `idx..len` (0-based).
-    pub fn suffix_sum(&self, idx: usize) -> u64 {
-        self.total - self.prefix_sum(idx)
-    }
-
     /// Find the smallest slot index such that the prefix sum through it
     /// reaches `k` (1-based rank). `None` if `k > total`. O(log n) binary
     /// lifting.
@@ -156,7 +152,6 @@ mod tests {
             }
         }
         assert_eq!(f.total(), 18);
-        assert_eq!(f.suffix_sum(2), 15);
     }
 
     #[test]
@@ -231,21 +226,26 @@ mod tests {
         }
 
         /// The linear build equals one `add` per leading slot, whatever the
-        /// tree held before.
+        /// tree held before: a full slot per `per_slot` units, then the
+        /// remainder.
         #[test]
-        fn prefix_ones_build_equals_repeated_add(
+        fn prefix_filled_build_equals_repeated_add(
             len in 0usize..600,
-            ones_pct in 0usize..=100,
+            per_slot in prop_oneof![Just(1usize), 1usize..600],
+            fill_pct in 0usize..=100,
             before in 0usize..300,
         ) {
-            let ones = len * ones_pct / 100;
+            let total = len * per_slot * fill_pct / 100;
             let mut expect = Fenwick::new(len);
-            for i in 0..ones {
-                expect.add(i, 1);
+            for i in 0..len {
+                let units = total.saturating_sub(i * per_slot).min(per_slot);
+                if units > 0 {
+                    expect.add(i, units as u32);
+                }
             }
             let mut built = Fenwick::new(before);
             built.add(before / 2, 1);
-            built.reset_prefix_ones(len, ones);
+            built.reset_prefix_filled(len, total, per_slot);
             prop_assert_eq!(built, expect);
         }
     }

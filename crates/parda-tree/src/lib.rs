@@ -63,13 +63,17 @@ pub trait ReuseTree {
     fn remove(&mut self, timestamp: u64) -> Option<u64>;
 
     /// Fused hot-path operation: `distance(timestamp)` followed by
-    /// `remove(timestamp)`. Returns `(distance, addr)`.
+    /// `remove(timestamp)`. Returns the distance alone, or `None` if
+    /// `timestamp` is not live.
     ///
     /// This is what Algorithm 1's body performs per hit; implementations can
-    /// do it in a single descent.
-    fn distance_and_remove(&mut self, timestamp: u64) -> Option<(u64, u64)> {
+    /// do it in a single descent. No caller needs the address (the engines'
+    /// last-access table already knows it), so an implementation need not
+    /// read the node that holds it: the vector tree only clears the node's
+    /// occupancy bit.
+    fn distance_and_remove(&mut self, timestamp: u64) -> Option<u64> {
         let d = self.distance(timestamp);
-        self.remove(timestamp).map(|addr| (d, addr))
+        self.remove(timestamp).map(|_| d)
     }
 
     /// The node with the smallest timestamp, as `(timestamp, addr)` — the
@@ -122,7 +126,7 @@ pub trait ReuseTree {
         // Sparse sweep: fused per-key descents, ascending.
         if k * 8 < self.len() {
             for &ts in sorted_ts {
-                let (d, _) = self
+                let d = self
                     .distance_and_remove(ts)
                     .expect("rank_delete_batch: timestamp not live in tree");
                 out.push(d);
@@ -306,7 +310,7 @@ pub(crate) mod conformance {
                     assert_eq!(tree.remove(ts), model.remove(ts), "remove({ts})");
                 }
                 Op::DistanceAndRemove(ts) => {
-                    let expect = model.remove(ts).map(|addr| (model.distance(ts), addr));
+                    let expect = model.remove(ts).map(|_| model.distance(ts));
                     assert_eq!(
                         tree.distance_and_remove(ts),
                         expect,
@@ -430,7 +434,8 @@ pub(crate) mod conformance {
 
         assert_eq!(tree.remove(0), Some(0));
         assert_eq!(tree.oldest(), Some((1, 10)));
-        assert_eq!(tree.distance_and_remove(50), Some((49, 500)));
+        assert_eq!(tree.distance_and_remove(50), Some(49));
+        assert_eq!(tree.remove(50), None);
         assert_eq!(tree.distance(49), 49);
         assert_eq!(tree.len(), 98);
 

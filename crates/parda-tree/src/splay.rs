@@ -379,7 +379,7 @@ impl ReuseTree for SplayTree {
         Some(addr)
     }
 
-    fn distance_and_remove(&mut self, timestamp: u64) -> Option<(u64, u64)> {
+    fn distance_and_remove(&mut self, timestamp: u64) -> Option<u64> {
         // Fused hot-path op: the single splay descent both answers the rank
         // query (size of the right subtree once the node is at the root) and
         // positions the node for deletion.
@@ -392,8 +392,8 @@ impl ReuseTree for SplayTree {
         }
         let right = self.nodes[self.root as usize].right;
         let d = self.size(right) as u64;
-        let (_, addr) = self.delete_root();
-        Some((d, addr))
+        self.delete_root();
+        Some(d)
     }
 
     fn oldest(&self) -> Option<(u64, u64)> {
@@ -550,7 +550,7 @@ mod tests {
         for ts in (0..256u64).step_by(3) {
             let d = twostep.distance(ts);
             let addr = twostep.remove(ts);
-            assert_eq!(fused.distance_and_remove(ts), addr.map(|a| (d, a)));
+            assert_eq!(fused.distance_and_remove(ts), addr.map(|_| d));
             fused.validate();
         }
         assert_eq!(fused.to_sorted_vec(), twostep.to_sorted_vec());

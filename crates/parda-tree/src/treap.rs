@@ -295,12 +295,12 @@ impl ReuseTree for Treap {
         removed
     }
 
-    fn distance_and_remove(&mut self, timestamp: u64) -> Option<(u64, u64)> {
+    fn distance_and_remove(&mut self, timestamp: u64) -> Option<u64> {
         // Fused: rank accumulates along the removal descent, one walk total.
         let mut removed = None;
         let mut rank = 0;
         self.root = self.remove_rank_at(self.root, timestamp, &mut rank, &mut removed);
-        removed.map(|addr| (rank, addr))
+        removed.map(|_| rank)
     }
 
     fn oldest(&self) -> Option<(u64, u64)> {

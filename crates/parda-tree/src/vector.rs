@@ -4,43 +4,67 @@
 //! vector indexed by access time, holding a 1 for each *live* element
 //! (most recent access) and 0 elsewhere, with an m-ary partial-sum tree on
 //! top. The reuse distance of a reference whose previous access was at time
-//! `t` is the suffix count of 1s after `t`. A Fenwick tree is the modern
-//! realization of the partial-sum tree: O(log n) update and suffix sum.
+//! `t` is the count of 1s after `t`.
+//!
+//! **Two levels.** The 1s are an occupancy bitmap, one bit per time slot,
+//! and a [`Fenwick`] tree counts the live slots of each 512-slot block —
+//! the partial-sum tree's wide bottom level. A rank is a block prefix sum
+//! plus the popcount of at most 8 words, all in one cache line; an update
+//! flips one bit and walks the block tree, which is 1/512 the length of
+//! the axis. The bit alone says whether a slot is live: a removal writes no
+//! slot, and every address, `u64::MAX` included, is plain data.
 //!
 //! **Axis sizing.** The time axis grows with N, not M, so the structure
-//! compacts: when the axis fills, dead slots are squeezed out in O(live)
-//! and the axis is resized to twice the live count (at least 64 slots) —
-//! never to a capacity hint, so every Fenwick walk spans O(log live)
-//! levels of an array the size of the live set. The survivors are a prefix
-//! of ones, so the Fenwick rebuild is linear, and the slot array grows to
-//! hold the axis. Each compaction buys as many appends as it moved slots:
-//! amortized O(1) per access. A capacity hint (`reserve`) reserves memory
-//! for slots and Fenwick nodes without lengthening the axis: the memory
-//! stays untouched until the axis reaches it, and it spares an engine the
-//! freed growth steps of arrays grown from 64 slots, which stay resident.
+//! compacts: when the axis fills, the bitmap's dead slots are squeezed out
+//! in O(axis) and the axis is resized to twice the live count (at least 64
+//! slots), never to a capacity hint. The survivors are a prefix of ones,
+//! so the bitmap and block counts are rebuilt linearly, and the slot array
+//! grows to hold the axis. Each compaction buys as many appends as it
+//! moved slots: amortized O(1) per access. A capacity hint (`reserve`)
+//! reserves memory for slots and bitmap words without lengthening the
+//! axis: the memory stays untouched until the axis reaches it, and it
+//! spares an engine the freed growth steps of arrays grown from 64 slots,
+//! which stay resident.
 //!
 //! **Run lookup.** The analyzer inserts consecutive timestamps, so the
 //! slots appended since the last compaction form a *run* in which a slot's
 //! index is its timestamp minus the run's first. A hit in the run finds its
-//! slot by subtraction; only older timestamps binary-search the slots
-//! before the run. A gap in the timestamps (the windowed history's imports)
-//! simply starts a new run.
+//! slot by subtraction and reads only its bit; only older timestamps
+//! binary-search the slots before the run. A gap in the timestamps (the
+//! windowed history's imports) simply starts a new run.
 //!
 //! This is the [`ReuseTree`] the CLI and the daemon run by default, and the
 //! windowed streamer's history. Timestamps arriving in increasing order —
 //! the analyzer's normal operation, and the history append, whose item
 //! timestamps are all newer than the history — append in O(log n). No
 //! engine inserts out of order; the trait allows it, so it falls back to
-//! an O(n) splice and rebuild.
+//! an O(n) collect and rebuild.
 
 use crate::{Fenwick, ReuseTree};
 
-const EMPTY_ADDR: u64 = u64::MAX;
+/// Time slots per block of the Fenwick level.
+const BLOCK: usize = 512;
+/// Bitmap words per block: one cache line.
+const BLOCK_WORDS: usize = BLOCK / 64;
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Slot {
     ts: u64,
     addr: u64,
+}
+
+/// Indices of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// Bennett–Kruskal style time-vector structure with Fenwick partial sums.
@@ -60,12 +84,16 @@ struct Slot {
 /// ```
 #[derive(Clone, Debug)]
 pub struct VectorTree {
-    /// Slots ordered by timestamp; dead slots keep their ts (for lookup)
-    /// but have `addr == EMPTY_ADDR` and a zero Fenwick count.
+    /// Slots ordered by timestamp; a dead slot keeps its contents (for
+    /// lookup) and only loses its bit.
     slots: Vec<Slot>,
-    /// Live-slot counts over the time axis. Its length is the axis: the
-    /// slots that fit before the next compaction.
-    fenwick: Fenwick,
+    /// Occupancy: bit `i % 64` of word `i / 64` is set iff slot `i` is
+    /// live. Covers the whole axis.
+    bits: Vec<u64>,
+    /// Live slots per `BLOCK`-slot block of the axis.
+    blocks: Fenwick,
+    /// Slots that fit before the next compaction.
+    axis: usize,
     /// First slot of the current run: `slots[run_start..]` hold
     /// consecutive timestamps.
     run_start: usize,
@@ -84,12 +112,43 @@ impl VectorTree {
 
     /// Create an empty structure.
     pub fn new() -> Self {
-        Self {
-            slots: Vec::with_capacity(Self::MIN_AXIS),
-            fenwick: Fenwick::new(Self::MIN_AXIS),
+        let mut v = Self {
+            slots: Vec::new(),
+            bits: Vec::new(),
+            blocks: Fenwick::new(0),
+            axis: 0,
             run_start: 0,
             live: 0,
+        };
+        v.reset_axis();
+        v
+    }
+
+    fn is_live(&self, idx: usize) -> bool {
+        self.bits[idx / 64] & (1 << (idx % 64)) != 0
+    }
+
+    /// Live slots before slot `idx`: a block prefix plus the popcount of
+    /// the block's words before it.
+    fn rank(&self, idx: usize) -> u64 {
+        let block = idx / BLOCK;
+        let word = idx / 64;
+        let mut rank = self.blocks.prefix_sum(block);
+        for w in &self.bits[block * BLOCK_WORDS..word] {
+            rank += u64::from(w.count_ones());
         }
+        let bit = idx % 64;
+        if bit != 0 {
+            rank += u64::from((self.bits[word] & ((1 << bit) - 1)).count_ones());
+        }
+        rank
+    }
+
+    /// Mark live slot `idx` dead. Its contents stay for lookup.
+    fn kill(&mut self, idx: usize) {
+        self.bits[idx / 64] &= !(1 << (idx % 64));
+        self.blocks.sub(idx / BLOCK, 1);
+        self.live -= 1;
     }
 
     /// First slot with `slot.ts >= ts`: by subtraction inside the current
@@ -104,50 +163,76 @@ impl VectorTree {
         }
     }
 
-    /// Slot index holding exactly `ts`, if live.
+    /// Slot index holding exactly `ts`, if live. Past the run's first
+    /// slot, subtraction placed `ts` exactly and only its bit is read;
+    /// elsewhere the lower bound's timestamp is compared.
     fn find(&self, ts: u64) -> Option<usize> {
         let idx = self.lower_bound(ts);
-        let slot = self.slots.get(idx)?;
-        (slot.ts == ts && slot.addr != EMPTY_ADDR).then_some(idx)
+        let placed = idx > self.run_start && idx < self.slots.len();
+        let exact = placed || self.slots.get(idx).is_some_and(|s| s.ts == ts);
+        (exact && self.is_live(idx)).then_some(idx)
     }
 
     /// Squeeze out dead slots and resize the axis to twice the live count,
     /// growing the slot array to hold it.
     fn compact(&mut self) {
-        self.slots.retain(|s| s.addr != EMPTY_ADDR);
+        let mut kept = 0;
+        for idx in set_bits(&self.bits) {
+            self.slots[kept] = self.slots[idx];
+            kept += 1;
+        }
+        debug_assert_eq!(kept, self.live);
+        self.slots.truncate(kept);
+        self.reset_axis();
+    }
+
+    /// Lay out an axis of `max(2 × live, 64)` slots for `slots`, which must
+    /// hold exactly the live set, in order: the bitmap becomes `live`
+    /// leading ones and the block counts follow.
+    fn reset_axis(&mut self) {
         debug_assert_eq!(self.slots.len(), self.live);
-        let axis = (2 * self.live).max(Self::MIN_AXIS);
-        self.slots.reserve_exact(axis - self.slots.len());
-        self.fenwick.reset_prefix_ones(axis, self.live);
+        let live = self.live;
+        self.axis = (2 * live).max(Self::MIN_AXIS);
+        self.slots.reserve_exact(self.axis - live);
+        self.bits.clear();
+        self.bits.resize(live / 64, u64::MAX);
+        // The partial word, perhaps empty: the axis has room for it.
+        self.bits.push((1 << (live % 64)) - 1);
+        self.bits.resize(self.axis.div_ceil(64), 0);
+        self.blocks
+            .reset_prefix_filled(self.axis.div_ceil(BLOCK), live, BLOCK);
         // The survivors are no longer consecutive: the next append starts
         // a new run.
-        self.run_start = self.slots.len();
+        self.run_start = live;
     }
 
     /// Structural self-check for tests: ts order, the axis and the run,
-    /// fenwick/live agreement.
+    /// and agreement of bits, block counts and the live count.
     #[doc(hidden)]
     pub fn validate(&self) {
         assert!(self.slots.windows(2).all(|w| w[0].ts < w[1].ts));
-        assert!(
-            self.slots.len() <= self.fenwick.len(),
-            "slots overflow the axis"
-        );
+        assert!(self.slots.len() <= self.axis, "slots overflow the axis");
+        assert_eq!(self.bits.len(), self.axis.div_ceil(64), "bitmap length");
+        assert_eq!(self.blocks.len(), self.axis.div_ceil(BLOCK), "blocks");
         assert!(
             self.slots[self.run_start..]
                 .windows(2)
                 .all(|w| w[0].ts + 1 == w[1].ts),
             "the current run is not consecutive"
         );
-        let live = self.slots.iter().filter(|s| s.addr != EMPTY_ADDR).count();
-        assert_eq!(live, self.live);
-        assert_eq!(self.fenwick.total(), self.live as u64);
-        for (i, slot) in self.slots.iter().enumerate() {
-            let expect = u64::from(slot.addr != EMPTY_ADDR);
+        assert!(
+            (self.slots.len()..self.bits.len() * 64).all(|i| !self.is_live(i)),
+            "a bit is set past the last slot"
+        );
+        let popcount =
+            |words: &[u64]| -> u64 { words.iter().map(|w| u64::from(w.count_ones())).sum() };
+        assert_eq!(popcount(&self.bits), self.live as u64);
+        assert_eq!(self.blocks.total(), self.live as u64);
+        for (b, words) in self.bits.chunks(BLOCK_WORDS).enumerate() {
             assert_eq!(
-                self.fenwick.prefix_sum(i + 1) - self.fenwick.prefix_sum(i),
-                expect,
-                "fenwick bit mismatch at slot {i}"
+                self.blocks.prefix_sum(b + 1) - self.blocks.prefix_sum(b),
+                popcount(words),
+                "block count mismatch at block {b}"
             );
         }
     }
@@ -155,17 +240,18 @@ impl VectorTree {
 
 impl ReuseTree for VectorTree {
     fn insert(&mut self, timestamp: u64, addr: u64) {
-        debug_assert_ne!(addr, EMPTY_ADDR, "sentinel address is reserved");
         let last = self.slots.last().map(|s| s.ts);
         // Fast path: strictly larger than everything seen — append.
         if last.is_none_or(|last| last < timestamp) {
-            if self.slots.len() == self.fenwick.len() {
+            if self.slots.len() == self.axis {
                 self.compact();
             }
             if last.is_some_and(|last| last + 1 != timestamp) {
                 self.run_start = self.slots.len();
             }
-            self.fenwick.add(self.slots.len(), 1);
+            let idx = self.slots.len();
+            self.bits[idx / 64] |= 1 << (idx % 64);
+            self.blocks.add(idx / BLOCK, 1);
             self.slots.push(Slot {
                 ts: timestamp,
                 addr,
@@ -173,60 +259,47 @@ impl ReuseTree for VectorTree {
             self.live += 1;
             return;
         }
-        // Slow path: splice into position and rebuild (O(n); only
-        // out-of-order merges take this).
-        let idx = self.lower_bound(timestamp);
+        // Slow path: collect, splice and rebuild (O(n); only out-of-order
+        // merges take this).
+        let mut pairs = Vec::with_capacity(self.live + 1);
+        self.collect_in_order(&mut pairs);
+        let pos = pairs.partition_point(|&(ts, _)| ts < timestamp);
         assert!(
-            self.slots[idx].ts != timestamp || self.slots[idx].addr == EMPTY_ADDR,
+            pairs.get(pos).is_none_or(|&(ts, _)| ts != timestamp),
             "duplicate timestamp {timestamp} inserted into VectorTree"
         );
-        self.live += 1;
-        if self.slots[idx].ts == timestamp {
-            // Reviving a dead slot in place.
-            self.slots[idx].addr = addr;
-            self.fenwick.add(idx, 1);
-            return;
-        }
-        self.slots.insert(
-            idx,
-            Slot {
-                ts: timestamp,
-                addr,
-            },
-        );
-        self.compact();
+        pairs.insert(pos, (timestamp, addr));
+        self.rebuild_from_sorted(&pairs);
     }
 
     fn distance(&mut self, timestamp: u64) -> u64 {
-        // Count of live slots strictly after `timestamp`.
-        self.fenwick.suffix_sum(self.lower_bound(timestamp + 1))
+        // Live slots strictly after `timestamp`.
+        self.live as u64 - self.rank(self.lower_bound(timestamp + 1))
     }
 
     fn remove(&mut self, timestamp: u64) -> Option<u64> {
         let idx = self.find(timestamp)?;
-        let addr = self.slots[idx].addr;
-        self.slots[idx].addr = EMPTY_ADDR;
-        self.fenwick.sub(idx, 1);
-        self.live -= 1;
-        Some(addr)
+        self.kill(idx);
+        Some(self.slots[idx].addr)
     }
 
-    fn distance_and_remove(&mut self, timestamp: u64) -> Option<(u64, u64)> {
+    fn distance_and_remove(&mut self, timestamp: u64) -> Option<u64> {
         // Fused: `timestamp` is live at `idx`, so the strictly-greater count
-        // is the suffix just past it — one lookup serves both halves.
+        // is everything live but it and the slots before it. The slot
+        // itself is never read.
         let idx = self.find(timestamp)?;
-        let d = self.fenwick.suffix_sum(idx + 1);
-        let addr = self.slots[idx].addr;
-        self.slots[idx].addr = EMPTY_ADDR;
-        self.fenwick.sub(idx, 1);
-        self.live -= 1;
-        Some((d, addr))
+        let d = self.live as u64 - 1 - self.rank(idx);
+        self.kill(idx);
+        Some(d)
     }
 
     fn oldest(&self) -> Option<(u64, u64)> {
-        let idx = self.fenwick.select(1)?;
-        let slot = &self.slots[idx];
-        debug_assert_ne!(slot.addr, EMPTY_ADDR);
+        // The first block with a live slot holds the first set bit.
+        let first = self.blocks.select(1)? * BLOCK_WORDS;
+        let bit = set_bits(&self.bits[first..])
+            .next()
+            .expect("a counted block holds a set bit");
+        let slot = self.slots[first * 64 + bit];
         Some((slot.ts, slot.addr))
     }
 
@@ -238,44 +311,36 @@ impl ReuseTree for VectorTree {
     /// reserved slots stay untouched until the axis reaches them.
     fn reserve(&mut self, additional: usize) {
         self.slots.reserve(additional);
-        self.fenwick.reserve(additional);
+        self.bits.reserve(additional / 64);
     }
 
     fn clear(&mut self) {
-        // Keep the axis and the slot allocation for the next fill; its
-        // first compaction sizes the axis to the new live set.
+        // Keep the axis and the allocations for the next fill; its first
+        // compaction sizes the axis to the new live set.
         self.slots.clear();
-        self.fenwick.reset_prefix_ones(self.fenwick.len(), 0);
+        self.bits.fill(0);
+        self.blocks.reset_prefix_filled(self.blocks.len(), 0, BLOCK);
         self.run_start = 0;
         self.live = 0;
     }
 
     fn collect_in_order(&self, out: &mut Vec<(u64, u64)>) {
-        out.extend(
-            self.slots
-                .iter()
-                .filter(|s| s.addr != EMPTY_ADDR)
-                .map(|s| (s.ts, s.addr)),
-        );
+        out.reserve(self.live);
+        out.extend(set_bits(&self.bits).map(|idx| (self.slots[idx].ts, self.slots[idx].addr)));
     }
 
-    /// Fenwick fast path: one forward sweep over the slot array. The batch
+    /// Bitmap fast path: one forward sweep over the slot array. The batch
     /// arrives in ascending timestamp order, so each lookup gallops forward
     /// from the previous hit — O(log gap) probes near it, not a search of
-    /// the whole array. Ranks come from a running count of the slots behind
-    /// the cursor that were live at entry: a short gap is counted by
-    /// scanning the slots it skips, a long one by a Fenwick prefix query.
-    /// Earlier deletions in the batch sit at strictly smaller slot indices,
-    /// so they never perturb a later suffix count — every reported rank is
-    /// the pre-batch rank, as the contract requires.
+    /// the whole array. Earlier deletions in the batch sit at strictly
+    /// smaller slot indices and were live at entry, so a slot's pre-batch
+    /// rank is its current rank plus the deletions so far, and every
+    /// reported count is the pre-batch one, as the contract requires.
     fn rank_delete_batch(&mut self, sorted_ts: &[u64], out: &mut Vec<u64>) {
-        /// Gaps up to this many slots are counted by a scan.
-        const SCAN_SLOTS: usize = 64;
         out.reserve(sorted_ts.len());
         let live_at_entry = self.live as u64;
-        // One past the previous hit, and the entry-live slots before it.
+        // One past the previous hit.
         let mut cursor = 0usize;
-        let mut behind = 0u64;
         for (deleted, &ts) in sorted_ts.iter().enumerate() {
             let slots = &self.slots[..];
             let (mut lo, mut hi, mut step) = (cursor, cursor, 1);
@@ -285,25 +350,13 @@ impl ReuseTree for VectorTree {
                 step *= 2;
             }
             let idx = lo + slots[lo..hi.min(slots.len())].partition_point(|s| s.ts < ts);
-            let live = slots
-                .get(idx)
-                .is_some_and(|s| s.ts == ts && s.addr != EMPTY_ADDR);
             assert!(
-                live,
+                slots.get(idx).is_some_and(|s| s.ts == ts) && self.is_live(idx),
                 "rank_delete_batch: timestamp {ts} not live in VectorTree"
             );
-            behind = if idx - cursor <= SCAN_SLOTS {
-                let skipped = &slots[cursor..idx];
-                behind + skipped.iter().filter(|s| s.addr != EMPTY_ADDR).count() as u64
-            } else {
-                self.fenwick.prefix_sum(idx) + deleted as u64
-            };
-            out.push(live_at_entry - behind - 1);
-            behind += 1;
+            out.push(live_at_entry - 1 - self.rank(idx) - deleted as u64);
             cursor = idx + 1;
-            self.slots[idx].addr = EMPTY_ADDR;
-            self.fenwick.sub(idx, 1);
-            self.live -= 1;
+            self.kill(idx);
         }
     }
 
@@ -312,7 +365,7 @@ impl ReuseTree for VectorTree {
         self.slots
             .extend(pairs.iter().map(|&(ts, addr)| Slot { ts, addr }));
         self.live = pairs.len();
-        self.compact();
+        self.reset_axis();
     }
 }
 
@@ -352,13 +405,10 @@ mod tests {
         v.reserve(1 << 20);
         for ts in 0..100_000u64 {
             if ts >= LIVE {
-                assert_eq!(
-                    v.distance_and_remove(ts - LIVE),
-                    Some((LIVE - 1, ts - LIVE))
-                );
+                assert_eq!(v.distance_and_remove(ts - LIVE), Some(LIVE - 1));
             }
             v.insert(ts, ts);
-            let axis = v.fenwick.len();
+            let axis = v.axis;
             assert!(
                 axis <= (2 * v.len()).max(64),
                 "axis {axis} for {} live at ts {ts}",
@@ -376,9 +426,10 @@ mod tests {
         }
         assert_eq!(v.run_start, 10, "the run begins after the gap");
         // Old timestamps are found before the run, new ones inside it.
-        assert_eq!(v.distance_and_remove(4), Some((15, 4)));
-        assert_eq!(v.distance_and_remove(25), Some((4, 25)));
+        assert_eq!(v.distance_and_remove(4), Some(15));
+        assert_eq!(v.distance_and_remove(25), Some(4));
         assert_eq!(v.remove(15), None, "inside the gap");
+        assert_eq!(v.remove(30), None, "past the run");
         assert_eq!(v.distance(40), 0, "past the run");
         assert_eq!(v.distance(15), 9);
         v.validate();
@@ -414,7 +465,7 @@ mod tests {
         v.insert(5, 50);
         v.insert(9, 90);
         assert_eq!(v.remove(5), Some(50));
-        v.insert(5, 55); // same timestamp, revived in place
+        v.insert(5, 55); // same timestamp, inserted again
         assert_eq!(v.to_sorted_vec(), vec![(5, 55), (9, 90)]);
         v.validate();
     }
@@ -433,12 +484,49 @@ mod tests {
     }
 
     #[test]
+    fn oldest_skips_an_emptied_first_block() {
+        let mut v = VectorTree::new();
+        // Three full blocks and part of a fourth.
+        for ts in 0..1_636u64 {
+            v.insert(ts, ts + 7);
+        }
+        // Empty the whole first block and most of the second, so the
+        // select lands in block 1 and the bit scan skips its leading words.
+        for ts in 0..(BLOCK as u64 + 300) {
+            assert_eq!(v.distance_and_remove(ts), Some(1_635 - ts));
+        }
+        assert_eq!(v.oldest(), Some((812, 819)));
+        v.remove(812);
+        assert_eq!(v.oldest(), Some((813, 820)));
+        v.validate();
+    }
+
+    #[test]
+    fn the_largest_address_is_plain_data() {
+        const MAX: u64 = u64::MAX;
+        let mut v = VectorTree::new();
+        v.insert(0, MAX);
+        v.insert(1, 3);
+        v.insert(2, MAX - 1);
+        v.insert(3, MAX);
+        assert_eq!(v.oldest(), Some((0, MAX)));
+        assert_eq!(v.distance_and_remove(0), Some(3));
+        assert_eq!(v.oldest(), Some((1, 3)));
+        assert_eq!(v.remove(3), Some(MAX));
+        assert_eq!(v.to_sorted_vec(), vec![(1, 3), (2, MAX - 1)]);
+        v.insert(4, MAX);
+        assert_eq!(v.to_sorted_vec(), vec![(1, 3), (2, MAX - 1), (4, MAX)]);
+        assert_eq!(v.distance(1), 2);
+        v.validate();
+    }
+
+    #[test]
     fn batch_smoke() {
         conformance::batch_smoke(&mut VectorTree::new());
     }
 
     #[test]
-    fn batch_ranks_across_short_and_long_gaps() {
+    fn batch_ranks_across_blocks() {
         let mut v = VectorTree::new();
         for ts in 0..5_000u64 {
             v.insert(ts, ts);
@@ -448,8 +536,8 @@ mod tests {
             v.remove(ts);
         }
         let live: Vec<u64> = v.to_sorted_vec().iter().map(|&(ts, _)| ts).collect();
-        // Clusters of adjacent hits (scanned gaps) a few hundred slots
-        // apart (Fenwick-counted gaps).
+        // Clusters of adjacent hits inside one word, a few hundred slots
+        // apart and across blocks.
         let picked: Vec<(usize, u64)> = live
             .iter()
             .copied()
@@ -545,7 +633,7 @@ mod tests {
                     }
                     RunOp::DistanceAndRemove { back } => {
                         let ts = at(back);
-                        let expect = model.remove(ts).map(|addr| (model.distance(ts), addr));
+                        let expect = model.remove(ts).map(|_| model.distance(ts));
                         prop_assert_eq!(tree.distance_and_remove(ts), expect);
                     }
                     RunOp::Oldest => prop_assert_eq!(tree.oldest(), model.oldest()),

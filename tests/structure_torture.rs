@@ -1,6 +1,9 @@
 //! Large randomized torture runs over every ordered structure: all four
 //! `ReuseTree` implementations driven through hundreds of thousands of
 //! mixed operations must agree with each other at every checkpoint.
+//! Timestamps come in stretches: consecutive ones, which the vector tree
+//! holds as runs spanning many of its 512-slot blocks, alternate with
+//! gapped ones, which exercise absent keys.
 
 use parda::prelude::*;
 use rand::rngs::StdRng;
@@ -18,8 +21,9 @@ fn torture(seed: u64, ops: usize) {
     let mut next_ts = 0u64;
 
     for step in 0..ops {
+        let consecutive = (step / 10_000) % 2 == 0;
         let roll = rng.gen_range(0..100);
-        if roll < 55 || live.is_empty() {
+        if roll < 52 || live.is_empty() {
             // Insert a fresh (monotone) timestamp — the analyzer's common op.
             let addr = rng.gen::<u32>() as u64;
             splay.insert(next_ts, addr);
@@ -27,8 +31,8 @@ fn torture(seed: u64, ops: usize) {
             treap.insert(next_ts, addr);
             vector.insert(next_ts, addr);
             live.push(next_ts);
-            next_ts += rng.gen_range(1..4); // gaps exercise absent-key paths
-        } else if roll < 80 {
+            next_ts += if consecutive { 1 } else { rng.gen_range(1..4) };
+        } else if roll < 66 {
             let idx = rng.gen_range(0..live.len());
             let ts = live.swap_remove(idx);
             let a = splay.remove(ts);
@@ -36,6 +40,16 @@ fn torture(seed: u64, ops: usize) {
             assert_eq!(treap.remove(ts), a);
             assert_eq!(vector.remove(ts), a);
             assert!(a.is_some());
+        } else if roll < 80 {
+            // The engines' fused hit.
+            let idx = rng.gen_range(0..live.len());
+            let ts = live.swap_remove(idx);
+            let d = splay.distance_and_remove(ts);
+            assert!(d.is_some());
+            let at = format!("distance_and_remove({ts}) at step {step}");
+            assert_eq!(avl.distance_and_remove(ts), d, "{at}");
+            assert_eq!(treap.distance_and_remove(ts), d, "{at}");
+            assert_eq!(vector.distance_and_remove(ts), d, "{at}");
         } else if roll < 95 {
             let ts = rng.gen_range(0..next_ts.max(1));
             let d = splay.distance(ts);
