@@ -263,6 +263,18 @@ if ! diff -q "$smoke_dir/served.json" "$smoke_dir/offline.json" > /dev/null; the
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
+# Windows pushed through one session's streamer as frames arrive: 82
+# windows of 3 × 4,096 refs, and the explicit one-window threads engine.
+# Both replies must equal the offline analyze too.
+for config in chunk=4096,ranks=3 engine=threads; do
+    "$parda_bin" submit "$smoke_dir/server.trc" --addr "$addr" --config "$config" --json \
+        > "$smoke_dir/served_config.json"
+    if ! diff -q "$smoke_dir/served_config.json" "$smoke_dir/offline.json" > /dev/null; then
+        echo "server smoke: --config $config histogram differs from offline analyze" >&2
+        kill "$serve_pid" 2>/dev/null || true
+        exit 1
+    fi
+done
 # Approx round-trip: a sampled session must stream to the same sketch the
 # offline path builds, so the replies are byte-identical too.
 "$parda_bin" submit "$smoke_dir/server.trc" --addr "$addr" --approx=shards:0.01 --json \
@@ -333,7 +345,7 @@ if ! wait "$serve_pid"; then
     echo "server smoke: daemon did not drain cleanly on SIGTERM" >&2
     exit 1
 fi
-grep -q "sessions opened=20 rejected=0 failed=0 completed=20" "$smoke_dir/serve.out" || {
+grep -q "sessions opened=22 rejected=0 failed=0 completed=22" "$smoke_dir/serve.out" || {
     echo "server smoke: unexpected final metrics:" >&2
     cat "$smoke_dir/serve.out" >&2
     exit 1

@@ -16,7 +16,6 @@ use parda_trace::io::{
     Encoding,
 };
 use parda_trace::spec::{SpecBenchmark, SPEC2006};
-use parda_trace::stream::FramedStream;
 use parda_trace::{load_trace_recovering, verify_trace, Addr, AddressStream, Trace};
 use parda_tree::TreeKind;
 use serde::Deserialize;
@@ -310,6 +309,19 @@ fn write_stats_json(
     Ok(())
 }
 
+/// The file's major format version, refusing `--stream` on anything but
+/// the framed, indexed v2.
+fn stream_version(args: &Args, path: &str) -> Result<u32, CliError> {
+    let version = peek_version(path).map_err(PardaError::from)?;
+    if args.has("stream") && version != 2 {
+        return Err(format!(
+            "--stream needs a v2 framed trace with a frame index; `{path}` is v{version}"
+        )
+        .into());
+    }
+    Ok(version)
+}
+
 /// `parda analyze`: run an analyzer over a trace file and print the binned
 /// histogram and timing.
 pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -354,8 +366,7 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // windowed streamer consumes them. Explicit with --stream; automatic for
     // v2 files when the engine is left at its default (or is `phased`) —
     // the streamer is exact, so the histogram is identical either way.
-    let requested_stream = args.has("stream");
-    if requested_stream {
+    if args.has("stream") {
         if !matches!(engine, "parda" | "phased") {
             return Err(format!(
                 "--stream runs the phased engine and cannot honor --engine {engine}"
@@ -366,78 +377,41 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             return Err("--stream cannot be combined with --line-bits".into());
         }
     }
-    let version = peek_version(path).map_err(PardaError::from)?;
-    if requested_stream && version != 2 {
-        return Err(format!(
-            "--stream needs a v2 framed trace with a frame index; `{path}` is v{version}"
-        )
-        .into());
-    }
-    let use_stream = requested_stream
-        || (version == 2 && line_bits == 0 && (engine == "phased" || args.get("engine").is_none()));
-
-    let reduction = Reduction::ShipToRankZero;
-
+    let version = stream_version(args, path)?;
+    let stream =
+        args.has("stream") || (version == 2 && line_bits == 0 && args.get("engine").is_none());
+    let mode = match engine {
+        "seq" => Mode::Seq,
+        "naive" => Mode::Naive,
+        "parda" if !stream => Mode::Threads,
+        _ => Mode::Phased {
+            chunk,
+            reduction: Reduction::ShipToRankZero,
+        },
+    };
     let builder = Analysis::new()
         .tree(tree)
         .ranks(ranks)
         .bound(bound)
+        .mode(mode)
         .stats(true)
         .degradation(degradation)
         .approx(approx.unwrap_or_default());
 
-    // The streaming path needs an intact footer index to seek frames; if
-    // it is destroyed and the policy is best-effort, fall back to the
-    // in-memory salvage decoder below.
-    let streamed = if use_stream {
-        match FramedStream::open_with_policy(path, FramedStream::default_decoders(), degradation) {
-            Ok(stream) => {
-                let builder = builder.clone().mode(Mode::Phased { chunk, reduction });
-                let errors = stream.error_handle();
-                let counters = stream.stats_handle();
-                let recovery = stream.recovery_handle();
-                let (hist, report) = builder.run_stream(stream);
-                if let Some(e) = errors.take() {
-                    return Err(PardaError::from(e).into());
-                }
-                let mut report = report.expect("stats were requested");
-                report.stream = Some(counters.snapshot());
-                report.merge_recovery(&recovery.lock().unwrap_or_else(|e| e.into_inner()));
-                Some((hist, report))
-            }
-            Err(_) if degradation == Degradation::BestEffort => None,
-            Err(e) => return Err(PardaError::from(e).into()),
+    // run_file streams a v2 file when the mode is phased; folding addresses
+    // to lines needs the whole trace in memory.
+    let (hist, report) = if line_bits > 0 {
+        let (trace, rec) = load_trace_recovering(path, degradation).map_err(PardaError::from)?;
+        let trace = parda_trace::xform::to_lines(&trace, line_bits);
+        let (hist, mut report) = builder.run_faulted(trace.as_slice())?;
+        if let Some(r) = report.as_mut() {
+            r.merge_recovery(&rec);
         }
+        (hist, report)
     } else {
-        None
+        builder.run_file(path)?
     };
-
-    let (hist, report) = match streamed {
-        Some(done) => done,
-        None => {
-            let (mut trace, rec) =
-                load_trace_recovering(path, degradation).map_err(PardaError::from)?;
-            if line_bits > 0 {
-                trace = parda_trace::xform::to_lines(&trace, line_bits);
-            }
-            let mode = match engine {
-                "seq" => Mode::Seq,
-                "naive" => Mode::Naive,
-                "phased" => Mode::Phased { chunk, reduction },
-                _ => Mode::Threads,
-            };
-            // run_faulted: the threads engine reports an unrescued worker
-            // panic or stall as an error instead of panicking.
-            let (hist, report) = builder
-                .clone()
-                .mode(mode)
-                .fault_policy(FaultPolicy::with_degradation(degradation))
-                .run_faulted(trace.as_slice())?;
-            let mut report = report.expect("stats were requested");
-            report.merge_recovery(&rec);
-            (hist, report)
-        }
-    };
+    let report = report.expect("stats were requested");
 
     if matches!(stats_fmt, StatsFormat::Json) {
         return write_stats_json(&hist, &report, out);
@@ -479,54 +453,24 @@ pub fn mrc(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let stats_fmt = stats_format(args)?;
     let degradation = parse_degradation(args)?;
     let approx = parse_approx(args)?.unwrap_or_default();
-    // v2 files stream through the windowed streamer (exact, same histogram as
-    // the sequential analyzer); v1 files use the legacy load-then-analyze.
-    // A v2 file whose footer is destroyed falls back to the in-memory
-    // salvage decoder under best-effort.
-    let streamed = if args.has("stream") || peek_version(path).map_err(PardaError::from)? == 2 {
-        let ranks: usize = args.get_parsed("ranks", 4)?;
-        check_limits(ranks, None, None, 0)?;
-        match FramedStream::open_with_policy(path, FramedStream::default_decoders(), degradation) {
-            Ok(stream) => {
-                let errors = stream.error_handle();
-                let counters = stream.stats_handle();
-                let recovery = stream.recovery_handle();
-                let (hist, report) = Analysis::new()
-                    .tree(TreeKind::Vector)
-                    .ranks(ranks)
-                    .stats(true)
-                    .approx(approx)
-                    .run_stream(stream);
-                if let Some(e) = errors.take() {
-                    return Err(PardaError::from(e).into());
-                }
-                let mut report = report.expect("stats were requested");
-                report.stream = Some(counters.snapshot());
-                report.merge_recovery(&recovery.lock().unwrap_or_else(|e| e.into_inner()));
-                Some((hist, report))
-            }
-            Err(_) if degradation == Degradation::BestEffort => None,
-            Err(e) => return Err(PardaError::from(e).into()),
-        }
-    } else {
-        None
-    };
-    let (hist, report) = match streamed {
-        Some(done) => done,
-        None => {
-            let (trace, rec) =
-                load_trace_recovering(path, degradation).map_err(PardaError::from)?;
-            let (hist, report) = Analysis::new()
-                .tree(TreeKind::Vector)
-                .mode(Mode::Seq)
-                .stats(true)
-                .approx(approx)
-                .run(trace.as_slice());
-            let mut report = report.expect("stats were requested");
-            report.recovery = Some(rec);
-            (hist, report)
-        }
-    };
+    let ranks: usize = args.get_parsed("ranks", 4)?;
+    check_limits(ranks, None, None, 0)?;
+    stream_version(args, path)?;
+    // v2 files stream through the windowed streamer (exact, same histogram
+    // as the sequential analyzer); v1 files, and v2 files whose footer is
+    // destroyed under best-effort, run it over the loaded trace.
+    let (hist, report) = Analysis::new()
+        .tree(TreeKind::Vector)
+        .ranks(ranks)
+        .mode(Mode::Phased {
+            chunk: 65_536,
+            reduction: Reduction::ShipToRankZero,
+        })
+        .stats(true)
+        .degradation(degradation)
+        .approx(approx)
+        .run_file(path)?;
+    let report = report.expect("stats were requested");
     if matches!(stats_fmt, StatsFormat::Json) {
         return write_stats_json(&hist, &report, out);
     }

@@ -31,38 +31,13 @@
 use crate::approx::{ApproxMode, ApproxSketch};
 use crate::error::{FaultPolicy, PardaError};
 use crate::parallel::PardaConfig;
-use crate::phased::Reduction;
+use crate::phased::{Reduction, Streamer};
 use parda_hist::ReuseHistogram;
 use parda_obs::{EngineMetrics, PhasedMetrics, RankMetrics, RecoveryMetrics, Report, Stopwatch};
 use parda_trace::stream::FramedStream;
-use parda_trace::{Addr, AddressStream, Degradation, SliceStream};
+use parda_trace::{Addr, AddressStream, Degradation};
 use parda_tree::TreeKind;
 use std::path::Path;
-
-/// Monomorphize a block over the runtime-selected [`TreeKind`]: binds the
-/// concrete tree type to `$T` inside `$body`.
-macro_rules! dispatch_tree {
-    ($kind:expr, $T:ident, $body:block) => {
-        match $kind {
-            TreeKind::Splay => {
-                type $T = parda_tree::SplayTree;
-                $body
-            }
-            TreeKind::Avl => {
-                type $T = parda_tree::AvlTree;
-                $body
-            }
-            TreeKind::Treap => {
-                type $T = parda_tree::Treap;
-                $body
-            }
-            TreeKind::Vector => {
-                type $T = parda_tree::VectorTree;
-                $body
-            }
-        }
-    };
-}
 
 /// Which engine [`Analysis::run`] drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,10 +46,12 @@ pub enum Mode {
     Seq,
     /// §III-A: the O(N·M) naïve stack baseline (ignores tree/ranks/bound).
     Naive,
-    /// Algorithm 3 ([`crate::parallel::parda_threads`]).
+    /// Algorithm 3 ([`crate::parallel::parda_threads`]): the windowed
+    /// streamer ([`crate::phased`]) over one window holding the whole
+    /// trace.
     Threads,
     /// Algorithm 5: windowed streaming analysis over a persistent history
-    /// ([`crate::phased`]).
+    /// ([`crate::phased`]), in windows of `ranks × chunk` references.
     Phased {
         /// References per rank per window (`C`).
         chunk: usize,
@@ -97,7 +74,7 @@ impl Mode {
 
     /// Streaming chunk size with the [`Mode::Phased`] default for other
     /// modes.
-    fn phase_chunk(&self) -> usize {
+    pub(crate) fn phase_chunk(&self) -> usize {
         match self {
             Mode::Phased { chunk, .. } => *chunk,
             _ => 65_536,
@@ -120,15 +97,15 @@ impl Default for Mode {
 /// histogram plus `Some(Report)` when [`Analysis::stats`] was enabled.
 #[derive(Clone, Debug)]
 pub struct Analysis {
-    tree: TreeKind,
-    mode: Mode,
-    approx: ApproxMode,
-    ranks: Option<usize>,
+    pub(crate) tree: TreeKind,
+    pub(crate) mode: Mode,
+    pub(crate) approx: ApproxMode,
+    pub(crate) ranks: Option<usize>,
     bound: Option<u64>,
     space_optimized: bool,
     subchunk_refs: Option<usize>,
     stats: bool,
-    fault: FaultPolicy,
+    pub(crate) fault: FaultPolicy,
 }
 
 impl Default for Analysis {
@@ -231,32 +208,6 @@ impl Analysis {
         self
     }
 
-    /// Accessors used by the resumable session driver
-    /// ([`crate::session`]) to pick and configure its internal engine.
-    pub(crate) fn tree_kind(&self) -> TreeKind {
-        self.tree
-    }
-
-    pub(crate) fn mode_kind(&self) -> Mode {
-        self.mode
-    }
-
-    pub(crate) fn approx_mode(&self) -> ApproxMode {
-        self.approx
-    }
-
-    pub(crate) fn ranks_opt(&self) -> Option<usize> {
-        self.ranks
-    }
-
-    pub(crate) fn bound_opt(&self) -> Option<u64> {
-        self.bound
-    }
-
-    pub(crate) fn stats_on(&self) -> bool {
-        self.stats
-    }
-
     /// The [`PardaConfig`] this builder resolves to.
     pub fn config(&self) -> PardaConfig {
         let mut config = PardaConfig::default();
@@ -269,34 +220,14 @@ impl Analysis {
         config
     }
 
-    /// Ranks actually used: 1 for the sequential engines, `np` otherwise.
-    fn effective_ranks(&self, config: &PardaConfig) -> usize {
-        match self.mode {
-            Mode::Seq | Mode::Naive => 1,
-            _ => config.ranks.max(1),
-        }
-    }
-
     /// Analyze an in-memory trace.
+    ///
+    /// # Panics
+    ///
+    /// With the [`PardaError`] message, where [`Analysis::run_faulted`]
+    /// returns one.
     pub fn run(&self, trace: &[Addr]) -> (ReuseHistogram, Option<Report>) {
-        if !self.approx.is_exact() {
-            let sw = Stopwatch::start();
-            let mut sketch = ApproxSketch::new(self.approx);
-            sketch.update(trace);
-            return self.finish_approx(&sketch, trace.len() as u64, sw.ns());
-        }
-        let config = self.config();
-        let sw = Stopwatch::start();
-        let (hist, per_rank, phased, recovery) =
-            dispatch_tree!(self.tree, T, { self.run_typed::<T>(trace, &config) });
-        self.finish(
-            hist,
-            per_rank,
-            phased,
-            recovery,
-            trace.len() as u64,
-            sw.ns(),
-        )
+        self.run_faulted(trace).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Analyze an address stream with the windowed streaming engine (the
@@ -306,38 +237,41 @@ impl Analysis {
     /// streams with the default `C = 65536`. Reported as `phased-stream`,
     /// with the items the scalar engine rescued in the report's
     /// `recovery`.
+    ///
+    /// # Panics
+    ///
+    /// With the [`PardaError`] message if an item fails past the builder's
+    /// [`FaultPolicy`]; [`Analysis::run_file`] returns that error instead.
     pub fn run_stream<S>(&self, source: S) -> (ReuseHistogram, Option<Report>)
     where
         S: AddressStream + Send,
     {
+        self.stream(source).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Analysis::run_stream`], returning the streamer's errors.
+    fn stream<S: AddressStream>(
+        &self,
+        source: S,
+    ) -> Result<(ReuseHistogram, Option<Report>), PardaError> {
         if !self.approx.is_exact() {
-            return self.run_approx_stream(source);
+            return Ok(self.run_approx_stream(source));
         }
         let config = self.config();
         let sw = Stopwatch::start();
         let (hist, per_rank, phased, recovery) = dispatch_tree!(self.tree, T, {
-            crate::phased::parda_phased_with_stats::<T, S>(source, self.mode.phase_chunk(), &config)
-        });
+            Streamer::<T>::phased(&config, &self.fault, self.mode.phase_chunk()).pull(source)
+        })?;
         let refs = per_rank.iter().map(|r| r.refs).sum();
-        let total_ns = sw.ns();
-        if !self.stats {
-            return (hist, None);
-        }
-        let report = Report {
-            mode: "phased-stream".into(),
-            tree: self.tree.name().into(),
-            ranks: config.ranks.max(1),
-            bound: self.bound,
-            trace_refs: refs,
-            total_ns,
+        Ok(self.finish(
+            "phased-stream",
+            hist,
             per_rank,
-            stream: None,
-            phased: Some(phased),
-            recovery: Some(recovery),
-            approx: None,
-            shared: None,
-        };
-        (hist, Some(report))
+            Some(phased),
+            Some(recovery),
+            refs,
+            sw.ns(),
+        ))
     }
 
     /// Drain an address stream through the sketch in fixed-size gulps —
@@ -370,76 +304,60 @@ impl Analysis {
         total_ns: u64,
     ) -> (ReuseHistogram, Option<Report>) {
         let hist = sketch.finalize();
-        if !self.stats {
-            return (hist, None);
+        let per_rank = vec![untimed_rank_metrics(trace_refs, &hist, total_ns)];
+        let mode = self.approx.name();
+        let (hist, mut report) =
+            self.finish(mode, hist, per_rank, None, None, trace_refs, total_ns);
+        if let Some(r) = report.as_mut() {
+            r.approx = Some(sketch.metrics());
         }
-        let report = Report {
-            mode: self.approx.name().into(),
-            tree: self.tree.name().into(),
-            ranks: 1,
-            bound: self.bound,
-            trace_refs,
-            total_ns,
-            per_rank: vec![untimed_rank_metrics(trace_refs, &hist, total_ns)],
-            stream: None,
-            phased: None,
-            recovery: None,
-            approx: Some(sketch.metrics()),
-            shared: None,
-        };
-        (hist, Some(report))
+        (hist, report)
     }
 
-    /// Analyze an in-memory trace with fault isolation.
+    /// Analyze an in-memory trace with fault isolation: the run of
+    /// [`Analysis::run`], returning its errors.
     ///
-    /// For [`Mode::Threads`] this drives
-    /// [`crate::parallel::parda_threads_faulted`]: panicking workers are
-    /// caught and their items rescued with the scalar reference engine
-    /// under the builder's [`FaultPolicy`] (bit-identical histogram on
-    /// success), and a configured watchdog converts a stalled cascade wait
-    /// into [`PardaError::Stall`]. Other modes run through
-    /// [`Analysis::run`]: the sequential engines are single-threaded, so a
-    /// panic there is a programming error that should surface, and
-    /// [`Mode::Phased`] rescues its items under the default policy and
-    /// counts them in the report's `recovery`.
+    /// [`Mode::Threads`] and [`Mode::Phased`] run the windowed streamer
+    /// ([`crate::phased`]) over the trace, one window for `Threads`:
+    /// panicking workers are caught and their items rescued with the
+    /// scalar reference engine under the builder's [`FaultPolicy`]
+    /// (bit-identical histogram on success), exhausted retries return
+    /// [`PardaError::WorkerPanic`], and a configured watchdog converts a
+    /// stalled cascade wait into [`PardaError::Stall`]. The rescues are
+    /// counted in the report's `recovery`. The sequential engines are
+    /// single-threaded, so a panic there is a programming error that
+    /// surfaces as one.
     pub fn run_faulted(
         &self,
         trace: &[Addr],
     ) -> Result<(ReuseHistogram, Option<Report>), PardaError> {
-        if self.mode != Mode::Threads || !self.approx.is_exact() {
-            return Ok(self.run(trace));
+        if !self.approx.is_exact() {
+            let sw = Stopwatch::start();
+            let mut sketch = ApproxSketch::new(self.approx);
+            sketch.update(trace);
+            return Ok(self.finish_approx(&sketch, trace.len() as u64, sw.ns()));
         }
-        let config = self.config();
-        let sw = Stopwatch::start();
-        let (hist, per_rank, recovery) = dispatch_tree!(self.tree, T, {
-            crate::parallel::parda_threads_faulted::<T>(trace, &config, &self.fault)
-        })?;
-        Ok(self.finish(
-            hist,
-            per_rank,
-            None,
-            Some(recovery),
-            trace.len() as u64,
-            sw.ns(),
-        ))
+        dispatch_tree!(self.tree, T, { self.run_typed::<T>(trace) })
     }
 
     /// Analyze a trace file end to end under the builder's fault policy.
     ///
     /// This is the fault-tolerant front door: it decodes (or streams) the
     /// file honouring [`Analysis::degradation`], runs the selected engine
-    /// with panic isolation ([`Analysis::run_faulted`]), and attaches the
-    /// combined [`parda_obs::RecoveryMetrics`] — corrupt frames skipped, references
-    /// dropped, CRC failures, rank rescues — to the [`Report`] when stats
-    /// are enabled.
+    /// with panic isolation, retries and the watchdog, and attaches the
+    /// combined [`parda_obs::RecoveryMetrics`] — corrupt frames skipped,
+    /// references dropped, CRC failures, rank rescues — to the [`Report`]
+    /// when stats are enabled.
     ///
-    /// * [`Mode::Phased`] on a v2 file streams frames through
-    ///   [`FramedStream`] with the degradation policy applied per frame;
-    ///   if the file's footer/index is too damaged to open and the policy
-    ///   is [`Degradation::BestEffort`], it falls back to an in-memory
-    ///   resync-scan salvage.
+    /// * [`Mode::Phased`] and the approximate modes on a v2 file stream
+    ///   frames through [`FramedStream`] with the degradation policy
+    ///   applied per frame, and the report carries the decoder's counters
+    ///   as `stream`; if the file's footer/index is too damaged to open
+    ///   and the policy is [`Degradation::BestEffort`], it falls back to
+    ///   an in-memory resync-scan salvage.
     /// * Every other mode (and every v1 file) decodes in memory via
-    ///   [`parda_trace::decode_trace_recovering`].
+    ///   [`parda_trace::decode_trace_recovering`] and runs as
+    ///   [`Analysis::run_faulted`].
     ///
     /// Under [`Degradation::Strict`] any integrity violation aborts with
     /// [`PardaError::Corrupt`]; the lossy policies return the exact
@@ -464,15 +382,18 @@ impl Analysis {
             ) {
                 Ok(stream) => {
                     let errors = stream.error_handle();
+                    let counters = stream.stats_handle();
                     let recovery = stream.recovery_handle();
-                    let (hist, mut report) = self.run_stream(stream);
+                    let done = self.stream(stream);
                     // A strict-mode decode failure terminates the stream
                     // early; surface it instead of a silently short
                     // histogram.
                     if let Some(e) = errors.take() {
                         return Err(e.into());
                     }
+                    let (hist, mut report) = done?;
                     if let Some(r) = report.as_mut() {
+                        r.stream = Some(counters.snapshot());
                         r.merge_recovery(&recovery.lock().unwrap_or_else(|e| e.into_inner()));
                     }
                     return Ok((hist, report));
@@ -492,45 +413,51 @@ impl Analysis {
         Ok((hist, report))
     }
 
-    /// One engine run with a concrete tree type: the histogram, per-rank
-    /// metrics, and the windowed streamer's window aggregates and rescue
-    /// tally.
+    /// [`Analysis::run_faulted`]'s exact engines with a concrete tree type.
     fn run_typed<T: parda_tree::ReuseTree + Default + Send>(
         &self,
         trace: &[Addr],
-        config: &PardaConfig,
-    ) -> (
-        ReuseHistogram,
-        Vec<RankMetrics>,
-        Option<PhasedMetrics>,
-        Option<RecoveryMetrics>,
-    ) {
-        match self.mode {
+    ) -> Result<(ReuseHistogram, Option<Report>), PardaError> {
+        let config = self.config();
+        let sw = Stopwatch::start();
+        let (hist, per_rank, phased, recovery) = match self.mode {
             Mode::Seq => {
                 let (hist, rm) = crate::seq::analyze_sequential_with_stats::<T>(trace, self.bound);
                 (hist, vec![rm], None, None)
             }
             Mode::Naive => {
-                let sw = Stopwatch::start();
                 let hist = crate::seq::analyze_naive(trace);
                 let rm = untimed_rank_metrics(trace.len() as u64, &hist, sw.ns());
                 (hist, vec![rm], None, None)
             }
             Mode::Threads => {
-                let (hist, ranks) = crate::parallel::parda_threads_with_stats::<T>(trace, config);
-                (hist, ranks, None, None)
+                let streamer = Streamer::<T>::new(&config, &self.fault, usize::MAX);
+                let (hist, ranks, _, recovery) = streamer.run_slice(trace)?;
+                (hist, ranks, None, Some(recovery))
             }
             Mode::Phased { chunk, .. } => {
-                let source = SliceStream::new(trace);
-                let (hist, ranks, phased, recovery) =
-                    crate::phased::parda_phased_with_stats::<T, _>(source, chunk, config);
+                let streamer = Streamer::<T>::phased(&config, &self.fault, chunk);
+                let (hist, ranks, phased, recovery) = streamer.run_slice(trace)?;
                 (hist, ranks, Some(phased), Some(recovery))
             }
-        }
+        };
+        Ok(self.finish(
+            self.mode.name(),
+            hist,
+            per_rank,
+            phased,
+            recovery,
+            trace.len() as u64,
+            sw.ns(),
+        ))
     }
 
-    fn finish(
+    /// The exact report for a finished run, labelled `mode`, or `None`
+    /// without stats.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn finish(
         &self,
+        mode: &str,
         hist: ReuseHistogram,
         per_rank: Vec<RankMetrics>,
         phased: Option<PhasedMetrics>,
@@ -541,11 +468,10 @@ impl Analysis {
         if !self.stats {
             return (hist, None);
         }
-        let config = self.config();
         let report = Report {
-            mode: self.mode.name().into(),
+            mode: mode.into(),
             tree: self.tree.name().into(),
-            ranks: self.effective_ranks(&config),
+            ranks: per_rank.len(),
             bound: self.bound,
             trace_refs,
             total_ns,
@@ -582,6 +508,7 @@ fn untimed_rank_metrics(refs: u64, hist: &ReuseHistogram, ns: u64) -> RankMetric
 mod tests {
     use super::*;
     use crate::seq::{analyze_naive, analyze_sequential};
+    use parda_trace::SliceStream;
     use parda_tree::SplayTree;
     use proptest::prelude::*;
 

@@ -6,9 +6,9 @@
 //! |---|---|
 //! | Algorithm 1 — tree-based sequential analysis (Olken) | [`seq::analyze_sequential`], [`Engine::process_chunk`] |
 //! | Algorithm 2 — tree distance query | `parda_tree::ReuseTree::distance` |
-//! | Algorithm 3 — the Parda parallel algorithm | [`parallel::parda_threads`] (one panic-isolated schedule; [`parallel::parda_threads_faulted`] returns its errors) |
+//! | Algorithm 3 — the Parda parallel algorithm | [`parallel::parda_threads`]: the windowed streamer over one window holding the whole trace ([`parallel::parda_threads_faulted`] returns its errors) |
 //! | Algorithm 4 — space-optimized infinity processing | [`Engine::process_infinities_in_place`] |
-//! | Algorithm 5 — windowed streaming analysis (Algorithm 6's state merge replaced by a persistent history) | [`phased::parda_phased`] |
+//! | Algorithm 5 — windowed streaming analysis (Algorithm 6's state merge replaced by a persistent history) | [`phased`]: the one exact parallel driver, fed a slice, an [`parda_trace::AddressStream`] ([`phased::parda_phased`]) or pushed frames ([`SessionAnalysis`]) |
 //! | Algorithm 7 — bounded (cache-capped) analysis | `bound` option on every engine |
 //! | §III-A — naïve stack algorithm | [`seq::analyze_naive`] |
 //! | §IV-D rank-renaming enhancement | superseded: the [`phased`] history never moves |
@@ -47,6 +47,31 @@
 //! assert_eq!(report.unwrap().total_rank_refs(), 100_000);
 //! ```
 
+/// Monomorphize a block over the runtime-selected [`TreeKind`]: binds the
+/// concrete tree type to `$T` inside `$body`.
+macro_rules! dispatch_tree {
+    ($kind:expr, $T:ident, $body:block) => {
+        match $kind {
+            parda_tree::TreeKind::Splay => {
+                type $T = parda_tree::SplayTree;
+                $body
+            }
+            parda_tree::TreeKind::Avl => {
+                type $T = parda_tree::AvlTree;
+                $body
+            }
+            parda_tree::TreeKind::Treap => {
+                type $T = parda_tree::Treap;
+                $body
+            }
+            parda_tree::TreeKind::Vector => {
+                type $T = parda_tree::VectorTree;
+                $body
+            }
+        }
+    };
+}
+
 pub mod analysis;
 pub mod approx;
 pub mod concurrent;
@@ -71,7 +96,7 @@ pub use error::{FaultPolicy, PardaError};
 pub use parallel::{check_limits, parda_threads_faulted, PardaConfig};
 pub use parda_obs::Report;
 pub use parda_trace::Degradation;
-pub use session::{SessionAnalysis, SessionStep};
+pub use session::SessionAnalysis;
 
 use parda_hist::ReuseHistogram;
 use parda_trace::Addr;

@@ -10,15 +10,17 @@
 //! One schedule runs it. The chunks, or work-stealing sub-chunks of them,
 //! are analyzed on panic-isolated worker threads while the cascade folds
 //! right to left on the caller; a worker that panics has its item
-//! re-analyzed by the scalar engine under a [`FaultPolicy`].
-//! [`parda_threads`], [`parda_threads_faulted`] and the windowed streamer
-//! ([`crate::phased`]) all drive it. Where the paper's MPI rank `p` absorbs
+//! re-analyzed by the scalar engine under a [`FaultPolicy`]. The windowed
+//! streamer ([`crate::phased`]) drives it once per window;
+//! [`parda_threads`] and [`parda_threads_faulted`] are that streamer over
+//! one window holding the whole trace. Where the paper's MPI rank `p` absorbs
 //! its right neighbour's lists over `np − p − 1` message rounds, an item
 //! here absorbs everything its right neighbour would have sent in one
 //! stream: the same operations on every engine, so the same histogram.
 
 use crate::engine::{Engine, MissSink};
 use crate::error::{FaultPolicy, PardaError};
+use crate::phased::Streamer;
 use parda_hist::ReuseHistogram;
 use parda_obs::{CascadeRoundStats, RankMetrics, RecoveryMetrics, Stopwatch};
 use parda_trace::{chunk_slice, Addr};
@@ -213,7 +215,6 @@ pub(crate) fn build_items<'a>(
 ///
 /// This is [`parda_threads_faulted`] under [`FaultPolicy::default`]: a
 /// panicking worker's item is rescued with the scalar engine, bit-identically.
-/// A single rank runs the sequential analyzer directly.
 ///
 /// # Panics
 ///
@@ -241,61 +242,32 @@ pub fn parda_threads_with_stats<T: ReuseTree + Default + Send>(
     trace: &[Addr],
     config: &PardaConfig,
 ) -> (ReuseHistogram, Vec<RankMetrics>) {
-    if config.ranks.max(1) == 1 {
-        let (hist, rank) = crate::seq::analyze_sequential_with_stats::<T>(trace, config.bound);
-        return (hist, vec![rank]);
-    }
     let (hist, metrics, _) = parda_threads_faulted::<T>(trace, config, &FaultPolicy::default())
         .unwrap_or_else(|e| panic!("{e}"));
     (hist, metrics)
 }
 
-/// Fault-tolerant shared-memory Parda: the one Algorithm 3 schedule, with
-/// panic-isolated workers, bounded rescue retries, and an optional
-/// watchdog on the cascade waits.
+/// Fault-tolerant shared-memory Parda: the windowed streamer
+/// ([`crate::phased`]) over one window holding the whole trace, under
+/// `policy`.
 ///
-/// Each work item's chunk analysis (a rank's chunk, or a work-stealing
-/// sub-chunk of it, cut as in [`parda_threads_with_stats`]) runs under
-/// [`catch_unwind`]; a panicking worker publishes a failure marker instead
-/// of killing the run, and the cascade fold re-analyzes that item on the
-/// caller thread with the *scalar* reference engine
-/// ([`Engine::process_chunk_scalar`] — the simplest, most-audited code
-/// path), retrying up to [`FaultPolicy::max_retries`] times with
-/// [`FaultPolicy::retry_backoff`] between attempts. Because the scalar
-/// engine is bit-identical to the batched one, a rescued run produces
-/// exactly the histogram the unfaulted run would have. Exhausted retries
-/// yield [`PardaError::WorkerPanic`]; an item that never publishes within
-/// [`FaultPolicy::watchdog`] yields [`PardaError::Stall`] instead of a
-/// hang. Both name the item's owning rank. Recovery activity is tallied
-/// in the returned [`RecoveryMetrics`] (`rank_retries` / `rank_rescues`,
-/// counted per item).
+/// Each work item (a rank's chunk, or a work-stealing sub-chunk of it, cut
+/// as in [`parda_threads_with_stats`]) is analyzed on a panic-isolated
+/// worker; a panicked item is re-analyzed with the scalar reference
+/// engine ([`Engine::process_chunk_scalar`]) up to
+/// [`FaultPolicy::max_retries`] times, bit-identically. Exhausted retries
+/// yield [`PardaError::WorkerPanic`], and an item that never publishes
+/// within [`FaultPolicy::watchdog`] yields [`PardaError::Stall`]; both name
+/// the item's owning rank. The returned [`RecoveryMetrics`] count the
+/// retries and rescues per item.
 pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
     trace: &[Addr],
     config: &PardaConfig,
     policy: &FaultPolicy,
 ) -> Result<(ReuseHistogram, Vec<RankMetrics>, RecoveryMetrics), PardaError> {
-    let np = config.ranks.max(1);
-    let chunks = chunk_slice(trace, np);
-    let starts = chunk_starts(&chunks, 0);
-    let items = build_items(&chunks, &starts, config);
-    let mut metrics = rank_metrics(np);
-    let mut recovery = RecoveryMetrics::default();
-    let mut total = ReuseHistogram::new();
-    let globals = cascade_items::<T>(
-        &items,
-        config,
-        policy,
-        &mut metrics,
-        &mut recovery,
-        &mut total,
-        Vec::new(),
-        |_, _| {},
-    )?;
-    // Every reference left at the leftmost boundary is an authoritative
-    // global infinity, recorded on rank 0.
-    total.record_infinite_n(globals.len() as u64);
-    metrics[0].engine.cold_misses += globals.len() as u64;
-    Ok((total, metrics, recovery))
+    let (hist, metrics, _, recovery) =
+        Streamer::<T>::new(config, policy, usize::MAX).run_slice(trace)?;
+    Ok((hist, metrics, recovery))
 }
 
 /// Analyze `items` on panic-isolated worker threads and fold their cascade
@@ -478,8 +450,8 @@ fn claim_item<T: ReuseTree + Default>(
 ///
 /// Returns the stream left at the leftmost boundary: item 0's local
 /// infinities followed by everything no item resolved, in first-touch
-/// order. The in-memory drivers count it as global infinities; the
-/// windowed streamer hands it to its history.
+/// order. The windowed streamer hands it to its history, or, for a lone
+/// window, counts it as global infinities.
 fn fold_cascade<T: ReuseTree>(
     items: &[WorkItem<'_>],
     config: &PardaConfig,

@@ -1,113 +1,46 @@
 //! Resumable per-session analysis: [`SessionAnalysis`].
 //!
-//! Daemon-style hosts (the `parda-server` shards) feed decoded frames into
-//! a session as they arrive off the wire and collect the result at FIN —
-//! no parked analysis thread, no bounded pipe. The driver is a small state
-//! machine:
+//! Daemon-style hosts (the `parda-server` shards) push decoded frames into
+//! a session as they arrive off the wire ([`SessionAnalysis::feed`]) and
+//! collect the histogram and optional [`Report`] at FIN
+//! ([`SessionAnalysis::finish`]) — no parked thread, no trace buffer.
 //!
-//! * [`SessionAnalysis::feed`] absorbs one frame and answers
-//!   [`SessionStep::NeedMore`] (the frame was analyzed or sketched
-//!   immediately; per-session state stays bounded) or
-//!   [`SessionStep::Pending`] (the frame was buffered for a finish-time
-//!   engine such as the parallel cascade).
-//! * [`SessionAnalysis::finish`] runs any deferred work and returns the
-//!   `Done` payload: the histogram plus the optional [`Report`].
+//! Approximate modes stream through the constant-space [`ApproxSketch`].
+//! Every exact mode pushes its frames into one windowed streamer
+//! ([`crate::phased`]) whose tree type the session erases; a window runs as
+//! soon as the reference after it arrives. [`Mode::Threads`] is one window,
+//! run at `finish` exactly as [`Analysis::run_faulted`] runs it;
+//! [`SessionAnalysis::auto_ranks`] instead cuts windows of
+//! `AUTO_RANK_MAX × AUTO_RANK_CHUNK` = 2,097,152 references, so a longer
+//! session holds O(M + window), not its trace. Every other exact mode
+//! streams as [`Analysis::run_stream`] does.
 //!
-//! Which internal engine drives the session follows the builder:
-//!
-//! * Approximate modes ([`crate::approx::ApproxMode`] other than `Exact`)
-//!   stream through the constant-space [`ApproxSketch`] — `feed` is O(1)
-//!   amortized and per-session memory is O(sketch) regardless of
-//!   footprint.
-//! * [`Mode::Seq`] and [`Mode::Phased`] stream through the incremental
-//!   [`SequentialAnalyzer`] (Algorithm 1 driven frame by frame).
-//! * Everything else (notably [`Mode::Threads`], the parallel cascade)
-//!   buffers references and runs the builder's engine at `finish` via
-//!   [`Analysis::run_faulted`], so panic isolation and rank rescue apply
-//!   unchanged.
-//!
-//! Every path is bit-identical to the equivalent one-shot
-//! [`Analysis::run`] / [`Analysis::run_stream`] regardless of how the
-//! trace is split into frames (unit-tested below).
+//! The builder's [`crate::FaultPolicy`] governs item rescues and the
+//! watchdog; an item that fails past it ends the stream, and `finish`
+//! returns its error. Every path is bit-identical to the one-shot
+//! [`Analysis::run`] however the trace is split into frames
+//! (property-tested below).
 
 use crate::analysis::{Analysis, Mode};
 use crate::approx::ApproxSketch;
 use crate::error::PardaError;
-use crate::seq::SequentialAnalyzer;
+use crate::phased::{PushStream, Streamer};
 use parda_hist::ReuseHistogram;
-use parda_obs::{RankMetrics, Report, Stopwatch};
+use parda_obs::{Report, Stopwatch};
 use parda_trace::Addr;
-use parda_tree::{AvlTree, SplayTree, Treap, TreeKind, VectorTree};
 
-/// What [`SessionAnalysis::feed`] did with a frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SessionStep {
-    /// The frame was consumed by an incremental engine (sequential tree or
-    /// sketch); per-session state stays bounded. Feed more or `finish`.
-    NeedMore,
-    /// The frame was buffered for a finish-time engine (parallel cascade);
-    /// the analysis itself is pending until `finish`.
-    Pending,
-}
+/// References per rank when [`SessionAnalysis::auto_ranks`] ranks a window
+/// by its length (measured sweet spot for the batched infinity-absorb
+/// cascade: small, cache-resident per-rank trees).
+const AUTO_RANK_CHUNK: usize = 32_768;
 
-/// Target references per rank when [`SessionAnalysis::auto_ranks`] picks
-/// the cascade width at `finish` (measured sweet spot for the batched
-/// infinity-absorb cascade: small, cache-resident per-rank trees).
-const AUTO_RANK_CHUNK: u64 = 32_768;
-
-/// Rank-count ceiling for [`SessionAnalysis::auto_ranks`].
-const AUTO_RANK_MAX: u64 = 64;
-
-/// A [`SequentialAnalyzer`] erased over the runtime [`TreeKind`].
-enum ErasedSeq {
-    Splay(SequentialAnalyzer<SplayTree>),
-    Avl(SequentialAnalyzer<AvlTree>),
-    Treap(SequentialAnalyzer<Treap>),
-    Vector(SequentialAnalyzer<VectorTree>),
-}
-
-impl ErasedSeq {
-    fn new(kind: TreeKind, bound: Option<u64>) -> Self {
-        match kind {
-            TreeKind::Splay => ErasedSeq::Splay(SequentialAnalyzer::new(bound)),
-            TreeKind::Avl => ErasedSeq::Avl(SequentialAnalyzer::new(bound)),
-            TreeKind::Treap => ErasedSeq::Treap(SequentialAnalyzer::new(bound)),
-            TreeKind::Vector => ErasedSeq::Vector(SequentialAnalyzer::new(bound)),
-        }
-    }
-
-    fn process_all(&mut self, addrs: &[Addr]) {
-        match self {
-            ErasedSeq::Splay(a) => a.process_all(addrs),
-            ErasedSeq::Avl(a) => a.process_all(addrs),
-            ErasedSeq::Treap(a) => a.process_all(addrs),
-            ErasedSeq::Vector(a) => a.process_all(addrs),
-        }
-    }
-
-    fn metrics(&self) -> parda_obs::EngineMetrics {
-        match self {
-            ErasedSeq::Splay(a) => a.metrics().clone(),
-            ErasedSeq::Avl(a) => a.metrics().clone(),
-            ErasedSeq::Treap(a) => a.metrics().clone(),
-            ErasedSeq::Vector(a) => a.metrics().clone(),
-        }
-    }
-
-    fn finish(self) -> ReuseHistogram {
-        match self {
-            ErasedSeq::Splay(a) => a.finish(),
-            ErasedSeq::Avl(a) => a.finish(),
-            ErasedSeq::Treap(a) => a.finish(),
-            ErasedSeq::Vector(a) => a.finish(),
-        }
-    }
-}
+/// Rank-count ceiling for [`SessionAnalysis::auto_ranks`], and so the
+/// window size in units of [`AUTO_RANK_CHUNK`].
+const AUTO_RANK_MAX: usize = 64;
 
 enum State {
-    Sketch(ApproxSketch),
-    Incremental(ErasedSeq),
-    Collect(Vec<Addr>),
+    Sketch(Box<ApproxSketch>),
+    Exact(Box<dyn PushStream>),
 }
 
 /// Resumable analysis session (see the module docs).
@@ -115,7 +48,6 @@ pub struct SessionAnalysis {
     builder: Analysis,
     state: State,
     refs: u64,
-    auto_ranks: bool,
     sw: Stopwatch,
     /// Wall time spent detached from any transport (parked in a host's
     /// orphan pool between a disconnect and a resume); excluded from the
@@ -129,56 +61,64 @@ pub struct SessionAnalysis {
 impl Analysis {
     /// Begin a resumable session driven by this builder's configuration.
     pub fn session(&self) -> SessionAnalysis {
-        let state = if !self.approx_mode().is_exact() {
-            State::Sketch(ApproxSketch::new(self.approx_mode()))
+        let state = if self.approx.is_exact() {
+            State::Exact(self.push_streamer(false))
         } else {
-            match self.mode_kind() {
-                Mode::Seq | Mode::Phased { .. } => {
-                    State::Incremental(ErasedSeq::new(self.tree_kind(), self.bound_opt()))
-                }
-                _ => State::Collect(Vec::new()),
-            }
+            State::Sketch(Box::new(ApproxSketch::new(self.approx)))
         };
         SessionAnalysis {
             builder: self.clone(),
             state,
             refs: 0,
-            auto_ranks: false,
             sw: Stopwatch::start(),
             detached_ns: 0,
             detached_at: None,
             resumes: 0,
         }
     }
+
+    /// The exact session's streamer: the one place a session picks its
+    /// tree.
+    fn push_streamer(&self, auto_ranks: bool) -> Box<dyn PushStream> {
+        let (config, policy) = (self.config(), &self.fault);
+        // The unoptimized ablation cannot take a history: one window.
+        let auto_window = if config.space_optimized {
+            AUTO_RANK_MAX * AUTO_RANK_CHUNK
+        } else {
+            usize::MAX
+        };
+        dispatch_tree!(self.tree, T, {
+            Box::new(match self.mode {
+                Mode::Threads if auto_ranks && self.ranks.is_none() => {
+                    let auto = config.ranks(AUTO_RANK_MAX);
+                    Streamer::<T>::new(&auto, policy, auto_window).ranked_by_length(AUTO_RANK_CHUNK)
+                }
+                Mode::Threads => Streamer::<T>::new(&config, policy, usize::MAX),
+                mode => Streamer::<T>::phased(&config, policy, mode.phase_chunk()),
+            })
+        })
+    }
 }
 
 impl SessionAnalysis {
-    /// Let `finish` pick the cascade rank count from the trace length
-    /// (≈ one rank per 32768 references, capped at
-    /// 64) when the builder left ranks unset. Only affects
-    /// the buffered finish-time engines; histograms are rank-count
-    /// invariant (property-tested), so this is purely a speed knob.
+    /// When the builder left ranks unset, cut a [`Mode::Threads`] session
+    /// into windows of 2,097,152 references, each with one rank per 32,768
+    /// of them (at least 1). Histograms are rank-count and window
+    /// invariant (property-tested): this trades only speed and memory.
     pub fn auto_ranks(mut self, on: bool) -> Self {
-        self.auto_ranks = on;
+        if let State::Exact(_) = self.state {
+            self.state = State::Exact(self.builder.push_streamer(on));
+        }
         self
     }
 
-    /// Absorb one frame of decoded references.
-    pub fn feed(&mut self, addrs: &[Addr]) -> SessionStep {
+    /// Push one frame of decoded references. A window the frame completes
+    /// runs once the next reference arrives.
+    pub fn feed(&mut self, addrs: &[Addr]) {
         self.refs += addrs.len() as u64;
         match &mut self.state {
-            State::Sketch(sketch) => {
-                sketch.update(addrs);
-                SessionStep::NeedMore
-            }
-            State::Incremental(seq) => {
-                seq.process_all(addrs);
-                SessionStep::NeedMore
-            }
-            State::Collect(buf) => {
-                buf.extend_from_slice(addrs);
-                SessionStep::Pending
-            }
+            State::Sketch(sketch) => sketch.update(addrs),
+            State::Exact(streamer) => streamer.feed(addrs),
         }
     }
 
@@ -227,69 +167,47 @@ impl SessionAnalysis {
     }
 
     /// Estimated bytes of per-session analysis state held right now:
-    /// exact sketch accounting for approximate sessions, buffer capacity
-    /// for the collect path, and a per-live-address estimate (hash entry +
-    /// tree node) for the incremental tree path.
+    /// exact sketch accounting for approximate sessions; for exact ones
+    /// the pending window's buffer plus a per-live-address estimate (hash
+    /// entry + tree node) for the item engines and the history.
     pub fn state_bytes(&self) -> u64 {
         match &self.state {
             State::Sketch(sketch) => sketch.memory_bytes(),
-            State::Collect(buf) => (buf.capacity() * std::mem::size_of::<Addr>()) as u64,
-            State::Incremental(seq) => seq.metrics().live_hwm * 64,
+            State::Exact(streamer) => streamer.state_bytes(),
         }
     }
 
-    /// Run any deferred work and return the result — the `Done` step of
-    /// the `feed → Pending | NeedMore` state machine.
+    /// Run the last window and return the result. A [`Mode::Threads`]
+    /// session reports as `parda-threads`, with window aggregates only past
+    /// one window; other exact sessions as `phased-stream`. `total_ns` is
+    /// the attached wall time.
     ///
-    /// Errors only surface from the buffered [`Analysis::run_faulted`]
-    /// path (an unrescued rank panic or watchdog stall under the
-    /// builder's [`crate::FaultPolicy`]).
+    /// # Errors
+    ///
+    /// The stream's first [`PardaError::WorkerPanic`] or
+    /// [`PardaError::Stall`] under the builder's [`crate::FaultPolicy`].
     pub fn finish(self) -> Result<(ReuseHistogram, Option<Report>), PardaError> {
         let attached_ns = self.attached_ns();
-        match self.state {
+        let streamer = match self.state {
             State::Sketch(sketch) => {
-                Ok(self.builder.finish_approx(&sketch, self.refs, attached_ns))
+                return Ok(self.builder.finish_approx(&sketch, self.refs, attached_ns))
             }
-            State::Incremental(seq) => {
-                let total_ns = attached_ns;
-                let refs = self.refs;
-                let metrics = seq.metrics();
-                let hist = seq.finish();
-                if !self.builder.stats_on() {
-                    return Ok((hist, None));
-                }
-                let report = Report {
-                    mode: "session-stream".into(),
-                    tree: self.builder.tree_kind().name().into(),
-                    ranks: 1,
-                    bound: self.builder.bound_opt(),
-                    trace_refs: refs,
-                    total_ns,
-                    per_rank: vec![RankMetrics {
-                        rank: 0,
-                        refs,
-                        chunk_ns: total_ns,
-                        engine: metrics,
-                        ..Default::default()
-                    }],
-                    stream: None,
-                    phased: None,
-                    recovery: None,
-                    approx: None,
-                    shared: None,
-                };
-                Ok((hist, Some(report)))
-            }
-            State::Collect(buf) => {
-                let mut builder = self.builder;
-                if self.auto_ranks && builder.ranks_opt().is_none() {
-                    let ranks =
-                        (buf.len() as u64 / AUTO_RANK_CHUNK).clamp(1, AUTO_RANK_MAX) as usize;
-                    builder = builder.ranks(ranks);
-                }
-                builder.run_faulted(&buf)
-            }
-        }
+            State::Exact(streamer) => streamer,
+        };
+        let (hist, per_rank, phased, recovery) = streamer.finish()?;
+        let (mode, phased) = match self.builder.mode {
+            Mode::Threads => (Mode::Threads.name(), (phased.phases > 1).then_some(phased)),
+            _ => ("phased-stream", Some(phased)),
+        };
+        Ok(self.builder.finish(
+            mode,
+            hist,
+            per_rank,
+            phased,
+            Some(recovery),
+            self.refs,
+            attached_ns,
+        ))
     }
 }
 
@@ -297,6 +215,8 @@ impl SessionAnalysis {
 mod tests {
     use super::*;
     use crate::approx::ApproxMode;
+    use crate::phased::Reduction;
+    use parda_tree::TreeKind;
     use proptest::prelude::*;
 
     fn zipfish(n: usize) -> Vec<Addr> {
@@ -311,14 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_one_shot_for_every_tree() {
+    fn seq_sessions_stream_for_every_tree() {
         let trace = zipfish(5_000);
-        for kind in [
-            TreeKind::Splay,
-            TreeKind::Avl,
-            TreeKind::Treap,
-            TreeKind::Vector,
-        ] {
+        for kind in TreeKind::ALL {
             let builder = Analysis::new().tree(kind).mode(Mode::Seq).stats(true);
             let (expect, _) = builder.run(&trace);
             let mut session = builder.session();
@@ -328,38 +243,45 @@ mod tests {
             let (hist, report) = session.finish().unwrap();
             assert_eq!(hist, expect, "{kind:?}");
             let report = report.unwrap();
-            assert_eq!(report.mode, "session-stream");
+            assert_eq!(report.mode, "phased-stream");
             assert_eq!(report.trace_refs, 5_000);
+            assert_eq!(report.total_rank_refs(), 5_000);
         }
     }
 
     #[test]
-    fn phased_mode_streams_incrementally() {
+    fn phased_sessions_run_windows_as_frames_arrive() {
         let trace = zipfish(3_000);
-        let builder = Analysis::new().mode(Mode::Phased {
+        let builder = Analysis::new().ranks(2).stats(true).mode(Mode::Phased {
             chunk: 64,
-            reduction: crate::phased::Reduction::ShipToRankZero,
+            reduction: Reduction::ShipToRankZero,
         });
         let (expect, _) = builder.run(&trace);
         let mut session = builder.session();
-        assert_eq!(session.feed(&trace[..100]), SessionStep::NeedMore);
-        feed_frames(&mut session, &trace[100..]);
-        let (hist, _) = session.finish().unwrap();
+        feed_frames(&mut session, &trace);
+        let (hist, report) = session.finish().unwrap();
         assert_eq!(hist, expect);
+        let phased = report
+            .unwrap()
+            .phased
+            .expect("phased sessions report windows");
+        assert_eq!(phased.phases, 3_000u64.div_ceil(128));
+        assert_eq!(phased.history.cold_misses, hist.infinite());
     }
 
     #[test]
-    fn collect_path_runs_the_cascade_at_finish() {
+    fn threads_session_runs_one_window_at_finish() {
         let trace = zipfish(4_000);
         let builder = Analysis::new().ranks(4).mode(Mode::Threads).stats(true);
         let (expect, _) = builder.run(&trace);
         let mut session = builder.session();
-        assert_eq!(session.feed(&trace[..1_000]), SessionStep::Pending);
-        feed_frames(&mut session, &trace[1_000..]);
+        feed_frames(&mut session, &trace);
         let (hist, report) = session.finish().unwrap();
         assert_eq!(hist, expect);
         let report = report.unwrap();
         assert_eq!(report.mode, "parda-threads");
+        assert!(report.phased.is_none(), "one window, no window aggregates");
+        assert_eq!(report.per_rank[0].engine.cold_misses, hist.infinite());
         assert!(report
             .recovery
             .expect("faulted run attaches recovery")
@@ -369,22 +291,20 @@ mod tests {
     #[test]
     fn auto_ranks_is_bit_identical_and_bounded() {
         let trace = zipfish(100_000);
-        let builder = Analysis::new().mode(Mode::Threads);
+        let builder = Analysis::new().mode(Mode::Threads).stats(true);
         let (expect, _) = builder.run(&trace);
         let mut session = builder.session().auto_ranks(true);
         feed_frames(&mut session, &trace);
-        let (hist, _) = session.finish().unwrap();
+        let (hist, report) = session.finish().unwrap();
         assert_eq!(hist, expect, "rank count never changes the histogram");
+        assert_eq!(report.unwrap().ranks, 100_000 / AUTO_RANK_CHUNK);
 
         // Tiny sessions collapse to a single rank.
-        let builder = Analysis::new().mode(Mode::Threads);
         let mut small = builder.session().auto_ranks(true);
         small.feed(&trace[..100]);
-        let (hist, _) = small.finish().unwrap();
-        assert_eq!(
-            hist,
-            Analysis::new().mode(Mode::Threads).run(&trace[..100]).0
-        );
+        let (hist, report) = small.finish().unwrap();
+        assert_eq!(hist, builder.run(&trace[..100]).0);
+        assert_eq!(report.unwrap().ranks, 1);
     }
 
     #[test]
@@ -442,19 +362,94 @@ mod tests {
     }
 
     #[test]
-    fn state_bytes_tracks_collect_buffer() {
+    fn state_bytes_tracks_the_pending_window() {
         let trace = zipfish(10_000);
         let mut session = Analysis::new().mode(Mode::Threads).session();
         session.feed(&trace);
         assert!(session.state_bytes() >= (10_000 * std::mem::size_of::<Addr>()) as u64);
     }
 
+    #[test]
+    fn a_session_dropped_mid_stream_joins_its_history_stage() {
+        // Several windows in: the history stage is running when the
+        // session is dropped without a FIN, as an expired orphan is.
+        let trace = zipfish(20_000);
+        let builder = Analysis::new().ranks(2).mode(Mode::Phased {
+            chunk: 500,
+            reduction: Reduction::ShipToRankZero,
+        });
+        for _ in 0..8 {
+            let mut session = builder.session();
+            feed_frames(&mut session, &trace);
+            assert!(session.state_bytes() > 0);
+            drop(session);
+        }
+    }
+
+    /// An `auto_ranks` session past one window holds the window, its items
+    /// and the history, not the trace: fed over a fixed address set, its
+    /// state stays flat as references grow.
+    #[test]
+    fn auto_ranks_state_is_flat_past_one_window() {
+        let window = AUTO_RANK_MAX * AUTO_RANK_CHUNK;
+        let frame: Vec<Addr> = (0..65_536u64).map(|i| (i * 7_919) % 50_000).collect();
+        let builder = Analysis::new()
+            .tree(TreeKind::Vector)
+            .mode(Mode::Threads)
+            .stats(true);
+        let mut session = builder.session().auto_ranks(true);
+        let mut samples = Vec::new();
+        let mut refs = 0;
+        // Sample just after windows 2, 3 and 4 run: a buffered trace
+        // would have doubled its capacity in between.
+        while refs <= 4 * window {
+            session.feed(&frame);
+            refs += frame.len();
+            if refs > 2 * window && refs % window == frame.len() {
+                samples.push(session.state_bytes());
+            }
+        }
+        let (hist, report) = session.finish().unwrap();
+        assert_eq!(hist.total(), refs as u64);
+        assert_eq!(hist.infinite(), 50_000);
+        assert_eq!(report.unwrap().phased.expect("five windows").phases, 5);
+        assert_eq!(samples.len(), 3, "{samples:?}");
+        let lo = *samples.iter().min().unwrap();
+        let hi = *samples.iter().max().unwrap();
+        assert!(
+            hi - lo < (window / 8) as u64,
+            "state grew from {lo} to {hi} bytes over {window} refs"
+        );
+    }
+
+    /// The Algorithm 7 contract against the unbounded ground truth: exact
+    /// below `bound`, mass-conserving, miss-count-exact for every
+    /// capacity up to it.
+    fn assert_bounded_contract(hist: &ReuseHistogram, full: &ReuseHistogram, bound: u64) {
+        assert_eq!(hist.total(), full.total());
+        for d in 0..bound {
+            assert_eq!(hist.count(d), full.count(d), "bucket {d}");
+        }
+        for cap in 1..=bound {
+            assert_eq!(hist.miss_count(cap), full.miss_count(cap), "capacity {cap}");
+        }
+    }
+
     proptest! {
-        /// Frame boundaries never change any engine's histogram.
+        /// Frame boundaries never change any engine's histogram. A trace
+        /// pushed in 1–8 random cuts through small windows, so frames
+        /// straddle window edges, equals sequential Olken for every tree,
+        /// and a bounded windowed session honours the Algorithm 7
+        /// contract.
         #[test]
         fn framing_invariance(
             trace in proptest::collection::vec(0u64..128, 0..600),
             cut in 1usize..600,
+            cuts in proptest::collection::vec(0usize..600, 0..8),
+            chunk in 1usize..40,
+            np in 1usize..6,
+            tree in 0usize..4,
+            bound in 1u64..24,
         ) {
             for builder in [
                 Analysis::new().mode(Mode::Seq),
@@ -469,6 +464,24 @@ mod tests {
                 let (hist, _) = session.finish().unwrap();
                 prop_assert_eq!(hist, expect);
             }
+
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(trace.len())).collect();
+            cuts.push(trace.len());
+            cuts.sort_unstable();
+            let mode = Mode::Phased { chunk, reduction: Reduction::ShipToRankZero };
+            let windowed = Analysis::new().tree(TreeKind::ALL[tree]).ranks(np).mode(mode);
+            let push = |builder: Analysis| {
+                let mut session = builder.session();
+                let mut from = 0;
+                for &to in &cuts {
+                    session.feed(&trace[from..to]);
+                    from = to;
+                }
+                session.finish().unwrap().0
+            };
+            let full = Analysis::new().mode(Mode::Seq).run(&trace).0;
+            prop_assert_eq!(push(windowed.clone()), full.clone());
+            assert_bounded_contract(&push(windowed.bound(bound)), &full, bound);
         }
     }
 }

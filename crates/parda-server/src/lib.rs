@@ -1,7 +1,7 @@
 //! `parda-server`: reuse-distance analysis as a network service.
 //!
 //! A std-only TCP daemon on a **sharded-core** model (no async runtime,
-//! no per-session threads): a nonblocking acceptor waits on `poll(2)`
+//! no thread per connection): a nonblocking acceptor waits on `poll(2)`
 //! readiness and pins each connection to the least-loaded of N shard
 //! event loops; each shard multiplexes all of its sessions' socket I/O,
 //! frame decoding (into one reusable arena), and analysis on one thread,

@@ -7,7 +7,8 @@
 //! (the `shard` module). Shards own all session I/O, frame decoding, and
 //! analysis; the per-session state machine lives in [`crate::session`]
 //! and analysis resumes frame by frame via `parda_core::SessionAnalysis`
-//! — no per-session threads, no per-session pipes.
+//! — no per-session pipes, and no per-session thread but the history
+//! stage of a session that has run a window before FIN.
 //!
 //! Shutdown (programmatic via [`ShutdownHandle`], or SIGINT/SIGTERM once
 //! [`install_signal_shutdown`] ran) stops the acceptor and *drains*: every

@@ -11,22 +11,20 @@
 //! socket, splits them into wire messages, and hands each one to
 //! `Session::on_message`; replies are queued into the shard-owned outbox
 //! and flushed under `poll(2)` write readiness. Analysis runs inline via
-//! the resumable [`parda_core::SessionAnalysis`] driver — frames are fed
-//! as they arrive (`feed → NeedMore | Pending`) and any deferred engine
-//! (the parallel cascade) runs at FIN.
+//! the resumable [`parda_core::SessionAnalysis`] driver: every exact
+//! session pushes its frames into one windowed streamer as they arrive,
+//! under the server's [`parda_core::FaultPolicy`] (an item past its
+//! retries, or a watchdog stall, fails the session at FIN).
 //!
 //! Engines offered per session:
 //!
-//! * engine key absent (`Auto`): references are buffered and analyzed at
-//!   FIN by the panic-isolated parallel cascade with a trace-length-scaled
-//!   rank count.
-//! * `engine=phased`: frames stream through the incremental sequential
-//!   analyzer as they arrive — bounded memory regardless of trace length,
-//!   with backpressure propagating to the client via TCP flow control
-//!   because the shard stops reading a session whose replies are pending.
-//! * `engine=threads`: collect, then [`parda_core::Analysis::run_faulted`]
-//!   at FIN — rank panics are rescued by the scalar engine under the
-//!   server's [`parda_core::FaultPolicy`], bit-identical on success.
+//! * engine key absent (`Auto`): windows of 2,097,152 references with a
+//!   length-scaled rank count — one in-memory pass at FIN up to that
+//!   length, O(M + window) state past it.
+//! * `engine=phased`: windows of `ranks × chunk` references, run as the
+//!   frames arrive — bounded memory regardless of trace length.
+//! * `engine=threads`: one window over the whole trace at FIN, as
+//!   [`parda_core::Analysis::run_faulted`] runs it.
 //!
 //! Every exact engine runs on the Fenwick `vector` tree unless the client
 //! names another (`tree=`) — the fastest exact structure, bit-identical to
@@ -58,15 +56,15 @@ const DRAIN_MSG_CAP: u32 = 4096;
 /// Which analyzer a session runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionEngine {
-    /// No `engine=`/`chunk=` key: buffer and run the parallel cascade at
-    /// FIN with an auto-scaled rank count (fastest exact path).
+    /// No `engine=`/`chunk=` key: windows of 2,097,152 references with a
+    /// length-scaled rank count (fastest exact path).
     Auto,
-    /// Streaming multi-phase analysis, incremental with ingest.
+    /// Windows of `ranks × chunk` references, run as frames arrive.
     Phased {
-        /// References per rank per phase (`C`).
+        /// References per rank per window (`C`).
         chunk: usize,
     },
-    /// Collect, then run the panic-isolated parallel driver at FIN.
+    /// One window over the whole trace, run at FIN.
     Threads,
 }
 
@@ -231,8 +229,8 @@ impl SessionConfig {
         Ok(cfg)
     }
 
-    /// The analysis builder for this session plus whether `finish` should
-    /// scale the cascade rank count to the trace length.
+    /// The analysis builder for this session plus whether the session
+    /// should rank its windows by their length.
     fn builder(
         &self,
         policy: parda_core::FaultPolicy,
@@ -810,7 +808,7 @@ impl Session {
         Ok(())
     }
 
-    /// FIN: run any deferred analysis, queue the STATS reply.
+    /// FIN: run the last window, queue the STATS reply.
     fn finish(&mut self, host: &mut SessionHost) {
         if self.cfg.as_ref().is_some_and(|c| c.tagged) {
             return self.finish_tagged(host);

@@ -63,32 +63,48 @@ fn worker_panic_inside_a_session_is_rescued_bit_identically() {
     let (addr, stop, join) = start_server();
     let trace = sample_trace(6000);
 
-    parda_failpoint::configure("parallel::worker", "1*panic").unwrap();
-    let reply = submit(
-        &addr,
-        &trace,
-        &SubmitOptions {
-            config: vec![
-                ("engine".into(), "threads".into()),
-                ("ranks".into(), "4".into()),
-            ],
-            reply: ReplyFormat::Json,
-            ..SubmitOptions::default()
-        },
-    )
-    .unwrap();
-    parda_failpoint::clear();
+    // One window at FIN, and three 4 × 500-reference windows pushed
+    // through the session's streamer as the frames arrive.
+    let engines: [&[(&str, &str)]; 2] = [
+        &[("engine", "threads"), ("ranks", "4")],
+        &[("engine", "phased"), ("chunk", "500"), ("ranks", "4")],
+    ];
+    for config in engines {
+        parda_failpoint::configure("parallel::worker", "1*panic").unwrap();
+        let reply = submit(
+            &addr,
+            &trace,
+            &SubmitOptions {
+                config: config
+                    .iter()
+                    .map(|&(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
+                reply: ReplyFormat::Json,
+                ..SubmitOptions::default()
+            },
+        )
+        .unwrap();
+        parda_failpoint::clear();
 
-    assert_eq!(reply.histogram, offline(&trace), "rescue must be exact");
-    let doc: serde::Value = serde_json::from_str(reply.stats_json.as_deref().unwrap()).unwrap();
-    let recovery = doc.field("stats").unwrap().field("recovery").unwrap();
-    let rescues =
-        <u64 as serde::Deserialize>::from_value(recovery.field("rank_rescues").unwrap()).unwrap();
-    assert_eq!(rescues, 1, "one rank rescued by the scalar engine");
+        assert_eq!(
+            reply.histogram,
+            offline(&trace),
+            "{config:?}: rescue must be exact"
+        );
+        let doc: serde::Value = serde_json::from_str(reply.stats_json.as_deref().unwrap()).unwrap();
+        let recovery = doc.field("stats").unwrap().field("recovery").unwrap();
+        let rescues =
+            <u64 as serde::Deserialize>::from_value(recovery.field("rank_rescues").unwrap())
+                .unwrap();
+        assert_eq!(
+            rescues, 1,
+            "{config:?}: one item rescued by the scalar engine"
+        );
+    }
 
     stop.shutdown();
     let metrics = join.join().unwrap();
-    assert_eq!(metrics.sessions_completed, 1);
+    assert_eq!(metrics.sessions_completed, 2);
     assert_eq!(metrics.sessions_failed, 0);
 }
 

@@ -75,6 +75,95 @@ fn worker_panic_in_a_windowed_file_run_is_rescued_and_reported() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A v2 file of `trace` with 64-reference frames.
+fn framed_file(name: &str, trace: &[u64]) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("parda-failpoint-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    let f = std::fs::File::create(&path).unwrap();
+    write_trace_v2_framed(f, &Trace::from_vec(trace.to_vec()), Encoding::Raw, 64).unwrap();
+    path
+}
+
+#[test]
+fn windowed_file_item_past_its_retries_is_a_worker_panic_error() {
+    let _g = exclusive();
+    let path = framed_file("windowed-panic.trc", &sample_trace(6000));
+    // An item of window 2 panics on its worker and in every rescue.
+    parda_failpoint::configure("parallel::worker", "every(6)*panic").unwrap();
+    parda_failpoint::configure("engine::process_chunk_scalar", "panic").unwrap();
+    let policy = FaultPolicy::default().backoff(Duration::ZERO);
+    let err = windowed(TreeKind::Vector)
+        .fault_policy(policy)
+        .run_file(&path)
+        .unwrap_err();
+    parda_failpoint::clear();
+    match err {
+        PardaError::WorkerPanic { attempts, .. } => assert_eq!(attempts, 3),
+        other => panic!("expected WorkerPanic, got {other}"),
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn windowed_file_run_honours_the_watchdog() {
+    let _g = exclusive();
+    let path = framed_file("windowed-stall.trc", &sample_trace(6000));
+    parda_failpoint::configure("parallel::worker_stall", "sleep(400)").unwrap();
+    let policy = FaultPolicy::default().watchdog(Duration::from_millis(50));
+    let start = Instant::now();
+    let err = windowed(TreeKind::Vector)
+        .fault_policy(policy)
+        .run_file(&path)
+        .unwrap_err();
+    parda_failpoint::clear();
+    assert!(
+        matches!(err, PardaError::Stall { .. }),
+        "expected Stall, got {err}"
+    );
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "stall must be detected promptly, not waited out"
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_lone_window_does_no_history_work() {
+    let _g = exclusive();
+    let trace = sample_trace(6000);
+    // Any history absorb or append would panic the run.
+    parda_failpoint::configure("phased::history", "panic").unwrap();
+    let (hist, report) = Analysis::new()
+        .mode(Mode::Threads)
+        .ranks(4)
+        .subchunk_refs(500)
+        .tree(TreeKind::Vector)
+        .stats(true)
+        .run_faulted(&trace)
+        .unwrap();
+    parda_failpoint::clear();
+    assert_eq!(hist, analyze_sequential::<SplayTree>(&trace, None));
+    let report = report.unwrap();
+    assert!(report.phased.is_none());
+    // Per-rank cascade figures of the in-memory Algorithm 3 driver the
+    // single window replaced, on this trace.
+    let pinned: [(u64, u64, &[u64], u64); 4] = [
+        (1500, 3, &[1024, 1024, 1024], 2048),
+        (1500, 3, &[1024, 1024, 1024], 3072),
+        (1500, 3, &[1024, 1024, 1024], 3072),
+        (1500, 2, &[500, 1000], 2524),
+    ];
+    assert_eq!(report.per_rank.len(), pinned.len());
+    for (rm, (refs, rounds, lens, forwarded)) in report.per_rank.iter().zip(pinned) {
+        assert_eq!(rm.refs, refs, "rank {}", rm.rank);
+        assert_eq!(rm.cascade_rounds, rounds, "rank {}", rm.rank);
+        assert_eq!(rm.round_infinity_lens, lens, "rank {}", rm.rank);
+        assert_eq!(rm.infinities_forwarded, forwarded, "rank {}", rm.rank);
+    }
+    assert_eq!(report.per_rank[0].engine.cold_misses, hist.infinite());
+}
+
 /// The in-memory windowed streamer, three windows of 4 × 500 references.
 fn windowed(tree: TreeKind) -> Analysis {
     Analysis::new()
