@@ -210,6 +210,41 @@ print(f"  analyze windows.trc: peak RSS {peak_mib:.1f} MiB (ceiling {ceiling} Mi
 sys.exit(0 if ok else 1)
 EOF
 
+step "strided smoke (a 4096-strided copy of a trace: same histogram, within 3x the dense time)"
+# Relabelling addresses cannot change a distance, and addresses whose low
+# bits are all alike must still spread over the last-access table. The
+# copy maps each address a to base + a * 4096 in a raw v1 file.
+target/release/parda gen --pattern zipf --footprint 262144 --refs 2000000 --seed 9 \
+    --format v1 --encoding raw --out "$smoke_dir/dense.trc" > /dev/null
+python3 - target/release/parda "$smoke_dir/dense.trc" "$smoke_dir/strided.trc" <<'EOF'
+import array, subprocess, sys, time
+binary, dense, strided = sys.argv[1:]
+data = open(dense, "rb").read()
+header, refs = data[:24], array.array("Q")
+refs.frombytes(data[24:])
+base = 0x5500_0000_0000
+with open(strided, "wb") as f:
+    f.write(header)
+    array.array("Q", (base + (a << 12) for a in refs)).tofile(f)
+def analyze(path):
+    best, out = None, None
+    for _ in range(3):
+        t = time.perf_counter()
+        out = subprocess.run([binary, "analyze", path, "--json"],
+                             stdout=subprocess.PIPE, check=True).stdout
+        took = time.perf_counter() - t
+        best = took if best is None else min(best, took)
+    return best, out
+dense_s, dense_out = analyze(dense)
+strided_s, strided_out = analyze(strided)
+same = dense_out == strided_out
+ok = same and strided_s <= 3 * dense_s
+print(f"  dense {dense_s:.3f}s, 4096-strided {strided_s:.3f}s"
+      f" ({strided_s / dense_s:.2f}x, ceiling 3x), histograms"
+      f" {'identical' if same else 'DIFFER'} {'ok' if ok else 'REGRESSED'}")
+sys.exit(0 if ok else 1)
+EOF
+
 step "corruption smoke (checksums catch a flipped byte; best-effort recovers)"
 cargo run -q -p parda-cli --bin parda -- \
     gen --pattern zipf --footprint 2000 --refs 200000 --out "$smoke_dir/dirty.trc"

@@ -1,7 +1,8 @@
 //! Ablation **D5**: the last-access table's hash map.
 //!
 //! The original PARDA leaned on GLib's hash table; we built a Robin Hood
-//! open-addressing map with an Fx-style hasher. This bench compares it
+//! open-addressing map that places a key by the high bits of one multiply
+//! (the `robin-hood-fx` rows keep their name). This bench compares it
 //! against `std::HashMap` with SipHash (the safe default) and with the Fx
 //! hasher, on the exact access mix the analyzer produces: lookup + insert
 //! per reference, plus deletions in bounded mode.

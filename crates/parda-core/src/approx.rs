@@ -36,7 +36,7 @@ use parda_hash::{fx_hash_u64, FxHashMap};
 use parda_hist::ReuseHistogram;
 use parda_obs::ApproxMetrics;
 use parda_trace::Addr;
-use parda_tree::{ReuseTree, SplayTree};
+use parda_tree::{ReuseTree, VectorTree};
 use std::collections::BinaryHeap;
 
 /// `2^64` as an `f64` — the denominator of the threshold→rate mapping.
@@ -377,7 +377,7 @@ pub struct ShardsSketch {
     /// Live monitored addresses.
     table: FxHashMap<Addr, ShardsEntry>,
     /// Distance oracle over monitored last-access timestamps.
-    tree: SplayTree,
+    tree: VectorTree,
     /// Max-heap over (hash, addr) for fixed-size eviction; empty otherwise.
     heap: BinaryHeap<(u64, Addr)>,
     /// Scaled finite-distance observations.
@@ -517,6 +517,11 @@ impl ShardsSketch {
         let w = self.current_scale();
         let mut entries: Vec<(Addr, ShardsEntry)> = other.table.into_iter().collect();
         entries.sort_unstable_by_key(|(_, e)| e.first_ts);
+        // Every replayed entry is newer than all of `self`'s, so a query
+        // counts the replayed ones so far whatever their keys: count them
+        // instead of inserting them, then append them in key order, which
+        // the tree takes at its tail.
+        let mut replayed: Vec<(u64, Addr)> = Vec::with_capacity(entries.len());
         let mut other_evicted_cold_w = other.evicted_cold_w;
         let mut other_evictions = other.evictions;
         for (addr, e) in entries {
@@ -538,11 +543,12 @@ impl ShardsSketch {
                 let d_s = self
                     .tree
                     .distance_and_remove(mine.last_ts)
-                    .expect("monitored entry must be in the tree");
+                    .expect("monitored entry must be in the tree")
+                    + replayed.len() as u64;
                 let est = (d_s as f64 * w).round() as u64;
                 self.hist.record(est, w);
                 mine.last_ts = shift + e.last_ts;
-                self.tree.insert(shift + e.last_ts, addr);
+                replayed.push((shift + e.last_ts, addr));
                 // `other`'s cold miss for this address dissolves into the
                 // cross reuse; `self`'s own cold weight stands.
                 // (Its weight was already excluded: cold weights live in
@@ -556,11 +562,15 @@ impl ShardsSketch {
                         cold_w: e.cold_w,
                     },
                 );
-                self.tree.insert(shift + e.last_ts, addr);
+                replayed.push((shift + e.last_ts, addr));
                 if self.s_max.is_some() {
                     self.heap.push((h, addr));
                 }
             }
+        }
+        replayed.sort_unstable();
+        for (ts, addr) in replayed {
+            self.tree.insert(ts, addr);
         }
         if let Some(s_max) = self.s_max {
             while self.table.len() > s_max {
@@ -597,9 +607,9 @@ impl ShardsSketch {
     pub fn memory_bytes(&self) -> u64 {
         let table =
             self.table.capacity() as u64 * (std::mem::size_of::<(Addr, ShardsEntry)>() as u64 + 8);
-        // The trees don't expose node sizes; 48 bytes (three pointers +
-        // key + subtree size) is representative of the splay layout.
-        let tree = self.tree.len() as u64 * 48;
+        // A live entry's 16-byte slot, on a time axis that compaction
+        // keeps at about twice the live count.
+        let tree = self.tree.len() as u64 * 32;
         let heap = self.heap.len() as u64 * std::mem::size_of::<(u64, Addr)>() as u64;
         table + tree + heap
     }

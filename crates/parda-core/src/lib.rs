@@ -80,6 +80,7 @@ pub mod error;
 pub mod object;
 pub mod parallel;
 pub mod phased;
+pub mod pool;
 pub mod seq;
 pub mod session;
 pub mod shared;

@@ -7,11 +7,13 @@
 //! (space-optimized per Algorithm 4), misses are forwarded again, and
 //! whatever reaches rank 0 unresolved is a global (compulsory) miss.
 //!
-//! One schedule runs it. The chunks, or work-stealing sub-chunks of them,
-//! are analyzed on panic-isolated worker threads while the cascade folds
-//! right to left on the caller; a worker that panics has its item
-//! re-analyzed by the scalar engine under a [`FaultPolicy`]. The windowed
-//! streamer ([`crate::phased`]) drives it once per window;
+//! One schedule runs it. A window is cut into the chunks, or work-stealing
+//! sub-chunks of them, which are queued as panic-isolated jobs on the
+//! process-wide item pool ([`crate::pool`]); the cascade folds right to
+//! left on the caller as they finish, and the scalar engine re-analyzes
+//! the item of a job that panicked, under a [`FaultPolicy`]. No thread is
+//! started per window: the windowed streamer ([`crate::phased`]) submits
+//! each window and folds it once the next one is on the pool.
 //! [`parda_threads`] and [`parda_threads_faulted`] are that streamer over
 //! one window holding the whole trace. Where the paper's MPI rank `p` absorbs
 //! its right neighbour's lists over `np − p − 1` message rounds, an item
@@ -21,13 +23,16 @@
 use crate::engine::{Engine, MissSink};
 use crate::error::{FaultPolicy, PardaError};
 use crate::phased::Streamer;
+use crate::pool::Job;
 use parda_hist::ReuseHistogram;
 use parda_obs::{CascadeRoundStats, RankMetrics, RecoveryMetrics, Stopwatch};
 use parda_trace::{chunk_slice, Addr};
 use parda_tree::ReuseTree;
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Configuration for the parallel analyzers.
@@ -154,64 +159,54 @@ pub const DEFAULT_SUBCHUNK_REFS: usize = 1 << 17;
 /// Cap on sub-chunks per rank, bounding slot memory and fold overhead.
 pub const MAX_PARTS_PER_RANK: usize = 64;
 
-/// Global reference index at which each chunk starts, the first chunk
-/// starting at `base`.
-pub(crate) fn chunk_starts(chunks: &[&[Addr]], base: u64) -> Vec<u64> {
-    let mut starts = Vec::with_capacity(chunks.len());
-    let mut acc = base;
-    for c in chunks {
-        starts.push(acc);
-        acc += c.len() as u64;
-    }
-    starts
-}
-
-/// One unit of pipelined chunk analysis: a contiguous trace sub-slice with
-/// its global start index and the *reported* rank whose metrics it feeds.
-/// Splitting a rank's chunk into several items is transparent to the
-/// histogram — Parda over any contiguous partition equals the sequential
-/// analysis (the Section IV-B theorem, property-tested below) — so items
-/// act as extra virtual ranks in the cascade fold while metrics stay
-/// grouped per reported rank.
-pub(crate) struct WorkItem<'a> {
-    chunk: &'a [Addr],
+/// One unit of pipelined chunk analysis: a contiguous range of its window
+/// with its global start index and the *reported* rank whose metrics it
+/// feeds. Splitting a rank's chunk into several items is transparent to
+/// the histogram — Parda over any contiguous partition equals the
+/// sequential analysis (the Section IV-B theorem, property-tested below) —
+/// so items act as extra virtual ranks in the cascade fold while metrics
+/// stay grouped per reported rank.
+pub(crate) struct WorkItem {
+    range: Range<usize>,
     start: u64,
     owner: usize,
 }
 
-/// Subdivide each rank's chunk into work-stealing sub-chunks. Subdivision
-/// only applies in the space-optimized unbounded mode: bounded analysis
-/// pins ∞-collapse decisions to the rank partition, and the unoptimized
-/// ablation ties its `next_ts` bookkeeping to one item per rank.
-pub(crate) fn build_items<'a>(
-    chunks: &[&'a [Addr]],
-    starts: &[u64],
-    config: &PardaConfig,
-) -> Vec<WorkItem<'a>> {
+/// Cut `window`, whose first reference has global index `base`, into one
+/// chunk per rank and subdivide each chunk into work-stealing sub-chunks.
+/// Subdivision only applies in the space-optimized unbounded mode: bounded
+/// analysis pins ∞-collapse decisions to the rank partition, and the
+/// unoptimized ablation ties its `next_ts` bookkeeping to one item per
+/// rank.
+fn build_items(window: &[Addr], base: u64, config: &PardaConfig) -> Vec<WorkItem> {
     let subdivide = config.space_optimized && config.bound.is_none();
     let grain = config.subchunk_refs.unwrap_or(DEFAULT_SUBCHUNK_REFS).max(1);
-    let mut items = Vec::with_capacity(chunks.len());
-    for (p, chunk) in chunks.iter().enumerate() {
+    let mut items = Vec::new();
+    let mut off = 0;
+    for (p, chunk) in chunk_slice(window, config.ranks.max(1))
+        .into_iter()
+        .enumerate()
+    {
         let parts = if subdivide {
             (chunk.len() / grain).clamp(1, MAX_PARTS_PER_RANK)
         } else {
             1
         };
-        let mut off = 0u64;
         for sub in chunk_slice(chunk, parts) {
             items.push(WorkItem {
-                chunk: sub,
-                start: starts[p] + off,
+                range: off..off + sub.len(),
+                start: base + off as u64,
                 owner: p,
             });
-            off += sub.len() as u64;
+            off += sub.len();
         }
     }
     items
 }
 
-/// Shared-memory Parda: chunk analysis runs on scoped worker threads, the
-/// infinity cascade folds right-to-left on the caller thread.
+/// Shared-memory Parda: chunk analysis runs on the process-wide item pool
+/// ([`crate::pool`]), the infinity cascade folds right-to-left on the
+/// caller thread.
 ///
 /// This is [`parda_threads_faulted`] under [`FaultPolicy::default`]: a
 /// panicking worker's item is rescued with the scalar engine, bit-identically.
@@ -270,104 +265,349 @@ pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
     Ok((hist, metrics, recovery))
 }
 
-/// Analyze `items` on panic-isolated worker threads and fold their cascade
-/// ([`fold_cascade`]), returning the stream left at the leftmost boundary.
+/// A window's references, as the streamer hands them to [`submit_items`].
+pub(crate) enum Window<'a> {
+    /// A window of a caller's in-memory trace, never copied.
+    Borrowed(&'a [Addr]),
+    /// A pulled or pushed window: the streamer's buffer, which the window's
+    /// jobs share until they have read it.
+    Owned(Vec<Addr>),
+}
+
+impl Window<'_> {
+    /// References in the window.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Window::Borrowed(refs) => refs.len(),
+            Window::Owned(refs) => refs.len(),
+        }
+    }
+}
+
+/// The item engines of one stream: a free list of folded engines, which a
+/// starting item resets and reuses, allocations and all, and the sizing of
+/// new ones. A new engine reserves room for twice the largest live set an
+/// item has reached so far, at most its item's length; before any item has
+/// finished, for half its length. Items take engines when they start, so
+/// a window on the pool reuses the engines the fold of the window before it
+/// has already retired.
+pub(crate) struct Engines<T: ReuseTree> {
+    bound: Option<u64>,
+    free: Mutex<Vec<Engine<T>>>,
+    live: AtomicUsize,
+}
+
+impl<T: ReuseTree + Default> Engines<T> {
+    pub(crate) fn new(bound: Option<u64>) -> Self {
+        Self {
+            bound,
+            free: Mutex::new(Vec::new()),
+            live: AtomicUsize::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<Engine<T>>> {
+        self.free.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// An empty engine for an item of `refs` references.
+    fn take(&self, refs: usize) -> Engine<T> {
+        if let Some(mut engine) = self.lock().pop() {
+            engine.reset();
+            return engine;
+        }
+        let live = self.live.load(Ordering::Relaxed);
+        let reserve = if live == 0 {
+            refs / 2
+        } else {
+            live.saturating_mul(2).min(refs)
+        };
+        Engine::new(self.bound, reserve)
+    }
+
+    /// Put a folded engine on the free list.
+    pub(crate) fn retire(&self, engine: Engine<T>) {
+        self.lock().push(engine);
+    }
+}
+
+/// [`Window`] as the pool's jobs hold it, its lifetime erased.
+enum Refs {
+    Owned(Vec<Addr>),
+    /// A borrowed window. Only [`InFlight::refs`] and a job inside its
+    /// window's [`Gate`] read it; see [`InFlight`] for why it is live then.
+    Borrowed {
+        ptr: *const Addr,
+        len: usize,
+    },
+}
+
+// SAFETY: `Refs` is a shared view of `[Addr]`, which is `Send` and `Sync`;
+// nothing mutates a window once it is submitted. A `Borrowed` window is
+// read only while its trace is live (see `InFlight`).
+unsafe impl Send for Refs {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for Refs {}
+
+impl Refs {
+    /// The window's references.
+    ///
+    /// # Safety
+    ///
+    /// A `Borrowed` window's trace must be live: the caller is the run that
+    /// borrowed it ([`InFlight::refs`]) or a job inside the window's gate.
+    unsafe fn slice(&self) -> &[Addr] {
+        match self {
+            Refs::Owned(buf) => buf,
+            // SAFETY: the pointer and length come from one `&[Addr]`, live
+            // by the caller's contract.
+            Refs::Borrowed { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
+        }
+    }
+}
+
+/// Admission to a window's references. Jobs read a window only between
+/// [`Gate::enter`] and dropping the returned [`Reading`]; closing the gate
+/// turns every later `enter` away, and [`Gate::close_and_wait`] returns once
+/// no job is reading.
+#[derive(Default)]
+struct Gate {
+    /// `(closed, readers)`.
+    state: Mutex<(bool, usize)>,
+    idle: Condvar,
+}
+
+/// A job's admission to its window; dropping it leaves the gate.
+struct Reading<'g>(&'g Gate);
+
+impl Gate {
+    fn lock(&self) -> MutexGuard<'_, (bool, usize)> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn is_closed(&self) -> bool {
+        self.lock().0
+    }
+
+    fn enter(&self) -> Option<Reading<'_>> {
+        let mut state = self.lock();
+        if state.0 {
+            return None;
+        }
+        state.1 += 1;
+        Some(Reading(self))
+    }
+
+    fn close(&self) {
+        self.lock().0 = true;
+    }
+
+    fn close_and_wait(&self) {
+        let mut state = self.lock();
+        state.0 = true;
+        while state.1 > 0 {
+            state = self.idle.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+impl Drop for Reading<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.1 -= 1;
+        if state.1 == 0 {
+            self.0.idle.notify_all();
+        }
+    }
+}
+
+/// What a window's jobs share with its fold.
+struct Shared<T: ReuseTree> {
+    items: Vec<WorkItem>,
+    slots: Vec<ItemSlot<Result<ChunkResult<T>, ItemPanic>>>,
+    gate: Gate,
+}
+
+/// A window whose items are on the pool, waiting for [`cascade_items`] to
+/// fold them.
+///
+/// A borrowed window's jobs read a trace that only `'a` keeps alive, so
+/// dropping the window — after its fold, on an error, or while unwinding —
+/// closes its gate and waits until no job is reading: a job still queued
+/// finds the gate closed and never reads, and `'a` cannot end before the
+/// drop. An owned window closes its gate and returns at once; its jobs
+/// share the buffer.
+pub(crate) struct InFlight<'a, T: ReuseTree> {
+    shared: Arc<Shared<T>>,
+    refs: Arc<Refs>,
+    config: PardaConfig,
+    trace: PhantomData<&'a [Addr]>,
+}
+
+impl<'a, T: ReuseTree> InFlight<'a, T> {
+    /// The window's references.
+    fn refs(&self) -> &[Addr] {
+        // SAFETY: a borrowed window's trace lives for `'a`, which outlives
+        // `self`; an owned window lives in `self.refs`.
+        unsafe { self.refs.slice() }
+    }
+
+    /// References in the window.
+    pub(crate) fn len(&self) -> usize {
+        self.refs().len()
+    }
+
+    /// Work items in the window.
+    pub(crate) fn items(&self) -> usize {
+        self.shared.items.len()
+    }
+
+    /// The owned buffer back, for the next window, once no job holds it.
+    pub(crate) fn into_buffer(self) -> Option<Vec<Addr>> {
+        let refs = Arc::clone(&self.refs);
+        drop(self);
+        match Arc::try_unwrap(refs) {
+            Ok(Refs::Owned(buf)) => Some(buf),
+            _ => None,
+        }
+    }
+}
+
+impl<T: ReuseTree> Drop for InFlight<'_, T> {
+    fn drop(&mut self) {
+        match *self.refs {
+            Refs::Borrowed { .. } => self.shared.gate.close_and_wait(),
+            Refs::Owned(_) => self.shared.gate.close(),
+        }
+    }
+}
+
+/// Cut `window` (its first reference at global index `base`) into work
+/// items and queue them on the item pool ([`crate::pool`]), rightmost
+/// first, the order the cascade folds them. Each item takes its engine
+/// from `engines` when it starts.
+///
+/// # Safety
+///
+/// The returned window must be dropped, not leaked (`mem::forget`),
+/// before `'a` ends: for a borrowed window that drop is the wait that
+/// keeps every job from reading the trace after its borrow ends.
+pub(crate) unsafe fn submit_items<'a, T: ReuseTree + Default + Send>(
+    window: Window<'a>,
+    base: u64,
+    config: &PardaConfig,
+    engines: &Arc<Engines<T>>,
+) -> InFlight<'a, T> {
+    let refs = Arc::new(match window {
+        Window::Owned(buf) => Refs::Owned(buf),
+        Window::Borrowed(trace) => Refs::Borrowed {
+            ptr: trace.as_ptr(),
+            len: trace.len(),
+        },
+    });
+    // SAFETY: the caller's borrow is live here.
+    let items = build_items(unsafe { refs.slice() }, base, config);
+    let shared = Arc::new(Shared {
+        slots: items.iter().map(|_| ItemSlot::default()).collect(),
+        items,
+        gate: Gate::default(),
+    });
+    let jobs: Vec<Job> = (0..shared.items.len())
+        .rev()
+        .map(|i| {
+            let (shared, refs, engines) =
+                (Arc::clone(&shared), Arc::clone(&refs), Arc::clone(engines));
+            Box::new(move || run_item(&shared, refs, i, &engines)) as Job
+        })
+        .collect();
+    crate::pool::submit(jobs);
+    InFlight {
+        shared,
+        refs,
+        config: config.clone(),
+        trace: PhantomData,
+    }
+}
+
+/// One item's job on the pool: analyze the item's chunk and publish the
+/// engine, or a failure marker if the analysis panicked, into its slot.
+/// A job whose window was abandoned (an error, a dropped stream) before it
+/// could enter the window's gate does nothing.
+fn run_item<T: ReuseTree + Default>(
+    shared: &Shared<T>,
+    refs: Arc<Refs>,
+    i: usize,
+    engines: &Engines<T>,
+) {
+    if shared.gate.is_closed() {
+        return;
+    }
+    let slot = &shared.slots[i];
+    // The outer catch_unwind covers the publish itself: a panic at the
+    // `parallel::slot_publish` site poisons the slot lock *after* the value
+    // is stored, and the cascade side recovers it through the
+    // poison-tolerant lock.
+    let _ = catch_unwind(AssertUnwindSafe(move || {
+        let analyzed = catch_unwind(AssertUnwindSafe(|| {
+            parda_failpoint::failpoint!("parallel::worker");
+            parda_failpoint::failpoint!("parallel::worker_stall");
+            let _reading = shared.gate.enter()?;
+            let item = &shared.items[i];
+            // SAFETY: the job is inside the window's gate.
+            let chunk = &unsafe { refs.slice() }[item.range.clone()];
+            let analyzed = analyze_item(engines.take(chunk.len()), item, chunk, false);
+            let live = analyzed.0.metrics().live_hwm as usize;
+            engines.live.fetch_max(live, Ordering::Relaxed);
+            Some(analyzed)
+        }));
+        // Let go of the window before publishing: once the fold has every
+        // item, the streamer gets its buffer back.
+        drop(refs);
+        let outcome = match analyzed {
+            Ok(Some(result)) => Ok(result),
+            Ok(None) => return,
+            Err(_) => Err(ItemPanic),
+        };
+        *slot.lock() = Some(outcome);
+        parda_failpoint::failpoint!("parallel::slot_publish");
+    }));
+    slot.ready.notify_one();
+}
+
+/// Fold a submitted window's cascade ([`fold_cascade`]) as its items
+/// finish on the pool, returning the stream left at the leftmost boundary.
 /// Histograms, metrics and rescues accumulate into `total`, `metrics` and
 /// `recovery`.
 ///
-/// A worker whose item panics publishes a failure marker, and the fold
+/// A job whose item panics publishes a failure marker, and the fold
 /// rescues the item with the scalar engine under `policy`
-/// ([`claim_item`]). On an error the remaining workers stop claiming
-/// items; the ones in flight finish and are discarded.
+/// ([`claim_item`]). After an error the caller drops the window, which
+/// closes its gate: its queued items are skipped, and the ones running
+/// finish and are discarded.
 ///
-/// `spares[i]`, when present, is an engine from an earlier run that item
-/// `i`'s worker resets and reuses instead of allocating a new one; every
-/// item's engine is handed to `retire` once folded, live state intact.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cascade_items<T: ReuseTree + Default + Send>(
-    items: &[WorkItem<'_>],
-    config: &PardaConfig,
+/// Every item's engine is handed to `retire` once folded, live state
+/// intact.
+pub(crate) fn cascade_items<T: ReuseTree + Default>(
+    window: &InFlight<'_, T>,
     policy: &FaultPolicy,
     metrics: &mut [RankMetrics],
     recovery: &mut RecoveryMetrics,
     total: &mut ReuseHistogram,
-    spares: Vec<Option<Engine<T>>>,
     retire: impl FnMut(usize, Engine<T>),
 ) -> Result<Vec<Addr>, PardaError> {
-    let n = items.len();
-    let mut spares = spares.into_iter();
-    let spares: Vec<Mutex<Option<Engine<T>>>> = (0..n)
-        .map(|_| Mutex::new(spares.next().flatten()))
-        .collect();
-
-    // Pipelined schedule: workers claim items *right-to-left* off a shared
-    // counter and publish each finished engine into its item's slot; the
-    // caller thread folds the cascade right-to-left, blocking only on the
-    // slot it needs next. Because the cascade consumes the rightmost item
-    // first and workers also finish right-to-left, the fold of an item's
-    // infinity stream overlaps the still-running chunk analysis of items
-    // to its left — the global barrier between "phase 1" and "phase 2"
-    // (the serial Figure-4 tail) is gone. Subdivision keeps per-item trees
-    // small (cache-resident) and lets an idle worker steal the tail of a
-    // slow rank instead of waiting at the rank boundary.
-    let slots: Vec<ItemSlot<Result<ChunkResult<T>, ItemPanic>>> =
-        (0..n).map(|_| ItemSlot::default()).collect();
-    let claim = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let workers = worker_count(config.ranks.max(1));
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let k = claim.fetch_add(1, Ordering::Relaxed);
-                if k >= n {
-                    break;
-                }
-                let i = n - 1 - k;
-                let item = &items[i];
-                let spare = spares[i].lock().unwrap_or_else(|e| e.into_inner()).take();
-                // The outer catch_unwind covers the publish itself: a
-                // panic at the `parallel::slot_publish` site poisons the
-                // slot lock *after* the value is stored, and the cascade
-                // side recovers it through the poison-tolerant lock. No
-                // panic may escape a scoped thread — that would abort the
-                // whole scope at join.
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    let analyzed = catch_unwind(AssertUnwindSafe(|| {
-                        parda_failpoint::failpoint!("parallel::worker");
-                        parda_failpoint::failpoint!("parallel::worker_stall");
-                        let engine = match spare {
-                            Some(mut engine) => {
-                                engine.reset();
-                                engine
-                            }
-                            None => Engine::new(config.bound, item.chunk.len()),
-                        };
-                        analyze_item(engine, item, false)
-                    }));
-                    *slots[i].lock() = Some(analyzed.map_err(|_| ItemPanic));
-                    parda_failpoint::failpoint!("parallel::slot_publish");
-                }));
-                slots[i].ready.notify_one();
-            });
-        }
-
-        let folded = fold_cascade(
-            items,
-            config,
-            metrics,
-            total,
-            |i| claim_item(&slots[i], &items[i], config, policy, recovery),
-            retire,
-        );
-        if folded.is_err() {
-            abort.store(true, Ordering::Relaxed);
-        }
-        folded
-    })
+    let (shared, config, trace) = (&window.shared, &window.config, window.refs());
+    fold_cascade(
+        &shared.items,
+        config,
+        metrics,
+        total,
+        |i| {
+            let item = &shared.items[i];
+            let chunk = &trace[item.range.clone()];
+            claim_item(&shared.slots[i], item, chunk, config, policy, recovery)
+        },
+        retire,
+    )
 }
 
 /// Per-rank metrics for `np` ranks, all zero.
@@ -385,27 +625,29 @@ pub(crate) fn rank_metrics(np: usize) -> Vec<RankMetrics> {
 /// Shared by the workers and the rescue path.
 fn analyze_item<T: ReuseTree>(
     mut engine: Engine<T>,
-    item: &WorkItem<'_>,
+    item: &WorkItem,
+    chunk: &[Addr],
     scalar: bool,
 ) -> ChunkResult<T> {
     let sw = Stopwatch::start();
     let mut local_inf = Vec::new();
     let sink = MissSink::Forward(&mut local_inf);
     if scalar {
-        engine.process_chunk_scalar(item.chunk, item.start, sink);
+        engine.process_chunk_scalar(chunk, item.start, sink);
     } else {
-        engine.process_chunk(item.chunk, item.start, sink);
+        engine.process_chunk(chunk, item.start, sink);
     }
     (engine, local_inf, sw.ns())
 }
 
 /// Claim `item`'s result for the cascade: wait (with the policy watchdog),
-/// and if its worker panicked, rescue the item by re-analyzing its chunk
+/// and if its job panicked, rescue the item by re-analyzing its `chunk`
 /// with the scalar engine under bounded retries. Errors name the item's
 /// owning rank.
 fn claim_item<T: ReuseTree + Default>(
     slot: &ItemSlot<Result<ChunkResult<T>, ItemPanic>>,
-    item: &WorkItem<'_>,
+    item: &WorkItem,
+    chunk: &[Addr],
     config: &PardaConfig,
     policy: &FaultPolicy,
     recovery: &mut RecoveryMetrics,
@@ -429,8 +671,10 @@ fn claim_item<T: ReuseTree + Default>(
         if !policy.retry_backoff.is_zero() {
             std::thread::sleep(policy.retry_backoff);
         }
-        let engine = Engine::new(config.bound, item.chunk.len());
-        if let Ok(result) = catch_unwind(AssertUnwindSafe(|| analyze_item(engine, item, true))) {
+        let engine = Engine::new(config.bound, chunk.len());
+        if let Ok(result) =
+            catch_unwind(AssertUnwindSafe(|| analyze_item(engine, item, chunk, true)))
+        {
             recovery.rank_rescues += 1;
             return Ok((result, wait_ns));
         }
@@ -453,7 +697,7 @@ fn claim_item<T: ReuseTree + Default>(
 /// order. The windowed streamer hands it to its history, or, for a lone
 /// window, counts it as global infinities.
 fn fold_cascade<T: ReuseTree>(
-    items: &[WorkItem<'_>],
+    items: &[WorkItem],
     config: &PardaConfig,
     metrics: &mut [RankMetrics],
     total: &mut ReuseHistogram,
@@ -461,7 +705,7 @@ fn fold_cascade<T: ReuseTree>(
     mut retire: impl FnMut(usize, Engine<T>),
 ) -> Result<Vec<Addr>, PardaError> {
     for item in items {
-        metrics[item.owner].refs += item.chunk.len() as u64;
+        metrics[item.owner].refs += item.range.len() as u64;
     }
 
     // The stream is carried leftward *in place*: each item's survivors
@@ -486,7 +730,7 @@ fn fold_cascade<T: ReuseTree>(
                 rm.record_round(&stats);
             }
         } else {
-            let next_ts = item.start + item.chunk.len() as u64;
+            let next_ts = item.start + item.range.len() as u64;
             let incoming = std::mem::take(&mut stream);
             engine.process_infinities_unoptimized(&incoming, next_ts, &mut stream);
             if !incoming.is_empty() {
@@ -576,18 +820,6 @@ impl<V> ItemSlot<V> {
                 .unwrap_or_else(|e| e.into_inner());
         }
     }
-}
-
-/// Worker threads for the pipelined chunk analysis: `RAYON_NUM_THREADS`
-/// (the knob the rest of the workspace honours) or the machine's available
-/// parallelism, never more than the rank count.
-fn worker_count(np: usize) -> usize {
-    let hw = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    hw.min(np).max(1)
 }
 
 #[cfg(test)]

@@ -5,15 +5,26 @@
 //! out of Pin), so the whole-trace chunking of Algorithm 3 cannot be
 //! applied up front. The streamer reads the trace in *windows* of `np · C`
 //! references and runs one Parda pass over each: the window is cut into
-//! work items (one per rank, or sub-chunks of one), analyzed on
-//! panic-isolated workers, and folded right to left through the cascade
-//! of [`crate::parallel`] under the caller's [`FaultPolicy`]. Three entry
-//! points feed it: a borrowed slice cut into zero-copy windows (in-memory
+//! work items (one per rank, or sub-chunks of one), queued as
+//! panic-isolated jobs on the process-wide item pool ([`crate::pool`]),
+//! and folded right to left through the cascade of [`crate::parallel`]
+//! under the caller's [`FaultPolicy`]. Three entry points feed it: a
+//! borrowed slice cut into zero-copy windows (in-memory
 //! [`Mode::Threads`](crate::Mode::Threads) is one window over the whole
 //! trace), a pull loop over an [`AddressStream`], and a push pair, `feed`
-//! and `finish`, that a daemon session drives frame by frame. A window
-//! runs only once the next reference arrives or the input ends, so the
-//! streamer knows which window is the last.
+//! and `finish`, that a daemon session drives frame by frame.
+//!
+//! Two windows are in flight. A window goes to the pool as soon as it is
+//! full, and the window before it folds only then: the workers analyze
+//! window `k + 1` while the caller folds window `k`, exports its state and
+//! hands it to the history. So a window learns whether it is the last when
+//! it folds, once the next window exists or the input has ended. Pulled
+//! and pushed windows are buffers the streamer owns and shares with their
+//! jobs; a borrowed slice is never copied, and its run waits, on every
+//! exit path, until no job reads it. Items draw their engines from the
+//! stream's free list of folded engines when they start, and a new engine
+//! reserves room for twice the largest live set an item has reached, not
+//! for its chunk length.
 //!
 //! The leftmost item of every window's cascade is a persistent *history*:
 //! an `Engine<VectorTree>` — whatever tree the items use — holding the
@@ -32,9 +43,11 @@
 //! window `k + 1` run, with a serial loop's calls in a serial loop's
 //! order, so every histogram, counter and bounded-mode eviction is the
 //! serial one. Each hand-off is a rendezvous, so peak state is
-//! O(M + window): the history, one window of item engines, and at most two
-//! windows of exported state (16 B per live address) and leftover
-//! streams. Dropping the streamer mid-stream joins the stage.
+//! O(M + window): the history, two windows of buffers and item engines,
+//! and at most two windows of exported state (16 B per live address) and
+//! leftover streams. Dropping the streamer mid-stream abandons the window
+//! on the pool, whose queued items then skip their work, and joins the
+//! stage.
 //!
 //! This replaces the paper's Algorithm 6, which drains every rank's state
 //! onto one rank at each phase boundary and rebuilds it there — O(M) per
@@ -44,10 +57,12 @@
 
 use crate::engine::Engine;
 use crate::error::{FaultPolicy, PardaError};
-use crate::parallel::{build_items, cascade_items, chunk_starts, rank_metrics, PardaConfig};
+use crate::parallel::{
+    cascade_items, rank_metrics, submit_items, Engines, InFlight, PardaConfig, Window,
+};
 use parda_hist::ReuseHistogram;
 use parda_obs::{PhasedMetrics, RankMetrics, RecoveryMetrics, Stopwatch};
-use parda_trace::{chunk_slice, Addr, AddressStream};
+use parda_trace::{Addr, AddressStream};
 use parda_tree::{ReuseTree, VectorTree};
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,12 +162,19 @@ pub(crate) struct Streamer<T: ReuseTree> {
     window_refs: usize,
     /// When set, each window gets one rank per this many references.
     refs_per_rank: Option<usize>,
-    /// Pushed references waiting for their window to run.
+    /// Pushed references waiting for their window to fill.
     pending: Vec<Addr>,
+    /// The owned window on the item pool, folded once the window after it
+    /// is submitted or the input ends.
+    inflight: Option<InFlight<'static, T>>,
+    /// Buffers of folded owned windows, for the next ones.
+    buffers: Vec<Vec<Addr>>,
     /// Global index of the next window's first reference.
     base: u64,
-    /// The last window's item engines, kept for reuse.
-    engines: Vec<Option<Engine<T>>>,
+    /// The item engines, reused from window to window.
+    engines: Arc<Engines<T>>,
+    /// Live addresses the last folded window's engines held after its fold.
+    folded_live: usize,
     metrics: Vec<RankMetrics>,
     recovery: RecoveryMetrics,
     phased: PhasedMetrics,
@@ -177,8 +199,11 @@ impl<T: ReuseTree + Default + Send> Streamer<T> {
             window_refs,
             refs_per_rank: None,
             pending: Vec::new(),
+            inflight: None,
+            buffers: Vec::new(),
             base: 0,
-            engines: Vec::new(),
+            engines: Arc::new(Engines::new(config.bound)),
+            folded_live: 0,
             metrics: rank_metrics(np),
             recovery: RecoveryMetrics::default(),
             phased: PhasedMetrics::default(),
@@ -202,27 +227,36 @@ impl<T: ReuseTree + Default + Send> Streamer<T> {
         self
     }
 
-    /// Analyze an in-memory trace, each window a sub-slice of it.
+    /// Analyze an in-memory trace, each window a sub-slice of it. Window
+    /// `k + 1` is on the pool while window `k` folds; an error or a panic
+    /// drops the window still in flight, which waits until none of its
+    /// jobs reads the trace.
     pub(crate) fn run_slice(mut self, trace: &[Addr]) -> Result<Windowed, PardaError> {
-        let mut windows = trace.chunks(self.window_refs).peekable();
-        while let Some(window) = windows.next() {
-            self.run_window(window, windows.peek().is_none())?;
+        let mut inflight = None;
+        for window in trace.chunks(self.window_refs) {
+            let next = self.submit(Window::Borrowed(window));
+            if let Some(prev) = inflight.replace(next) {
+                self.fold(prev, false)?;
+            }
+        }
+        if let Some(last) = inflight {
+            self.fold(last, true)?;
         }
         self.finish()
     }
 
     /// Analyze everything `source` produces, filling each window straight
-    /// from the stream.
+    /// from the stream while the window before it is analyzed.
     pub(crate) fn pull<S: AddressStream>(mut self, mut source: S) -> Result<Windowed, PardaError> {
-        while self.error.is_none() {
-            let room = self.window_refs - self.pending.len();
-            if source.fill(&mut self.pending, room) < room {
+        loop {
+            let mut window = self.buffers.pop().unwrap_or_default();
+            let filled = source.fill(&mut window, self.window_refs);
+            if filled == 0 {
                 break;
             }
-            // A full window runs once the reference after it exists.
-            match source.next_addr() {
-                Some(addr) => self.feed(&[addr]),
-                None => break,
+            self.push_window(window)?;
+            if filled < self.window_refs {
+                break;
             }
         }
         self.finish()
@@ -236,52 +270,80 @@ impl<T: ReuseTree + Default + Send> Streamer<T> {
         }
         let window = std::mem::take(&mut self.pending);
         if !window.is_empty() {
-            self.run_window(&window, true)?;
+            self.push_window(window)?;
+        }
+        if let Some(last) = self.inflight.take() {
+            self.fold(last, true)?;
         }
         Ok((self.total, self.metrics, self.phased, self.recovery))
     }
 
-    /// One Parda pass over `window`, which follows every reference
-    /// analyzed so far: its leftover stream, and unless it is the `last`
-    /// its items' live state, go to the history stage. A lone window has
-    /// no history, and records its stream as rank 0's global infinities.
-    fn run_window(&mut self, window: &[Addr], last: bool) -> Result<(), PardaError> {
+    /// Submit an owned window, then fold the one before it, which is
+    /// therefore not the last. On an error the new window is dropped too,
+    /// so its queued items never run.
+    fn push_window(&mut self, window: Vec<Addr>) -> Result<(), PardaError> {
+        let next = self.submit(Window::Owned(window));
+        let Some(prev) = self.inflight.replace(next) else {
+            return Ok(());
+        };
+        let folded = self.fold(prev, false);
+        if folded.is_err() {
+            self.inflight = None;
+        }
+        folded
+    }
+
+    /// Queue `window`'s items on the pool.
+    fn submit<'a>(&mut self, window: Window<'a>) -> InFlight<'a, T> {
+        let len = window.len();
         let np = self.refs_per_rank.map_or(self.config.ranks, |refs| {
-            (window.len() / refs).clamp(1, self.config.ranks)
+            (len / refs).clamp(1, self.config.ranks)
         });
         let have = self.metrics.len();
         if have < np {
             self.metrics.extend(rank_metrics(np).split_off(have));
         }
-        let config = self.config.clone().ranks(np);
-        let chunks = chunk_slice(window, np);
-        let starts = chunk_starts(&chunks, self.base);
-        let items = build_items(&chunks, &starts, &config);
-        self.base += window.len() as u64;
+        let base = self.base;
+        self.base += len as u64;
         self.phased.phases += 1;
+        let config = self.config.clone().ranks(np);
+        // SAFETY: the streamer leaks no window. Each one is consumed by
+        // `fold`, or dropped on an error or while unwinding, so a borrowed
+        // window's drop waits for its jobs before `run_slice` returns.
+        unsafe { submit_items(window, base, &config, &self.engines) }
+    }
 
+    /// Fold a submitted window, which follows every reference analyzed so
+    /// far: its leftover stream, and unless it is the `last` its items'
+    /// live state, go to the history stage. A lone window has no history,
+    /// and records its stream as rank 0's global infinities.
+    fn fold(&mut self, window: InFlight<'_, T>, last: bool) -> Result<(), PardaError> {
         let mut states = match &self.stage {
             Some(stage) if !last => stage.recycled.try_recv().unwrap_or_default(),
             _ => Vec::new(),
         };
-        states.resize_with(if last { 0 } else { items.len() }, Vec::new);
-        let mut kept: Vec<Option<Engine<T>>> = items.iter().map(|_| None).collect();
+        states.resize_with(if last { 0 } else { window.items() }, Vec::new);
+        let (engines, folded_live) = (&self.engines, &mut self.folded_live);
+        *folded_live = 0;
         let stream = cascade_items(
-            &items,
-            &config,
+            &window,
             &self.policy,
             &mut self.metrics,
             &mut self.recovery,
             &mut self.total,
-            std::mem::take(&mut self.engines),
             |i, engine| {
                 if !last {
+                    *folded_live += engine.live();
                     engine.export_state_into(&mut states[i]);
-                    kept[i] = Some(engine);
+                    engines.retire(engine);
                 }
             },
-        )?;
-        self.engines = kept;
+        );
+        if let Some(mut buffer) = window.into_buffer() {
+            buffer.clear();
+            self.buffers.push(buffer);
+        }
+        let stream = stream?;
 
         if last && self.stage.is_none() {
             self.total.record_infinite_n(stream.len() as u64);
@@ -291,6 +353,7 @@ impl<T: ReuseTree + Default + Send> Streamer<T> {
         }
         let bound = self.config.bound;
         let stage = self.stage.get_or_insert_with(|| HistoryStage::spawn(bound));
+        stage.handed_live = states.iter().map(Vec::len).sum::<usize>() as u64;
         let sw = Stopwatch::start();
         let handed = stage
             .handoff
@@ -313,12 +376,16 @@ impl<T: ReuseTree + Default + Send> Streamer<T> {
 /// A push-fed [`Streamer`] with its tree type erased, as a session holds
 /// it.
 pub(crate) trait PushStream: Send {
-    /// Push references. A full window runs as soon as the reference after
-    /// it arrives; an error ends the stream, and `finish` returns it.
+    /// Push references. A full window goes to the item pool at once, and
+    /// the window before it folds; an error ends the stream, and `finish`
+    /// returns it.
     fn feed(&mut self, addrs: &[Addr]);
-    /// Estimated bytes of state held now: the pending window, and a table
-    /// entry plus a tree node per live address of the kept item engines
-    /// and the history.
+    /// Estimated bytes of state held now, both windows in flight included:
+    /// the pending window's buffer and the pool's, and a table entry plus a
+    /// tree node per live address of the history and of the last folded
+    /// window's item engines, counted twice while a window is on the pool
+    /// (its items end their fold with about the live state the last
+    /// window's did).
     fn state_bytes(&self) -> u64;
     /// [`Streamer::finish`].
     fn finish(self: Box<Self>) -> Result<Windowed, PardaError>;
@@ -327,13 +394,6 @@ pub(crate) trait PushStream: Send {
 impl<T: ReuseTree + Default + Send> PushStream for Streamer<T> {
     fn feed(&mut self, mut addrs: &[Addr]) {
         while !addrs.is_empty() && self.error.is_none() {
-            if self.pending.len() == self.window_refs {
-                let mut window = std::mem::take(&mut self.pending);
-                self.error = self.run_window(&window, false).err();
-                window.clear();
-                self.pending = window;
-                continue;
-            }
             let take = addrs.len().min(self.window_refs - self.pending.len());
             // Grow as a `Vec` does, but never past one window.
             let need = self.pending.len() + take;
@@ -343,16 +403,24 @@ impl<T: ReuseTree + Default + Send> PushStream for Streamer<T> {
             }
             self.pending.extend_from_slice(&addrs[..take]);
             addrs = &addrs[take..];
+            if self.pending.len() == self.window_refs {
+                let window = std::mem::take(&mut self.pending);
+                self.error = self.push_window(window).err();
+                self.pending = self.buffers.pop().unwrap_or_default();
+            }
         }
     }
 
     fn state_bytes(&self) -> u64 {
-        let items: u64 = self.engines.iter().flatten().map(|e| e.live() as u64).sum();
+        let on_pool = self.inflight.as_ref();
+        let buffered = self.pending.capacity() + on_pool.map_or(0, InFlight::len);
+        let windows = 1 + usize::from(on_pool.is_some());
+        let items = windows * self.folded_live;
         let history = self
             .stage
             .as_ref()
-            .map_or(0, |s| s.live.load(Ordering::Relaxed));
-        (self.pending.capacity() * std::mem::size_of::<Addr>()) as u64 + (items + history) * 64
+            .map_or(0, |s| s.live.load(Ordering::Relaxed).max(s.handed_live));
+        (buffered * std::mem::size_of::<Addr>()) as u64 + (items as u64 + history) * 64
     }
 
     fn finish(self: Box<Self>) -> Result<Windowed, PardaError> {
@@ -369,6 +437,9 @@ struct HistoryStage {
     recycled: Receiver<ItemStates>,
     /// The history's live address count after its latest append.
     live: Arc<AtomicU64>,
+    /// Live state of the last window handed over: the least the history
+    /// holds once it has appended it, whether or not it has yet.
+    handed_live: u64,
     thread: Option<JoinHandle<History>>,
 }
 
@@ -378,12 +449,15 @@ impl HistoryStage {
         let (recycle, recycled) = channel();
         let live = Arc::new(AtomicU64::new(0));
         let stage_live = Arc::clone(&live);
-        let thread =
-            std::thread::spawn(move || history_stage(bound, windows, recycle, &stage_live));
+        let thread = std::thread::Builder::new()
+            .name("parda-history".into())
+            .spawn(move || history_stage(bound, windows, recycle, &stage_live))
+            .expect("spawn the history stage");
         Self {
             handoff: Some(handoff),
             recycled,
             live,
+            handed_live: 0,
             thread: Some(thread),
         }
     }

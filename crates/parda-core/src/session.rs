@@ -7,8 +7,9 @@
 //!
 //! Approximate modes stream through the constant-space [`ApproxSketch`].
 //! Every exact mode pushes its frames into one windowed streamer
-//! ([`crate::phased`]) whose tree type the session erases; a window runs as
-//! soon as the reference after it arrives. [`Mode::Threads`] is one window,
+//! ([`crate::phased`]) whose tree type the session erases; a full window
+//! goes to the process-wide item pool at once, and the window before it
+//! folds on the calling thread meanwhile. [`Mode::Threads`] is one window,
 //! run at `finish` exactly as [`Analysis::run_faulted`] runs it;
 //! [`SessionAnalysis::auto_ranks`] instead cuts windows of
 //! `AUTO_RANK_MAX × AUTO_RANK_CHUNK` = 2,097,152 references, so a longer
@@ -113,7 +114,7 @@ impl SessionAnalysis {
     }
 
     /// Push one frame of decoded references. A window the frame completes
-    /// runs once the next reference arrives.
+    /// goes to the item pool, and the window before it folds.
     pub fn feed(&mut self, addrs: &[Addr]) {
         self.refs += addrs.len() as u64;
         match &mut self.state {

@@ -15,8 +15,9 @@ const ROTATE: u32 = 26;
 
 /// Hash a single `u64` with one round of the Fx mix.
 ///
-/// This is the function used by [`crate::RobinHoodMap`] on its fixed-width
-/// keys; it is exposed so other crates can hash addresses consistently.
+/// Exposed so other crates hash addresses consistently: SHARDS samples on
+/// it and the treap draws its priorities from it. [`crate::RobinHoodMap`]
+/// places keys by the high bits of a plain Fibonacci multiply instead.
 #[inline]
 pub fn fx_hash_u64(value: u64) -> u64 {
     (value.rotate_left(ROTATE) ^ value).wrapping_mul(SEED)

@@ -13,10 +13,24 @@
 //! * the table grows with the address footprint, so a slot holds only its
 //!   key, its value and one byte of probe length — 17 bytes for
 //!   `u64 → u64` — and fills fewer cache lines and pages;
-//! * keys are word-granular addresses, hashed with one multiply via
-//!   [`crate::fx_hash_u64`].
+//! * keys are word-granular addresses, hashed with one multiply: a key's
+//!   home slot is the *high* bits of its product with 2^64/φ (Fibonacci
+//!   hashing). The low bits of a product depend only on the low bits of
+//!   the key, so strided addresses (`base + k · 2^s`) would share a
+//!   handful of homes; the high bits spread them, and still give a run of
+//!   dense keys nearly one slot each.
 
-use crate::fx::fx_hash_u64;
+/// 2^64 / φ, forced odd: the Fibonacci-hashing multiplier.
+const FIBONACCI: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The hash whose high bits are a key's home slot: a Fibonacci multiply
+/// of the key with its high half folded onto its low half first, so keys
+/// that differ only in their high bits still differ where the multiply
+/// spreads them.
+#[inline]
+fn home_hash(key: u64) -> u64 {
+    (key ^ (key >> 32)).wrapping_mul(FIBONACCI)
+}
 
 /// Keys storable in a [`RobinHoodMap`]: cheaply projectable to 64 bits.
 ///
@@ -87,6 +101,8 @@ pub struct RobinHoodMap<K, V> {
     /// Per slot: the resident pair, stale wherever `dibs` is zero.
     entries: Vec<(K, V)>,
     mask: usize,
+    /// `64 - log2(capacity)`: a hash shifted right by this is a slot.
+    shift: u32,
     len: usize,
 }
 
@@ -114,6 +130,7 @@ impl<K: FixedKey + Default, V: Copy + Default> RobinHoodMap<K, V> {
             dibs: vec![0; cap],
             entries: vec![(K::default(), V::default()); cap],
             mask: cap - 1,
+            shift: Self::shift_for(cap),
             len: 0,
         }
     }
@@ -142,9 +159,15 @@ impl<K: FixedKey + Default, V: Copy + Default> RobinHoodMap<K, V> {
         self.len = 0;
     }
 
+    /// The [`RobinHoodMap::shift`] of a `cap`-slot table.
+    fn shift_for(cap: usize) -> u32 {
+        u64::BITS - cap.trailing_zeros()
+    }
+
+    /// A key's home slot: the top `log2(capacity)` bits of its hash.
     #[inline]
     fn home(&self, key: K) -> usize {
-        (fx_hash_u64(key.as_u64()) as usize) & self.mask
+        (home_hash(key.as_u64()) >> self.shift) as usize
     }
 
     /// Issue a software prefetch for `key`'s home slot: its entry and its
@@ -289,6 +312,7 @@ impl<K: FixedKey + Default, V: Copy + Default> RobinHoodMap<K, V> {
             vec![(K::default(), V::default()); new_cap],
         );
         self.mask = new_cap - 1;
+        self.shift = Self::shift_for(new_cap);
         self.len = 0;
         for (&byte, &(key, value)) in dibs.iter().zip(&entries) {
             if byte != 0 {
@@ -394,15 +418,16 @@ mod tests {
 
     #[test]
     fn colliding_keys_past_the_byte_limit() {
-        // The rotate-xor of `k << 26` keeps its 26 low bits zero and the
-        // multiply cannot set them, and 0 and u64::MAX hash to 0: every key
-        // here shares home slot 0, so the cluster is as long as the map,
-        // far past the 255 a slot byte holds.
-        let keys: Vec<u64> = (1u64..=1_200)
-            .map(|k| k << 26)
-            .chain([0, u64::MAX])
+        // Keys whose hash has its top 11 bits clear share home slot 0 in
+        // every table up to 2048 slots, the size 1,202 keys grow this one
+        // to; 0 hashes to 0. So the cluster is as long as the map, far
+        // past the 255 a slot byte holds.
+        let keys: Vec<u64> = (1u64..)
+            .filter(|&k| home_hash(k) >> 53 == 0)
+            .take(1_201)
+            .chain([0])
             .collect();
-        assert!(keys.iter().all(|&k| fx_hash_u64(k) & ((1 << 26) - 1) == 0));
+        assert!(keys.iter().all(|&k| home_hash(k) >> 53 == 0));
         let mut ours: RobinHoodMap<u64, u64> = RobinHoodMap::new();
         let mut reference: HashMap<u64, u64> = HashMap::new();
         let sweep = |ours: &RobinHoodMap<u64, u64>, reference: &HashMap<u64, u64>| {
@@ -447,6 +472,28 @@ mod tests {
         sweep(&ours, &reference);
         assert!(ours.max_probe_distance() >= 1_000);
         assert_eq!(ours.max_probe_distance(), keys.len());
+    }
+
+    #[test]
+    fn strided_keys_spread_over_the_table() {
+        // The low bits of `k << s` are all zero: a home taken from the
+        // hash's low bits would crowd these keys into a few slots.
+        let base = 0x7f3a_5c00_0000u64;
+        for s in 0..=20 {
+            let mut map: RobinHoodMap<u64, u64> = RobinHoodMap::new();
+            for k in 0..65_536u64 {
+                map.insert(base.wrapping_add(k << s), k);
+            }
+            assert_eq!(map.len(), 65_536);
+            assert!(
+                map.max_probe_distance() <= 32,
+                "stride 2^{s}: max probe distance {}",
+                map.max_probe_distance()
+            );
+            for k in (0..65_536u64).step_by(97) {
+                assert_eq!(map.get(base.wrapping_add(k << s)), Some(&k));
+            }
+        }
     }
 
     proptest! {

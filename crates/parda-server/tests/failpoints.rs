@@ -423,3 +423,70 @@ fn injected_decode_failure_under_strict_is_a_corrupt_error() {
     let metrics = join.join().unwrap();
     assert_eq!(metrics.sessions_failed, 1);
 }
+
+/// One shard, one item pool: a session whose items panic past their
+/// retries fails alone, while a session streaming through the same shard
+/// and the same pool replies bit-identically. Only bounded items run the
+/// scalar path on their workers, so arming the scalar engine's site fails
+/// every item of the bounded session and none of the other's.
+#[test]
+fn an_item_past_its_retries_fails_only_its_own_session() {
+    let _g = exclusive();
+    let server = Server::bind(ServerConfig {
+        shards: 1,
+        idle_timeout: Some(Duration::from_secs(10)),
+        ..ServerConfig::default()
+    })
+    .expect("bind a one-shard server");
+    let addr = server.local_addr().unwrap().to_string();
+    let stop = server.shutdown_handle();
+    let join = std::thread::spawn(move || server.run().unwrap());
+
+    // The healthy session: twenty 4 × 500-reference windows, the first
+    // half pushed before the failing session starts.
+    let trace = sample_trace(40_000);
+    let mut healthy = TcpStream::connect(&addr).unwrap();
+    write_msg(&mut healthy, MsgKind::Hello, &hello_payload()).unwrap();
+    write_msg(
+        &mut healthy,
+        MsgKind::Config,
+        b"engine=phased\nchunk=500\nranks=4\nreply=binary\nencoding=raw\n",
+    )
+    .unwrap();
+    let accept = read_msg(&mut healthy).unwrap();
+    assert_eq!(accept.kind, MsgKind::Accept);
+    let (first, second) = trace.split_at(trace.len() / 2);
+    let send = |stream: &mut TcpStream, half: &[Addr]| {
+        for frame in half.chunks(1_000) {
+            let payload = encode_data_frame(frame, Encoding::Raw);
+            write_msg(stream, MsgKind::Data, &payload).unwrap();
+        }
+    };
+    send(&mut healthy, first);
+
+    parda_failpoint::configure("engine::process_chunk_scalar", "panic").unwrap();
+    let bounded = SubmitOptions {
+        config: [("engine", "phased"), ("chunk", "500"), ("ranks", "4")]
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .chain([("bound".to_string(), "64".to_string())])
+            .collect(),
+        ..SubmitOptions::default()
+    };
+    let err = submit(&addr, &sample_trace(6_000), &bounded).unwrap_err();
+    assert_eq!(err.class(), "worker-panic", "got: {err}");
+
+    send(&mut healthy, second);
+    write_msg(&mut healthy, MsgKind::Fin, &[]).unwrap();
+    let stats = read_msg(&mut healthy).unwrap();
+    parda_failpoint::clear();
+    assert_eq!(stats.kind, MsgKind::Stats, "{:?}", stats.payload);
+    assert_eq!(stats.payload[0], STATS_FORMAT_BINARY);
+    let hist = parda_server::proto::decode_histogram_binary(&stats.payload[1..]).unwrap();
+    assert_eq!(hist, offline(&trace));
+
+    stop.shutdown();
+    let metrics = join.join().unwrap();
+    assert_eq!(metrics.sessions_failed, 1);
+    assert_eq!(metrics.sessions_completed, 1);
+}

@@ -46,8 +46,9 @@ pub(crate) const NIL: u32 = u32::MAX;
 /// Keys are access timestamps. Every engine inserts them in increasing
 /// order (forward analysis and the windowed streamer's history append);
 /// the trait itself accepts any order. Each key carries the address
-/// that was accessed at that time.
-pub trait ReuseTree {
+/// that was accessed at that time. A tree owns its state (`'static`), so
+/// an engine can travel to a worker that outlives the call that made it.
+pub trait ReuseTree: 'static {
     /// Insert a `(timestamp, addr)` pair. Timestamps must be unique;
     /// inserting a duplicate timestamp is a logic error and may panic.
     fn insert(&mut self, timestamp: u64, addr: u64);

@@ -130,3 +130,42 @@ fn mrc_from_histogram_is_monotone_and_anchored() {
         "MRC asymptote must equal the cold-miss ratio"
     );
 }
+
+/// Relabelling addresses cannot change a distance. A strided copy of a
+/// trace (`base + a · 2^s`, whose low bits are all alike) gives the dense
+/// trace's histogram on the windowed streamer, the sequential engine, the
+/// one-window parallel pass and a pushed session.
+#[test]
+fn strided_copies_keep_the_dense_histogram() {
+    let dense = spec_trace("gcc", 60_000, 11);
+    let expected = analyze_sequential::<SplayTree>(dense.as_slice(), None);
+    let windowed = Analysis::new()
+        .tree(TreeKind::Vector)
+        .ranks(4)
+        .mode(Mode::Phased {
+            chunk: 4_096,
+            reduction: Reduction::ShipToRankZero,
+        });
+    for shift in [0u32, 3, 12, 16, 20] {
+        let strided: Vec<Addr> = dense
+            .as_slice()
+            .iter()
+            .map(|&a| 0x5500_0000_0000u64.wrapping_add(a << shift))
+            .collect();
+        let (streamed, _) = windowed.run_stream(SliceStream::new(&strided));
+        assert_eq!(streamed, expected, "stride 2^{shift}: windowed stream");
+        let seq = Analysis::new().mode(Mode::Seq).tree(TreeKind::Vector);
+        assert_eq!(seq.run(&strided).0, expected, "stride 2^{shift}: seq");
+        let parda = Analysis::new()
+            .tree(TreeKind::Vector)
+            .ranks(4)
+            .mode(Mode::Threads);
+        assert_eq!(parda.run(&strided).0, expected, "stride 2^{shift}: parda");
+        let mut session = windowed.session();
+        for frame in strided.chunks(3_000) {
+            session.feed(frame);
+        }
+        let (pushed, _) = session.finish().unwrap();
+        assert_eq!(pushed, expected, "stride 2^{shift}: session");
+    }
+}

@@ -400,3 +400,79 @@ fn stream_decode_failure_fails_strict_and_degrades_lossy() {
     std::fs::remove_file(&path).unwrap();
     parda_failpoint::clear();
 }
+
+/// Every exact surface gives up on a stuck item at the watchdog deadline,
+/// without waiting it out: the in-memory trace (whose run may return only
+/// once no job reads it), a windowed file run and a pushed session. The
+/// stuck items sleep on the process-wide item pool meanwhile; nothing
+/// joins them.
+#[test]
+fn a_stuck_item_is_a_stall_at_the_deadline_on_every_surface() {
+    let _g = exclusive();
+    let trace = sample_trace(6000);
+    let path = framed_file("stuck-item.trc", &trace);
+    parda_failpoint::configure("parallel::worker_stall", "sleep(2000)").unwrap();
+    let policy = FaultPolicy::default().watchdog(Duration::from_millis(50));
+    let prompt = Duration::from_millis(1000);
+
+    let start = Instant::now();
+    let config = PardaConfig::with_ranks(4);
+    let err = parda_threads_faulted::<VectorTree>(&trace, &config, &policy).unwrap_err();
+    assert!(matches!(err, PardaError::Stall { .. }), "in memory: {err}");
+    assert!(
+        start.elapsed() < prompt,
+        "in memory took {:?}",
+        start.elapsed()
+    );
+
+    let start = Instant::now();
+    let err = windowed(TreeKind::Vector)
+        .fault_policy(policy.clone())
+        .run_file(&path)
+        .unwrap_err();
+    assert!(matches!(err, PardaError::Stall { .. }), "file: {err}");
+    assert!(start.elapsed() < prompt, "file took {:?}", start.elapsed());
+
+    let start = Instant::now();
+    let mut session = windowed(TreeKind::Vector).fault_policy(policy).session();
+    for frame in trace.chunks(700) {
+        session.feed(frame);
+    }
+    let err = session.finish().unwrap_err();
+    assert!(matches!(err, PardaError::Stall { .. }), "session: {err}");
+    assert!(
+        start.elapsed() < prompt,
+        "session took {:?}",
+        start.elapsed()
+    );
+
+    parda_failpoint::clear();
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Sessions dropped while their windows still wait on the pool: the
+/// queued items hold the window they read, never a freed one, and skip
+/// their analysis; the next session completes bit-identically.
+#[test]
+fn a_session_dropped_with_items_queued_frees_nothing_under_them() {
+    let _g = exclusive();
+    let trace = sample_trace(20_000);
+    let expected = analyze_sequential::<SplayTree>(&trace, None);
+    // Slow items, so every dropped session leaves some queued.
+    parda_failpoint::configure("parallel::worker_stall", "sleep(5)").unwrap();
+    for _ in 0..4 {
+        let mut session = windowed(TreeKind::Vector).session();
+        for frame in trace[..9_000].chunks(1_000) {
+            session.feed(frame);
+        }
+        drop(session);
+    }
+    parda_failpoint::clear();
+    let mut session = windowed(TreeKind::Vector).session();
+    for frame in trace.chunks(1_000) {
+        session.feed(frame);
+    }
+    let (hist, report) = session.finish().unwrap();
+    assert_eq!(hist, expected);
+    assert_eq!(report.unwrap().phased.unwrap().phases, 10);
+}
