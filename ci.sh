@@ -189,6 +189,36 @@ for engine in default small-windows parda; do
     fi
 done
 
+step "bounded windowed smoke (--bound B on the windowed trace: total and every bucket below B match sequential splay)"
+# Bounded mode is where tree keys meet the LRU victim. Algorithm 7's
+# contract is exactness below the bound and conserved mass, not byte
+# identity: a parallel run may resolve a distance at or past B that the
+# sequential one counts as infinite.
+for bound in 1000 50000; do
+    cargo run -q -p parda-cli --bin parda -- \
+        analyze "$smoke_dir/windows.trc" --engine seq --tree splay --bound "$bound" --json \
+        > "$smoke_dir/bounded-seq.json"
+    for engine in default small-windows; do
+        engine_args=()
+        [ "$engine" = small-windows ] && engine_args=(--chunk 4096 --ranks 3)
+        cargo run -q -p parda-cli --bin parda -- \
+            analyze "$smoke_dir/windows.trc" "${engine_args[@]}" --bound "$bound" --json \
+            > "$smoke_dir/bounded-$engine.json"
+        python3 - "$smoke_dir/bounded-$engine.json" "$smoke_dir/bounded-seq.json" "$bound" "$engine" <<'EOF'
+import json, sys
+got, want = (json.load(open(p)) for p in sys.argv[1:3])
+bound, engine = int(sys.argv[3]), sys.argv[4]
+pad = lambda c: c[:bound] + [0] * (bound - len(c[:bound]))
+bad = [d for d, (g, w) in enumerate(zip(pad(got["counts"]), pad(want["counts"]))) if g != w]
+if got["total"] != want["total"] or bad:
+    print(f"bounded windowed smoke: {engine} --bound {bound} breaks the contract:"
+          f" total {got['total']} vs {want['total']}, buckets differ at {bad[:5]}", file=sys.stderr)
+    sys.exit(1)
+print(f"  {engine} --bound {bound}: total and buckets below {bound} match")
+EOF
+    done
+done
+
 step "peak-memory smoke (release analyze of the windowed trace must stay under the committed RSS ceiling)"
 # Run the release binary itself, not `cargo run`: RUSAGE_CHILDREN would
 # count cargo too. The ceiling holds on the core count it was measured on.

@@ -348,8 +348,8 @@ impl WeightedHist {
 struct ShardsEntry {
     /// Sampled-clock timestamp of the first touch (merge replay order).
     first_ts: u64,
-    /// Sampled-clock timestamp of the most recent touch (tree key).
-    last_ts: u64,
+    /// The tree's key for the most recent touch.
+    key: u64,
     /// Weight carried by this address's cold miss (the scale at the time
     /// it was first monitored — fixed-size rates drift downward).
     cold_w: f64,
@@ -368,7 +368,7 @@ pub struct ShardsSketch {
     threshold: u64,
     /// Cardinality cap, when fixed-size.
     s_max: Option<usize>,
-    /// Sampled-reference clock (tree key space).
+    /// Sampled-reference clock.
     ts: u64,
     /// All references seen (monitored or not).
     total_refs: u64,
@@ -376,7 +376,7 @@ pub struct ShardsSketch {
     sampled_refs: u64,
     /// Live monitored addresses.
     table: FxHashMap<Addr, ShardsEntry>,
-    /// Distance oracle over monitored last-access timestamps.
+    /// Distance oracle over monitored last accesses.
     tree: VectorTree,
     /// Max-heap over (hash, addr) for fixed-size eviction; empty otherwise.
     heap: BinaryHeap<(u64, Addr)>,
@@ -417,6 +417,17 @@ impl ShardsSketch {
         SampleRate::from_threshold(self.threshold).scale()
     }
 
+    /// Make room in the tree for `appends` appends, moving the table's
+    /// keys with any compaction that moves them: one pass over the
+    /// O(s_max) table.
+    fn make_room(&mut self, appends: usize) {
+        if let Some(relabel) = self.tree.make_room(appends) {
+            for entry in self.table.values_mut() {
+                entry.key = relabel.apply(entry.key);
+            }
+        }
+    }
+
     /// Process one reference.
     #[inline]
     pub fn push(&mut self, addr: Addr) {
@@ -429,25 +440,25 @@ impl ShardsSketch {
         let w = self.current_scale();
         let ts = self.ts;
         self.ts += 1;
+        self.make_room(1);
         if let Some(entry) = self.table.get_mut(&addr) {
             let d_s = self
                 .tree
-                .distance_and_remove(entry.last_ts)
+                .distance_and_remove(entry.key)
                 .expect("monitored entry must be in the tree");
-            entry.last_ts = ts;
-            self.tree.insert(ts, addr);
+            entry.key = self.tree.append(ts, addr);
             let est = (d_s as f64 * w).round() as u64;
             self.hist.record(est, w);
         } else {
+            let key = self.tree.append(ts, addr);
             self.table.insert(
                 addr,
                 ShardsEntry {
                     first_ts: ts,
-                    last_ts: ts,
+                    key,
                     cold_w: w,
                 },
             );
-            self.tree.insert(ts, addr);
             if let Some(s_max) = self.s_max {
                 self.heap.push((h, addr));
                 if self.table.len() > s_max {
@@ -485,7 +496,7 @@ impl ShardsSketch {
                 .table
                 .remove(&addr)
                 .expect("heap entry must be live in the table");
-            self.tree.remove(entry.last_ts);
+            self.tree.remove(entry.key);
             self.evicted_cold_w += entry.cold_w;
             self.evictions += 1;
         }
@@ -519,8 +530,10 @@ impl ShardsSketch {
         entries.sort_unstable_by_key(|(_, e)| e.first_ts);
         // Every replayed entry is newer than all of `self`'s, so a query
         // counts the replayed ones so far whatever their keys: count them
-        // instead of inserting them, then append them in key order, which
-        // the tree takes at its tail.
+        // instead of appending them, then append them in `other`'s key
+        // order, its recency order. Room for all of them is made first, so
+        // no compaction moves keys while replayed entries have none yet.
+        self.make_room(entries.len());
         let mut replayed: Vec<(u64, Addr)> = Vec::with_capacity(entries.len());
         let mut other_evicted_cold_w = other.evicted_cold_w;
         let mut other_evictions = other.evictions;
@@ -542,13 +555,12 @@ impl ShardsSketch {
                 // between.
                 let d_s = self
                     .tree
-                    .distance_and_remove(mine.last_ts)
+                    .distance_and_remove(mine.key)
                     .expect("monitored entry must be in the tree")
                     + replayed.len() as u64;
                 let est = (d_s as f64 * w).round() as u64;
                 self.hist.record(est, w);
-                mine.last_ts = shift + e.last_ts;
-                replayed.push((shift + e.last_ts, addr));
+                replayed.push((e.key, addr));
                 // `other`'s cold miss for this address dissolves into the
                 // cross reuse; `self`'s own cold weight stands.
                 // (Its weight was already excluded: cold weights live in
@@ -558,19 +570,23 @@ impl ShardsSketch {
                     addr,
                     ShardsEntry {
                         first_ts: shift + e.first_ts,
-                        last_ts: shift + e.last_ts,
+                        key: e.key,
                         cold_w: e.cold_w,
                     },
                 );
-                replayed.push((shift + e.last_ts, addr));
+                replayed.push((e.key, addr));
                 if self.s_max.is_some() {
                     self.heap.push((h, addr));
                 }
             }
         }
         replayed.sort_unstable();
-        for (ts, addr) in replayed {
-            self.tree.insert(ts, addr);
+        for (i, (_, addr)) in replayed.into_iter().enumerate() {
+            let key = self.tree.append(shift + i as u64, addr);
+            self.table
+                .get_mut(&addr)
+                .expect("replayed entry is live")
+                .key = key;
         }
         if let Some(s_max) = self.s_max {
             while self.table.len() > s_max {
@@ -607,9 +623,9 @@ impl ShardsSketch {
     pub fn memory_bytes(&self) -> u64 {
         let table =
             self.table.capacity() as u64 * (std::mem::size_of::<(Addr, ShardsEntry)>() as u64 + 8);
-        // A live entry's 16-byte slot, on a time axis that compaction
-        // keeps at about twice the live count.
-        let tree = self.tree.len() as u64 * 32;
+        // A live entry's 8-byte address slot, on a time axis that
+        // compaction keeps at about twice the live count.
+        let tree = self.tree.len() as u64 * 16;
         let heap = self.heap.len() as u64 * std::mem::size_of::<(u64, Addr)>() as u64;
         table + tree + heap
     }
@@ -1166,11 +1182,25 @@ mod tests {
             prop_assert_eq!(a.hist.clone(), whole.hist.clone());
             prop_assert_eq!(a.total_refs, whole.total_refs);
             prop_assert_eq!(a.sampled_refs, whole.sampled_refs);
-            let mut a_tbl: Vec<_> = a.table.iter().map(|(k, v)| (*k, *v)).collect();
-            let mut w_tbl: Vec<_> = whole.table.iter().map(|(k, v)| (*k, *v)).collect();
-            a_tbl.sort_unstable_by_key(|(k, _)| *k);
-            w_tbl.sort_unstable_by_key(|(k, _)| *k);
-            prop_assert_eq!(a_tbl, w_tbl);
+            // Tree keys are axis positions, which depend on each sketch's
+            // compactions; what must agree is every entry but its key, the
+            // recency order of the live addresses, and that each key names
+            // its own address in the tree.
+            let entries = |s: &ShardsSketch| {
+                let mut t: Vec<_> =
+                    s.table.iter().map(|(&a, e)| (a, e.first_ts, e.cold_w)).collect();
+                t.sort_unstable_by_key(|e| e.0);
+                t
+            };
+            prop_assert_eq!(entries(&a), entries(&whole));
+            let recency = |s: &ShardsSketch| {
+                let live = s.tree.to_sorted_vec();
+                for &(key, addr) in &live {
+                    assert_eq!(s.table[&addr].key, key, "key of {addr}");
+                }
+                live.into_iter().map(|(_, addr)| addr).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(recency(&a), recency(&whole));
         }
 
         #[test]

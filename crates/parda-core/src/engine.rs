@@ -3,17 +3,23 @@
 //! unified over one state struct.
 //!
 //! An [`Engine`] owns the three data structures the paper threads through
-//! its pseudocode — the timestamp tree `T`, the last-access table `H`, and
-//! the histogram `hist` — plus the two counters of the optimized/bounded
+//! its pseudocode — the tree `T`, the last-access table `H`, and the
+//! histogram `hist` — plus the two counters of the optimized/bounded
 //! variants: `l` (local infinities forwarded, Algorithm 7) and `count`
 //! (incoming infinities seen, Algorithm 4). The sequential, parallel, and
 //! windowed streaming analyzers are all thin drivers over this type.
+//!
+//! `H` holds the key the tree returned for each address's last access:
+//! the timestamp itself in a search tree, an axis position in the
+//! [`parda_tree::VectorTree`]. Before every append the engine makes room
+//! in the tree, and when that compacts the vector's axis it maps every
+//! key in `H` to its new position in one sweep of the table.
 
 use parda_hash::LastAccessTable;
 use parda_hist::ReuseHistogram;
 use parda_obs::{CascadeRoundStats, EngineMetrics, Stopwatch};
 use parda_trace::Addr;
-use parda_tree::{Fenwick, ReuseTree};
+use parda_tree::ReuseTree;
 
 /// Width of the prefetch-batched hot path (one `u64` hit mask per batch) —
 /// see [`Engine::process_chunk`]. Module-level so the generic impl can size
@@ -65,6 +71,8 @@ pub struct Engine<T: ReuseTree> {
     forwarded: u64,
     /// `count`: incoming local infinities processed so far (Algorithm 4).
     stream_count: u64,
+    /// One past the newest timestamp appended: where imported state goes.
+    clock: u64,
     /// Cumulative operation counters (never reset at window boundaries).
     metrics: EngineMetrics,
 }
@@ -97,6 +105,7 @@ impl<T: ReuseTree + Default> Engine<T> {
             bound,
             forwarded: 0,
             stream_count: 0,
+            clock: 0,
             metrics: EngineMetrics::default(),
         }
     }
@@ -144,6 +153,15 @@ impl<T: ReuseTree> Engine<T> {
     /// Width of the prefetch-batched hot path: one `u64` hit mask per batch.
     pub const BATCH: usize = BATCH;
 
+    /// Make room in the tree for `appends` appends, moving the keys in `H`
+    /// with any compaction that moves them in the tree.
+    #[inline]
+    fn make_room(&mut self, appends: usize) {
+        if let Some(relabel) = self.tree.make_room(appends) {
+            self.table.relabel(|key| relabel.apply(key));
+        }
+    }
+
     /// Process a contiguous chunk of the trace whose first reference has
     /// global index `start_ts` (Algorithm 1 body, with the Algorithm 7
     /// bound when configured).
@@ -159,8 +177,10 @@ impl<T: ReuseTree> Engine<T> {
     /// misses (hash probe → splay descent → next hash probe) into
     /// overlapped ones. Bit-identical to [`Self::process_chunk_scalar`]:
     /// table upserts are independent of tree state when no eviction can
-    /// occur, so probing a batch ahead observes exactly the timestamps the
-    /// scalar interleaving would, and tree ops replay in trace order.
+    /// occur, so probing a batch ahead observes exactly the keys the scalar
+    /// interleaving would, and tree ops replay in trace order. Room for a
+    /// whole batch is made before its probes, so its keys are the tree's
+    /// next key plus the reference's index in the batch.
     /// Bounded mode (where Algorithm 7's LRU eviction couples the table to
     /// the tree per reference) and tiny chunks take the scalar path.
     pub fn process_chunk(&mut self, chunk: &[Addr], start_ts: u64, miss_sink: MissSink<'_>) {
@@ -173,18 +193,20 @@ impl<T: ReuseTree> Engine<T> {
         let mut prev = [0u64; BATCH];
         for (batch_idx, batch) in chunk.chunks(BATCH).enumerate() {
             let base_ts = start_ts + (batch_idx * BATCH) as u64;
+            self.make_room(batch.len());
+            let base_key = self.tree.next_key(base_ts);
             // Pass 1: hint every probe slot the batch will touch.
             for &z in batch {
                 self.table.prefetch(z);
             }
             // Pass 2: probe/upsert the table, recording each reference's
-            // previous timestamp. Within-batch repeats behave exactly like
-            // the scalar loop: the upsert returns the timestamp the earlier
-            // occurrence just recorded.
+            // key and learning its previous one. Within-batch repeats behave
+            // exactly like the scalar loop: the upsert returns the key the
+            // earlier occurrence just recorded.
             let mut hits: u64 = 0;
             for (i, &z) in batch.iter().enumerate() {
-                if let Some(t0) = self.table.record(z, base_ts + i as u64) {
-                    prev[i] = t0;
+                if let Some(k0) = self.table.record(z, base_key + i as u64) {
+                    prev[i] = k0;
                     hits |= 1 << i;
                 }
             }
@@ -213,7 +235,8 @@ impl<T: ReuseTree> Engine<T> {
                         }
                     }
                 }
-                self.tree.insert(ts, z);
+                let key = self.tree.append(ts, z);
+                debug_assert_eq!(key, base_key + i as u64, "batch keys are consecutive");
                 self.metrics.tree_ops += 1;
             }
             self.metrics.batches += 1;
@@ -224,6 +247,7 @@ impl<T: ReuseTree> Engine<T> {
                 self.metrics.live_hwm = live;
             }
         }
+        self.clock = start_ts + chunk.len() as u64;
     }
 
     /// Scalar (one reference at a time) chunk processing — the literal
@@ -237,13 +261,15 @@ impl<T: ReuseTree> Engine<T> {
         self.metrics.refs += chunk.len() as u64;
         for (i, &z) in chunk.iter().enumerate() {
             let ts = start_ts + i as u64;
+            self.make_room(1);
+            let key = self.tree.next_key(ts);
             // One hash probe per reference: the upsert returns the previous
-            // timestamp, which is all Algorithm 1 needs (`H(z)` then
-            // `H(z) ← t` in the paper).
-            if let Some(t0) = self.table.record(z, ts) {
+            // key, which is all Algorithm 1 needs (`H(z)` then `H(z) ← t`
+            // in the paper).
+            if let Some(k0) = self.table.record(z, key) {
                 let d = self
                     .tree
-                    .distance_and_remove(t0)
+                    .distance_and_remove(k0)
                     .expect("table and tree are kept in sync");
                 self.hist.record_finite(d);
                 self.metrics.finite_hits += 1;
@@ -269,21 +295,23 @@ impl<T: ReuseTree> Engine<T> {
                 // in the table (not yet in the tree), hence the `> b`.
                 if let Some(b) = self.bound {
                     if self.table.len() as u64 > b {
-                        let (old_ts, old_addr) =
+                        let (old_key, old_addr) =
                             self.tree.oldest().expect("bounded full tree is non-empty");
-                        self.tree.remove(old_ts);
+                        self.tree.remove(old_key);
                         self.table.forget(old_addr);
                         self.metrics.tree_ops += 1;
                     }
                 }
             }
-            self.tree.insert(ts, z);
+            let appended = self.tree.append(ts, z);
+            debug_assert_eq!(appended, key, "next_key names the append's key");
             self.metrics.tree_ops += 1;
             let live = self.table.len() as u64;
             if live > self.metrics.live_hwm {
                 self.metrics.live_hwm = live;
             }
         }
+        self.clock = start_ts + chunk.len() as u64;
     }
 
     /// Space-optimized processing of a neighbour's local-infinities sequence
@@ -313,10 +341,12 @@ impl<T: ReuseTree> Engine<T> {
     /// so the cascade never copies survivors into an auxiliary array.
     ///
     /// Unbounded streams of at least [`Self::BATCH`] elements take the
-    /// batched sorted-slab path (prefetch-batched table probes, then one
-    /// bulk `rank_delete_batch` sweep instead of per-element descents);
-    /// bounded mode and short streams run the scalar reference loop. Both
-    /// produce bit-identical histograms and forward streams — see
+    /// batched path: prefetch-batched table probes collect the hits' keys,
+    /// then the tree resolves them in one call
+    /// ([`ReuseTree::distance_and_remove_each`]) — in stream order on the
+    /// vector, by a sorted sweep on the search trees. Bounded mode and short
+    /// streams run the scalar reference loop. Both produce bit-identical
+    /// histograms and forward streams — see
     /// [`Self::process_infinities_scalar`].
     pub fn process_infinities_in_place(&mut self, slab: &mut Vec<Addr>) -> CascadeRoundStats {
         if self.bound.is_some() || slab.len() < Self::BATCH {
@@ -328,7 +358,9 @@ impl<T: ReuseTree> Engine<T> {
         self.metrics.stream_refs += n as u64;
         let base = self.stream_count;
         let merge_sw = Stopwatch::start();
-        let mut hits: Vec<(u64, u32)> = Vec::new();
+        // Each hit's key, and its index in the stream.
+        let mut keys: Vec<u64> = Vec::new();
+        let mut at: Vec<u32> = Vec::new();
         let mut write = 0usize;
         let mut read = 0usize;
         while read < n {
@@ -338,9 +370,9 @@ impl<T: ReuseTree> Engine<T> {
             }
             for i in read..end {
                 let z = slab[i];
-                if let Some(t0) = self.table.last_access(z) {
-                    self.table.forget(z);
-                    hits.push((t0, i as u32));
+                if let Some(k0) = self.table.forget(z) {
+                    keys.push(k0);
+                    at.push(i as u32);
                 } else {
                     slab[write] = z;
                     write += 1;
@@ -353,103 +385,29 @@ impl<T: ReuseTree> Engine<T> {
         slab.truncate(write);
         self.stream_count += n as u64;
         let merge_ns = merge_sw.ns();
-        if hits.is_empty() {
+        if keys.is_empty() {
             return CascadeRoundStats {
                 resolved: 0,
                 merge_ns,
                 batch_ns: 0,
             };
         }
-        let (order_ns, batch_ns) = self.resolve_hit_batch(&hits, base);
-        CascadeRoundStats {
-            resolved: hits.len() as u64,
-            merge_ns: merge_ns + order_ns,
-            batch_ns,
-        }
-    }
-
-    /// Resolve a round's hit set in one bulk tree sweep.
-    ///
-    /// `hits` holds `(t0, stream index)` in stream order; `base` is the
-    /// engine's `count` at the round's start. The scalar loop computes, for
-    /// the hit at stream index `i`, `distance_now(t0) + base + i`, where
-    /// `distance_now` reflects the deletions of all *earlier* hits. This
-    /// sweep instead asks the tree once for every hit's **initial** rank
-    /// (count of live ts > t0 at round start, via `rank_delete_batch` on the
-    /// ascending t0 sequence) and subtracts the inversion count — the number
-    /// of earlier-in-stream hits whose t0 is *greater* (each such deletion
-    /// lowered the strictly-greater count by one). The inversion count comes
-    /// from a Fenwick tree over sorted-t0 positions, replayed in stream
-    /// order. Returns `(ordering_ns, sweep_ns)`.
-    fn resolve_hit_batch(&mut self, hits: &[(u64, u32)], base: u64) -> (u64, u64) {
-        let k = hits.len();
-        let order_sw = Stopwatch::start();
-        // Order the distinct t0 values ascending and learn each hit's sorted
-        // position. Cascade hits cluster inside one chunk's timestamp span,
-        // so a bitmap counting sort over [min_t0, max_t0] usually beats a
-        // comparison sort; fall back to sorting when the span is too wide
-        // (a streaming history's hits span the whole trace so far).
-        let mut min_t0 = u64::MAX;
-        let mut max_t0 = 0u64;
-        for &(t0, _) in hits {
-            min_t0 = min_t0.min(t0);
-            max_t0 = max_t0.max(t0);
-        }
-        let range = max_t0 - min_t0 + 1;
-        let mut sorted_ts = Vec::with_capacity(k);
-        let mut pos = vec![0u32; k];
-        if range <= 64 * k as u64 {
-            let words = (range as usize).div_ceil(64);
-            let mut bits = vec![0u64; words];
-            for &(t0, _) in hits {
-                let off = (t0 - min_t0) as usize;
-                bits[off >> 6] |= 1 << (off & 63);
-            }
-            let mut cum = vec![0u32; words];
-            let mut acc = 0u32;
-            for (w, &b) in bits.iter().enumerate() {
-                cum[w] = acc;
-                acc += b.count_ones();
-                let mut rest = b;
-                while rest != 0 {
-                    let bit = rest.trailing_zeros() as u64;
-                    sorted_ts.push(min_t0 + (w as u64) * 64 + bit);
-                    rest &= rest - 1;
-                }
-            }
-            debug_assert_eq!(acc as usize, k);
-            for (j, &(t0, _)) in hits.iter().enumerate() {
-                let off = (t0 - min_t0) as usize;
-                let below = (bits[off >> 6] & ((1u64 << (off & 63)) - 1)).count_ones();
-                pos[j] = cum[off >> 6] + below;
-            }
-        } else {
-            let mut order: Vec<u32> = (0..k as u32).collect();
-            order.sort_unstable_by_key(|&j| hits[j as usize].0);
-            for (s, &j) in order.iter().enumerate() {
-                sorted_ts.push(hits[j as usize].0);
-                pos[j as usize] = s as u32;
-            }
-        }
-        let order_ns = order_sw.ns();
-
+        // The hit at stream index `i` measures `distance + count`, with the
+        // distance taken after every earlier hit's removal and `count` the
+        // `base + i` stream elements before it (Algorithm 4).
         let sweep_sw = Stopwatch::start();
-        let mut ranks = Vec::with_capacity(k);
-        self.tree.rank_delete_batch(&sorted_ts, &mut ranks);
-        // Replay in stream order: j hits processed so far, of which
-        // `prefix_sum(s + 1)` sit at sorted positions ≤ s, so the rest are
-        // inversions (earlier hits with greater t0).
-        let mut fen = Fenwick::new(k);
-        for (j, &(_, idx)) in hits.iter().enumerate() {
-            let s = pos[j] as usize;
-            let inv = j as u64 - fen.prefix_sum(s + 1);
-            let d = ranks[s] - inv + base + idx as u64;
-            self.hist.record_finite(d);
-            fen.add(s, 1);
+        self.tree.distance_and_remove_each(&mut keys);
+        for (&d, &i) in keys.iter().zip(&at) {
+            self.hist.record_finite(d + base + u64::from(i));
         }
-        self.metrics.stream_hits += k as u64;
-        self.metrics.tree_ops += k as u64;
-        (order_ns, sweep_sw.ns())
+        let k = keys.len() as u64;
+        self.metrics.stream_hits += k;
+        self.metrics.tree_ops += k;
+        CascadeRoundStats {
+            resolved: k,
+            merge_ns,
+            batch_ns: sweep_sw.ns(),
+        }
     }
 
     /// Scalar (one element at a time) infinity processing — the literal
@@ -465,10 +423,10 @@ impl<T: ReuseTree> Engine<T> {
         self.metrics.stream_refs += incoming.len() as u64;
         let mut resolved = 0u64;
         for &z in incoming {
-            if let Some(t0) = self.table.last_access(z) {
+            if let Some(k0) = self.table.last_access(z) {
                 let d = self
                     .tree
-                    .distance_and_remove(t0)
+                    .distance_and_remove(k0)
                     .expect("table and tree are kept in sync");
                 self.hist.record_finite(d + self.stream_count);
                 self.table.forget(z);
@@ -525,29 +483,31 @@ impl<T: ReuseTree> Engine<T> {
         self.metrics.cold_misses += n;
     }
 
-    /// Read the live `(timestamp, addr)` state in timestamp order without
-    /// disturbing the engine — an inspection accessor (used by tests and
-    /// debugging tooling).
+    /// Read the live `(key, addr)` state, oldest first, without disturbing
+    /// the engine — an inspection accessor (used by tests and debugging
+    /// tooling). A search tree's keys are the timestamps.
     pub fn export_state(&self) -> Vec<(u64, Addr)> {
         self.tree.to_sorted_vec()
     }
 
-    /// [`Engine::export_state`] into a caller-owned buffer, replacing its
-    /// contents and keeping its allocation — the windowed streamer's
-    /// per-item hand-off to its history stage ([`crate::phased`]).
-    pub fn export_state_into(&self, out: &mut Vec<(u64, Addr)>) {
+    /// The live addresses, oldest first, into a caller-owned buffer,
+    /// replacing its contents and keeping its allocation — the windowed
+    /// streamer's per-item hand-off to its history stage
+    /// ([`crate::phased`]).
+    pub fn export_state_into(&self, out: &mut Vec<Addr>) {
         out.clear();
-        self.tree.collect_in_order(out);
+        out.reserve(self.tree.len());
+        self.tree.for_each_in_order(|_, addr| out.push(addr));
     }
 
-    /// Append live `(timestamp, addr)` pairs, in increasing timestamp order
-    /// and all newer than every entry the engine holds — the windowed
-    /// streamer's history append ([`crate::phased`]). On a
-    /// [`parda_tree::VectorTree`] every insert takes the tail-append path
-    /// (no splice, no rebuild), so a window's append costs time in the
-    /// window's size, not in the live state's.
+    /// Append live addresses, oldest first and all newer than every entry
+    /// the engine holds — the windowed streamer's history append
+    /// ([`crate::phased`]). The engine assigns them its next timestamps and
+    /// stores the keys its tree returns, making room per append, so a
+    /// window's append costs time in the window's size, not in the live
+    /// state's.
     ///
-    /// In unbounded mode the space-optimized cascade guarantees the pairs'
+    /// In unbounded mode the space-optimized cascade guarantees the
     /// addresses are disjoint from the engine's (the window's infinity
     /// stream deleted every older copy), so a duplicate indicates a bug and
     /// is asserted against in debug builds. In bounded mode a replica can
@@ -556,30 +516,34 @@ impl<T: ReuseTree> Engine<T> {
     /// so the older entry is dropped (the appended one is the true last
     /// access). Afterwards a bounded engine evicts its oldest entries until
     /// at most `B` remain: Algorithm 7's LRU eviction, applied in bulk.
-    pub fn import_state(&mut self, pairs: &[(u64, Addr)]) {
+    pub fn import_state(&mut self, addrs: &[Addr]) {
         // Prefetch a batch's table slots before upserting any of them, as
         // `process_chunk` does: a large history's table is far past cache.
-        for batch in pairs.chunks(BATCH) {
-            for &(_, addr) in batch {
+        for batch in addrs.chunks(BATCH) {
+            for &addr in batch {
                 self.table.prefetch(addr);
             }
-            for &(ts, addr) in batch {
-                if let Some(prev) = self.table.record(addr, ts) {
+            for &addr in batch {
+                self.make_room(1);
+                let ts = self.clock;
+                self.clock += 1;
+                let key = self.tree.next_key(ts);
+                if let Some(prev) = self.table.record(addr, key) {
                     debug_assert!(
-                        self.bound.is_some() && prev < ts,
+                        self.bound.is_some() && prev < key,
                         "address {addr:#x} imported twice or out of order"
                     );
                     self.tree.remove(prev);
                     self.metrics.tree_ops += 1;
                 }
-                self.tree.insert(ts, addr);
+                self.tree.append(ts, addr);
                 self.metrics.tree_ops += 1;
             }
         }
         if let Some(b) = self.bound {
             while self.table.len() as u64 > b {
-                let (old_ts, old_addr) = self.tree.oldest().expect("over-full tree is non-empty");
-                self.tree.remove(old_ts);
+                let (old_key, old_addr) = self.tree.oldest().expect("over-full tree is non-empty");
+                self.tree.remove(old_key);
                 self.table.forget(old_addr);
                 self.metrics.tree_ops += 1;
             }
@@ -599,6 +563,7 @@ impl<T: ReuseTree> Engine<T> {
         self.hist.clear();
         self.forwarded = 0;
         self.stream_count = 0;
+        self.clock = 0;
         self.metrics = EngineMetrics::default();
     }
 
@@ -759,13 +724,16 @@ mod tests {
         assert_eq!(a.live(), 4);
         assert_eq!(state.len(), 4);
         assert!(state.windows(2).all(|w| w[0].0 < w[1].0), "ts-ordered");
-        // The buffered export replaces a reused buffer's stale contents.
-        let mut reused = vec![(99, 99)];
+        // The buffered export of the addresses replaces a reused buffer's
+        // stale contents.
+        let mut reused = vec![99];
         a.export_state_into(&mut reused);
-        assert_eq!(reused, state);
+        let addrs: Vec<Addr> = state.iter().map(|&(_, addr)| addr).collect();
+        assert_eq!(reused, addrs);
 
         let mut b: Engine<AvlTree> = Engine::new(None, 0);
-        b.import_state(&state);
+        b.import_state(&reused);
+        assert_eq!(b.export_state(), state, "imports take the next timestamps");
         assert_eq!(b.live(), 4);
         // Continuing the trace on the importing engine gives the right
         // distances: `a` was at ts 1 with c, b after it → distance 2.
@@ -776,11 +744,13 @@ mod tests {
     #[test]
     fn bounded_import_keeps_newest_and_evicts_oldest() {
         let mut e: Engine<parda_tree::VectorTree> = Engine::new(Some(3), 0);
-        e.import_state(&[(0, 10), (1, 11), (2, 12)]);
+        e.import_state(&[10, 11, 12]);
         // 11 reappears newer (a replica the bounded cascade left behind),
         // and 13 overfills the bound: 10, the oldest, is evicted.
-        e.import_state(&[(5, 11), (6, 13)]);
-        assert_eq!(e.export_state(), vec![(2, 12), (5, 11), (6, 13)]);
+        e.import_state(&[11, 13]);
+        let mut addrs = Vec::new();
+        e.export_state_into(&mut addrs);
+        assert_eq!(addrs, vec![12, 11, 13]);
         assert_eq!(e.metrics().live_hwm, 3);
     }
 
@@ -933,9 +903,9 @@ mod tests {
 
     #[test]
     fn batched_stream_with_sparse_scattered_timestamps() {
-        // Tiny hit density and a wide t0 span per hit: exercises both the
+        // Tiny hit density and a wide key span per hit: exercises both the
         // comparison-sort ordering fallback and the sparse fused-descent
-        // side of rank_delete_batch.
+        // side of the search trees' sorted sweep.
         let chunk: Vec<Addr> = (0..4096u64).collect();
         let incoming: Vec<Addr> = (0..128u64)
             .map(|i| {
@@ -955,12 +925,40 @@ mod tests {
     #[test]
     fn batched_stream_all_hits_and_all_misses() {
         let chunk: Vec<Addr> = (0..128u64).collect();
-        // Every element hits (dense rank_delete_batch sweep, zero survivors).
+        // Every element hits (dense sorted sweep, zero survivors).
         let all_hits: Vec<Addr> = (0..128u64).rev().collect();
         assert_batched_stream_matches_scalar::<SplayTree>(&chunk, &all_hits);
         // Every element misses (pure forward, no tree sweep).
         let all_misses: Vec<Addr> = (1000..1128u64).collect();
         assert_batched_stream_matches_scalar::<Treap>(&chunk, &all_misses);
+    }
+
+    #[test]
+    fn history_compactions_relabel_the_table() {
+        // A history that appends windows of fresh addresses and absorbs
+        // most of the older ones again compacts its axis many times; every
+        // key it holds must follow its entry, which the distances show.
+        let mut vector: Engine<parda_tree::VectorTree> = Engine::new(None, 0);
+        let mut splay: Engine<SplayTree> = Engine::new(None, 0);
+        for window in 0..40u64 {
+            let fresh: Vec<Addr> = (0..300).map(|i| window * 1_000 + i).collect();
+            let mut stream: Vec<Addr> = (0..window * 1_000)
+                .step_by(7)
+                .filter(|a| a % 1_000 < 300)
+                .collect();
+            let mut mirror = stream.clone();
+            vector.process_infinities_in_place(&mut stream);
+            splay.process_infinities_in_place(&mut mirror);
+            assert_eq!(stream, mirror);
+            vector.reset_phase_counters();
+            splay.reset_phase_counters();
+            vector.import_state(&fresh);
+            splay.import_state(&fresh);
+        }
+        assert_eq!(vector.histogram(), splay.histogram());
+        assert_eq!(vector.live(), splay.live());
+        let addrs = |e: Vec<(u64, Addr)>| e.into_iter().map(|(_, a)| a).collect::<Vec<_>>();
+        assert_eq!(addrs(vector.export_state()), addrs(splay.export_state()));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Configuration for the parallel analyzers.
 ///
@@ -479,6 +479,9 @@ impl<T: ReuseTree> Drop for InFlight<'_, T> {
             Refs::Borrowed { .. } => self.shared.gate.close_and_wait(),
             Refs::Owned(_) => self.shared.gate.close(),
         }
+        for slot in &self.shared.slots {
+            slot.abandon();
+        }
     }
 }
 
@@ -531,47 +534,49 @@ pub(crate) unsafe fn submit_items<'a, T: ReuseTree + Default + Send>(
 
 /// One item's job on the pool: analyze the item's chunk and publish the
 /// engine, or a failure marker if the analysis panicked, into its slot.
-/// A job whose window was abandoned (an error, a dropped stream) before it
-/// could enter the window's gate does nothing.
+/// The slot first records that the job has started, before any failpoint,
+/// so the watchdog covers the job's whole run and none of its time in the
+/// queue. A job whose window was abandoned (an error, a dropped stream)
+/// before it could enter the window's gate does nothing.
 fn run_item<T: ReuseTree + Default>(
     shared: &Shared<T>,
     refs: Arc<Refs>,
     i: usize,
     engines: &Engines<T>,
 ) {
-    if shared.gate.is_closed() {
-        return;
-    }
     let slot = &shared.slots[i];
-    // The outer catch_unwind covers the publish itself: a panic at the
-    // `parallel::slot_publish` site poisons the slot lock *after* the value
-    // is stored, and the cascade side recovers it through the
-    // poison-tolerant lock.
-    let _ = catch_unwind(AssertUnwindSafe(move || {
-        let analyzed = catch_unwind(AssertUnwindSafe(|| {
-            parda_failpoint::failpoint!("parallel::worker");
-            parda_failpoint::failpoint!("parallel::worker_stall");
-            let _reading = shared.gate.enter()?;
-            let item = &shared.items[i];
-            // SAFETY: the job is inside the window's gate.
-            let chunk = &unsafe { refs.slice() }[item.range.clone()];
-            let analyzed = analyze_item(engines.take(chunk.len()), item, chunk, false);
-            let live = analyzed.0.metrics().live_hwm as usize;
-            engines.live.fetch_max(live, Ordering::Relaxed);
-            Some(analyzed)
+    slot.start();
+    if !shared.gate.is_closed() {
+        // The outer catch_unwind covers the publish itself: a panic at
+        // the `parallel::slot_publish` site poisons the slot lock *after*
+        // the value is stored, and the cascade side recovers it through
+        // the poison-tolerant lock.
+        let _ = catch_unwind(AssertUnwindSafe(move || {
+            let analyzed = catch_unwind(AssertUnwindSafe(|| {
+                parda_failpoint::failpoint!("parallel::worker");
+                parda_failpoint::failpoint!("parallel::worker_stall");
+                let _reading = shared.gate.enter()?;
+                let item = &shared.items[i];
+                // SAFETY: the job is inside the window's gate.
+                let chunk = &unsafe { refs.slice() }[item.range.clone()];
+                let analyzed = analyze_item(engines.take(chunk.len()), item, chunk, false);
+                let live = analyzed.0.metrics().live_hwm as usize;
+                engines.live.fetch_max(live, Ordering::Relaxed);
+                Some(analyzed)
+            }));
+            // Let go of the window before publishing: once the fold has
+            // every item, the streamer gets its buffer back.
+            drop(refs);
+            let outcome = match analyzed {
+                Ok(Some(result)) => Ok(result),
+                Ok(None) => return,
+                Err(_) => Err(ItemPanic),
+            };
+            slot.lock().value = Some(outcome);
+            parda_failpoint::failpoint!("parallel::slot_publish");
         }));
-        // Let go of the window before publishing: once the fold has every
-        // item, the streamer gets its buffer back.
-        drop(refs);
-        let outcome = match analyzed {
-            Ok(Some(result)) => Ok(result),
-            Ok(None) => return,
-            Err(_) => Err(ItemPanic),
-        };
-        *slot.lock() = Some(outcome);
-        parda_failpoint::failpoint!("parallel::slot_publish");
-    }));
-    slot.ready.notify_one();
+    }
+    slot.finish();
 }
 
 /// Fold a submitted window's cascade ([`fold_cascade`]) as its items
@@ -640,10 +645,10 @@ fn analyze_item<T: ReuseTree>(
     (engine, local_inf, sw.ns())
 }
 
-/// Claim `item`'s result for the cascade: wait (with the policy watchdog),
-/// and if its job panicked, rescue the item by re-analyzing its `chunk`
-/// with the scalar engine under bounded retries. Errors name the item's
-/// owning rank.
+/// Claim `item`'s result for the cascade: wait (with the policy watchdog
+/// over the job's own run), and if its job panicked, rescue the item by
+/// re-analyzing its `chunk` with the scalar engine under bounded retries.
+/// Errors name the item's owning rank.
 fn claim_item<T: ReuseTree + Default>(
     slot: &ItemSlot<Result<ChunkResult<T>, ItemPanic>>,
     item: &WorkItem,
@@ -759,65 +764,118 @@ type ChunkResult<T> = (Engine<T>, Vec<Addr>, u64);
 /// side rescues the item by re-analyzing the chunk itself.
 struct ItemPanic;
 
-/// Per-item completion slot of the pipelined schedule: workers publish a
-/// finished value here; the cascade thread blocks on `take` (or
-/// `take_deadline`) for the one item it needs next.
+/// Per-item completion slot of the pipelined schedule: a job records its
+/// start and publishes its finished value here; the cascade thread blocks
+/// on `take_deadline` for the one item it needs next.
 ///
 /// All lock acquisitions shed poison ([`Mutex::lock`] →
 /// `unwrap_or_else(PoisonError::into_inner)`): a worker that panicked
 /// while holding the slot — e.g. via the `parallel::slot_publish`
-/// failpoint — must not take the cascade down with it, and an
-/// `Option<V>` is always observable in a coherent state (the value is
-/// written before any panic window).
+/// failpoint — must not take the cascade down with it, and the state is
+/// always observable in a coherent form (the value is written before any
+/// panic window).
 struct ItemSlot<V> {
-    result: Mutex<Option<V>>,
+    state: Mutex<SlotState<V>>,
     ready: Condvar,
+}
+
+/// The slot's job: when it started, whether it has returned, whether its
+/// window was abandoned while it ran, and its published value.
+struct SlotState<V> {
+    started: Option<Instant>,
+    finished: bool,
+    abandoned: bool,
+    value: Option<V>,
 }
 
 impl<V> Default for ItemSlot<V> {
     fn default() -> Self {
         Self {
-            result: Mutex::new(None),
+            state: Mutex::new(SlotState {
+                started: None,
+                finished: false,
+                abandoned: false,
+                value: None,
+            }),
             ready: Condvar::new(),
         }
     }
 }
 
 impl<V> ItemSlot<V> {
-    /// Poison-tolerant lock on the slot value.
-    fn lock(&self) -> MutexGuard<'_, Option<V>> {
-        self.result.lock().unwrap_or_else(|e| e.into_inner())
+    /// Poison-tolerant lock on the slot state.
+    fn lock(&self) -> MutexGuard<'_, SlotState<V>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Record that the item's job has left the queue and started.
+    fn start(&self) {
+        self.lock().started = Some(Instant::now());
+        self.ready.notify_one();
+    }
+
+    /// Record that the item's job has returned, after any publish, and
+    /// give back its worker if its window was abandoned meanwhile.
+    fn finish(&self) {
+        let mut state = self.lock();
+        state.finished = true;
+        if state.abandoned {
+            crate::pool::release();
+        }
+        drop(state);
+        self.ready.notify_one();
+    }
+
+    /// The slot's window is abandoned: a job still running holds its
+    /// worker for nobody until it returns.
+    fn abandon(&self) {
+        let mut state = self.lock();
+        if state.started.is_some() && !state.finished {
+            state.abandoned = true;
+            crate::pool::hold();
+        }
     }
 
     /// Block until the item's value is published, returning it plus the
     /// time spent waiting — the pipeline bubble recorded as
-    /// [`RankMetrics::cascade_wait_ns`].
-    fn take(&self) -> (V, u64) {
-        let sw = Stopwatch::start();
-        let mut guard = self.lock();
-        while guard.is_none() {
-            guard = self.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
-        (guard.take().expect("slot is filled"), sw.ns())
-    }
-
-    /// [`ItemSlot::take`] with a total deadline: `None` on expiry (the
-    /// watchdog converts that into [`PardaError::Stall`]).
+    /// [`RankMetrics::cascade_wait_ns`]. With a `deadline`, the job has
+    /// that long from its start: `None` once it expires (the watchdog
+    /// converts that into [`PardaError::Stall`]). A job still queued
+    /// behind other work is waited for without one, unless every worker
+    /// is held by a job of an abandoned window ([`crate::pool::clogged`]):
+    /// then the deadline runs from when the wait saw the pool clogged.
     fn take_deadline(&self, deadline: Option<Duration>) -> Option<(V, u64)> {
-        let Some(limit) = deadline else {
-            return Some(self.take());
-        };
         let sw = Stopwatch::start();
+        let mut clogged_since = None;
         let mut guard = self.lock();
         loop {
-            if let Some(v) = guard.take() {
+            if let Some(v) = guard.value.take() {
                 return Some((v, sw.ns()));
             }
-            let remaining = limit.checked_sub(Duration::from_nanos(sw.ns()))?;
-            (guard, _) = self
+            let Some(limit) = deadline else {
+                guard = self.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
+                continue;
+            };
+            let since = match guard.started {
+                Some(started) => Some(started),
+                None if crate::pool::clogged() => {
+                    Some(*clogged_since.get_or_insert_with(Instant::now))
+                }
+                None => {
+                    clogged_since = None;
+                    None
+                }
+            };
+            // A queued job is rechecked once a deadline's length.
+            let wait = match since {
+                Some(since) => limit.checked_sub(since.elapsed())?,
+                None => limit,
+            };
+            guard = self
                 .ready
-                .wait_timeout(guard, remaining)
-                .unwrap_or_else(|e| e.into_inner());
+                .wait_timeout(guard, wait)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
     }
 }
@@ -1128,6 +1186,23 @@ mod tests {
         let trace = labels("aba");
         let (hist, _, _) = parda_threads_faulted::<SplayTree>(&trace, &cfg, &policy).unwrap();
         assert_eq!(hist, analyze_sequential::<SplayTree>(&trace, None));
+    }
+
+    /// Load is not a stall: items queued behind other work on a busy pool
+    /// wait without a deadline, and the watchdog covers only their own run.
+    #[test]
+    fn items_queued_behind_a_busy_pool_are_not_a_stall() {
+        let trace: Vec<Addr> = (0..20_000).map(|i| (i * 7_919) % 1_024).collect();
+        let expected = analyze_sequential::<SplayTree>(&trace, None);
+        let busy = (0..crate::pool::worker_count())
+            .map(|_| Box::new(|| std::thread::sleep(Duration::from_millis(600))) as Job);
+        crate::pool::submit(busy);
+        let policy = FaultPolicy::default().watchdog(Duration::from_millis(200));
+        let config = PardaConfig::with_ranks(4);
+        let (hist, ..) = Streamer::<VectorTree>::phased(&config, &policy, 1_000)
+            .run_slice(&trace)
+            .expect("queued items are no stall");
+        assert_eq!(hist, expected);
     }
 
     proptest! {

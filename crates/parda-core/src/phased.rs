@@ -28,15 +28,18 @@
 //!
 //! The leftmost item of every window's cascade is a persistent *history*:
 //! an `Engine<VectorTree>` — whatever tree the items use — holding the
-//! last access of every address seen before the window. It absorbs the
-//! stream that reaches the window's left edge through the Fenwick
-//! galloping `rank_delete_batch` sweep: hits resolve at `tree distance +
-//! count` (Algorithm 4), misses are global infinities. Then each item's
-//! surviving live state is appended in timestamp order: an O(window) tail
-//! append, since every item timestamp is newer than the whole history.
-//! The last window skips the export and the append, and a lone window has
-//! no history at all: it records what reaches its left edge as rank 0's
-//! global infinities, as Algorithm 3 does in memory.
+//! last access of every address seen before the window, its table keyed
+//! by axis position. It absorbs the stream that reaches the window's left
+//! edge in stream order: each hit reads its position from the table and
+//! resolves at `live − 1 − rank(position) + count` (Algorithm 4), with no
+//! search and no sort; misses are global infinities. Then each item's
+//! surviving live addresses are appended oldest first: an O(window) tail
+//! append, since every item access is newer than the whole history. The
+//! history gives them its own keys, and a compaction of its axis rewrites
+//! the table's positions in one sweep. The last window skips the export
+//! and the append, and a lone window has no history at all: it records
+//! what reaches its left edge as rank 0's global infinities, as Algorithm
+//! 3 does in memory.
 //!
 //! The history runs on a stage thread of its own, spawned once a second
 //! window exists: it absorbs and appends window `k` while the items of
@@ -44,7 +47,7 @@
 //! order, so every histogram, counter and bounded-mode eviction is the
 //! serial one. Each hand-off is a rendezvous, so peak state is
 //! O(M + window): the history, two windows of buffers and item engines,
-//! and at most two windows of exported state (16 B per live address) and
+//! and at most two windows of exported state (8 B per live address) and
 //! leftover streams. Dropping the streamer mid-stream abandons the window
 //! on the pool, whose queued items then skip their work, and joins the
 //! stage.
@@ -81,8 +84,8 @@ pub enum Reduction {
     ShipToRankZero,
 }
 
-/// Each item's exported live state, in item (and so timestamp) order.
-type ItemStates = Vec<Vec<(u64, Addr)>>;
+/// Each item's exported live addresses, oldest first, in item order.
+type ItemStates = Vec<Vec<Addr>>;
 
 /// A finished stream: the histogram, the per-rank metrics, the window
 /// aggregates and the items the scalar engine rescued.
@@ -491,10 +494,9 @@ struct History {
 /// The history stage. For each window handed over it absorbs the stream
 /// that reached the window's left edge — the history is the cascade's
 /// leftmost item, so whatever it cannot resolve was never accessed
-/// before — then appends the items' states in order (ascending timestamp
-/// ranges, all newer than the history, so it stays sorted), and sends the
-/// state buffers back on `recycle` for reuse. Returns once the sender
-/// hangs up.
+/// before — then appends the items' live addresses in order (each item's
+/// oldest first, all newer than the history), and sends the state buffers
+/// back on `recycle` for reuse. Returns once the sender hangs up.
 fn history_stage(
     bound: Option<u64>,
     windows: Receiver<(Vec<Addr>, ItemStates)>,

@@ -12,10 +12,15 @@
 //!
 //! A job that panics is caught here, so a worker outlives any job. Item
 //! jobs catch their own panics first and publish a failure marker that the
-//! fold rescues.
+//! fold rescues. A job whose window was abandoned while it ran (its fold
+//! gave up on a stalled item, or its stream was dropped) still holds its
+//! worker until it returns; the pool counts those workers, and once they
+//! are all it has, a fold waiting on a queued item knows the queue is not
+//! draining.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, Once};
 
 /// A unit of work for the pool.
@@ -24,6 +29,10 @@ pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 static QUEUE: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
 static READY: Condvar = Condvar::new();
 static START: Once = Once::new();
+/// Workers the pool started.
+static WORKERS: AtomicUsize = AtomicUsize::new(0);
+/// Workers held by a job of an abandoned window.
+static ABANDONED: AtomicUsize = AtomicUsize::new(0);
 
 /// Threads the item pool runs: `RAYON_NUM_THREADS` (the knob the rest of
 /// the workspace honours) or the machine's available parallelism.
@@ -68,6 +77,25 @@ fn start() {
         })
         .count();
     assert!(started > 0, "cannot start any item worker");
+    WORKERS.store(started, Ordering::Relaxed);
+}
+
+/// A running job's window was abandoned: its worker now does nothing
+/// anyone waits for, until the job returns and calls [`release`].
+pub(crate) fn hold() {
+    ABANDONED.fetch_add(1, Ordering::Relaxed);
+}
+
+/// An abandoned job that [`hold`] counted has returned its worker.
+pub(crate) fn release() {
+    ABANDONED.fetch_sub(1, Ordering::Relaxed);
+}
+
+/// `true` while every worker is held by a job of an abandoned window, so
+/// no queued job can start before one of them returns.
+pub(crate) fn clogged() -> bool {
+    let workers = WORKERS.load(Ordering::Relaxed);
+    workers > 0 && ABANDONED.load(Ordering::Relaxed) >= workers
 }
 
 /// A worker: run queued jobs, oldest first, forever.

@@ -132,11 +132,13 @@ where
     let mut table = LastAccessTable::new();
     let mut hist = ReuseHistogram::new();
     for (i, &z) in trace.iter().enumerate() {
-        let ts = i as u64;
+        if let Some(relabel) = tree.make_room(1) {
+            table.relabel(|key| relabel.apply(key));
+        }
         let distance = match table.last_access(z) {
-            Some(t0) => {
+            Some(k0) => {
                 let d = tree
-                    .distance_and_remove(t0)
+                    .distance_and_remove(k0)
                     .expect("table and tree are kept in sync");
                 parda_hist::Distance::Finite(d)
             }
@@ -144,8 +146,8 @@ where
         };
         hist.record(distance);
         observe(i, z, distance);
-        tree.insert(ts, z);
-        table.record(z, ts);
+        let key = tree.append(i as u64, z);
+        table.record(z, key);
     }
     hist
 }

@@ -295,6 +295,16 @@ impl<K: FixedKey + Default, V: Copy + Default> RobinHoodMap<K, V> {
         Some(removed)
     }
 
+    /// Every value, in slot order: one sequential sweep over the table
+    /// that touches occupied slots only, for rewriting values in place.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
+        self.dibs
+            .iter()
+            .zip(&mut self.entries)
+            .filter(|(&byte, _)| byte != 0)
+            .map(|(_, entry)| &mut entry.1)
+    }
+
     /// Longest probe distance currently present, exact past 255
     /// (diagnostic for tests and benchmarks; 0 for an empty map).
     pub fn max_probe_distance(&self) -> usize {
@@ -385,6 +395,27 @@ mod tests {
             } else {
                 assert_eq!(map.get(k), Some(&(k + 1)));
             }
+        }
+    }
+
+    #[test]
+    fn values_mut_rewrites_every_value_in_place() {
+        let mut map = RobinHoodMap::new();
+        for i in 0u64..1_000 {
+            map.insert(i * 7, i);
+        }
+        for i in (0u64..1_000).step_by(3) {
+            map.remove(i * 7);
+        }
+        let mut visited = 0;
+        for v in map.values_mut() {
+            *v += 5_000;
+            visited += 1;
+        }
+        assert_eq!(visited, map.len());
+        for i in 0u64..1_000 {
+            let expect = (i % 3 != 0).then_some(i + 5_000);
+            assert_eq!(map.get(i * 7).copied(), expect, "key {}", i * 7);
         }
     }
 

@@ -1,10 +1,11 @@
-//! The address → last-access-timestamp table (`H` in the paper's
-//! Algorithms 1, 3, 4 and 7).
+//! The address → last-access table (`H` in the paper's Algorithms 1, 3, 4
+//! and 7).
 
 use crate::map::RobinHoodMap;
 
 /// The hash table `H` of the PARDA algorithms: maps a data address to the
-/// timestamp of its most recent access.
+/// key of its most recent access in the engine's tree — the paper's
+/// timestamp for a search tree, an axis position for the time vector.
 ///
 /// A thin domain wrapper over [`RobinHoodMap`] so the analysis engines in
 /// `parda-core` read like the paper's pseudocode (`H(z)`, `H(z) ← t`,
@@ -41,7 +42,7 @@ impl LastAccessTable {
         }
     }
 
-    /// `H(z)`: timestamp of the most recent access to `addr`, if any.
+    /// `H(z)`: key of the most recent access to `addr`, if any.
     #[inline]
     pub fn last_access(&self, addr: u64) -> Option<u64> {
         self.map.get(addr).copied()
@@ -55,11 +56,19 @@ impl LastAccessTable {
         self.map.prefetch(addr);
     }
 
-    /// `H(z) ← t`: record that `addr` was accessed at time `timestamp`.
-    /// Returns the previous timestamp if the address was known.
+    /// `H(z) ← t`: record `key` as the most recent access to `addr`.
+    /// Returns the previous key if the address was known.
     #[inline]
-    pub fn record(&mut self, addr: u64, timestamp: u64) -> Option<u64> {
-        self.map.insert(addr, timestamp)
+    pub fn record(&mut self, addr: u64, key: u64) -> Option<u64> {
+        self.map.insert(addr, key)
+    }
+
+    /// Map every recorded key through `relabel` in one sequential sweep of
+    /// the table — what a tree compaction that moved its keys asks for.
+    pub fn relabel(&mut self, relabel: impl Fn(u64) -> u64) {
+        for key in self.map.values_mut() {
+            *key = relabel(*key);
+        }
     }
 
     /// `H(z) ← ∅`: remove `addr` from the table (bounded-analysis eviction
@@ -99,6 +108,18 @@ mod tests {
         assert_eq!(t.record(10, 5), Some(0));
         assert_eq!(t.last_access(10), Some(5));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn relabel_maps_every_key() {
+        let mut t = LastAccessTable::new();
+        for addr in 0..100u64 {
+            t.record(addr, addr * 2);
+        }
+        t.relabel(|key| key / 2 + 1);
+        for addr in 0..100u64 {
+            assert_eq!(t.last_access(addr), Some(addr + 1));
+        }
     }
 
     #[test]

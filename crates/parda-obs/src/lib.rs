@@ -136,19 +136,20 @@ impl EngineMetrics {
 
 /// One absorb round's breakdown inside the batched cascade: how many
 /// incoming infinities resolved at this rank, and where the round's time
-/// went (merge/partition bookkeeping vs. the bulk tree sweep). Returned by
-/// the engine so the driver can fold it into [`RankMetrics`].
+/// went (the table probes and partition vs. the tree's resolution of the
+/// hits). Returned by the engine so the driver can fold it into
+/// [`RankMetrics`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct CascadeRoundStats {
-    /// Infinities resolved to finite distances this round (batch deletes
-    /// performed by `rank_delete_batch`, or scalar hits on the fallback
-    /// path).
+    /// Infinities resolved to finite distances this round (the batched
+    /// path's hits, or scalar hits on the fallback path).
     pub resolved: u64,
-    /// Wall time spent probing the table and partitioning/ordering the hit
-    /// set before the tree sweep.
+    /// Wall time spent probing the table and partitioning the stream into
+    /// hits and survivors before the tree resolves the hits.
     pub merge_ns: u64,
-    /// Wall time spent inside the bulk `rank_delete_batch` sweep (plus the
-    /// distance fix-up); zero when the scalar path ran.
+    /// Wall time the tree spent resolving the round's hits — in stream
+    /// order on the vector, by a sorted sweep on a search tree — plus
+    /// recording their distances; zero when the scalar path ran.
     pub batch_ns: u64,
 }
 
@@ -174,14 +175,15 @@ pub struct RankMetrics {
     pub cascade_rounds: u64,
     /// Incoming infinity-list length per receive round, in order.
     pub round_infinity_lens: Vec<u64>,
-    /// Infinities resolved per receive round (batch deletes performed by
-    /// the sorted-slab sweep; scalar hits on the fallback path). Same
-    /// length and order as `round_infinity_lens`.
+    /// Infinities resolved per receive round (the batched path's hits;
+    /// scalar hits on the fallback path). Same length and order as
+    /// `round_infinity_lens`.
     pub round_batch_deletes: Vec<u64>,
-    /// Wall time spent merging/ordering incoming infinity slabs before the
-    /// bulk tree sweep, summed over rounds (subset of `cascade_ns`).
+    /// Wall time spent probing and partitioning incoming infinity slabs
+    /// before the tree resolves their hits, summed over rounds (subset of
+    /// `cascade_ns`).
     pub merge_ns: u64,
-    /// Wall time spent inside bulk `rank_delete_batch` sweeps, summed over
+    /// Wall time the tree spent resolving the rounds' hits, summed over
     /// rounds (subset of `cascade_ns`).
     pub batch_ns: u64,
     /// Total infinities this rank sent leftward (local first touches plus

@@ -7,7 +7,7 @@
 //! Section VII surveys AVL- vs splay-based analyzers) and as an
 //! independently-implemented cross-check in the test suite.
 
-use crate::{ReuseTree, NIL};
+use crate::{sweep, ReuseTree, SearchTree, NIL};
 
 #[derive(Clone, Debug)]
 struct Node {
@@ -28,7 +28,7 @@ struct Node {
 ///
 /// let mut tree = AvlTree::new();
 /// for ts in 0..10 {
-///     tree.insert(ts, ts + 100);
+///     tree.append(ts, ts + 100);
 /// }
 /// assert_eq!(tree.distance(4), 5);
 /// assert_eq!(tree.remove(4), Some(104));
@@ -297,8 +297,10 @@ impl AvlTree {
 }
 
 impl ReuseTree for AvlTree {
-    fn insert(&mut self, timestamp: u64, addr: u64) {
-        self.root = self.insert_at(self.root, timestamp, addr);
+    /// The key is the timestamp.
+    fn append(&mut self, timestamp: u64, addr: u64) -> u64 {
+        self.insert(timestamp, addr);
+        timestamp
     }
 
     fn distance(&mut self, timestamp: u64) -> u64 {
@@ -338,6 +340,10 @@ impl ReuseTree for AvlTree {
         removed.map(|_| rank)
     }
 
+    fn distance_and_remove_each(&mut self, keys: &mut [u64]) {
+        sweep::distance_and_remove_each(self, keys);
+    }
+
     fn oldest(&self) -> Option<(u64, u64)> {
         if self.root == NIL {
             return None;
@@ -364,7 +370,7 @@ impl ReuseTree for AvlTree {
         self.nodes.reserve(additional);
     }
 
-    fn collect_in_order(&self, out: &mut Vec<(u64, u64)>) {
+    fn for_each_in_order(&self, mut visit: impl FnMut(u64, u64)) {
         let mut stack = Vec::new();
         let mut cur = self.root;
         while cur != NIL || !stack.is_empty() {
@@ -374,9 +380,15 @@ impl ReuseTree for AvlTree {
             }
             let n = stack.pop().expect("stack non-empty");
             let node = &self.nodes[n as usize];
-            out.push((node.ts, node.addr));
+            visit(node.ts, node.addr);
             cur = node.right;
         }
+    }
+}
+
+impl SearchTree for AvlTree {
+    fn insert(&mut self, timestamp: u64, addr: u64) {
+        self.root = self.insert_at(self.root, timestamp, addr);
     }
 
     fn rebuild_from_sorted(&mut self, pairs: &[(u64, u64)]) {
@@ -391,12 +403,13 @@ impl ReuseTree for AvlTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conformance::{self, op_strategy};
+    use crate::conformance::{self, keyed_op_strategy, op_strategy};
     use proptest::prelude::*;
 
     #[test]
     fn smoke() {
         conformance::smoke(&mut AvlTree::new());
+        conformance::keyed_smoke(AvlTree::new());
     }
 
     #[test]
@@ -464,6 +477,11 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn keyed_conforms_to_model(ops in proptest::collection::vec(keyed_op_strategy(), 0..300)) {
+            conformance::run_keyed(AvlTree::new(), ops).validate();
+        }
+
         #[test]
         fn conforms_to_model(ops in proptest::collection::vec(op_strategy(), 0..300)) {
             let mut tree = AvlTree::new();

@@ -19,15 +19,20 @@
 //! * [`NaiveStack`] — the O(M)-per-access move-to-front list of the naïve
 //!   algorithm (paper Section III-A), kept as the correctness baseline.
 //!
-//! All tree nodes store `(timestamp, addr)`; the address payload is needed by
-//! the bounded algorithm's LRU eviction (paper Algorithm 7, `find_oldest`)
-//! and by the windowed streamer, which appends each window's live state to
-//! its history.
+//! Every structure stores `(key, addr)` entries. A key is what
+//! [`ReuseTree::append`] returned: the timestamp itself in the search
+//! trees, and an axis position in the [`VectorTree`], which stores no
+//! timestamps at all. The engines keep that key in their last-access table
+//! and hand it back on a hit, a removal or an LRU eviction. The address
+//! payload is needed by the bounded algorithm's LRU eviction (paper
+//! Algorithm 7, `find_oldest`) and by the windowed streamer, which appends
+//! each window's live addresses to its history.
 
 pub mod avl;
 pub mod fenwick;
 pub mod naive;
 pub mod splay;
+mod sweep;
 pub mod treap;
 pub mod vector;
 
@@ -36,143 +41,124 @@ pub use fenwick::Fenwick;
 pub use naive::NaiveStack;
 pub use splay::SplayTree;
 pub use treap::Treap;
-pub use vector::VectorTree;
+pub use vector::{Relabel, VectorTree};
 
 /// Sentinel index for "no node" in the arena-based trees.
 pub(crate) const NIL: u32 = u32::MAX;
 
 /// The ordered-set interface required by the reuse-distance engines.
 ///
-/// Keys are access timestamps. Every engine inserts them in increasing
-/// order (forward analysis and the windowed streamer's history append);
-/// the trait itself accepts any order. Each key carries the address
-/// that was accessed at that time. A tree owns its state (`'static`), so
-/// an engine can travel to a worker that outlives the call that made it.
+/// Entries are appended in access order, each newer than every entry
+/// already live, and each append returns the *key* its caller stores (the
+/// engines keep it as `H(z)`). Keys order entries by recency. A search
+/// tree's key is the entry's timestamp; the [`VectorTree`]'s is its position
+/// on the time axis, which a compaction can move: [`ReuseTree::make_room`]
+/// then hands back the [`Relabel`] that the caller applies to every key it
+/// holds. A tree owns its state (`'static`), so an engine can travel to a
+/// worker that outlives the call that made it.
 pub trait ReuseTree: 'static {
-    /// Insert a `(timestamp, addr)` pair. Timestamps must be unique;
-    /// inserting a duplicate timestamp is a logic error and may panic.
-    fn insert(&mut self, timestamp: u64, addr: u64);
+    /// Append an entry for an access to `addr` at `timestamp`, newer than
+    /// every live entry, and return its key. The structure must have room
+    /// for it: call [`ReuseTree::make_room`] first.
+    fn append(&mut self, timestamp: u64, addr: u64) -> u64;
 
-    /// Number of live nodes with timestamp strictly greater than `timestamp`
-    /// (paper Algorithm 2). The queried timestamp itself does not count.
+    /// The key the next append, of an access at `timestamp`, will return.
+    /// After [`ReuseTree::make_room`]`(n)`, appends of consecutive timestamps
+    /// return consecutive keys, so a batch knows its keys before it appends.
+    /// The default suits a tree keyed by timestamp.
+    fn next_key(&self, timestamp: u64) -> u64 {
+        timestamp
+    }
+
+    /// Make room for `appends` further appends. A structure that has to
+    /// move live keys to do so returns how it moved them, and the caller
+    /// must map every key it holds through the [`Relabel`] before it uses
+    /// one again. The search trees never move a key.
+    fn make_room(&mut self, appends: usize) -> Option<&Relabel> {
+        let _ = appends;
+        None
+    }
+
+    /// Number of live entries newer than `key` (paper Algorithm 2). The
+    /// entry at `key` itself does not count.
     ///
     /// Takes `&mut self` because self-adjusting implementations (splay)
     /// restructure on access.
-    fn distance(&mut self, timestamp: u64) -> u64;
+    fn distance(&mut self, key: u64) -> u64;
 
-    /// Remove the node with exactly `timestamp`, returning its address.
-    fn remove(&mut self, timestamp: u64) -> Option<u64>;
+    /// Remove the entry at `key`, returning its address.
+    fn remove(&mut self, key: u64) -> Option<u64>;
 
-    /// Fused hot-path operation: `distance(timestamp)` followed by
-    /// `remove(timestamp)`. Returns the distance alone, or `None` if
-    /// `timestamp` is not live.
+    /// Fused hot-path operation: `distance(key)` followed by `remove(key)`.
+    /// Returns the distance alone, or `None` if `key` is not live.
     ///
     /// This is what Algorithm 1's body performs per hit; implementations can
     /// do it in a single descent. No caller needs the address (the engines'
     /// last-access table already knows it), so an implementation need not
-    /// read the node that holds it: the vector tree only clears the node's
-    /// occupancy bit.
-    fn distance_and_remove(&mut self, timestamp: u64) -> Option<u64> {
-        let d = self.distance(timestamp);
-        self.remove(timestamp).map(|_| d)
+    /// read the entry that holds it: the vector tree only clears the
+    /// entry's occupancy bit.
+    fn distance_and_remove(&mut self, key: u64) -> Option<u64> {
+        let d = self.distance(key);
+        self.remove(key).map(|_| d)
     }
 
-    /// The node with the smallest timestamp, as `(timestamp, addr)` — the
-    /// LRU victim for bounded analysis (`find_oldest` in Algorithm 7).
+    /// [`ReuseTree::distance_and_remove`] of each of `keys` in turn,
+    /// replacing each key with its distance — the batched cascade absorb's
+    /// tree half. Every key must be live (a missing key is a logic error
+    /// and panics). The default is that loop, in stream order; the search
+    /// trees sort the batch and sweep it instead.
+    fn distance_and_remove_each(&mut self, keys: &mut [u64]) {
+        for key in keys {
+            *key = self
+                .distance_and_remove(*key)
+                .expect("distance_and_remove_each: key not live");
+        }
+    }
+
+    /// The oldest live entry, as `(key, addr)` — the LRU victim for bounded
+    /// analysis (`find_oldest` in Algorithm 7).
     fn oldest(&self) -> Option<(u64, u64)>;
 
-    /// Number of live nodes.
+    /// Number of live entries.
     fn len(&self) -> usize;
 
-    /// `true` if the structure holds no nodes.
+    /// `true` if the structure holds no entries.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Remove every node, retaining allocations.
+    /// Remove every entry, retaining allocations.
     fn clear(&mut self);
 
-    /// Pre-allocate room for at least `additional` further nodes. Purely an
-    /// allocation hint (the engine passes its chunk length so arenas are
+    /// Pre-allocate room for at least `additional` further entries. Purely
+    /// an allocation hint (the engine passes its chunk length so arenas are
     /// sized once instead of reallocating mid-chunk); default is a no-op.
     fn reserve(&mut self, _additional: usize) {}
 
-    /// Append all `(timestamp, addr)` pairs in increasing timestamp order.
-    /// Used by the windowed streamer to append item state to its history.
-    fn collect_in_order(&self, out: &mut Vec<(u64, u64)>);
+    /// Visit every live entry as `(key, addr)`, oldest first. The windowed
+    /// streamer exports an item's live addresses to its history this way.
+    fn for_each_in_order(&self, visit: impl FnMut(u64, u64));
 
-    /// Bulk rank+delete sweep — the batched cascade's tree half.
-    ///
-    /// `sorted_ts` holds strictly increasing timestamps, every one of which
-    /// must be live in the tree (a missing timestamp is a logic error and
-    /// panics). For each `sorted_ts[j]`, pushes onto `out` the number of
-    /// live nodes with timestamp strictly greater than `sorted_ts[j]` **as
-    /// measured against the tree state at entry** (the *initial rank*), then
-    /// removes all `sorted_ts` nodes. Exactly equivalent to — and the
-    /// default is literally — a loop of [`Self::distance_and_remove`] in
-    /// ascending timestamp order: removing a smaller timestamp never changes
-    /// a strictly-greater count, so each fused result *is* the initial rank.
-    ///
-    /// Implementations switch to an O(live + k) path when `k` is a large
-    /// fraction of the tree: one in-order walk pairs each deleted node with
-    /// its rank (`live − 1 − position`), survivors are kept in order, and
-    /// the tree is rebuilt via [`Self::rebuild_from_sorted`]. Ranks depend
-    /// only on the key *set*, never on tree shape, so rebuilds are
-    /// observationally transparent.
-    fn rank_delete_batch(&mut self, sorted_ts: &[u64], out: &mut Vec<u64>) {
-        let k = sorted_ts.len();
-        if k == 0 {
-            return;
-        }
-        // Sparse sweep: fused per-key descents, ascending.
-        if k * 8 < self.len() {
-            for &ts in sorted_ts {
-                let d = self
-                    .distance_and_remove(ts)
-                    .expect("rank_delete_batch: timestamp not live in tree");
-                out.push(d);
-            }
-            return;
-        }
-        // Dense sweep: one in-order pass plus a rebuild of the survivors.
-        let live = self.len() as u64;
-        let mut pairs = Vec::with_capacity(self.len());
-        self.collect_in_order(&mut pairs);
-        let mut cursor = 0usize;
-        let mut survivors = Vec::with_capacity(self.len() - k);
-        for (i, &(ts, addr)) in pairs.iter().enumerate() {
-            if cursor < k && sorted_ts[cursor] == ts {
-                // `live − 1 − i` nodes sit strictly after position i.
-                out.push(live - 1 - i as u64);
-                cursor += 1;
-            } else {
-                survivors.push((ts, addr));
-            }
-        }
-        assert_eq!(
-            cursor, k,
-            "rank_delete_batch: timestamp not live in tree (matched {cursor} of {k})"
-        );
-        self.rebuild_from_sorted(&survivors);
-    }
-
-    /// Replace the tree's contents with `pairs` (strictly increasing
-    /// timestamps). Implementations rebuild in O(n) from the sorted run;
-    /// the default clears and re-inserts.
-    fn rebuild_from_sorted(&mut self, pairs: &[(u64, u64)]) {
-        self.clear();
-        self.reserve(pairs.len());
-        for &(ts, addr) in pairs {
-            self.insert(ts, addr);
-        }
-    }
-
-    /// Convenience wrapper around [`Self::collect_in_order`].
+    /// Every live `(key, addr)` entry, oldest first.
     fn to_sorted_vec(&self) -> Vec<(u64, u64)> {
         let mut v = Vec::with_capacity(self.len());
-        self.collect_in_order(&mut v);
+        self.for_each_in_order(|key, addr| v.push((key, addr)));
         v
     }
+}
+
+/// A search tree keyed by timestamp (splay, AVL, treap). Its keys never
+/// move, so it can take an entry at any timestamp and rebuild itself from
+/// a sorted run, which the batched absorb's dense sweep does
+/// ([`sweep`]).
+pub(crate) trait SearchTree: ReuseTree {
+    /// Insert `(timestamp, addr)` anywhere in timestamp order. Timestamps
+    /// must be unique; a duplicate is a logic error and may panic.
+    fn insert(&mut self, timestamp: u64, addr: u64);
+
+    /// Replace the contents with `pairs` (strictly increasing timestamps)
+    /// in O(n).
+    fn rebuild_from_sorted(&mut self, pairs: &[(u64, u64)]);
 }
 
 /// Which tree implementation a generic engine should use. Handy for CLI
@@ -234,9 +220,11 @@ impl std::str::FromStr for TreeKind {
 
 #[cfg(test)]
 pub(crate) mod conformance {
-    //! Shared black-box conformance suite run against every [`ReuseTree`].
+    //! Shared black-box conformance suites: the keyed one runs against
+    //! every [`ReuseTree`], the timestamp-keyed one against the search
+    //! trees.
 
-    use super::ReuseTree;
+    use super::{sweep, ReuseTree, SearchTree};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -270,9 +258,222 @@ pub(crate) mod conformance {
         pub fn sorted(&self) -> Vec<(u64, u64)> {
             self.map.iter().map(|(&k, &v)| (k, v)).collect()
         }
+
+        /// The live timestamp `pick` lands on, if any entry is live.
+        fn pick(&self, pick: usize) -> Option<u64> {
+            let n = self.map.len();
+            (n > 0).then(|| *self.map.keys().nth(pick % n).expect("in range"))
+        }
     }
 
-    /// One random operation against both model and implementation.
+    /// A tree driven the way the engines drive it: appends of increasing
+    /// timestamps, each key kept beside its timestamp (the engines' `H`)
+    /// and relabelled whenever [`ReuseTree::make_room`] moves keys.
+    pub struct Keyed<T: ReuseTree> {
+        pub tree: T,
+        pub model: Model,
+        /// Timestamp → the key the tree gave it.
+        keys: BTreeMap<u64, u64>,
+        next_ts: u64,
+    }
+
+    impl<T: ReuseTree> Keyed<T> {
+        pub fn new(tree: T) -> Self {
+            Self {
+                tree,
+                model: Model::default(),
+                keys: BTreeMap::new(),
+                next_ts: 0,
+            }
+        }
+
+        /// The key of live timestamp `ts`.
+        pub fn key(&self, ts: u64) -> u64 {
+            self.keys[&ts]
+        }
+
+        /// Make room for `n` appends, relabelling the kept keys.
+        pub fn make_room(&mut self, n: usize) {
+            if let Some(relabel) = self.tree.make_room(n) {
+                for key in self.keys.values_mut() {
+                    *key = relabel.apply(*key);
+                }
+            }
+        }
+
+        /// Append `addr` at the next timestamp plus `gap`, returning the
+        /// timestamp.
+        pub fn append(&mut self, gap: u64, addr: u64) -> u64 {
+            self.make_room(1);
+            let ts = self.next_ts + gap;
+            let expect = self.tree.next_key(ts);
+            let key = self.tree.append(ts, addr);
+            assert_eq!(
+                key, expect,
+                "append({ts}) returned another key than next_key"
+            );
+            self.keys.insert(ts, key);
+            self.model.insert(ts, addr);
+            self.next_ts = ts + 1;
+            ts
+        }
+
+        pub fn distance_and_remove(&mut self, ts: u64) -> Option<u64> {
+            let key = self.keys.remove(&ts)?;
+            let expect = self.model.remove(ts).map(|_| self.model.distance(ts));
+            let d = self.tree.distance_and_remove(key);
+            assert_eq!(d, expect, "distance_and_remove of ts {ts}");
+            assert_eq!(self.tree.remove(key), None, "a removed key is gone");
+            d
+        }
+
+        /// Every check that reads the whole state.
+        pub fn check(&self) {
+            assert_eq!(self.tree.len(), self.model.len(), "len");
+            let contents: Vec<(u64, u64)> = self
+                .model
+                .sorted()
+                .into_iter()
+                .map(|(ts, addr)| (self.key(ts), addr))
+                .collect();
+            assert_eq!(self.tree.to_sorted_vec(), contents, "in-order contents");
+            assert_eq!(
+                self.tree.oldest(),
+                self.model.oldest().map(|(ts, addr)| (self.key(ts), addr)),
+                "oldest"
+            );
+        }
+    }
+
+    /// One step of the keyed proptest. `pick` names a live entry by its
+    /// index modulo the live count.
+    #[derive(Clone, Debug)]
+    pub enum KeyedOp {
+        /// Append `gap` timestamps past the next one.
+        Append {
+            gap: u64,
+        },
+        MakeRoom(usize),
+        Distance(usize),
+        Remove(usize),
+        DistanceAndRemove(usize),
+        /// `distance_and_remove_each` over distinct live entries, in the
+        /// order picked.
+        Each(Vec<usize>),
+        Oldest,
+    }
+
+    pub fn keyed_op_strategy() -> impl Strategy<Value = KeyedOp> {
+        let append = || {
+            (0u64..8).prop_map(|g| KeyedOp::Append {
+                gap: g.saturating_sub(5),
+            })
+        };
+        prop_oneof![
+            append(),
+            append(),
+            append(),
+            (0usize..200).prop_map(KeyedOp::MakeRoom),
+            any::<usize>().prop_map(KeyedOp::Distance),
+            any::<usize>().prop_map(KeyedOp::Remove),
+            any::<usize>().prop_map(KeyedOp::DistanceAndRemove),
+            proptest::collection::vec(any::<usize>(), 0..24).prop_map(KeyedOp::Each),
+            Just(KeyedOp::Oldest),
+        ]
+    }
+
+    /// Drive a keyed op sequence, checking every step against the model.
+    pub fn run_keyed<T: ReuseTree>(tree: T, ops: Vec<KeyedOp>) -> T {
+        let mut k = Keyed::new(tree);
+        for op in ops {
+            match op {
+                KeyedOp::Append { gap } => {
+                    let addr = k.next_ts.wrapping_mul(0x9e37_79b9) ^ u64::MAX;
+                    k.append(gap, addr);
+                }
+                KeyedOp::MakeRoom(n) => k.make_room(n),
+                KeyedOp::Distance(pick) => {
+                    if let Some(ts) = k.model.pick(pick) {
+                        let key = k.key(ts);
+                        assert_eq!(k.tree.distance(key), k.model.distance(ts), "distance");
+                    }
+                }
+                KeyedOp::Remove(pick) => {
+                    if let Some(ts) = k.model.pick(pick) {
+                        let key = k.keys.remove(&ts).expect("live");
+                        assert_eq!(k.tree.remove(key), k.model.remove(ts), "remove");
+                        assert_eq!(k.tree.remove(key), None, "remove twice");
+                    }
+                }
+                KeyedOp::DistanceAndRemove(pick) => {
+                    if let Some(ts) = k.model.pick(pick) {
+                        k.distance_and_remove(ts);
+                    }
+                }
+                KeyedOp::Each(picks) => {
+                    let mut batch: Vec<u64> = Vec::new();
+                    for pick in picks {
+                        let Some(ts) = k.model.pick(pick) else { break };
+                        if !batch.contains(&ts) {
+                            batch.push(ts);
+                        }
+                    }
+                    let expect: Vec<u64> = batch
+                        .iter()
+                        .map(|&ts| {
+                            k.model.remove(ts);
+                            k.model.distance(ts)
+                        })
+                        .collect();
+                    let mut keys: Vec<u64> = batch
+                        .iter()
+                        .map(|ts| k.keys.remove(ts).expect("live"))
+                        .collect();
+                    k.tree.distance_and_remove_each(&mut keys);
+                    assert_eq!(keys, expect, "distance_and_remove_each in stream order");
+                }
+                KeyedOp::Oldest => {}
+            }
+            k.check();
+        }
+        k.tree
+    }
+
+    /// Deterministic keyed smoke sequence exercising every operation the
+    /// engines use.
+    pub fn keyed_smoke<T: ReuseTree>(tree: T) {
+        let mut k = Keyed::new(tree);
+        assert!(k.tree.is_empty());
+        assert_eq!(k.tree.oldest(), None);
+        for ts in 0..100u64 {
+            k.append(0, ts * 10);
+        }
+        k.check();
+        assert_eq!(k.tree.distance(k.key(49)), 50);
+        assert_eq!(k.tree.distance(k.key(0)), 99);
+        assert_eq!(k.tree.distance(k.key(99)), 0);
+        assert_eq!(k.tree.oldest(), Some((k.key(0), 0)));
+        assert_eq!(k.tree.remove(k.key(0)), Some(0));
+        k.keys.remove(&0);
+        k.model.remove(0);
+        k.check();
+        assert_eq!(k.distance_and_remove(50), Some(49));
+        assert_eq!(k.distance_and_remove(1), Some(97));
+        // Enough appends past a gap to force a compaction that moves keys.
+        for _ in 0..300 {
+            k.append(3, 7);
+            let oldest = k.model.oldest().expect("live").0;
+            k.distance_and_remove(oldest);
+        }
+        k.check();
+        k.tree.clear();
+        assert!(k.tree.is_empty());
+        assert!(k.tree.make_room(1).is_none(), "a cleared tree has room");
+        let key = k.tree.append(5, 55);
+        assert_eq!(k.tree.to_sorted_vec(), vec![(key, 55)]);
+    }
+
+    /// One random operation of the timestamp-keyed suite.
     #[derive(Clone, Debug)]
     pub enum Op {
         Insert(u64, u64),
@@ -292,8 +493,9 @@ pub(crate) mod conformance {
         ]
     }
 
-    /// Drive an arbitrary op sequence, asserting agreement with the model.
-    pub fn run_ops<T: ReuseTree>(tree: &mut T, ops: Vec<Op>) {
+    /// Drive an arbitrary op sequence, inserts at any timestamp and queries
+    /// at absent ones included, asserting agreement with the model.
+    pub fn run_ops<T: SearchTree>(tree: &mut T, ops: Vec<Op>) {
         let mut model = Model::default();
         for op in ops {
             match op {
@@ -327,13 +529,13 @@ pub(crate) mod conformance {
         }
     }
 
-    /// Drive `rank_delete_batch` + `rebuild_from_sorted` against the model:
-    /// insert `live` pairs, batch-delete the masked subset of timestamps
-    /// (in ascending order, as the engine guarantees), and check the
-    /// reported ranks are the *pre-batch* strictly-greater counts, the
-    /// survivors are exact, and the structure still answers queries after
-    /// a possible rebuild.
-    pub fn run_batch<T: ReuseTree>(tree: &mut T, live: Vec<(u64, u64)>, mask: Vec<bool>) {
+    /// Drive the sorted sweep ([`sweep::rank_delete_batch`]) and
+    /// `rebuild_from_sorted` against the model: insert `live` pairs,
+    /// batch-delete the masked subset of timestamps (in ascending order),
+    /// and check the reported ranks are the *pre-batch* strictly-greater
+    /// counts, the survivors are exact, and the structure still answers
+    /// queries after a possible rebuild.
+    pub fn run_batch<T: SearchTree>(tree: &mut T, live: Vec<(u64, u64)>, mask: Vec<bool>) {
         let mut model = Model::default();
         for &(ts, addr) in &live {
             if model.map.contains_key(&ts) {
@@ -351,7 +553,7 @@ pub(crate) mod conformance {
             .collect();
         let expected: Vec<u64> = sorted_ts.iter().map(|&ts| model.distance(ts)).collect();
         let mut out = Vec::new();
-        tree.rank_delete_batch(&sorted_ts, &mut out);
+        sweep::rank_delete_batch(tree, &sorted_ts, &mut out);
         assert_eq!(out, expected, "batch ranks must be pre-batch ranks");
         for &ts in &sorted_ts {
             model.remove(ts);
@@ -380,18 +582,18 @@ pub(crate) mod conformance {
 
     /// Deterministic batch smoke: exercises the sparse (fused-descent) path,
     /// the dense (merge + rebuild) path, and the empty batch.
-    pub fn batch_smoke<T: ReuseTree>(tree: &mut T) {
+    pub fn batch_smoke<T: SearchTree>(tree: &mut T) {
         for ts in 0..200u64 {
             tree.insert(ts, ts * 3);
         }
         // Empty batch is a no-op.
         let mut out = Vec::new();
-        tree.rank_delete_batch(&[], &mut out);
+        sweep::rank_delete_batch(tree, &[], &mut out);
         assert!(out.is_empty());
         assert_eq!(tree.len(), 200);
 
         // Sparse path: 3 * 8 < 200.
-        tree.rank_delete_batch(&[10, 100, 199], &mut out);
+        sweep::rank_delete_batch(tree, &[10, 100, 199], &mut out);
         assert_eq!(out, vec![189, 99, 0]);
         assert_eq!(tree.len(), 197);
 
@@ -404,7 +606,7 @@ pub(crate) mod conformance {
         }
         let expected: Vec<u64> = half.iter().map(|&ts| model.distance(ts)).collect();
         out.clear();
-        tree.rank_delete_batch(&half, &mut out);
+        sweep::rank_delete_batch(tree, &half, &mut out);
         assert_eq!(out, expected);
         for &ts in &half {
             model.remove(ts);
@@ -417,8 +619,9 @@ pub(crate) mod conformance {
         assert_eq!(tree.oldest(), model.oldest());
     }
 
-    /// Deterministic smoke sequence exercising all operations.
-    pub fn smoke<T: ReuseTree>(tree: &mut T) {
+    /// Deterministic smoke sequence exercising all operations, inserts in
+    /// the middle and queries at absent timestamps included.
+    pub fn smoke<T: SearchTree>(tree: &mut T) {
         assert!(tree.is_empty());
         assert_eq!(tree.oldest(), None);
         assert_eq!(tree.remove(3), None);
@@ -440,7 +643,7 @@ pub(crate) mod conformance {
         assert_eq!(tree.distance(49), 49);
         assert_eq!(tree.len(), 98);
 
-        // Re-insert in the middle (the contract allows any order).
+        // Re-insert in the middle (a search tree takes any order).
         tree.insert(50, 777);
         assert_eq!(tree.distance(49), 50);
         assert_eq!(tree.remove(50), Some(777));

@@ -19,7 +19,7 @@
 //! per-node allocation, 32-bit links halve pointer traffic, and `clear`
 //! reuses the buffer across analysis phases.
 
-use crate::{ReuseTree, NIL};
+use crate::{sweep, ReuseTree, SearchTree, NIL};
 
 #[derive(Clone, Debug)]
 struct Node {
@@ -40,7 +40,7 @@ struct Node {
 ///
 /// let mut tree = SplayTree::new();
 /// for (ts, addr) in [(0, 100), (1, 200), (2, 300)] {
-///     tree.insert(ts, addr);
+///     assert_eq!(tree.append(ts, addr), ts, "the key is the timestamp");
 /// }
 /// // Two elements were accessed after time 0:
 /// assert_eq!(tree.distance(0), 2);
@@ -316,38 +316,10 @@ impl SplayTree {
 }
 
 impl ReuseTree for SplayTree {
-    fn insert(&mut self, timestamp: u64, addr: u64) {
-        if self.root == NIL {
-            self.root = self.alloc(timestamp, addr);
-            self.len = 1;
-            return;
-        }
-        // Splay the insertion point to the root, then split around it.
-        self.splay(timestamp);
-        let t = self.root;
-        let t_ts = self.nodes[t as usize].ts;
-        if t_ts == timestamp {
-            panic!("duplicate timestamp {timestamp} inserted into SplayTree");
-        }
-        let new = self.alloc(timestamp, addr);
-        if timestamp < t_ts {
-            let t_left = self.nodes[t as usize].left;
-            self.nodes[new as usize].left = t_left;
-            self.nodes[new as usize].right = t;
-            self.nodes[t as usize].left = NIL;
-            let t_right = self.nodes[t as usize].right;
-            self.nodes[t as usize].size = 1 + self.size(t_right);
-        } else {
-            let t_right = self.nodes[t as usize].right;
-            self.nodes[new as usize].right = t_right;
-            self.nodes[new as usize].left = t;
-            self.nodes[t as usize].right = NIL;
-            let t_left = self.nodes[t as usize].left;
-            self.nodes[t as usize].size = 1 + self.size(t_left);
-        }
-        self.len += 1;
-        self.nodes[new as usize].size = self.len as u32;
-        self.root = new;
+    /// The key is the timestamp.
+    fn append(&mut self, timestamp: u64, addr: u64) -> u64 {
+        self.insert(timestamp, addr);
+        timestamp
     }
 
     fn distance(&mut self, timestamp: u64) -> u64 {
@@ -396,6 +368,10 @@ impl ReuseTree for SplayTree {
         Some(d)
     }
 
+    fn distance_and_remove_each(&mut self, keys: &mut [u64]) {
+        sweep::distance_and_remove_each(self, keys);
+    }
+
     fn oldest(&self) -> Option<(u64, u64)> {
         if self.root == NIL {
             return None;
@@ -423,15 +399,7 @@ impl ReuseTree for SplayTree {
         self.nodes.reserve(additional);
     }
 
-    fn rebuild_from_sorted(&mut self, pairs: &[(u64, u64)]) {
-        self.nodes.clear();
-        self.free.clear();
-        self.nodes.reserve(pairs.len());
-        self.root = self.build_balanced(pairs);
-        self.len = pairs.len();
-    }
-
-    fn collect_in_order(&self, out: &mut Vec<(u64, u64)>) {
+    fn for_each_in_order(&self, mut visit: impl FnMut(u64, u64)) {
         // Iterative in-order traversal; recursion depth on a splay tree can
         // reach O(n) in adversarial shapes.
         let mut stack = Vec::new();
@@ -443,21 +411,66 @@ impl ReuseTree for SplayTree {
             }
             let n = stack.pop().expect("stack non-empty");
             let node = &self.nodes[n as usize];
-            out.push((node.ts, node.addr));
+            visit(node.ts, node.addr);
             cur = node.right;
         }
+    }
+}
+
+impl SearchTree for SplayTree {
+    fn insert(&mut self, timestamp: u64, addr: u64) {
+        if self.root == NIL {
+            self.root = self.alloc(timestamp, addr);
+            self.len = 1;
+            return;
+        }
+        // Splay the insertion point to the root, then split around it.
+        self.splay(timestamp);
+        let t = self.root;
+        let t_ts = self.nodes[t as usize].ts;
+        if t_ts == timestamp {
+            panic!("duplicate timestamp {timestamp} inserted into SplayTree");
+        }
+        let new = self.alloc(timestamp, addr);
+        if timestamp < t_ts {
+            let t_left = self.nodes[t as usize].left;
+            self.nodes[new as usize].left = t_left;
+            self.nodes[new as usize].right = t;
+            self.nodes[t as usize].left = NIL;
+            let t_right = self.nodes[t as usize].right;
+            self.nodes[t as usize].size = 1 + self.size(t_right);
+        } else {
+            let t_right = self.nodes[t as usize].right;
+            self.nodes[new as usize].right = t_right;
+            self.nodes[new as usize].left = t;
+            self.nodes[t as usize].right = NIL;
+            let t_left = self.nodes[t as usize].left;
+            self.nodes[t as usize].size = 1 + self.size(t_left);
+        }
+        self.len += 1;
+        self.nodes[new as usize].size = self.len as u32;
+        self.root = new;
+    }
+
+    fn rebuild_from_sorted(&mut self, pairs: &[(u64, u64)]) {
+        self.nodes.clear();
+        self.free.clear();
+        self.nodes.reserve(pairs.len());
+        self.root = self.build_balanced(pairs);
+        self.len = pairs.len();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conformance::{self, op_strategy};
+    use crate::conformance::{self, keyed_op_strategy, op_strategy};
     use proptest::prelude::*;
 
     #[test]
     fn smoke() {
         conformance::smoke(&mut SplayTree::new());
+        conformance::keyed_smoke(SplayTree::new());
     }
 
     #[test]
@@ -606,7 +619,7 @@ mod tests {
         }
         let delete: Vec<u64> = (0..4096u64).step_by(2).collect();
         let mut out = Vec::new();
-        tree.rank_delete_batch(&delete, &mut out);
+        sweep::rank_delete_batch(&mut tree, &delete, &mut out);
         assert_eq!(tree.len(), 2048);
         tree.validate();
         fn depth(t: &SplayTree, n: u32) -> u32 {
@@ -619,6 +632,11 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn keyed_conforms_to_model(ops in proptest::collection::vec(keyed_op_strategy(), 0..300)) {
+            conformance::run_keyed(SplayTree::new(), ops).validate();
+        }
+
         #[test]
         fn conforms_to_model(ops in proptest::collection::vec(op_strategy(), 0..300)) {
             let mut tree = SplayTree::new();

@@ -6,7 +6,7 @@
 //! function of the key set — no RNG state to thread around, and identical
 //! behaviour across runs and threads.
 
-use crate::{ReuseTree, NIL};
+use crate::{sweep, ReuseTree, SearchTree, NIL};
 use parda_hash::fx_hash_u64;
 
 #[derive(Clone, Debug)]
@@ -27,9 +27,9 @@ struct Node {
 /// use parda_tree::{ReuseTree, Treap};
 ///
 /// let mut tree = Treap::new();
-/// tree.insert(3, 30);
-/// tree.insert(1, 10);
-/// tree.insert(2, 20);
+/// tree.append(1, 10);
+/// tree.append(2, 20);
+/// tree.append(3, 30);
 /// assert_eq!(tree.distance(1), 2);
 /// assert_eq!(tree.to_sorted_vec(), vec![(1, 10), (2, 20), (3, 30)]);
 /// ```
@@ -257,16 +257,10 @@ impl Treap {
 }
 
 impl ReuseTree for Treap {
-    fn insert(&mut self, timestamp: u64, addr: u64) {
-        debug_assert_eq!(
-            self.find(timestamp),
-            NIL,
-            "duplicate timestamp {timestamp} inserted into Treap"
-        );
-        let new = self.alloc(timestamp, addr);
-        let (lo, hi) = self.split(self.root, timestamp);
-        let left = self.merge(lo, new);
-        self.root = self.merge(left, hi);
+    /// The key is the timestamp.
+    fn append(&mut self, timestamp: u64, addr: u64) -> u64 {
+        self.insert(timestamp, addr);
+        timestamp
     }
 
     fn distance(&mut self, timestamp: u64) -> u64 {
@@ -303,6 +297,10 @@ impl ReuseTree for Treap {
         removed.map(|_| rank)
     }
 
+    fn distance_and_remove_each(&mut self, keys: &mut [u64]) {
+        sweep::distance_and_remove_each(self, keys);
+    }
+
     fn oldest(&self) -> Option<(u64, u64)> {
         if self.root == NIL {
             return None;
@@ -329,7 +327,7 @@ impl ReuseTree for Treap {
         self.nodes.reserve(additional);
     }
 
-    fn collect_in_order(&self, out: &mut Vec<(u64, u64)>) {
+    fn for_each_in_order(&self, mut visit: impl FnMut(u64, u64)) {
         let mut stack = Vec::new();
         let mut cur = self.root;
         while cur != NIL || !stack.is_empty() {
@@ -339,9 +337,23 @@ impl ReuseTree for Treap {
             }
             let n = stack.pop().expect("stack non-empty");
             let node = &self.nodes[n as usize];
-            out.push((node.ts, node.addr));
+            visit(node.ts, node.addr);
             cur = node.right;
         }
+    }
+}
+
+impl SearchTree for Treap {
+    fn insert(&mut self, timestamp: u64, addr: u64) {
+        debug_assert_eq!(
+            self.find(timestamp),
+            NIL,
+            "duplicate timestamp {timestamp} inserted into Treap"
+        );
+        let new = self.alloc(timestamp, addr);
+        let (lo, hi) = self.split(self.root, timestamp);
+        let left = self.merge(lo, new);
+        self.root = self.merge(left, hi);
     }
 
     /// O(n) cartesian build over the right spine. Keys arrive in increasing
@@ -384,12 +396,13 @@ impl ReuseTree for Treap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conformance::{self, op_strategy};
+    use crate::conformance::{self, keyed_op_strategy, op_strategy};
     use proptest::prelude::*;
 
     #[test]
     fn smoke() {
         conformance::smoke(&mut Treap::new());
+        conformance::keyed_smoke(Treap::new());
     }
 
     #[test]
@@ -462,7 +475,7 @@ mod tests {
         // survivors (priorities are a pure function of the key).
         let delete: Vec<u64> = (0..512u64).filter(|t| t % 3 != 0).collect();
         let mut out = Vec::new();
-        tree.rank_delete_batch(&delete, &mut out);
+        sweep::rank_delete_batch(&mut tree, &delete, &mut out);
         tree.validate();
 
         let mut fresh = Treap::new();
@@ -477,6 +490,11 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn keyed_conforms_to_model(ops in proptest::collection::vec(keyed_op_strategy(), 0..300)) {
+            conformance::run_keyed(Treap::new(), ops).validate();
+        }
+
         #[test]
         fn conforms_to_model(ops in proptest::collection::vec(op_strategy(), 0..300)) {
             let mut tree = Treap::new();

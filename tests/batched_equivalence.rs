@@ -102,8 +102,9 @@ proptest! {
 
     /// Wide address spaces make every cascade stream long (most references
     /// are chunk-local first touches), so each absorb round crosses the
-    /// engine's batching threshold and runs the merge + rank_delete_batch
-    /// path. All four trees must agree with the scalar reference.
+    /// engine's batching threshold and runs the batched absorb: the
+    /// search trees' sorted sweep and the vector's stream-order loop. All
+    /// four trees must agree with the scalar reference.
     #[test]
     fn long_cascade_streams_hit_batched_absorb(
         trace in proptest::collection::vec(0u64..2_048, 600..1_000),

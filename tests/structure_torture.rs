@@ -1,21 +1,109 @@
 //! Large randomized torture runs over every ordered structure: all four
 //! `ReuseTree` implementations driven through hundreds of thousands of
 //! mixed operations must agree with each other at every checkpoint.
-//! Timestamps come in stretches: consecutive ones, which the vector tree
-//! holds as runs spanning many of its 512-slot blocks, alternate with
-//! gapped ones, which exercise absent keys.
+//!
+//! The trees are driven as the engines drive them. Each append returns a
+//! key: the search trees' is the timestamp, the vector's an axis position,
+//! which this harness keeps beside the timestamp and relabels whenever
+//! `make_room` compacts the vector's axis. Timestamps come in stretches:
+//! consecutive ones alternate with gapped ones, which the search trees see
+//! and the vector ignores.
 
 use parda::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+
+/// The four trees and the vector's key for each live timestamp.
+#[derive(Default)]
+struct Trees {
+    splay: SplayTree,
+    avl: AvlTree,
+    treap: Treap,
+    vector: VectorTree,
+    /// Timestamp → the vector's key for it.
+    keys: HashMap<u64, u64>,
+}
+
+impl Trees {
+    fn append(&mut self, ts: u64, addr: u64) {
+        assert!(
+            self.splay.make_room(1).is_none(),
+            "search trees never move keys"
+        );
+        if let Some(relabel) = self.vector.make_room(1) {
+            for key in self.keys.values_mut() {
+                *key = relabel.apply(*key);
+            }
+        }
+        assert_eq!(self.splay.append(ts, addr), ts);
+        assert_eq!(self.avl.append(ts, addr), ts);
+        assert_eq!(self.treap.append(ts, addr), ts);
+        let key = self.vector.append(ts, addr);
+        self.keys.insert(ts, key);
+    }
+
+    /// Remove live `ts` from every tree, returning the address.
+    fn remove(&mut self, ts: u64) -> u64 {
+        let a = self.splay.remove(ts);
+        assert_eq!(self.avl.remove(ts), a);
+        assert_eq!(self.treap.remove(ts), a);
+        let key = self.keys.remove(&ts).expect("live");
+        assert_eq!(self.vector.remove(key), a);
+        assert_eq!(self.vector.remove(key), None, "removed twice");
+        a.expect("live")
+    }
+
+    /// The engines' fused hit on live `ts`.
+    fn distance_and_remove(&mut self, ts: u64, at: &str) -> u64 {
+        let d = self.splay.distance_and_remove(ts);
+        assert!(d.is_some(), "{at}");
+        assert_eq!(self.avl.distance_and_remove(ts), d, "{at}");
+        assert_eq!(self.treap.distance_and_remove(ts), d, "{at}");
+        let key = self.keys.remove(&ts).expect("live");
+        assert_eq!(self.vector.distance_and_remove(key), d, "{at}");
+        d.expect("live")
+    }
+
+    /// The batched absorb's tree half over live `batch`, in stream order:
+    /// the search trees' sorted sweep against the vector's stream loop.
+    fn distance_and_remove_each(&mut self, batch: &[u64], at: &str) {
+        let mut expect = batch.to_vec();
+        self.splay.distance_and_remove_each(&mut expect);
+        let mut avl = batch.to_vec();
+        self.avl.distance_and_remove_each(&mut avl);
+        assert_eq!(avl, expect, "{at}");
+        let mut treap = batch.to_vec();
+        self.treap.distance_and_remove_each(&mut treap);
+        assert_eq!(treap, expect, "{at}");
+        let mut vector: Vec<u64> = batch
+            .iter()
+            .map(|ts| self.keys.remove(ts).expect("live"))
+            .collect();
+        self.vector.distance_and_remove_each(&mut vector);
+        assert_eq!(vector, expect, "{at}");
+    }
+
+    fn check(&self) {
+        let contents = self.splay.to_sorted_vec();
+        assert_eq!(self.avl.to_sorted_vec(), contents);
+        assert_eq!(self.treap.to_sorted_vec(), contents);
+        let keyed: Vec<(u64, u64)> = contents
+            .iter()
+            .map(|&(ts, addr)| (self.keys[&ts], addr))
+            .collect();
+        assert_eq!(self.vector.to_sorted_vec(), keyed);
+        self.splay.validate();
+        self.avl.validate();
+        self.treap.validate();
+        self.vector.validate();
+    }
+}
 
 /// Drive all four trees through an identical op stream; cross-check state
 /// at checkpoints.
 fn torture(seed: u64, ops: usize) {
-    let mut splay = SplayTree::new();
-    let mut avl = AvlTree::new();
-    let mut treap = Treap::new();
-    let mut vector = VectorTree::new();
+    let mut t = Trees::default();
     let mut live: Vec<u64> = Vec::new(); // timestamps currently present
     let mut rng = StdRng::seed_from_u64(seed);
     let mut next_ts = 0u64;
@@ -24,58 +112,55 @@ fn torture(seed: u64, ops: usize) {
         let consecutive = (step / 10_000) % 2 == 0;
         let roll = rng.gen_range(0..100);
         if roll < 52 || live.is_empty() {
-            // Insert a fresh (monotone) timestamp — the analyzer's common op.
+            // Append a fresh (monotone) timestamp — the analyzer's common op.
             let addr = rng.gen::<u32>() as u64;
-            splay.insert(next_ts, addr);
-            avl.insert(next_ts, addr);
-            treap.insert(next_ts, addr);
-            vector.insert(next_ts, addr);
+            t.append(next_ts, addr);
             live.push(next_ts);
             next_ts += if consecutive { 1 } else { rng.gen_range(1..4) };
-        } else if roll < 66 {
+        } else if roll < 64 {
             let idx = rng.gen_range(0..live.len());
-            let ts = live.swap_remove(idx);
-            let a = splay.remove(ts);
-            assert_eq!(avl.remove(ts), a);
-            assert_eq!(treap.remove(ts), a);
-            assert_eq!(vector.remove(ts), a);
-            assert!(a.is_some());
-        } else if roll < 80 {
+            t.remove(live.swap_remove(idx));
+        } else if roll < 78 {
             // The engines' fused hit.
             let idx = rng.gen_range(0..live.len());
             let ts = live.swap_remove(idx);
-            let d = splay.distance_and_remove(ts);
-            assert!(d.is_some());
-            let at = format!("distance_and_remove({ts}) at step {step}");
-            assert_eq!(avl.distance_and_remove(ts), d, "{at}");
-            assert_eq!(treap.distance_and_remove(ts), d, "{at}");
-            assert_eq!(vector.distance_and_remove(ts), d, "{at}");
-        } else if roll < 95 {
+            t.distance_and_remove(ts, &format!("distance_and_remove({ts}) at step {step}"));
+        } else if roll < 80 {
+            // A cascade absorb: a few distinct live entries in stream order.
+            let n = rng.gen_range(1..=live.len().min(40));
+            let batch: Vec<u64> = (0..n)
+                .map(|_| live.swap_remove(rng.gen_range(0..live.len())))
+                .collect();
+            t.distance_and_remove_each(&batch, &format!("batch at step {step}"));
+        } else if roll < 90 {
+            // Any timestamp in the search trees; a live one in the vector.
             let ts = rng.gen_range(0..next_ts.max(1));
-            let d = splay.distance(ts);
-            assert_eq!(avl.distance(ts), d, "distance({ts}) at step {step}");
-            assert_eq!(treap.distance(ts), d);
-            assert_eq!(vector.distance(ts), d);
+            let d = t.splay.distance(ts);
+            assert_eq!(t.avl.distance(ts), d, "distance({ts}) at step {step}");
+            assert_eq!(t.treap.distance(ts), d);
+            let ts = live[rng.gen_range(0..live.len())];
+            let d = t.splay.distance(ts);
+            assert_eq!(
+                t.vector.distance(t.keys[&ts]),
+                d,
+                "live {ts} at step {step}"
+            );
         } else {
-            let o = splay.oldest();
-            assert_eq!(avl.oldest(), o);
-            assert_eq!(treap.oldest(), o);
-            assert_eq!(vector.oldest(), o);
+            let o = t.splay.oldest();
+            assert_eq!(t.avl.oldest(), o);
+            assert_eq!(t.treap.oldest(), o);
+            let keyed = o.map(|(ts, addr)| (t.keys[&ts], addr));
+            assert_eq!(t.vector.oldest(), keyed, "oldest at step {step}");
         }
 
         if step % 20_000 == 0 {
-            assert_eq!(splay.len(), live.len());
-            let contents = splay.to_sorted_vec();
-            assert_eq!(avl.to_sorted_vec(), contents);
-            assert_eq!(treap.to_sorted_vec(), contents);
-            assert_eq!(vector.to_sorted_vec(), contents);
-            splay.validate();
-            avl.validate();
-            treap.validate();
-            vector.validate();
+            assert_eq!(t.splay.len(), live.len());
+            assert_eq!(t.vector.len(), live.len());
+            t.check();
         }
     }
-    assert_eq!(splay.len(), live.len());
+    assert_eq!(t.splay.len(), live.len());
+    t.check();
 }
 
 #[test]
@@ -91,23 +176,22 @@ fn torture_seed_2() {
 #[test]
 fn clear_and_reuse_cycle() {
     // Engines reuse trees across phases: clear must fully reset.
-    let mut trees: (SplayTree, AvlTree, Treap, VectorTree) = Default::default();
+    let mut t = Trees::default();
     for round in 0..5u64 {
         for i in 0..5_000u64 {
             let ts = i; // same timestamps every round: stale state would collide
-            let addr = round * 10_000 + i;
-            trees.0.insert(ts, addr);
-            trees.1.insert(ts, addr);
-            trees.2.insert(ts, addr);
-            trees.3.insert(ts, addr);
+            t.append(ts, round * 10_000 + i);
         }
-        assert_eq!(trees.0.distance(2_499), 2_500);
-        assert_eq!(trees.3.distance(2_499), 2_500);
-        trees.0.clear();
-        trees.1.clear();
-        trees.2.clear();
-        trees.3.clear();
-        assert!(trees.0.is_empty() && trees.1.is_empty());
-        assert!(trees.2.is_empty() && trees.3.is_empty());
+        assert_eq!(t.splay.distance(2_499), 2_500);
+        assert_eq!(t.vector.distance(t.keys[&2_499]), 2_500);
+        assert_eq!(t.distance_and_remove(0, "first"), 4_999);
+        t.check();
+        t.splay.clear();
+        t.avl.clear();
+        t.treap.clear();
+        t.vector.clear();
+        t.keys.clear();
+        assert!(t.splay.is_empty() && t.avl.is_empty());
+        assert!(t.treap.is_empty() && t.vector.is_empty());
     }
 }
