@@ -4,14 +4,15 @@
 //! The optimization avoids inserting stream elements into the tree/table,
 //! trading insertions for a running counter. On workloads with heavy
 //! cross-chunk sharing the plain variant pays O(stream) extra tree
-//! insertions per rank; this bench quantifies that on the full parallel
-//! analyzer. (The space axis is measured by the `ablation_space` binary.)
+//! insertions per rank. Both rows time the same serial cascade through
+//! [`parda_core::Engine`] ([`parda_bench::d2_cascade`]), not the parallel
+//! driver, which runs only the optimized cascade. (The space axis is
+//! measured by the `ablation_space` binary.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use parda_core::{parallel, PardaConfig};
+use parda_bench::d2_cascade;
 use parda_trace::gen::{ReuseProfile, StackDistGen};
 use parda_trace::{AddressStream, Trace};
-use parda_tree::SplayTree;
 use std::hint::black_box;
 
 /// Heavy cross-chunk sharing: a modest footprint reused at distances well
@@ -27,18 +28,11 @@ fn bench_infinity_processing(c: &mut Criterion) {
     group.throughput(Throughput::Elements(n));
     group.sample_size(10);
     for ranks in [4usize, 16] {
-        let optimized = PardaConfig::with_ranks(ranks).space_optimized(true);
-        let plain = PardaConfig::with_ranks(ranks).space_optimized(false);
-        group.bench_with_input(
-            BenchmarkId::new("optimized", ranks),
-            &optimized,
-            |b, cfg| {
-                b.iter(|| black_box(parallel::parda_threads::<SplayTree>(trace.as_slice(), cfg)))
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("plain", ranks), &plain, |b, cfg| {
-            b.iter(|| black_box(parallel::parda_threads::<SplayTree>(trace.as_slice(), cfg)))
-        });
+        for (name, optimized) in [("optimized", true), ("plain", false)] {
+            group.bench_with_input(BenchmarkId::new(name, ranks), &ranks, |b, &np| {
+                b.iter(|| black_box(d2_cascade(trace.as_slice(), np, optimized)))
+            });
+        }
     }
     group.finish();
 }

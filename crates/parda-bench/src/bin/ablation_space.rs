@@ -4,15 +4,15 @@
 //! The paper proves that with the optimization the final aggregate state is
 //! O(M) while the plain algorithm grows to O(np·M). This binary measures
 //! the aggregate number of live tree nodes across all ranks after the
-//! cascade, with the optimization on and off, across rank counts.
+//! cascade ([`parda_bench::d2_cascade`]), with the optimization on and off,
+//! across rank counts. The plain arm runs each absorbed stream through the
+//! rank's reference path, as plain Algorithm 3 does.
 //!
 //! Run with: `cargo run --release -p parda-bench --bin ablation_space -- [--refs N] [--json]`
 
-use parda_bench::{BenchArgs, Report};
-use parda_core::{Engine, MissSink};
+use parda_bench::{d2_cascade, BenchArgs, Report};
 use parda_trace::gen::{ReuseProfile, StackDistGen};
-use parda_trace::{chunk_slice, AddressStream};
-use parda_tree::SplayTree;
+use parda_trace::AddressStream;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -23,50 +23,12 @@ struct Row {
     m: usize,
 }
 
-/// Run the cascade manually so the per-rank engines stay inspectable.
+/// Live tree nodes summed over every rank after the cascade.
 fn aggregate_live(trace: &[u64], np: usize, optimized: bool) -> usize {
-    let chunks = chunk_slice(trace, np);
-    let mut engines: Vec<Engine<SplayTree>> = Vec::new();
-    let mut own_infs: Vec<Vec<u64>> = Vec::new();
-    let mut start = 0u64;
-    for chunk in &chunks {
-        let mut engine: Engine<SplayTree> = Engine::new(None, 0);
-        let mut inf = Vec::new();
-        engine.process_chunk(chunk, start, MissSink::Forward(&mut inf));
-        start += chunk.len() as u64;
-        engines.push(engine);
-        own_infs.push(inf);
-    }
-    let starts: Vec<u64> = chunks
+    d2_cascade(trace, np, optimized)
         .iter()
-        .scan(0u64, |acc, c| {
-            let s = *acc;
-            *acc += c.len() as u64;
-            Some(s)
-        })
-        .collect();
-
-    let mut stream: Vec<u64> = Vec::new();
-    for p in (1..np).rev() {
-        let mut survivors = Vec::new();
-        if optimized {
-            engines[p].process_infinities(&stream, &mut survivors);
-        } else {
-            let ts = starts[p] + chunks[p].len() as u64;
-            engines[p].process_infinities_unoptimized(&stream, ts, &mut survivors);
-        }
-        let mut fwd = own_infs[p].clone();
-        fwd.extend_from_slice(&survivors);
-        stream = fwd;
-    }
-    let mut survivors = Vec::new();
-    if optimized {
-        engines[0].process_infinities(&stream, &mut survivors);
-    } else {
-        let ts = starts[0] + chunks[0].len() as u64;
-        engines[0].process_infinities_unoptimized(&stream, ts, &mut survivors);
-    }
-    engines.iter().map(|e| e.live()).sum()
+        .map(|e| e.live())
+        .sum()
 }
 
 fn main() {

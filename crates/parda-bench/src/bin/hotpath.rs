@@ -8,7 +8,7 @@
 //!   cargo run --release -p parda-bench --bin hotpath -- \
 //!       --refs 10000000 --out BENCH_hotpath.json
 
-use parda_bench::time;
+use parda_bench::{time, Host};
 use parda_core::{Analysis, Engine, MissSink, Mode, PardaConfig};
 use parda_trace::gen::ZipfGen;
 use parda_trace::{AddressStream, Trace};
@@ -23,59 +23,6 @@ struct Row {
     mode: &'static str,
     refs_per_sec: u64,
     secs: f64,
-}
-
-/// The machine a report was measured on: rows from another core count or
-/// CPU measure another machine and must not be compared.
-#[derive(Serialize)]
-struct Host {
-    nproc: usize,
-    cpu_model: String,
-    git_rev: String,
-}
-
-impl Host {
-    fn probe() -> Self {
-        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
-            .ok()
-            .and_then(|text| {
-                text.lines()
-                    .find(|l| l.starts_with("model name"))
-                    .and_then(|l| l.split_once(':'))
-                    .map(|(_, v)| v.trim().to_string())
-            })
-            .unwrap_or_else(|| "unknown".into());
-        Self {
-            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            cpu_model,
-            git_rev: git_rev(),
-        }
-    }
-}
-
-/// The checked-out commit of this workspace, read from `.git` without
-/// running git; "unknown" outside a repository.
-fn git_rev() -> String {
-    let git = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.git");
-    let Ok(head) = std::fs::read_to_string(git.join("HEAD")) else {
-        return "unknown".into();
-    };
-    let head = head.trim();
-    let Some(reference) = head.strip_prefix("ref: ") else {
-        return head.to_string();
-    };
-    if let Ok(rev) = std::fs::read_to_string(git.join(reference)) {
-        return rev.trim().to_string();
-    }
-    std::fs::read_to_string(git.join("packed-refs"))
-        .ok()
-        .and_then(|packed| {
-            packed
-                .lines()
-                .find(|l| l.ends_with(reference))
-                .and_then(|l| l.split_whitespace().next().map(str::to_string))
-        })
-        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Parallel speedup over the sequential batched engine for one tree.

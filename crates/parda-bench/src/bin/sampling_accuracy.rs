@@ -16,7 +16,7 @@
 //!   cargo run --release -p parda-bench --bin sampling_accuracy -- \
 //!       --refs 10000000 --out BENCH_approx.json
 
-use parda_bench::time;
+use parda_bench::{time, Host};
 use parda_core::approx::analyze_approx;
 use parda_core::seq::analyze_sequential;
 use parda_core::ApproxMode;
@@ -44,6 +44,7 @@ struct Row {
 #[derive(Serialize)]
 struct ApproxReport {
     bench: &'static str,
+    host: Host,
     refs: u64,
     seed: u64,
     capacity_floor: u64,
@@ -141,6 +142,7 @@ fn main() {
 
     let report = ApproxReport {
         bench: "sampling_accuracy",
+        host: Host::probe(),
         refs,
         seed,
         capacity_floor: CAPACITY_FLOOR,

@@ -17,7 +17,7 @@
 //!   cargo run --release -p parda-bench --bin server_ingest -- \
 //!       --refs 2000000 --out BENCH_server.json
 
-use parda_bench::time;
+use parda_bench::{time, Host};
 use parda_comm::pipe;
 use parda_core::Analysis;
 use parda_obs::ServerMetrics;
@@ -59,6 +59,7 @@ struct Row {
 #[derive(Serialize)]
 struct ServerReport {
     bench: &'static str,
+    host: Host,
     refs: u64,
     footprint: u64,
     theta: f64,
@@ -179,6 +180,7 @@ fn main() {
 
     let report = ServerReport {
         bench: "server_ingest",
+        host: Host::probe(),
         refs,
         footprint,
         theta,

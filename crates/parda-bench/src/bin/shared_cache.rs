@@ -17,7 +17,7 @@
 //!   cargo run --release -p parda-bench --bin shared_cache -- \
 //!       --refs 2000000 --out BENCH_shared.json
 
-use parda_bench::time;
+use parda_bench::{time, Host};
 use parda_cachesim::LruCache;
 use parda_core::{
     analyze_concurrent, default_granularity, interleave_threads, recommend_partition,
@@ -51,6 +51,7 @@ struct Row {
 #[derive(Serialize)]
 struct SharedReport {
     bench: &'static str,
+    host: Host,
     refs: u64,
     capacity: u64,
     seed: u64,
@@ -179,6 +180,7 @@ fn main() {
 
     let report = SharedReport {
         bench: "shared_cache",
+        host: Host::probe(),
         refs,
         capacity,
         seed,

@@ -35,8 +35,9 @@ use crate::phased::{Reduction, Streamer};
 use parda_hist::ReuseHistogram;
 use parda_obs::{EngineMetrics, PhasedMetrics, RankMetrics, RecoveryMetrics, Report, Stopwatch};
 use parda_trace::stream::FramedStream;
-use parda_trace::{Addr, AddressStream, Degradation};
+use parda_trace::{Addr, AddressStream, Degradation, SliceStream};
 use parda_tree::TreeKind;
+use std::borrow::Cow;
 use std::path::Path;
 
 /// Which engine [`Analysis::run`] drives.
@@ -102,7 +103,6 @@ pub struct Analysis {
     pub(crate) approx: ApproxMode,
     pub(crate) ranks: Option<usize>,
     bound: Option<u64>,
-    space_optimized: bool,
     subchunk_refs: Option<usize>,
     stats: bool,
     pub(crate) fault: FaultPolicy,
@@ -116,7 +116,7 @@ impl Default for Analysis {
 
 impl Analysis {
     /// A default analysis: splay tree, [`Mode::Threads`], hardware rank
-    /// count, unbounded, space-optimized, no stats.
+    /// count, unbounded, no stats.
     pub fn new() -> Self {
         Self {
             tree: TreeKind::Splay,
@@ -124,7 +124,6 @@ impl Analysis {
             approx: ApproxMode::Exact,
             ranks: None,
             bound: None,
-            space_optimized: true,
             subchunk_refs: None,
             stats: false,
             fault: FaultPolicy::default(),
@@ -172,13 +171,6 @@ impl Analysis {
         self
     }
 
-    /// Toggle the Algorithm 4 space optimization (on by default; turning it
-    /// off reproduces plain Algorithm 3 for the ablation).
-    pub fn space_optimized(mut self, on: bool) -> Self {
-        self.space_optimized = on;
-        self
-    }
-
     /// Override the [`Mode::Threads`] work-stealing sub-chunk grain
     /// ([`PardaConfig::subchunk_refs`]); `None` keeps the default.
     pub fn subchunk_refs(mut self, refs: impl Into<Option<usize>>) -> Self {
@@ -215,7 +207,6 @@ impl Analysis {
             config.ranks = ranks;
         }
         config.bound = self.bound;
-        config.space_optimized = self.space_optimized;
         config.subchunk_refs = self.subchunk_refs;
         config
     }
@@ -318,8 +309,9 @@ impl Analysis {
     /// [`Analysis::run`], returning its errors.
     ///
     /// [`Mode::Threads`] and [`Mode::Phased`] run the windowed streamer
-    /// ([`crate::phased`]) over the trace, one window for `Threads`:
-    /// panicking workers are caught and their items rescued with the
+    /// ([`crate::phased`]) over a copy of the trace: one window for
+    /// `Threads`, each `Phased` window copied as it is submitted. Panicking
+    /// workers are caught and their items rescued with the
     /// scalar reference engine under the builder's [`FaultPolicy`]
     /// (bit-identical histogram on success), exhausted retries return
     /// [`PardaError::WorkerPanic`], and a configured watchdog converts a
@@ -331,10 +323,20 @@ impl Analysis {
         &self,
         trace: &[Addr],
     ) -> Result<(ReuseHistogram, Option<Report>), PardaError> {
+        self.run_in_memory(Cow::Borrowed(trace))
+    }
+
+    /// [`Analysis::run_faulted`] over a trace borrowed or handed over by
+    /// value. [`Mode::Threads`] runs an owned trace as its one window as
+    /// it is, and copies a borrowed one into it.
+    fn run_in_memory(
+        &self,
+        trace: Cow<[Addr]>,
+    ) -> Result<(ReuseHistogram, Option<Report>), PardaError> {
         if !self.approx.is_exact() {
             let sw = Stopwatch::start();
             let mut sketch = ApproxSketch::new(self.approx);
-            sketch.update(trace);
+            sketch.update(&trace);
             return Ok(self.finish_approx(&sketch, trace.len() as u64, sw.ns()));
         }
         dispatch_tree!(self.tree, T, { self.run_typed::<T>(trace) })
@@ -406,38 +408,40 @@ impl Analysis {
         }
 
         let (trace, rec) = parda_trace::load_trace_recovering(path, degradation)?;
-        let (hist, mut report) = self.run_faulted(trace.as_slice())?;
+        let (hist, mut report) = self.run_in_memory(Cow::Owned(trace.into_vec()))?;
         if let Some(r) = report.as_mut() {
             r.merge_recovery(&rec);
         }
         Ok((hist, report))
     }
 
-    /// [`Analysis::run_faulted`]'s exact engines with a concrete tree type.
+    /// [`Analysis::run_in_memory`]'s exact engines with a concrete tree
+    /// type.
     fn run_typed<T: parda_tree::ReuseTree + Default + Send>(
         &self,
-        trace: &[Addr],
+        trace: Cow<[Addr]>,
     ) -> Result<(ReuseHistogram, Option<Report>), PardaError> {
+        let refs = trace.len() as u64;
         let config = self.config();
         let sw = Stopwatch::start();
         let (hist, per_rank, phased, recovery) = match self.mode {
             Mode::Seq => {
-                let (hist, rm) = crate::seq::analyze_sequential_with_stats::<T>(trace, self.bound);
+                let (hist, rm) = crate::seq::analyze_sequential_with_stats::<T>(&trace, self.bound);
                 (hist, vec![rm], None, None)
             }
             Mode::Naive => {
-                let hist = crate::seq::analyze_naive(trace);
-                let rm = untimed_rank_metrics(trace.len() as u64, &hist, sw.ns());
+                let hist = crate::seq::analyze_naive(&trace);
+                let rm = untimed_rank_metrics(refs, &hist, sw.ns());
                 (hist, vec![rm], None, None)
             }
             Mode::Threads => {
                 let streamer = Streamer::<T>::new(&config, &self.fault, usize::MAX);
-                let (hist, ranks, _, recovery) = streamer.run_slice(trace)?;
+                let (hist, ranks, _, recovery) = streamer.run_window(trace.into_owned())?;
                 (hist, ranks, None, Some(recovery))
             }
             Mode::Phased { chunk, .. } => {
                 let streamer = Streamer::<T>::phased(&config, &self.fault, chunk);
-                let (hist, ranks, phased, recovery) = streamer.run_slice(trace)?;
+                let (hist, ranks, phased, recovery) = streamer.pull(SliceStream::new(&trace))?;
                 (hist, ranks, Some(phased), Some(recovery))
             }
         };
@@ -447,7 +451,7 @@ impl Analysis {
             per_rank,
             phased,
             recovery,
-            trace.len() as u64,
+            refs,
             sw.ns(),
         ))
     }

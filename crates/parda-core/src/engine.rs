@@ -456,26 +456,6 @@ impl<T: ReuseTree> Engine<T> {
         }
     }
 
-    /// Non-optimized infinity processing (plain Algorithm 3): run the
-    /// incoming sequence through the regular reference path, continuing
-    /// from `start_ts`, inserting every element into `T`/`H`.
-    ///
-    /// Functionally equivalent to [`Engine::process_infinities`] for the
-    /// final histogram but keeps replicas alive — aggregate space grows to
-    /// O(np·M). Retained for the D2 space-optimization ablation.
-    pub fn process_infinities_unoptimized(
-        &mut self,
-        incoming: &[Addr],
-        start_ts: u64,
-        out: &mut Vec<Addr>,
-    ) {
-        self.process_chunk(incoming, start_ts, MissSink::Forward(out));
-        // Account the stream under `stream_refs`, like the optimized path,
-        // so `Σ per-rank refs == trace length` holds in every mode.
-        self.metrics.refs -= incoming.len() as u64;
-        self.metrics.stream_refs += incoming.len() as u64;
-    }
-
     /// Record `n` surviving local infinities as authoritative global
     /// infinities (rank 0 in Algorithm 3).
     pub fn record_global_infinities(&mut self, n: u64) {
@@ -770,27 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn unoptimized_infinity_processing_matches_optimized_histogram() {
-        let left_chunk = labels("dacbcc");
-        let incoming = labels("gefabc");
-
-        let mut opt: Engine<SplayTree> = Engine::new(None, 0);
-        opt.process_chunk(&left_chunk, 0, MissSink::Infinite);
-        let mut opt_out = Vec::new();
-        opt.process_infinities(&incoming, &mut opt_out);
-
-        let mut plain: Engine<SplayTree> = Engine::new(None, 0);
-        plain.process_chunk(&left_chunk, 0, MissSink::Infinite);
-        let mut plain_out = Vec::new();
-        plain.process_infinities_unoptimized(&incoming, 6, &mut plain_out);
-
-        assert_eq!(opt_out, plain_out);
-        assert_eq!(opt.histogram(), plain.histogram());
-        // The whole point of Algorithm 4: optimized keeps less state.
-        assert!(opt.live() < plain.live());
-    }
-
-    #[test]
     #[should_panic(expected = "zero bound")]
     fn zero_bound_is_rejected() {
         let _: Engine<SplayTree> = Engine::new(Some(0), 0);
@@ -959,21 +918,5 @@ mod tests {
         assert_eq!(vector.live(), splay.live());
         let addrs = |e: Vec<(u64, Addr)>| e.into_iter().map(|(_, a)| a).collect::<Vec<_>>();
         assert_eq!(addrs(vector.export_state()), addrs(splay.export_state()));
-    }
-
-    #[test]
-    fn unoptimized_stream_accounting_matches_optimized() {
-        let mut opt: Engine<SplayTree> = Engine::new(None, 0);
-        opt.process_chunk(&labels("dacbcc"), 0, MissSink::Infinite);
-        let mut o1 = Vec::new();
-        opt.process_infinities(&labels("gefabc"), &mut o1);
-
-        let mut plain: Engine<SplayTree> = Engine::new(None, 0);
-        plain.process_chunk(&labels("dacbcc"), 0, MissSink::Infinite);
-        let mut o2 = Vec::new();
-        plain.process_infinities_unoptimized(&labels("gefabc"), 6, &mut o2);
-
-        assert_eq!(opt.metrics().refs, plain.metrics().refs);
-        assert_eq!(opt.metrics().stream_refs, plain.metrics().stream_refs);
     }
 }

@@ -6,9 +6,9 @@
 //! |---|---|
 //! | Algorithm 1 — tree-based sequential analysis (Olken) | [`seq::analyze_sequential`], [`Engine::process_chunk`] |
 //! | Algorithm 2 — tree distance query | `parda_tree::ReuseTree::distance` |
-//! | Algorithm 3 — the Parda parallel algorithm | [`parallel::parda_threads`]: the windowed streamer over one window holding the whole trace ([`parallel::parda_threads_faulted`] returns its errors) |
-//! | Algorithm 4 — space-optimized infinity processing | [`Engine::process_infinities_in_place`] |
-//! | Algorithm 5 — windowed streaming analysis (Algorithm 6's state merge replaced by a persistent history) | [`phased`]: the one exact parallel driver, fed a slice, an [`parda_trace::AddressStream`] ([`phased::parda_phased`]) or pushed frames ([`SessionAnalysis`]) |
+//! | Algorithm 3 — the Parda parallel algorithm | [`parallel::parda_threads`]: the windowed streamer over one window holding a copy of the whole trace ([`parallel::parda_threads_faulted`] returns its errors) |
+//! | Algorithm 4 — space-optimized infinity processing | [`Engine::process_infinities_in_place`]: the only cascade; plain Algorithm 3's replicas survive only as the D2 ablation's bench rows |
+//! | Algorithm 5 — windowed streaming analysis (Algorithm 6's state merge replaced by a persistent history) | [`phased`]: the one exact parallel driver, its windows buffers it owns, fed a trace by value, an [`parda_trace::AddressStream`] ([`phased::parda_phased`]) or pushed frames ([`SessionAnalysis`]) |
 //! | Algorithm 7 — bounded (cache-capped) analysis | `bound` option on every engine |
 //! | §III-A — naïve stack algorithm | [`seq::analyze_naive`] |
 //! | §IV-D rank-renaming enhancement | superseded: the [`phased`] history never moves |
@@ -46,6 +46,8 @@
 //! // The report's per-rank chunk references partition the trace.
 //! assert_eq!(report.unwrap().total_rank_refs(), 100_000);
 //! ```
+
+#![forbid(unsafe_code)]
 
 /// Monomorphize a block over the runtime-selected [`TreeKind`]: binds the
 /// concrete tree type to `$T` inside `$body`.
@@ -130,7 +132,6 @@ pub fn parda_kind(trace: &[Addr], kind: TreeKind, config: &PardaConfig) -> Reuse
         .mode(Mode::Threads)
         .ranks(config.ranks)
         .bound(config.bound)
-        .space_optimized(config.space_optimized)
         .subchunk_refs(config.subchunk_refs)
         .run(trace)
         .0

@@ -3,35 +3,38 @@
 //! The trace is split into `np` contiguous chunks; each rank analyzes its
 //! chunk with the sequential engine, collecting *local infinities* — first
 //! touches within the chunk — in trace order. Infinity lists cascade
-//! leftward rank by rank: hits resolve against the left rank's tree
-//! (space-optimized per Algorithm 4), misses are forwarded again, and
-//! whatever reaches rank 0 unresolved is a global (compulsory) miss.
+//! leftward rank by rank: hits resolve against the left rank's tree and
+//! are deleted from it (Algorithm 4's space optimization, the only
+//! cascade), misses are forwarded again, and whatever reaches rank 0
+//! unresolved is a global (compulsory) miss.
 //!
-//! One schedule runs it. A window is cut into the chunks, or work-stealing
-//! sub-chunks of them, which are queued as panic-isolated jobs on the
-//! process-wide item pool ([`crate::pool`]); the cascade folds right to
-//! left on the caller as they finish, and the scalar engine re-analyzes
-//! the item of a job that panicked, under a [`FaultPolicy`]. No thread is
-//! started per window: the windowed streamer ([`crate::phased`]) submits
-//! each window and folds it once the next one is on the pool.
-//! [`parda_threads`] and [`parda_threads_faulted`] are that streamer over
-//! one window holding the whole trace. Where the paper's MPI rank `p` absorbs
-//! its right neighbour's lists over `np − p − 1` message rounds, an item
-//! here absorbs everything its right neighbour would have sent in one
-//! stream: the same operations on every engine, so the same histogram.
+//! One schedule runs it. A window — a buffer the streamer owns, shared
+//! with its jobs — is cut into the chunks, or work-stealing sub-chunks of
+//! them, which are queued as panic-isolated jobs on the process-wide item
+//! pool ([`crate::pool`]); the cascade folds right to left on the caller
+//! as they finish, and the scalar engine re-analyzes the item of a job
+//! that panicked, under a [`FaultPolicy`]. Dropping a window marks it
+//! closed, so its jobs that have not started skip their items, and waits
+//! for none of them. No thread is started per window: the windowed
+//! streamer ([`crate::phased`]) submits each window and folds it once the
+//! next one is on the pool. [`parda_threads`] and
+//! [`parda_threads_faulted`] are that streamer over one window holding a
+//! copy of the whole trace. Where the paper's MPI rank `p` absorbs its
+//! right neighbour's lists over `np − p − 1` message rounds, an item here
+//! absorbs everything its right neighbour would have sent in one stream:
+//! the same operations on every engine, so the same histogram.
 
 use crate::engine::{Engine, MissSink};
 use crate::error::{FaultPolicy, PardaError};
 use crate::phased::Streamer;
 use crate::pool::Job;
 use parda_hist::ReuseHistogram;
-use parda_obs::{CascadeRoundStats, RankMetrics, RecoveryMetrics, Stopwatch};
+use parda_obs::{RankMetrics, RecoveryMetrics, Stopwatch};
 use parda_trace::{chunk_slice, Addr};
 use parda_tree::ReuseTree;
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -48,18 +51,13 @@ pub struct PardaConfig {
     /// Optional cache bound `B` (Algorithm 7): distances ≥ B collapse to ∞
     /// and per-rank state is capped at B entries.
     pub bound: Option<u64>,
-    /// Use the space-optimized infinity processing (Algorithm 4). Disabling
-    /// it reproduces plain Algorithm 3 (replicas retained; O(np·M)
-    /// aggregate space) — kept for the D2 ablation.
-    pub space_optimized: bool,
     /// Work-stealing grain for [`parda_threads`]: each rank's chunk is
     /// subdivided into sub-chunks of roughly this many references (at most
     /// [`MAX_PARTS_PER_RANK`] per rank), claimed independently off the
     /// shared counter and folded as extra virtual ranks. Smaller grains
     /// mean smaller per-item trees and better load balance; `None` uses
-    /// [`DEFAULT_SUBCHUNK_REFS`]. Only active when space-optimized and
-    /// unbounded (subdivision changes which distances a bounded run
-    /// collapses to ∞, and the unoptimized ablation is partition-pinned).
+    /// [`DEFAULT_SUBCHUNK_REFS`]. Only active when unbounded (subdivision
+    /// changes which distances a bounded run collapses to ∞).
     pub subchunk_refs: Option<usize>,
 }
 
@@ -68,14 +66,13 @@ impl Default for PardaConfig {
         Self {
             ranks: std::thread::available_parallelism().map_or(4, |p| p.get()),
             bound: None,
-            space_optimized: true,
             subchunk_refs: None,
         }
     }
 }
 
 impl PardaConfig {
-    /// Config with `ranks` ranks, unbounded, space-optimized.
+    /// Config with `ranks` ranks, unbounded.
     pub fn with_ranks(ranks: usize) -> Self {
         Self {
             ranks,
@@ -92,12 +89,6 @@ impl PardaConfig {
     /// Builder-style rank setter.
     pub fn ranks(mut self, ranks: usize) -> Self {
         self.ranks = ranks;
-        self
-    }
-
-    /// Builder-style toggle for the Algorithm 4 space optimization.
-    pub fn space_optimized(mut self, on: bool) -> Self {
-        self.space_optimized = on;
         self
     }
 
@@ -174,12 +165,10 @@ pub(crate) struct WorkItem {
 
 /// Cut `window`, whose first reference has global index `base`, into one
 /// chunk per rank and subdivide each chunk into work-stealing sub-chunks.
-/// Subdivision only applies in the space-optimized unbounded mode: bounded
-/// analysis pins ∞-collapse decisions to the rank partition, and the
-/// unoptimized ablation ties its `next_ts` bookkeeping to one item per
-/// rank.
+/// Subdivision only applies unbounded: bounded analysis pins ∞-collapse
+/// decisions to the rank partition.
 fn build_items(window: &[Addr], base: u64, config: &PardaConfig) -> Vec<WorkItem> {
-    let subdivide = config.space_optimized && config.bound.is_none();
+    let subdivide = config.bound.is_none();
     let grain = config.subchunk_refs.unwrap_or(DEFAULT_SUBCHUNK_REFS).max(1);
     let mut items = Vec::new();
     let mut off = 0;
@@ -224,10 +213,10 @@ pub fn parda_threads<T: ReuseTree + Default + Send>(
 
 /// [`parda_threads`] with the per-rank observability breakdown.
 ///
-/// In the space-optimized unbounded mode each rank's chunk is further
-/// subdivided into up to [`MAX_PARTS_PER_RANK`] work-stealing sub-chunks
-/// (grain [`PardaConfig::subchunk_refs`]); every sub-chunk is an extra
-/// virtual rank in the cascade, so a rank's metrics can report several
+/// Unbounded, each rank's chunk is further subdivided into up to
+/// [`MAX_PARTS_PER_RANK`] work-stealing sub-chunks (grain
+/// [`PardaConfig::subchunk_refs`]); every sub-chunk is an extra virtual
+/// rank in the cascade, so a rank's metrics can report several
 /// `cascade_rounds`. Timing fields accumulate across a rank's items.
 ///
 /// # Panics
@@ -243,8 +232,8 @@ pub fn parda_threads_with_stats<T: ReuseTree + Default + Send>(
 }
 
 /// Fault-tolerant shared-memory Parda: the windowed streamer
-/// ([`crate::phased`]) over one window holding the whole trace, under
-/// `policy`.
+/// ([`crate::phased`]) over one window holding a copy of the whole trace,
+/// under `policy`.
 ///
 /// Each work item (a rank's chunk, or a work-stealing sub-chunk of it, cut
 /// as in [`parda_threads_with_stats`]) is analyzed on a panic-isolated
@@ -261,27 +250,8 @@ pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
     policy: &FaultPolicy,
 ) -> Result<(ReuseHistogram, Vec<RankMetrics>, RecoveryMetrics), PardaError> {
     let (hist, metrics, _, recovery) =
-        Streamer::<T>::new(config, policy, usize::MAX).run_slice(trace)?;
+        Streamer::<T>::new(config, policy, usize::MAX).run_window(trace.to_vec())?;
     Ok((hist, metrics, recovery))
-}
-
-/// A window's references, as the streamer hands them to [`submit_items`].
-pub(crate) enum Window<'a> {
-    /// A window of a caller's in-memory trace, never copied.
-    Borrowed(&'a [Addr]),
-    /// A pulled or pushed window: the streamer's buffer, which the window's
-    /// jobs share until they have read it.
-    Owned(Vec<Addr>),
-}
-
-impl Window<'_> {
-    /// References in the window.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Window::Borrowed(refs) => refs.len(),
-            Window::Owned(refs) => refs.len(),
-        }
-    }
 }
 
 /// The item engines of one stream: a free list of folded engines, which a
@@ -331,130 +301,29 @@ impl<T: ReuseTree + Default> Engines<T> {
     }
 }
 
-/// [`Window`] as the pool's jobs hold it, its lifetime erased.
-enum Refs {
-    Owned(Vec<Addr>),
-    /// A borrowed window. Only [`InFlight::refs`] and a job inside its
-    /// window's [`Gate`] read it; see [`InFlight`] for why it is live then.
-    Borrowed {
-        ptr: *const Addr,
-        len: usize,
-    },
-}
-
-// SAFETY: `Refs` is a shared view of `[Addr]`, which is `Send` and `Sync`;
-// nothing mutates a window once it is submitted. A `Borrowed` window is
-// read only while its trace is live (see `InFlight`).
-unsafe impl Send for Refs {}
-// SAFETY: as for `Send`.
-unsafe impl Sync for Refs {}
-
-impl Refs {
-    /// The window's references.
-    ///
-    /// # Safety
-    ///
-    /// A `Borrowed` window's trace must be live: the caller is the run that
-    /// borrowed it ([`InFlight::refs`]) or a job inside the window's gate.
-    unsafe fn slice(&self) -> &[Addr] {
-        match self {
-            Refs::Owned(buf) => buf,
-            // SAFETY: the pointer and length come from one `&[Addr]`, live
-            // by the caller's contract.
-            Refs::Borrowed { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-        }
-    }
-}
-
-/// Admission to a window's references. Jobs read a window only between
-/// [`Gate::enter`] and dropping the returned [`Reading`]; closing the gate
-/// turns every later `enter` away, and [`Gate::close_and_wait`] returns once
-/// no job is reading.
-#[derive(Default)]
-struct Gate {
-    /// `(closed, readers)`.
-    state: Mutex<(bool, usize)>,
-    idle: Condvar,
-}
-
-/// A job's admission to its window; dropping it leaves the gate.
-struct Reading<'g>(&'g Gate);
-
-impl Gate {
-    fn lock(&self) -> MutexGuard<'_, (bool, usize)> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn is_closed(&self) -> bool {
-        self.lock().0
-    }
-
-    fn enter(&self) -> Option<Reading<'_>> {
-        let mut state = self.lock();
-        if state.0 {
-            return None;
-        }
-        state.1 += 1;
-        Some(Reading(self))
-    }
-
-    fn close(&self) {
-        self.lock().0 = true;
-    }
-
-    fn close_and_wait(&self) {
-        let mut state = self.lock();
-        state.0 = true;
-        while state.1 > 0 {
-            state = self.idle.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-impl Drop for Reading<'_> {
-    fn drop(&mut self) {
-        let mut state = self.0.lock();
-        state.1 -= 1;
-        if state.1 == 0 {
-            self.0.idle.notify_all();
-        }
-    }
-}
-
-/// What a window's jobs share with its fold.
+/// What a window's jobs share with its fold. Dropping the window sets
+/// `closed`: a job that has not reached its chunk yet then skips its item.
+/// The flag publishes no other data, so it is stored and loaded `Relaxed`.
 struct Shared<T: ReuseTree> {
     items: Vec<WorkItem>,
     slots: Vec<ItemSlot<Result<ChunkResult<T>, ItemPanic>>>,
-    gate: Gate,
+    closed: AtomicBool,
 }
 
 /// A window whose items are on the pool, waiting for [`cascade_items`] to
-/// fold them.
-///
-/// A borrowed window's jobs read a trace that only `'a` keeps alive, so
-/// dropping the window — after its fold, on an error, or while unwinding —
-/// closes its gate and waits until no job is reading: a job still queued
-/// finds the gate closed and never reads, and `'a` cannot end before the
-/// drop. An owned window closes its gate and returns at once; its jobs
-/// share the buffer.
-pub(crate) struct InFlight<'a, T: ReuseTree> {
+/// fold them. The window's buffer is shared with its jobs, so dropping it
+/// — after its fold, on an error, or while unwinding — never waits: a job
+/// still running keeps the buffer alive through its own handle.
+pub(crate) struct InFlight<T: ReuseTree> {
     shared: Arc<Shared<T>>,
-    refs: Arc<Refs>,
+    refs: Arc<Vec<Addr>>,
     config: PardaConfig,
-    trace: PhantomData<&'a [Addr]>,
 }
 
-impl<'a, T: ReuseTree> InFlight<'a, T> {
-    /// The window's references.
-    fn refs(&self) -> &[Addr] {
-        // SAFETY: a borrowed window's trace lives for `'a`, which outlives
-        // `self`; an owned window lives in `self.refs`.
-        unsafe { self.refs.slice() }
-    }
-
+impl<T: ReuseTree> InFlight<T> {
     /// References in the window.
     pub(crate) fn len(&self) -> usize {
-        self.refs().len()
+        self.refs.len()
     }
 
     /// Work items in the window.
@@ -462,23 +331,17 @@ impl<'a, T: ReuseTree> InFlight<'a, T> {
         self.shared.items.len()
     }
 
-    /// The owned buffer back, for the next window, once no job holds it.
+    /// The buffer back, for the next window, once no job holds it.
     pub(crate) fn into_buffer(self) -> Option<Vec<Addr>> {
         let refs = Arc::clone(&self.refs);
         drop(self);
-        match Arc::try_unwrap(refs) {
-            Ok(Refs::Owned(buf)) => Some(buf),
-            _ => None,
-        }
+        Arc::try_unwrap(refs).ok()
     }
 }
 
-impl<T: ReuseTree> Drop for InFlight<'_, T> {
+impl<T: ReuseTree> Drop for InFlight<T> {
     fn drop(&mut self) {
-        match *self.refs {
-            Refs::Borrowed { .. } => self.shared.gate.close_and_wait(),
-            Refs::Owned(_) => self.shared.gate.close(),
-        }
+        self.shared.closed.store(true, Ordering::Relaxed);
         for slot in &self.shared.slots {
             slot.abandon();
         }
@@ -489,31 +352,18 @@ impl<T: ReuseTree> Drop for InFlight<'_, T> {
 /// items and queue them on the item pool ([`crate::pool`]), rightmost
 /// first, the order the cascade folds them. Each item takes its engine
 /// from `engines` when it starts.
-///
-/// # Safety
-///
-/// The returned window must be dropped, not leaked (`mem::forget`),
-/// before `'a` ends: for a borrowed window that drop is the wait that
-/// keeps every job from reading the trace after its borrow ends.
-pub(crate) unsafe fn submit_items<'a, T: ReuseTree + Default + Send>(
-    window: Window<'a>,
+pub(crate) fn submit_items<T: ReuseTree + Default + Send>(
+    window: Vec<Addr>,
     base: u64,
     config: &PardaConfig,
     engines: &Arc<Engines<T>>,
-) -> InFlight<'a, T> {
-    let refs = Arc::new(match window {
-        Window::Owned(buf) => Refs::Owned(buf),
-        Window::Borrowed(trace) => Refs::Borrowed {
-            ptr: trace.as_ptr(),
-            len: trace.len(),
-        },
-    });
-    // SAFETY: the caller's borrow is live here.
-    let items = build_items(unsafe { refs.slice() }, base, config);
+) -> InFlight<T> {
+    let items = build_items(&window, base, config);
+    let refs = Arc::new(window);
     let shared = Arc::new(Shared {
         slots: items.iter().map(|_| ItemSlot::default()).collect(),
         items,
-        gate: Gate::default(),
+        closed: AtomicBool::new(false),
     });
     let jobs: Vec<Job> = (0..shared.items.len())
         .rev()
@@ -528,7 +378,6 @@ pub(crate) unsafe fn submit_items<'a, T: ReuseTree + Default + Send>(
         shared,
         refs,
         config: config.clone(),
-        trace: PhantomData,
     }
 }
 
@@ -536,17 +385,18 @@ pub(crate) unsafe fn submit_items<'a, T: ReuseTree + Default + Send>(
 /// engine, or a failure marker if the analysis panicked, into its slot.
 /// The slot first records that the job has started, before any failpoint,
 /// so the watchdog covers the job's whole run and none of its time in the
-/// queue. A job whose window was abandoned (an error, a dropped stream)
-/// before it could enter the window's gate does nothing.
+/// queue. A job whose window was dropped (an error, a dropped stream)
+/// before it reached its chunk does nothing.
 fn run_item<T: ReuseTree + Default>(
     shared: &Shared<T>,
-    refs: Arc<Refs>,
+    refs: Arc<Vec<Addr>>,
     i: usize,
     engines: &Engines<T>,
 ) {
     let slot = &shared.slots[i];
     slot.start();
-    if !shared.gate.is_closed() {
+    let closed = || shared.closed.load(Ordering::Relaxed);
+    if !closed() {
         // The outer catch_unwind covers the publish itself: a panic at
         // the `parallel::slot_publish` site poisons the slot lock *after*
         // the value is stored, and the cascade side recovers it through
@@ -555,10 +405,11 @@ fn run_item<T: ReuseTree + Default>(
             let analyzed = catch_unwind(AssertUnwindSafe(|| {
                 parda_failpoint::failpoint!("parallel::worker");
                 parda_failpoint::failpoint!("parallel::worker_stall");
-                let _reading = shared.gate.enter()?;
+                if closed() {
+                    return None;
+                }
                 let item = &shared.items[i];
-                // SAFETY: the job is inside the window's gate.
-                let chunk = &unsafe { refs.slice() }[item.range.clone()];
+                let chunk = &refs[item.range.clone()];
                 let analyzed = analyze_item(engines.take(chunk.len()), item, chunk, false);
                 let live = analyzed.0.metrics().live_hwm as usize;
                 engines.live.fetch_max(live, Ordering::Relaxed);
@@ -586,24 +437,23 @@ fn run_item<T: ReuseTree + Default>(
 ///
 /// A job whose item panics publishes a failure marker, and the fold
 /// rescues the item with the scalar engine under `policy`
-/// ([`claim_item`]). After an error the caller drops the window, which
-/// closes its gate: its queued items are skipped, and the ones running
-/// finish and are discarded.
+/// ([`claim_item`]). After an error the caller drops the window: its
+/// queued items are skipped, and the ones running finish and are
+/// discarded.
 ///
 /// Every item's engine is handed to `retire` once folded, live state
 /// intact.
 pub(crate) fn cascade_items<T: ReuseTree + Default>(
-    window: &InFlight<'_, T>,
+    window: &InFlight<T>,
     policy: &FaultPolicy,
     metrics: &mut [RankMetrics],
     recovery: &mut RecoveryMetrics,
     total: &mut ReuseHistogram,
     retire: impl FnMut(usize, Engine<T>),
 ) -> Result<Vec<Addr>, PardaError> {
-    let (shared, config, trace) = (&window.shared, &window.config, window.refs());
+    let (shared, config, trace) = (&window.shared, &window.config, &window.refs);
     fold_cascade(
         &shared.items,
-        config,
         metrics,
         total,
         |i| {
@@ -703,7 +553,6 @@ fn claim_item<T: ReuseTree + Default>(
 /// window, counts it as global infinities.
 fn fold_cascade<T: ReuseTree>(
     items: &[WorkItem],
-    config: &PardaConfig,
     metrics: &mut [RankMetrics],
     total: &mut ReuseHistogram,
     mut claim: impl FnMut(usize) -> Result<(ChunkResult<T>, u64), PardaError>,
@@ -728,19 +577,10 @@ fn fold_cascade<T: ReuseTree>(
             rm.round_infinity_lens.push(stream.len() as u64);
         }
         let sw = Stopwatch::start();
-        if config.space_optimized {
-            let received = !stream.is_empty();
-            let stats = engine.process_infinities_in_place(&mut stream);
-            if received {
-                rm.record_round(&stats);
-            }
-        } else {
-            let next_ts = item.start + item.range.len() as u64;
-            let incoming = std::mem::take(&mut stream);
-            engine.process_infinities_unoptimized(&incoming, next_ts, &mut stream);
-            if !incoming.is_empty() {
-                rm.record_round(&CascadeRoundStats::default());
-            }
+        let received = !stream.is_empty();
+        let stats = engine.process_infinities_in_place(&mut stream);
+        if received {
+            rm.record_round(&stats);
         }
         rm.cascade_ns += sw.ns();
         own_inf.append(&mut stream);
@@ -884,6 +724,7 @@ impl<V> ItemSlot<V> {
 mod tests {
     use super::*;
     use crate::seq::analyze_sequential;
+    use parda_trace::SliceStream;
     use parda_tree::{AvlTree, SplayTree, VectorTree};
     use proptest::prelude::*;
 
@@ -1031,14 +872,6 @@ mod tests {
         let trace: Vec<Addr> = (0..200).map(|i| (i * 3) % 37).collect();
         let cfg = PardaConfig::with_ranks(1);
         let seq = analyze_sequential::<SplayTree>(&trace, None);
-        assert_eq!(parda_threads::<SplayTree>(&trace, &cfg), seq);
-    }
-
-    #[test]
-    fn unoptimized_variant_matches() {
-        let trace: Vec<Addr> = (0..500).map(|i| (i * 17) % 83).collect();
-        let seq = analyze_sequential::<SplayTree>(&trace, None);
-        let cfg = PardaConfig::with_ranks(4).space_optimized(false);
         assert_eq!(parda_threads::<SplayTree>(&trace, &cfg), seq);
     }
 
@@ -1200,7 +1033,7 @@ mod tests {
         let policy = FaultPolicy::default().watchdog(Duration::from_millis(200));
         let config = PardaConfig::with_ranks(4);
         let (hist, ..) = Streamer::<VectorTree>::phased(&config, &policy, 1_000)
-            .run_slice(&trace)
+            .pull(SliceStream::new(&trace))
             .expect("queued items are no stall");
         assert_eq!(hist, expected);
     }
@@ -1260,20 +1093,6 @@ mod tests {
                     prop_assert_eq!(bounded.miss_count(cap), full.miss_count(cap), "capacity {}", cap);
                 }
             }
-        }
-
-        /// The space-optimization flag never changes the histogram.
-        #[test]
-        fn space_optimization_is_transparent(
-            trace in proptest::collection::vec(0u64..32, 0..300),
-            np in 2usize..6,
-        ) {
-            let on = PardaConfig::with_ranks(np);
-            let off = PardaConfig::with_ranks(np).space_optimized(false);
-            prop_assert_eq!(
-                parda_threads::<SplayTree>(&trace, &on),
-                parda_threads::<SplayTree>(&trace, &off)
-            );
         }
     }
 }

@@ -8,20 +8,22 @@
 //! work items (one per rank, or sub-chunks of one), queued as
 //! panic-isolated jobs on the process-wide item pool ([`crate::pool`]),
 //! and folded right to left through the cascade of [`crate::parallel`]
-//! under the caller's [`FaultPolicy`]. Three entry points feed it: a
-//! borrowed slice cut into zero-copy windows (in-memory
-//! [`Mode::Threads`](crate::Mode::Threads) is one window over the whole
-//! trace), a pull loop over an [`AddressStream`], and a push pair, `feed`
-//! and `finish`, that a daemon session drives frame by frame.
+//! under the caller's [`FaultPolicy`]. Every window is a buffer the
+//! streamer owns, and three entry points fill them: a trace already in
+//! memory taken by value as one window (in-memory
+//! [`Mode::Threads`](crate::Mode::Threads)), a pull loop over an
+//! [`AddressStream`] (in-memory [`Mode::Phased`](crate::Mode::Phased)
+//! pulls from a [`parda_trace::SliceStream`]), and a push pair, `feed` and
+//! `finish`, that a daemon session drives frame by frame.
 //!
 //! Two windows are in flight. A window goes to the pool as soon as it is
 //! full, and the window before it folds only then: the workers analyze
 //! window `k + 1` while the caller folds window `k`, exports its state and
 //! hands it to the history. So a window learns whether it is the last when
-//! it folds, once the next window exists or the input has ended. Pulled
-//! and pushed windows are buffers the streamer owns and shares with their
-//! jobs; a borrowed slice is never copied, and its run waits, on every
-//! exit path, until no job reads it. Items draw their engines from the
+//! it folds, once the next window exists or the input has ended. A
+//! window's jobs share its buffer, so dropping the window, on any exit
+//! path, waits for none of them; the streamer takes the buffer back for a
+//! later window once no job holds it. Items draw their engines from the
 //! stream's free list of folded engines when they start, and a new engine
 //! reserves room for twice the largest live set an item has reached, not
 //! for its chunk length.
@@ -60,9 +62,7 @@
 
 use crate::engine::Engine;
 use crate::error::{FaultPolicy, PardaError};
-use crate::parallel::{
-    cascade_items, rank_metrics, submit_items, Engines, InFlight, PardaConfig, Window,
-};
+use crate::parallel::{cascade_items, rank_metrics, submit_items, Engines, InFlight, PardaConfig};
 use parda_hist::ReuseHistogram;
 use parda_obs::{PhasedMetrics, RankMetrics, RecoveryMetrics, Stopwatch};
 use parda_trace::{Addr, AddressStream};
@@ -167,10 +167,10 @@ pub(crate) struct Streamer<T: ReuseTree> {
     refs_per_rank: Option<usize>,
     /// Pushed references waiting for their window to fill.
     pending: Vec<Addr>,
-    /// The owned window on the item pool, folded once the window after it
-    /// is submitted or the input ends.
-    inflight: Option<InFlight<'static, T>>,
-    /// Buffers of folded owned windows, for the next ones.
+    /// The window on the item pool, folded once the window after it is
+    /// submitted or the input ends.
+    inflight: Option<InFlight<T>>,
+    /// Buffers of folded windows, for the next ones.
     buffers: Vec<Vec<Addr>>,
     /// Global index of the next window's first reference.
     base: u64,
@@ -189,12 +189,9 @@ pub(crate) struct Streamer<T: ReuseTree> {
 
 impl<T: ReuseTree + Default + Send> Streamer<T> {
     /// Windows of `window_refs` references (`usize::MAX`: one window over
-    /// the whole input), `config.ranks` ranks each. Only a lone window may
-    /// run the unoptimized Algorithm 3 ablation: the history cannot take
-    /// its replicas.
+    /// the whole input), `config.ranks` ranks each.
     pub(crate) fn new(config: &PardaConfig, policy: &FaultPolicy, window_refs: usize) -> Self {
         assert!(window_refs > 0, "window chunk size must be positive");
-        assert!(config.space_optimized || window_refs == usize::MAX);
         let np = config.ranks.max(1);
         Self {
             config: config.clone().ranks(np),
@@ -216,10 +213,9 @@ impl<T: ReuseTree + Default + Send> Streamer<T> {
         }
     }
 
-    /// Algorithm 5's windows: `ranks × chunk` references, space-optimized.
+    /// Algorithm 5's windows: `ranks × chunk` references.
     pub(crate) fn phased(config: &PardaConfig, policy: &FaultPolicy, chunk: usize) -> Self {
-        let config = config.clone().space_optimized(true);
-        Self::new(&config, policy, config.ranks.max(1).saturating_mul(chunk))
+        Self::new(config, policy, config.ranks.max(1).saturating_mul(chunk))
     }
 
     /// Give each window one rank per `refs` of its references, at least 1
@@ -230,20 +226,12 @@ impl<T: ReuseTree + Default + Send> Streamer<T> {
         self
     }
 
-    /// Analyze an in-memory trace, each window a sub-slice of it. Window
-    /// `k + 1` is on the pool while window `k` folds; an error or a panic
-    /// drops the window still in flight, which waits until none of its
-    /// jobs reads the trace.
-    pub(crate) fn run_slice(mut self, trace: &[Addr]) -> Result<Windowed, PardaError> {
-        let mut inflight = None;
-        for window in trace.chunks(self.window_refs) {
-            let next = self.submit(Window::Borrowed(window));
-            if let Some(prev) = inflight.replace(next) {
-                self.fold(prev, false)?;
-            }
-        }
-        if let Some(last) = inflight {
-            self.fold(last, true)?;
+    /// Analyze `trace` as one window, its buffer handed to the window's
+    /// jobs as it is: the one-window run of a trace already in memory.
+    pub(crate) fn run_window(mut self, trace: Vec<Addr>) -> Result<Windowed, PardaError> {
+        debug_assert!(trace.len() <= self.window_refs, "one window");
+        if !trace.is_empty() {
+            self.push_window(trace)?;
         }
         self.finish()
     }
@@ -285,7 +273,7 @@ impl<T: ReuseTree + Default + Send> Streamer<T> {
     /// therefore not the last. On an error the new window is dropped too,
     /// so its queued items never run.
     fn push_window(&mut self, window: Vec<Addr>) -> Result<(), PardaError> {
-        let next = self.submit(Window::Owned(window));
+        let next = self.submit(window);
         let Some(prev) = self.inflight.replace(next) else {
             return Ok(());
         };
@@ -297,7 +285,7 @@ impl<T: ReuseTree + Default + Send> Streamer<T> {
     }
 
     /// Queue `window`'s items on the pool.
-    fn submit<'a>(&mut self, window: Window<'a>) -> InFlight<'a, T> {
+    fn submit(&mut self, window: Vec<Addr>) -> InFlight<T> {
         let len = window.len();
         let np = self.refs_per_rank.map_or(self.config.ranks, |refs| {
             (len / refs).clamp(1, self.config.ranks)
@@ -310,17 +298,14 @@ impl<T: ReuseTree + Default + Send> Streamer<T> {
         self.base += len as u64;
         self.phased.phases += 1;
         let config = self.config.clone().ranks(np);
-        // SAFETY: the streamer leaks no window. Each one is consumed by
-        // `fold`, or dropped on an error or while unwinding, so a borrowed
-        // window's drop waits for its jobs before `run_slice` returns.
-        unsafe { submit_items(window, base, &config, &self.engines) }
+        submit_items(window, base, &config, &self.engines)
     }
 
     /// Fold a submitted window, which follows every reference analyzed so
     /// far: its leftover stream, and unless it is the `last` its items'
     /// live state, go to the history stage. A lone window has no history,
     /// and records its stream as rank 0's global infinities.
-    fn fold(&mut self, window: InFlight<'_, T>, last: bool) -> Result<(), PardaError> {
+    fn fold(&mut self, window: InFlight<T>, last: bool) -> Result<(), PardaError> {
         let mut states = match &self.stage {
             Some(stage) if !last => stage.recycled.try_recv().unwrap_or_default(),
             _ => Vec::new(),

@@ -82,17 +82,12 @@ impl Analysis {
     /// tree.
     fn push_streamer(&self, auto_ranks: bool) -> Box<dyn PushStream> {
         let (config, policy) = (self.config(), &self.fault);
-        // The unoptimized ablation cannot take a history: one window.
-        let auto_window = if config.space_optimized {
-            AUTO_RANK_MAX * AUTO_RANK_CHUNK
-        } else {
-            usize::MAX
-        };
         dispatch_tree!(self.tree, T, {
             Box::new(match self.mode {
                 Mode::Threads if auto_ranks && self.ranks.is_none() => {
                     let auto = config.ranks(AUTO_RANK_MAX);
-                    Streamer::<T>::new(&auto, policy, auto_window).ranked_by_length(AUTO_RANK_CHUNK)
+                    Streamer::<T>::new(&auto, policy, AUTO_RANK_MAX * AUTO_RANK_CHUNK)
+                        .ranked_by_length(AUTO_RANK_CHUNK)
                 }
                 Mode::Threads => Streamer::<T>::new(&config, policy, usize::MAX),
                 mode => Streamer::<T>::phased(&config, policy, mode.phase_chunk()),

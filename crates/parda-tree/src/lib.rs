@@ -7,17 +7,24 @@
 //! `t` is then the number of nodes with timestamp `> t` — an order-statistics
 //! rank query (paper Algorithm 2).
 //!
-//! This crate provides the abstract interface ([`ReuseTree`]) plus four
-//! interchangeable implementations:
+//! This crate provides the abstract interface ([`ReuseTree`]) and four
+//! interchangeable implementations of it ([`TreeKind`] names them):
 //!
+//! * [`VectorTree`] — the production structure: the CLI, the daemon and
+//!   every windowed history run it. A Bennett–Kruskal time vector, an
+//!   occupancy bitmap under a Fenwick tree of 512-slot block counts,
+//!   keyed by axis position, so a hit needs no search;
 //! * [`SplayTree`] — the structure used by the original PARDA C code
 //!   (following Sugumar & Abraham's observation that splay trees have
-//!   excellent locality for stack-distance workloads);
+//!   excellent locality for stack-distance workloads), the library
+//!   default and the timestamp-keyed sequential oracle;
 //! * [`AvlTree`] — Olken's original balanced-tree formulation;
 //! * [`Treap`] — a randomized alternative with priorities derived
-//!   deterministically from the key hash;
-//! * [`NaiveStack`] — the O(M)-per-access move-to-front list of the naïve
-//!   algorithm (paper Section III-A), kept as the correctness baseline.
+//!   deterministically from the key hash.
+//!
+//! Beside them, [`NaiveStack`] is the O(M)-per-access move-to-front list
+//! of the naïve algorithm (paper Section III-A), kept as the correctness
+//! baseline; it answers distances directly and is no [`ReuseTree`].
 //!
 //! Every structure stores `(key, addr)` entries. A key is what
 //! [`ReuseTree::append`] returned: the timestamp itself in the search

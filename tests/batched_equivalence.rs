@@ -2,8 +2,7 @@
 //! [`Engine::process_chunk`] must be bit-identical to the scalar reference
 //! loop ([`Engine::process_chunk_scalar`]) under every analyzer driver —
 //! sequential, pipelined shared-memory, and windowed streaming —
-//! for all four tree structures, with the space optimization both on and
-//! off.
+//! for all four tree structures.
 //!
 //! The generated traces are long enough (≥ several batches per rank) that
 //! every driver actually exercises the batched path; the scalar loop is the
@@ -27,13 +26,9 @@ fn scalar_reference<T: ReuseTree + Default>(trace: &[u64]) -> ReuseHistogram {
 
 /// Every driver (which all route through the batched `process_chunk`) must
 /// reproduce the scalar histogram exactly.
-fn assert_all_drivers_match<T: ReuseTree + Default + Send>(
-    trace: &[u64],
-    ranks: usize,
-    space_optimized: bool,
-) {
+fn assert_all_drivers_match<T: ReuseTree + Default + Send>(trace: &[u64], ranks: usize) {
     let expected = scalar_reference::<T>(trace);
-    let config = PardaConfig::with_ranks(ranks).space_optimized(space_optimized);
+    let config = PardaConfig::with_ranks(ranks);
 
     // seq: the batched engine driven over the whole trace at once.
     let mut engine: Engine<T> = Engine::new(None, trace.len());
@@ -58,18 +53,17 @@ fn assert_all_drivers_match<T: ReuseTree + Default + Send>(
 }
 
 proptest! {
-    /// All four trees × four drivers × space optimization on/off agree with
-    /// the scalar reference bit-for-bit.
+    /// All four trees × four drivers agree with the scalar reference
+    /// bit-for-bit.
     #[test]
     fn batched_matches_scalar_everywhere(
         trace in proptest::collection::vec(0u64..96, 300..700),
         ranks in 2usize..4,
-        space_optimized in any::<bool>(),
     ) {
-        assert_all_drivers_match::<SplayTree>(&trace, ranks, space_optimized);
-        assert_all_drivers_match::<AvlTree>(&trace, ranks, space_optimized);
-        assert_all_drivers_match::<Treap>(&trace, ranks, space_optimized);
-        assert_all_drivers_match::<VectorTree>(&trace, ranks, space_optimized);
+        assert_all_drivers_match::<SplayTree>(&trace, ranks);
+        assert_all_drivers_match::<AvlTree>(&trace, ranks);
+        assert_all_drivers_match::<Treap>(&trace, ranks);
+        assert_all_drivers_match::<VectorTree>(&trace, ranks);
     }
 
     /// Batch-boundary edge cases: lengths straddling multiples of the batch
@@ -110,10 +104,10 @@ proptest! {
         trace in proptest::collection::vec(0u64..2_048, 600..1_000),
         ranks in 2usize..5,
     ) {
-        assert_all_drivers_match::<SplayTree>(&trace, ranks, true);
-        assert_all_drivers_match::<AvlTree>(&trace, ranks, true);
-        assert_all_drivers_match::<Treap>(&trace, ranks, true);
-        assert_all_drivers_match::<VectorTree>(&trace, ranks, true);
+        assert_all_drivers_match::<SplayTree>(&trace, ranks);
+        assert_all_drivers_match::<AvlTree>(&trace, ranks);
+        assert_all_drivers_match::<Treap>(&trace, ranks);
+        assert_all_drivers_match::<VectorTree>(&trace, ranks);
     }
 
     /// The subdivision grain never changes the histogram — any contiguous

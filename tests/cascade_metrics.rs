@@ -11,7 +11,7 @@ use parda_core::phased::Reduction;
 use parda_core::{Analysis, Mode, PardaConfig};
 use parda_obs::RankMetrics;
 use parda_trace::SliceStream;
-use parda_tree::{AvlTree, SplayTree, Treap, TreeKind, VectorTree};
+use parda_tree::{SplayTree, Treap, TreeKind, VectorTree};
 use proptest::prelude::*;
 
 fn modular_trace(refs: usize, footprint: u64, stride: u64) -> Vec<u64> {
@@ -116,14 +116,6 @@ fn batched_rounds_populate_delete_and_timing_fields() {
         merge_total > 0,
         "batched absorb rounds must record merge time"
     );
-}
-
-#[test]
-fn unoptimized_mode_keeps_rounds_aligned() {
-    let trace = modular_trace(3_000, 401, 7);
-    let cfg = PardaConfig::with_ranks(3).space_optimized(false);
-    let (_, threads) = parda_threads_with_stats::<AvlTree>(&trace, &cfg);
-    assert_common_invariants(&threads);
 }
 
 #[test]

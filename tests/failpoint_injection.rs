@@ -402,10 +402,9 @@ fn stream_decode_failure_fails_strict_and_degrades_lossy() {
 }
 
 /// Every exact surface gives up on a stuck item at the watchdog deadline,
-/// without waiting it out: the in-memory trace (whose run may return only
-/// once no job reads it), a windowed file run and a pushed session. The
-/// stuck items sleep on the process-wide item pool meanwhile; nothing
-/// joins them.
+/// without waiting it out: the in-memory trace, a windowed file run and a
+/// pushed session. The stuck items sleep on the process-wide item pool
+/// meanwhile; nothing joins them.
 #[test]
 fn a_stuck_item_is_a_stall_at_the_deadline_on_every_surface() {
     let _g = exclusive();
@@ -447,6 +446,71 @@ fn a_stuck_item_is_a_stall_at_the_deadline_on_every_surface() {
     );
 
     parda_failpoint::clear();
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// An item stuck inside its analysis, its chunk in hand, is a `Stall` at
+/// the deadline on every surface: a window's jobs share its buffer, so
+/// dropping the window waits for none of them. Each surface returns within
+/// 1 s while its stuck jobs sleep on.
+#[test]
+fn an_item_stuck_in_its_analysis_is_a_stall_at_the_deadline_on_every_surface() {
+    let _g = exclusive();
+    // An earlier test's items may still sleep in a failpoint (at most 2 s,
+    // armed before `exclusive` disarmed it) and hold every worker; wait
+    // them out, so that this test's own items run and get stuck.
+    std::thread::sleep(Duration::from_millis(2_100));
+    let trace = sample_trace(6000);
+    let path = framed_file("stuck-analysis.trc", &trace);
+    let policy = FaultPolicy::default().watchdog(Duration::from_millis(50));
+    let config = PardaConfig::with_ranks(4);
+    let threads = Analysis::new()
+        .mode(Mode::Threads)
+        .ranks(4)
+        .tree(TreeKind::Vector)
+        .fault_policy(policy.clone());
+    let windowed = windowed(TreeKind::Vector).fault_policy(policy.clone());
+    type Surface<'a> = Box<dyn Fn() -> PardaError + 'a>;
+    let surfaces: [(&str, Surface); 5] = [
+        (
+            "parda_threads_faulted",
+            Box::new(|| parda_threads_faulted::<VectorTree>(&trace, &config, &policy).unwrap_err()),
+        ),
+        (
+            "one-window file run",
+            Box::new(|| threads.run_file(&path).unwrap_err()),
+        ),
+        (
+            "in-memory windowed run",
+            Box::new(|| windowed.run_faulted(&trace).unwrap_err()),
+        ),
+        (
+            "streamed file run",
+            Box::new(|| windowed.run_file(&path).unwrap_err()),
+        ),
+        (
+            "pushed session",
+            Box::new(|| {
+                let mut session = windowed.session();
+                for frame in trace.chunks(700) {
+                    session.feed(frame);
+                }
+                session.finish().unwrap_err()
+            }),
+        ),
+    ];
+    parda_failpoint::configure("engine::process_chunk", "sleep(2000)").unwrap();
+    for (surface, run) in surfaces {
+        let start = Instant::now();
+        let err = run();
+        let took = start.elapsed();
+        assert!(matches!(err, PardaError::Stall { .. }), "{surface}: {err}");
+        assert!(took < Duration::from_secs(1), "{surface} took {took:?}");
+    }
+    // Every stuck job entered its sleep before the disarm: wait them out,
+    // so later tests do not queue behind them.
+    parda_failpoint::clear();
+    std::thread::sleep(Duration::from_millis(2_100));
     std::fs::remove_file(&path).unwrap();
 }
 
