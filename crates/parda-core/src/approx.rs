@@ -419,11 +419,13 @@ impl ShardsSketch {
 
     /// Make room in the tree for `appends` appends, moving the table's
     /// keys with any compaction that moves them: one pass over the
-    /// O(s_max) table.
+    /// O(s_max) table, whose every key is live.
     fn make_room(&mut self, appends: usize) {
         if let Some(relabel) = self.tree.make_room(appends) {
             for entry in self.table.values_mut() {
-                entry.key = relabel.apply(entry.key);
+                entry.key = relabel
+                    .apply(entry.key)
+                    .expect("a monitored entry is live in the tree");
             }
         }
     }
@@ -446,11 +448,11 @@ impl ShardsSketch {
                 .tree
                 .distance_and_remove(entry.key)
                 .expect("monitored entry must be in the tree");
-            entry.key = self.tree.append(ts, addr);
+            entry.key = self.tree.append(ts);
             let est = (d_s as f64 * w).round() as u64;
             self.hist.record(est, w);
         } else {
-            let key = self.tree.append(ts, addr);
+            let key = self.tree.append(ts);
             self.table.insert(
                 addr,
                 ShardsEntry {
@@ -582,7 +584,7 @@ impl ShardsSketch {
         }
         replayed.sort_unstable();
         for (i, (_, addr)) in replayed.into_iter().enumerate() {
-            let key = self.tree.append(shift + i as u64, addr);
+            let key = self.tree.append(shift + i as u64);
             self.table
                 .get_mut(&addr)
                 .expect("replayed entry is live")
@@ -623,9 +625,8 @@ impl ShardsSketch {
     pub fn memory_bytes(&self) -> u64 {
         let table =
             self.table.capacity() as u64 * (std::mem::size_of::<(Addr, ShardsEntry)>() as u64 + 8);
-        // A live entry's 8-byte address slot, on a time axis that
-        // compaction keeps at about twice the live count.
-        let tree = self.tree.len() as u64 * 16;
+        // The tree's time axis: a bit per slot and a count per block.
+        let tree = self.tree.memory_bytes();
         let heap = self.heap.len() as u64 * std::mem::size_of::<(u64, Addr)>() as u64;
         table + tree + heap
     }
@@ -1184,8 +1185,8 @@ mod tests {
             prop_assert_eq!(a.sampled_refs, whole.sampled_refs);
             // Tree keys are axis positions, which depend on each sketch's
             // compactions; what must agree is every entry but its key, the
-            // recency order of the live addresses, and that each key names
-            // its own address in the tree.
+            // recency order of the live addresses, and that the tree holds
+            // exactly the table's keys, each address read from the table.
             let entries = |s: &ShardsSketch| {
                 let mut t: Vec<_> =
                     s.table.iter().map(|(&a, e)| (a, e.first_ts, e.cold_w)).collect();
@@ -1194,11 +1195,12 @@ mod tests {
             };
             prop_assert_eq!(entries(&a), entries(&whole));
             let recency = |s: &ShardsSketch| {
-                let live = s.tree.to_sorted_vec();
-                for &(key, addr) in &live {
-                    assert_eq!(s.table[&addr].key, key, "key of {addr}");
-                }
-                live.into_iter().map(|(_, addr)| addr).collect::<Vec<_>>()
+                let mut by_key: Vec<(u64, Addr)> =
+                    s.table.iter().map(|(&addr, e)| (e.key, addr)).collect();
+                by_key.sort_unstable();
+                let keys: Vec<u64> = by_key.iter().map(|&(key, _)| key).collect();
+                assert_eq!(s.tree.to_sorted_vec(), keys, "the tree holds the table's keys");
+                by_key.into_iter().map(|(_, addr)| addr).collect::<Vec<_>>()
             };
             prop_assert_eq!(recency(&a), recency(&whole));
         }

@@ -14,6 +14,18 @@
 //! [`parda_tree::VectorTree`]. Before every append the engine makes room
 //! in the tree, and when that compacts the vector's axis it maps every
 //! key in `H` to its new position in one sweep of the table.
+//!
+//! The trees store keys only, so an engine learns a live key's address
+//! from the chunk it analyzed. An engine that starts a chunk empty makes
+//! room for the whole chunk at once: its keys are then the chunk's offsets
+//! past the first one, no compaction moves them, and every live key's
+//! address is the chunk's reference at that offset. That is how bounded
+//! eviction finds its victim's address and how the windowed streamer
+//! exports an item's live addresses, so a bounded engine takes only a
+//! chunk from empty. The history, which never analyzes a chunk, evicts by
+//! key alone: the evicted entries stay in `H`, dead, until the next
+//! compaction's table sweep drops them, and a probe that finds a dead key
+//! is a miss.
 
 use parda_hash::LastAccessTable;
 use parda_hist::ReuseHistogram;
@@ -73,6 +85,11 @@ pub struct Engine<T: ReuseTree> {
     stream_count: u64,
     /// One past the newest timestamp appended: where imported state goes.
     clock: u64,
+    /// The key of the first reference of the chunk this engine started
+    /// empty: live key `k` stands for that chunk's reference at offset
+    /// `k - chunk_key`. `None` before any chunk, and once state from
+    /// anywhere else — a second chunk, an import — has joined it.
+    chunk_key: Option<u64>,
     /// Cumulative operation counters (never reset at window boundaries).
     metrics: EngineMetrics,
 }
@@ -106,6 +123,7 @@ impl<T: ReuseTree + Default> Engine<T> {
             forwarded: 0,
             stream_count: 0,
             clock: 0,
+            chunk_key: None,
             metrics: EngineMetrics::default(),
         }
     }
@@ -117,10 +135,10 @@ impl<T: ReuseTree> Engine<T> {
         self.bound
     }
 
-    /// Number of live elements tracked (`|H|` = `|T|`).
+    /// Number of live elements tracked (`|T|`; `H` can also hold the dead
+    /// entries of a history's evictions until its next compaction).
     pub fn live(&self) -> usize {
-        debug_assert_eq!(self.table.len(), self.tree.len());
-        self.table.len()
+        self.tree.len()
     }
 
     /// Local infinities forwarded so far (`l`).
@@ -154,12 +172,46 @@ impl<T: ReuseTree> Engine<T> {
     pub const BATCH: usize = BATCH;
 
     /// Make room in the tree for `appends` appends, moving the keys in `H`
-    /// with any compaction that moves them in the tree.
+    /// with any compaction that moves them in the tree and dropping the
+    /// entries whose key it reports dead.
     #[inline]
     fn make_room(&mut self, appends: usize) {
         if let Some(relabel) = self.tree.make_room(appends) {
             self.table.relabel(|key| relabel.apply(key));
+            self.metrics.relabels += 1;
         }
+    }
+
+    /// Start a chunk of `refs` references, the first at `start_ts`. An
+    /// empty engine makes room for all of them at once and records where
+    /// the chunk's keys start (see the module docs); any other engine
+    /// makes room as it goes and has state from outside the chunk.
+    ///
+    /// # Panics
+    ///
+    /// If the engine is bounded and not empty: its LRU victims must be
+    /// this chunk's references, whose addresses it reads from the chunk.
+    fn begin_chunk(&mut self, refs: usize, start_ts: u64) {
+        if self.tree.is_empty() {
+            self.make_room(refs);
+            self.chunk_key = Some(self.tree.next_key(start_ts));
+        } else {
+            assert!(
+                self.bound.is_none(),
+                "a bounded engine analyzes one chunk from empty: reset it before the next chunk"
+            );
+            self.chunk_key = None;
+        }
+    }
+
+    /// The address of live key `key`, read from `chunk`, the chunk this
+    /// engine started empty.
+    #[inline]
+    fn chunk_addr(&self, chunk: &[Addr], key: u64) -> Addr {
+        let first = self
+            .chunk_key
+            .expect("live keys are one chunk's only when the engine started it empty");
+        chunk[(key - first) as usize]
     }
 
     /// Process a contiguous chunk of the trace whose first reference has
@@ -179,15 +231,21 @@ impl<T: ReuseTree> Engine<T> {
     /// table upserts are independent of tree state when no eviction can
     /// occur, so probing a batch ahead observes exactly the keys the scalar
     /// interleaving would, and tree ops replay in trace order. Room for a
-    /// whole batch is made before its probes, so its keys are the tree's
-    /// next key plus the reference's index in the batch.
+    /// whole batch is made before its probes — for the whole chunk, on an
+    /// empty engine — so its keys are the tree's next key plus the
+    /// reference's index in the batch.
     /// Bounded mode (where Algorithm 7's LRU eviction couples the table to
     /// the tree per reference) and tiny chunks take the scalar path.
+    ///
+    /// # Panics
+    ///
+    /// If the engine is bounded and not empty (see the module docs).
     pub fn process_chunk(&mut self, chunk: &[Addr], start_ts: u64, miss_sink: MissSink<'_>) {
         parda_failpoint::failpoint!("engine::process_chunk");
         if self.bound.is_some() || chunk.len() < Self::BATCH {
             return self.process_chunk_scalar(chunk, start_ts, miss_sink);
         }
+        self.begin_chunk(chunk.len(), start_ts);
         let mut sink = miss_sink;
         self.metrics.refs += chunk.len() as u64;
         let mut prev = [0u64; BATCH];
@@ -235,14 +293,14 @@ impl<T: ReuseTree> Engine<T> {
                         }
                     }
                 }
-                let key = self.tree.append(ts, z);
+                let key = self.tree.append(ts);
                 debug_assert_eq!(key, base_key + i as u64, "batch keys are consecutive");
                 self.metrics.tree_ops += 1;
             }
             self.metrics.batches += 1;
             // The live set only grows in unbounded chunk processing, so the
             // per-batch reading equals the scalar per-reference maximum.
-            let live = self.table.len() as u64;
+            let live = self.tree.len() as u64;
             if live > self.metrics.live_hwm {
                 self.metrics.live_hwm = live;
             }
@@ -255,8 +313,13 @@ impl<T: ReuseTree> Engine<T> {
     /// [`Self::process_chunk`] must match bit-for-bit. Public so the
     /// equivalence test suite and ablation benchmarks can drive it
     /// directly.
+    ///
+    /// # Panics
+    ///
+    /// If the engine is bounded and not empty (see the module docs).
     pub fn process_chunk_scalar(&mut self, chunk: &[Addr], start_ts: u64, miss_sink: MissSink<'_>) {
         parda_failpoint::failpoint!("engine::process_chunk_scalar");
+        self.begin_chunk(chunk.len(), start_ts);
         let mut sink = miss_sink;
         self.metrics.refs += chunk.len() as u64;
         for (i, &z) in chunk.iter().enumerate() {
@@ -291,22 +354,22 @@ impl<T: ReuseTree> Engine<T> {
                     }
                 }
                 // LRU eviction keeps |H| ≤ B: the leftmost (oldest) tree
-                // node is the victim (paper `find_oldest`). `z` is already
-                // in the table (not yet in the tree), hence the `> b`.
+                // node is the victim (paper `find_oldest`), and its address
+                // is the chunk's reference at its key. `z` is already in
+                // the table (not yet in the tree), hence the `> b`.
                 if let Some(b) = self.bound {
                     if self.table.len() as u64 > b {
-                        let (old_key, old_addr) =
-                            self.tree.oldest().expect("bounded full tree is non-empty");
-                        self.tree.remove(old_key);
-                        self.table.forget(old_addr);
+                        let victim = self.tree.oldest().expect("bounded full tree is non-empty");
+                        self.tree.remove(victim);
+                        self.table.forget(self.chunk_addr(chunk, victim));
                         self.metrics.tree_ops += 1;
                     }
                 }
             }
-            let appended = self.tree.append(ts, z);
+            let appended = self.tree.append(ts);
             debug_assert_eq!(appended, key, "next_key names the append's key");
             self.metrics.tree_ops += 1;
-            let live = self.table.len() as u64;
+            let live = self.tree.len() as u64;
             if live > self.metrics.live_hwm {
                 self.metrics.live_hwm = live;
             }
@@ -414,7 +477,9 @@ impl<T: ReuseTree> Engine<T> {
     /// Algorithm 4 loop and the reference implementation the batched
     /// [`Self::process_infinities`] must match bit-for-bit. Public so the
     /// equivalence tests can drive it directly; always taken in bounded
-    /// mode (the forwarding cap couples `l` to the element order).
+    /// mode (the forwarding cap couples `l` to the element order), where a
+    /// key the history evicted is still in `H` but no longer in the tree
+    /// and counts as a miss.
     pub fn process_infinities_scalar(
         &mut self,
         incoming: &[Addr],
@@ -423,11 +488,11 @@ impl<T: ReuseTree> Engine<T> {
         self.metrics.stream_refs += incoming.len() as u64;
         let mut resolved = 0u64;
         for &z in incoming {
-            if let Some(k0) = self.table.last_access(z) {
-                let d = self
-                    .tree
-                    .distance_and_remove(k0)
-                    .expect("table and tree are kept in sync");
+            let hit = self
+                .table
+                .last_access(z)
+                .and_then(|k0| self.tree.distance_and_remove(k0));
+            if let Some(d) = hit {
                 self.hist.record_finite(d + self.stream_count);
                 self.table.forget(z);
                 self.metrics.stream_hits += 1;
@@ -463,21 +528,29 @@ impl<T: ReuseTree> Engine<T> {
         self.metrics.cold_misses += n;
     }
 
-    /// Read the live `(key, addr)` state, oldest first, without disturbing
-    /// the engine — an inspection accessor (used by tests and debugging
-    /// tooling). A search tree's keys are the timestamps.
-    pub fn export_state(&self) -> Vec<(u64, Addr)> {
+    /// The live keys, oldest first, without disturbing the engine — an
+    /// inspection accessor (used by tests and debugging tooling). A search
+    /// tree's keys are the timestamps; after a chunk the engine started
+    /// empty, a vector's are the chunk's offsets.
+    pub fn export_state(&self) -> Vec<u64> {
         self.tree.to_sorted_vec()
     }
 
     /// The live addresses, oldest first, into a caller-owned buffer,
     /// replacing its contents and keeping its allocation — the windowed
     /// streamer's per-item hand-off to its history stage
-    /// ([`crate::phased`]).
-    pub fn export_state_into(&self, out: &mut Vec<Addr>) {
+    /// ([`crate::phased`]). Each is read from `chunk`, the chunk the engine
+    /// started empty, at its key's offset.
+    ///
+    /// # Panics
+    ///
+    /// If the live state is not one chunk's: the engine did not start its
+    /// last chunk empty, or imported state.
+    pub fn export_state_into(&self, chunk: &[Addr], out: &mut Vec<Addr>) {
         out.clear();
         out.reserve(self.tree.len());
-        self.tree.for_each_in_order(|_, addr| out.push(addr));
+        self.tree
+            .for_each_in_order(|key| out.push(self.chunk_addr(chunk, key)));
     }
 
     /// Append live addresses, oldest first and all newer than every entry
@@ -495,8 +568,12 @@ impl<T: ReuseTree> Engine<T> {
     /// counted locally and never travels left to delete the older copy —
     /// so the older entry is dropped (the appended one is the true last
     /// access). Afterwards a bounded engine evicts its oldest entries until
-    /// at most `B` remain: Algorithm 7's LRU eviction, applied in bulk.
+    /// at most `B` remain: Algorithm 7's LRU eviction, applied in bulk. It
+    /// knows the victims by key alone, so their entries stay in `H`, dead,
+    /// until the tree's next compaction drops them (a search tree never
+    /// compacts and keeps them until [`Self::reset`]).
     pub fn import_state(&mut self, addrs: &[Addr]) {
+        self.chunk_key = None;
         // Prefetch a batch's table slots before upserting any of them, as
         // `process_chunk` does: a large history's table is far past cache.
         for batch in addrs.chunks(BATCH) {
@@ -516,19 +593,18 @@ impl<T: ReuseTree> Engine<T> {
                     self.tree.remove(prev);
                     self.metrics.tree_ops += 1;
                 }
-                self.tree.append(ts, addr);
+                self.tree.append(ts);
                 self.metrics.tree_ops += 1;
             }
         }
         if let Some(b) = self.bound {
-            while self.table.len() as u64 > b {
-                let (old_key, old_addr) = self.tree.oldest().expect("over-full tree is non-empty");
-                self.tree.remove(old_key);
-                self.table.forget(old_addr);
+            while self.tree.len() as u64 > b {
+                let victim = self.tree.oldest().expect("over-full tree is non-empty");
+                self.tree.remove(victim);
                 self.metrics.tree_ops += 1;
             }
         }
-        let live = self.table.len() as u64;
+        let live = self.tree.len() as u64;
         if live > self.metrics.live_hwm {
             self.metrics.live_hwm = live;
         }
@@ -544,6 +620,7 @@ impl<T: ReuseTree> Engine<T> {
         self.forwarded = 0;
         self.stream_count = 0;
         self.clock = 0;
+        self.chunk_key = None;
         self.metrics = EngineMetrics::default();
     }
 
@@ -564,7 +641,7 @@ impl<T: ReuseTree> Engine<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parda_tree::{AvlTree, SplayTree, Treap};
+    use parda_tree::{AvlTree, SplayTree, Treap, VectorTree};
 
     fn labels(s: &str) -> Vec<Addr> {
         s.bytes().map(u64::from).collect()
@@ -697,23 +774,27 @@ mod tests {
 
     #[test]
     fn export_import_round_trips_state() {
+        let chunk = labels("dacb");
         let mut a: Engine<SplayTree> = Engine::new(None, 0);
-        a.process_chunk(&labels("dacb"), 0, MissSink::Infinite);
+        a.process_chunk(&chunk, 0, MissSink::Infinite);
         // Read-only export leaves the engine untouched.
         let state = a.export_state();
         assert_eq!(a.live(), 4);
         assert_eq!(state.len(), 4);
-        assert!(state.windows(2).all(|w| w[0].0 < w[1].0), "ts-ordered");
-        // The buffered export of the addresses replaces a reused buffer's
-        // stale contents.
+        assert!(state.windows(2).all(|w| w[0] < w[1]), "ts-ordered");
+        // The buffered export of the addresses, read from the chunk,
+        // replaces a reused buffer's stale contents.
         let mut reused = vec![99];
-        a.export_state_into(&mut reused);
-        let addrs: Vec<Addr> = state.iter().map(|&(_, addr)| addr).collect();
+        a.export_state_into(&chunk, &mut reused);
+        let addrs: Vec<Addr> = state.iter().map(|&ts| chunk[ts as usize]).collect();
         assert_eq!(reused, addrs);
 
         let mut b: Engine<AvlTree> = Engine::new(None, 0);
         b.import_state(&reused);
-        assert_eq!(b.export_state(), state, "imports take the next timestamps");
+        let imported = b.export_state();
+        assert_eq!(imported, state, "imports take the next timestamps");
+        let read: Vec<Addr> = imported.iter().map(|&ts| reused[ts as usize]).collect();
+        assert_eq!(read, addrs, "in the exported order");
         assert_eq!(b.live(), 4);
         // Continuing the trace on the importing engine gives the right
         // distances: `a` was at ts 1 with c, b after it → distance 2.
@@ -723,15 +804,71 @@ mod tests {
 
     #[test]
     fn bounded_import_keeps_newest_and_evicts_oldest() {
-        let mut e: Engine<parda_tree::VectorTree> = Engine::new(Some(3), 0);
+        let mut e: Engine<VectorTree> = Engine::new(Some(3), 0);
         e.import_state(&[10, 11, 12]);
         // 11 reappears newer (a replica the bounded cascade left behind),
         // and 13 overfills the bound: 10, the oldest, is evicted.
         e.import_state(&[11, 13]);
-        let mut addrs = Vec::new();
-        e.export_state_into(&mut addrs);
+        // No compaction yet, so the keys are the import order's positions:
+        // the live addresses are read from the imports at them.
+        let imports = [10, 11, 12, 11, 13];
+        let addrs: Vec<Addr> = e
+            .export_state()
+            .iter()
+            .map(|&k| imports[k as usize])
+            .collect();
         assert_eq!(addrs, vec![12, 11, 13]);
         assert_eq!(e.metrics().live_hwm, 3);
+    }
+
+    #[test]
+    fn bounded_history_evicts_by_key_until_a_compaction_drops_the_dead() {
+        let mut e: Engine<VectorTree> = Engine::new(Some(3), 0);
+        e.import_state(&[10, 11, 12]);
+        e.import_state(&[13, 14]);
+        // 10 and 11 are evicted by key: out of the tree, dead in `H`.
+        assert_eq!(e.live(), 3);
+        assert_eq!(e.table.len(), 5);
+        // Before any compaction, a probe of an evicted address is a miss;
+        // 12 hits with 13 and 14 newer, plus the 1 stream element before.
+        let mut out = Vec::new();
+        e.process_infinities(&[11, 12], &mut out);
+        assert_eq!(out, vec![11], "the evicted 11 travels on");
+        assert_eq!(e.histogram().count(3), 1);
+        assert_eq!(e.histogram().finite_total(), 1);
+        assert_eq!(e.table.len(), 4, "10 and 11 are still in H");
+        // The compaction's table sweep drops them and relabels the rest.
+        assert_eq!(e.metrics().relabels, 0);
+        e.make_room(64);
+        assert_eq!(e.metrics().relabels, 1);
+        assert_eq!(e.table.len(), e.live());
+        assert_eq!(e.live(), 2);
+        e.reset_phase_counters();
+        out.clear();
+        e.process_infinities(&[10, 13], &mut out);
+        assert_eq!(out, vec![10]);
+        assert_eq!(e.histogram().count(2), 1, "13 under 14 and the 10 before");
+    }
+
+    #[test]
+    #[should_panic(expected = "a bounded engine analyzes one chunk from empty")]
+    fn bounded_engine_refuses_a_second_chunk_without_a_reset() {
+        let mut e: Engine<VectorTree> = Engine::new(Some(4), 0);
+        e.process_chunk(&labels("dacb"), 0, MissSink::Infinite);
+        // Its LRU victims would be the first chunk's, whose addresses the
+        // second chunk does not hold.
+        e.process_chunk(&labels("efga"), 4, MissSink::Infinite);
+    }
+
+    #[test]
+    fn bounded_engine_takes_a_chunk_after_a_reset() {
+        let mut e: Engine<VectorTree> = Engine::new(Some(4), 0);
+        e.process_chunk(&labels("dacbccgefa"), 0, MissSink::Infinite);
+        e.reset();
+        e.process_chunk(&labels("dacbccgefa"), 10, MissSink::Infinite);
+        let mut fresh: Engine<SplayTree> = Engine::new(Some(4), 0);
+        fresh.process_chunk(&labels("dacbccgefa"), 0, MissSink::Infinite);
+        assert_eq!(e.into_histogram(), fresh.into_histogram());
     }
 
     #[test]
@@ -830,7 +967,11 @@ mod tests {
         assert_eq!(batched.forwarded(), scalar.forwarded());
         assert_eq!(batched.stream_count(), scalar.stream_count());
         assert_eq!(batched.metrics(), scalar.metrics());
-        assert_eq!(batched.export_state(), scalar.export_state(), "live state");
+        assert_eq!(batched.export_state(), scalar.export_state(), "live keys");
+        let (mut batched_live, mut scalar_live) = (Vec::new(), Vec::new());
+        batched.export_state_into(chunk, &mut batched_live);
+        scalar.export_state_into(chunk, &mut scalar_live);
+        assert_eq!(batched_live, scalar_live, "live addresses");
         assert_eq!(stats.resolved, scalar_stats.resolved);
 
         // The in-place variant must agree too, leaving survivors in the slab.
@@ -857,7 +998,7 @@ mod tests {
         assert_batched_stream_matches_scalar::<SplayTree>(&chunk, &incoming);
         assert_batched_stream_matches_scalar::<AvlTree>(&chunk, &incoming);
         assert_batched_stream_matches_scalar::<Treap>(&chunk, &incoming);
-        assert_batched_stream_matches_scalar::<parda_tree::VectorTree>(&chunk, &incoming);
+        assert_batched_stream_matches_scalar::<VectorTree>(&chunk, &incoming);
     }
 
     #[test]
@@ -878,7 +1019,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let incoming: Vec<Addr> = incoming.into_iter().filter(|&z| seen.insert(z)).collect();
         assert_batched_stream_matches_scalar::<SplayTree>(&chunk, &incoming);
-        assert_batched_stream_matches_scalar::<parda_tree::VectorTree>(&chunk, &incoming);
+        assert_batched_stream_matches_scalar::<VectorTree>(&chunk, &incoming);
     }
 
     #[test]
@@ -897,8 +1038,9 @@ mod tests {
         // A history that appends windows of fresh addresses and absorbs
         // most of the older ones again compacts its axis many times; every
         // key it holds must follow its entry, which the distances show.
-        let mut vector: Engine<parda_tree::VectorTree> = Engine::new(None, 0);
+        let mut vector: Engine<VectorTree> = Engine::new(None, 0);
         let mut splay: Engine<SplayTree> = Engine::new(None, 0);
+        let mut imported: Vec<Addr> = Vec::new();
         for window in 0..40u64 {
             let fresh: Vec<Addr> = (0..300).map(|i| window * 1_000 + i).collect();
             let mut stream: Vec<Addr> = (0..window * 1_000)
@@ -913,10 +1055,24 @@ mod tests {
             splay.reset_phase_counters();
             vector.import_state(&fresh);
             splay.import_state(&fresh);
+            imported.extend_from_slice(&fresh);
         }
         assert_eq!(vector.histogram(), splay.histogram());
         assert_eq!(vector.live(), splay.live());
-        let addrs = |e: Vec<(u64, Addr)>| e.into_iter().map(|(_, a)| a).collect::<Vec<_>>();
-        assert_eq!(addrs(vector.export_state()), addrs(splay.export_state()));
+        assert!(vector.metrics().relabels > 0, "the axis compacted");
+        // The splay's keys are import timestamps, so its live addresses
+        // are read from the imports; the vector's table must give each of
+        // them the key the vector holds at its place in recency order.
+        let recency: Vec<Addr> = splay
+            .export_state()
+            .iter()
+            .map(|&ts| imported[ts as usize])
+            .collect();
+        let keys: Vec<u64> = recency
+            .iter()
+            .map(|&a| vector.table.last_access(a).expect("live in H"))
+            .collect();
+        assert_eq!(vector.export_state(), keys);
+        assert_eq!(vector.table.len(), vector.live());
     }
 }

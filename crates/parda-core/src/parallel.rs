@@ -442,26 +442,32 @@ fn run_item<T: ReuseTree + Default>(
 /// discarded.
 ///
 /// Every item's engine is handed to `retire` once folded, live state
-/// intact.
+/// intact, with the item's chunk, where its live keys' addresses are.
 pub(crate) fn cascade_items<T: ReuseTree + Default>(
     window: &InFlight<T>,
     policy: &FaultPolicy,
     metrics: &mut [RankMetrics],
     recovery: &mut RecoveryMetrics,
     total: &mut ReuseHistogram,
-    retire: impl FnMut(usize, Engine<T>),
+    mut retire: impl FnMut(usize, &[Addr], Engine<T>),
 ) -> Result<Vec<Addr>, PardaError> {
     let (shared, config, trace) = (&window.shared, &window.config, &window.refs);
+    let chunk = |i: usize| &trace[shared.items[i].range.clone()];
     fold_cascade(
         &shared.items,
         metrics,
         total,
         |i| {
-            let item = &shared.items[i];
-            let chunk = &trace[item.range.clone()];
-            claim_item(&shared.slots[i], item, chunk, config, policy, recovery)
+            claim_item(
+                &shared.slots[i],
+                &shared.items[i],
+                chunk(i),
+                config,
+                policy,
+                recovery,
+            )
         },
-        retire,
+        |i, engine| retire(i, chunk(i), engine),
     )
 }
 
@@ -781,6 +787,14 @@ mod tests {
         let trace = labels("dacbccgefafbcmtmacfbdcac");
         assert_eq!(trace.len(), 24);
         let chunks = chunk_slice(&trace, 3);
+        // A rank's tree, as `timestamp:address` pairs: the keys are the
+        // timestamps, and each one's address is the trace's reference there.
+        let state = |e: &Engine<SplayTree>| -> Vec<(u64, u64)> {
+            e.export_state()
+                .into_iter()
+                .map(|ts| (ts, trace[ts as usize]))
+                .collect()
+        };
 
         // -- chunk processing (Figure 2 top row) --
         let mut e0: Engine<SplayTree> = Engine::new(None, 0);
@@ -811,7 +825,7 @@ mod tests {
         assert_eq!(out1, labels("d"), "only d survives p=1");
         assert_eq!(e1.stream_count(), 5, "Figure 2(e) count=5");
         assert_eq!(
-            e1_state(&e1),
+            state(&e1),
             vec![(14, b't' as u64), (15, b'm' as u64)],
             "Figure 2(e) tree holds 14:t and 15:m"
         );
@@ -822,7 +836,7 @@ mod tests {
         assert_eq!(out0, labels("fmt"), "Figure 2(d) local_infinities = f m t");
         assert_eq!(e0.stream_count(), 6, "Figure 2(d) count=6");
         assert_eq!(
-            e0_state(&e0),
+            state(&e0),
             vec![(0, b'd' as u64), (6, b'g' as u64), (7, b'e' as u64)],
             "Figure 2(d) tree holds 0:d, 6:g, 7:e"
         );
@@ -833,7 +847,7 @@ mod tests {
         assert!(out0b.is_empty(), "d resolves at p=0");
         assert_eq!(e0.stream_count(), 7, "Figure 2(f) count=7");
         assert_eq!(
-            e0_state(&e0),
+            state(&e0),
             vec![(6, b'g' as u64), (7, b'e' as u64)],
             "Figure 2(f) tree holds 6:g and 7:e"
         );
@@ -843,13 +857,6 @@ mod tests {
         for np in [2, 3, 5, 8] {
             let cfg = PardaConfig::with_ranks(np);
             assert_eq!(parda_threads::<SplayTree>(&trace, &cfg), seq, "np={np}");
-        }
-
-        fn e0_state(e: &Engine<SplayTree>) -> Vec<(u64, u64)> {
-            e.export_state()
-        }
-        fn e1_state(e: &Engine<SplayTree>) -> Vec<(u64, u64)> {
-            e.export_state()
         }
     }
 

@@ -35,10 +35,12 @@
 //! edge in stream order: each hit reads its position from the table and
 //! resolves at `live − 1 − rank(position) + count` (Algorithm 4), with no
 //! search and no sort; misses are global infinities. Then each item's
-//! surviving live addresses are appended oldest first: an O(window) tail
-//! append, since every item access is newer than the whole history. The
-//! history gives them its own keys, and a compaction of its axis rewrites
-//! the table's positions in one sweep. The last window skips the export
+//! surviving live addresses, read from the item's chunk at its live keys,
+//! are appended oldest first: an O(window) tail append, since every item
+//! access is newer than the whole history. The history gives them its own
+//! keys, and a compaction of its axis rewrites the table's positions in
+//! one sweep, dropping the entries a bounded history has evicted since the
+//! last one. The last window skips the export
 //! and the append, and a lone window has no history at all: it records
 //! what reaches its left edge as rank 0's global infinities, as Algorithm
 //! 3 does in memory.
@@ -319,10 +321,10 @@ impl<T: ReuseTree + Default + Send> Streamer<T> {
             &mut self.metrics,
             &mut self.recovery,
             &mut self.total,
-            |i, engine| {
+            |i, chunk, engine| {
                 if !last {
                     *folded_live += engine.live();
-                    engine.export_state_into(&mut states[i]);
+                    engine.export_state_into(chunk, &mut states[i]);
                     engines.retire(engine);
                 }
             },

@@ -1,89 +1,16 @@
 //! Sequential reuse-distance analysis: the paper's Section III.
 //!
-//! [`analyze_sequential`] is Algorithm 1 (tree-based, O(N log M));
-//! [`analyze_naive`] is the Section III-A stack algorithm (O(N·M)), kept as
-//! the obviously-correct baseline. [`SequentialAnalyzer`] exposes the same
-//! engine incrementally for online/streaming use.
+//! [`analyze_sequential`] is Algorithm 1 (tree-based, O(N log M)): one
+//! [`Engine`] over the whole trace as one chunk; [`analyze_naive`] is the
+//! Section III-A stack algorithm (O(N·M)), kept as the obviously-correct
+//! baseline. [`analyze_with`] reports every reference's distance to a
+//! callback.
 
 use crate::engine::{Engine, MissSink};
 use parda_hist::ReuseHistogram;
-use parda_obs::{EngineMetrics, RankMetrics, Stopwatch};
+use parda_obs::{RankMetrics, Stopwatch};
 use parda_trace::Addr;
 use parda_tree::{NaiveStack, ReuseTree};
-
-/// Incremental sequential analyzer (Algorithm 1 driven reference by
-/// reference).
-///
-/// # Examples
-///
-/// ```
-/// use parda_core::seq::SequentialAnalyzer;
-/// use parda_tree::SplayTree;
-///
-/// let mut analyzer: SequentialAnalyzer<SplayTree> = SequentialAnalyzer::new(None);
-/// for addr in [1u64, 2, 1, 1] {
-///     analyzer.process(addr);
-/// }
-/// let hist = analyzer.finish();
-/// assert_eq!(hist.infinite(), 2);
-/// assert_eq!(hist.count(0), 1);
-/// assert_eq!(hist.count(1), 1);
-/// ```
-pub struct SequentialAnalyzer<T: ReuseTree> {
-    engine: Engine<T>,
-    next_ts: u64,
-}
-
-impl<T: ReuseTree + Default> SequentialAnalyzer<T> {
-    /// Create an analyzer; `bound` enables Algorithm 7 capping.
-    pub fn new(bound: Option<u64>) -> Self {
-        Self::with_capacity(bound, 0)
-    }
-
-    /// [`Self::new`] with a capacity hint: the expected trace length, used
-    /// to pre-size the engine's hash table and tree arena.
-    pub fn with_capacity(bound: Option<u64>, capacity_hint: usize) -> Self {
-        Self {
-            engine: Engine::new(bound, capacity_hint),
-            next_ts: 0,
-        }
-    }
-
-    /// Process one reference.
-    pub fn process(&mut self, addr: Addr) {
-        self.engine
-            .process_chunk(&[addr], self.next_ts, MissSink::Infinite);
-        self.next_ts += 1;
-    }
-
-    /// Process a batch of references.
-    pub fn process_all(&mut self, addrs: &[Addr]) {
-        self.engine
-            .process_chunk(addrs, self.next_ts, MissSink::Infinite);
-        self.next_ts += addrs.len() as u64;
-    }
-
-    /// References processed so far.
-    pub fn processed(&self) -> u64 {
-        self.next_ts
-    }
-
-    /// The histogram accumulated so far.
-    pub fn histogram(&self) -> &ReuseHistogram {
-        self.engine.histogram()
-    }
-
-    /// Engine counters accumulated so far (tree ops, hits, live-set
-    /// high-water mark, …).
-    pub fn metrics(&self) -> &EngineMetrics {
-        self.engine.metrics()
-    }
-
-    /// Finish, returning the histogram.
-    pub fn finish(self) -> ReuseHistogram {
-        self.engine.into_histogram()
-    }
-}
 
 /// Paper Algorithm 1: sequential tree-based reuse distance analysis.
 /// `bound` enables the Algorithm 7 cap (distances ≥ bound become ∞).
@@ -102,16 +29,16 @@ pub fn analyze_sequential_with_stats<T: ReuseTree + Default>(
     bound: Option<u64>,
 ) -> (ReuseHistogram, RankMetrics) {
     let sw = Stopwatch::start();
-    let mut analyzer: SequentialAnalyzer<T> = SequentialAnalyzer::with_capacity(bound, trace.len());
-    analyzer.process_all(trace);
+    let mut engine: Engine<T> = Engine::new(bound, trace.len());
+    engine.process_chunk(trace, 0, MissSink::Infinite);
     let rm = RankMetrics {
         rank: 0,
         refs: trace.len() as u64,
         chunk_ns: sw.ns(),
-        engine: analyzer.metrics().clone(),
+        engine: engine.metrics().clone(),
         ..Default::default()
     };
-    (analyzer.finish(), rm)
+    (engine.into_histogram(), rm)
 }
 
 /// Sequential analysis with a per-reference observer: `observe(index, addr,
@@ -121,7 +48,8 @@ pub fn analyze_sequential_with_stats<T: ReuseTree + Default>(
 /// histograms ([`crate::object`]), phase detection, per-instruction
 /// attribution — without re-implementing Algorithm 1. The unbounded exact
 /// distance is reported (no Algorithm 7 cap), since consumers typically
-/// re-bin themselves.
+/// re-bin themselves. The tree makes room for the whole trace up front,
+/// so no compaction ever moves a key: each reference's key is its index.
 pub fn analyze_with<T, F>(trace: &[Addr], mut observe: F) -> ReuseHistogram
 where
     T: ReuseTree + Default,
@@ -129,12 +57,11 @@ where
 {
     use parda_hash::LastAccessTable;
     let mut tree = T::default();
+    // An empty tree has no key to move, and the table none to relabel.
+    let _ = tree.make_room(trace.len());
     let mut table = LastAccessTable::new();
     let mut hist = ReuseHistogram::new();
     for (i, &z) in trace.iter().enumerate() {
-        if let Some(relabel) = tree.make_room(1) {
-            table.relabel(|key| relabel.apply(key));
-        }
         let distance = match table.last_access(z) {
             Some(k0) => {
                 let d = tree
@@ -146,7 +73,7 @@ where
         };
         hist.record(distance);
         observe(i, z, distance);
-        let key = tree.append(i as u64, z);
+        let key = tree.append(i as u64);
         table.record(z, key);
     }
     hist
@@ -168,7 +95,7 @@ pub fn analyze_naive(trace: &[Addr]) -> ReuseHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parda_tree::{AvlTree, SplayTree, Treap};
+    use parda_tree::{AvlTree, SplayTree, Treap, VectorTree};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -189,14 +116,21 @@ mod tests {
     }
 
     #[test]
-    fn incremental_equals_batch() {
+    fn observer_sees_every_distance_in_trace_order() {
         let trace: Vec<Addr> = (0..300).map(|i| (i * 13) % 41).collect();
-        let mut inc: SequentialAnalyzer<AvlTree> = SequentialAnalyzer::new(None);
-        for &a in &trace {
-            inc.process(a);
+        let mut seen = Vec::new();
+        let hist = analyze_with::<VectorTree, _>(&trace, |i, z, d| seen.push((i, z, d)));
+        assert_eq!(hist, analyze_sequential::<AvlTree>(&trace, None));
+        assert_eq!(seen.len(), 300);
+        assert!(seen
+            .iter()
+            .enumerate()
+            .all(|(j, &(i, z, _))| i == j && z == trace[j]));
+        let mut replay = ReuseHistogram::new();
+        for &(_, _, d) in &seen {
+            replay.record(d);
         }
-        assert_eq!(inc.processed(), 300);
-        assert_eq!(inc.finish(), analyze_sequential::<AvlTree>(&trace, None));
+        assert_eq!(replay, hist);
     }
 
     #[test]

@@ -295,14 +295,48 @@ impl<K: FixedKey + Default, V: Copy + Default> RobinHoodMap<K, V> {
         Some(removed)
     }
 
-    /// Every value, in slot order: one sequential sweep over the table
-    /// that touches occupied slots only, for rewriting values in place.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
-        self.dibs
+    /// Map every value through `map` in one sequential sweep of the table,
+    /// dropping the entries it maps to `None`.
+    ///
+    /// The sweep starts past an empty slot, which no probe sequence
+    /// crosses, so every entry's home lies between that slot and the entry.
+    /// Each survivor then moves to the first free slot at or past its home:
+    /// in a table that dropped nothing that is where it already sits, and
+    /// otherwise it slides back over the freed slots as backward-shift
+    /// deletion would have moved it, keeping the Robin Hood order.
+    pub fn retain_map(&mut self, mut map: impl FnMut(V) -> Option<V>) {
+        let start = self
+            .dibs
             .iter()
-            .zip(&mut self.entries)
-            .filter(|(&byte, _)| byte != 0)
-            .map(|(_, entry)| &mut entry.1)
+            .position(|&byte| byte == 0)
+            .expect("the load factor leaves a slot empty");
+        // `free` is the offset past `start` of the first slot not yet
+        // taken by a survivor.
+        let mut free = 1;
+        for off in 1..self.capacity() {
+            let idx = (start + off) & self.mask;
+            let dib = self.dib(idx);
+            if dib == 0 {
+                continue;
+            }
+            let (key, value) = self.entries[idx];
+            let Some(value) = map(value) else {
+                self.dibs[idx] = 0;
+                self.len -= 1;
+                continue;
+            };
+            let home = off + 1 - dib;
+            let to_off = home.max(free);
+            free = to_off + 1;
+            if to_off == off {
+                self.entries[idx].1 = value;
+                continue;
+            }
+            let to = (start + to_off) & self.mask;
+            self.dibs[idx] = 0;
+            self.entries[to] = (key, value);
+            self.dibs[to] = dib_byte(to_off - home + 1);
+        }
     }
 
     /// Longest probe distance currently present, exact past 255
@@ -399,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn values_mut_rewrites_every_value_in_place() {
+    fn retain_map_rewrites_every_value_in_place() {
         let mut map = RobinHoodMap::new();
         for i in 0u64..1_000 {
             map.insert(i * 7, i);
@@ -407,16 +441,57 @@ mod tests {
         for i in (0u64..1_000).step_by(3) {
             map.remove(i * 7);
         }
+        let len = map.len();
         let mut visited = 0;
-        for v in map.values_mut() {
-            *v += 5_000;
+        map.retain_map(|v| {
             visited += 1;
-        }
-        assert_eq!(visited, map.len());
+            Some(v + 5_000)
+        });
+        assert_eq!(visited, len);
+        assert_eq!(map.len(), len);
         for i in 0u64..1_000 {
             let expect = (i % 3 != 0).then_some(i + 5_000);
             assert_eq!(map.get(i * 7).copied(), expect, "key {}", i * 7);
         }
+    }
+
+    #[test]
+    fn retain_map_drops_entries_and_keeps_chains_reachable() {
+        // Keys sharing a home past the byte limit make one long cluster;
+        // dropping every third entry must leave the rest reachable, each
+        // at its backward-shifted slot, and the map as a fresh one would
+        // be after the same removals.
+        let mut seen = std::collections::HashSet::new();
+        let keys: Vec<u64> = (1u64..)
+            .filter(|&k| home_hash(k) >> 54 == 0)
+            .take(600)
+            .chain((0..3_000u64).map(|k| k * 0x10))
+            .filter(|&k| seen.insert(k))
+            .collect();
+        let mut ours: RobinHoodMap<u64, u64> = RobinHoodMap::new();
+        let mut reference: RobinHoodMap<u64, u64> = RobinHoodMap::new();
+        for (i, &k) in keys.iter().enumerate() {
+            ours.insert(k, i as u64);
+            reference.insert(k, i as u64);
+        }
+        for (i, &k) in keys.iter().enumerate() {
+            if i % 3 == 0 {
+                reference.remove(k);
+            } else {
+                reference.insert(k, i as u64 * 2);
+            }
+        }
+        ours.retain_map(|v| (v % 3 != 0).then_some(v * 2));
+        assert_eq!(ours.len(), reference.len());
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(ours.get(k), reference.get(k), "key {k:#x} (#{i})");
+        }
+        assert_eq!(ours.dibs, reference.dibs, "every survivor at its slot");
+        assert_eq!(ours.max_probe_distance(), reference.max_probe_distance());
+        for &k in &keys {
+            ours.insert(k, k);
+        }
+        assert_eq!(ours.len(), keys.len());
     }
 
     #[test]
@@ -545,6 +620,27 @@ mod tests {
             }
             for (key, value) in &reference {
                 prop_assert_eq!(ours.get(*key), Some(value));
+            }
+        }
+
+        /// A sweep that drops some entries leaves exactly the entries a
+        /// removal of each would, every one of them still reachable.
+        #[test]
+        fn retain_map_equals_removing_the_dropped(
+            keys in proptest::collection::vec(0u64..4_096, 0..600),
+            drop_mod in 1u64..5,
+        ) {
+            let mut ours: RobinHoodMap<u64, u64> = RobinHoodMap::new();
+            let mut reference: HashMap<u64, u64> = HashMap::new();
+            for &k in &keys {
+                ours.insert(k, k);
+                reference.insert(k, k);
+            }
+            ours.retain_map(|v| (v % drop_mod != 0).then_some(v + 1));
+            reference.retain(|_, v| *v % drop_mod != 0);
+            prop_assert_eq!(ours.len(), reference.len());
+            for &k in &keys {
+                prop_assert_eq!(ours.get(k).copied(), reference.get(&k).map(|v| v + 1));
             }
         }
     }

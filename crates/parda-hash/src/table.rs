@@ -64,11 +64,11 @@ impl LastAccessTable {
     }
 
     /// Map every recorded key through `relabel` in one sequential sweep of
-    /// the table — what a tree compaction that moved its keys asks for.
-    pub fn relabel(&mut self, relabel: impl Fn(u64) -> u64) {
-        for key in self.map.values_mut() {
-            *key = relabel(*key);
-        }
+    /// the table, forgetting the addresses whose key it maps to `None` —
+    /// what a tree compaction that moved its keys asks for, and how the
+    /// entries of keys the tree no longer holds leave the table.
+    pub fn relabel(&mut self, relabel: impl Fn(u64) -> Option<u64>) {
+        self.map.retain_map(relabel);
     }
 
     /// `H(z) ← ∅`: remove `addr` from the table (bounded-analysis eviction
@@ -116,9 +116,23 @@ mod tests {
         for addr in 0..100u64 {
             t.record(addr, addr * 2);
         }
-        t.relabel(|key| key / 2 + 1);
+        t.relabel(|key| Some(key / 2 + 1));
         for addr in 0..100u64 {
             assert_eq!(t.last_access(addr), Some(addr + 1));
+        }
+    }
+
+    #[test]
+    fn relabel_forgets_the_keys_it_drops() {
+        let mut t = LastAccessTable::new();
+        for addr in 0..100u64 {
+            t.record(addr, addr);
+        }
+        t.relabel(|key| (key % 4 != 0).then_some(key + 1));
+        assert_eq!(t.len(), 75);
+        for addr in 0..100u64 {
+            let expect = (addr % 4 != 0).then_some(addr + 1);
+            assert_eq!(t.last_access(addr), expect, "address {addr}");
         }
     }
 

@@ -117,6 +117,11 @@ pub struct EngineMetrics {
     /// covers up to the engine's batch width of references; 0 when the
     /// scalar path ran, i.e. bounded mode or tiny chunks).
     pub batches: u64,
+    /// Tree compactions that moved keys, each a sweep of the last-access
+    /// table. An engine that starts its chunk empty makes room for the
+    /// whole chunk at once and never relabels; the windowed streamer's
+    /// history does as its axis fills.
+    pub relabels: u64,
 }
 
 impl EngineMetrics {
@@ -131,6 +136,7 @@ impl EngineMetrics {
         self.tree_ops += other.tree_ops;
         self.live_hwm = self.live_hwm.max(other.live_hwm);
         self.batches += other.batches;
+        self.relabels += other.relabels;
     }
 }
 
@@ -918,18 +924,21 @@ mod tests {
         let mut a = EngineMetrics {
             refs: 10,
             live_hwm: 5,
+            relabels: 1,
             ..Default::default()
         };
         let b = EngineMetrics {
             refs: 7,
             live_hwm: 9,
             finite_hits: 3,
+            relabels: 2,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.refs, 17);
         assert_eq!(a.live_hwm, 9);
         assert_eq!(a.finite_hits, 3);
+        assert_eq!(a.relabels, 3);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::{sweep, ReuseTree, SearchTree, NIL};
 #[derive(Clone, Debug)]
 struct Node {
     ts: u64,
-    addr: u64,
     left: u32,
     right: u32,
     height: u8,
@@ -28,10 +27,10 @@ struct Node {
 ///
 /// let mut tree = AvlTree::new();
 /// for ts in 0..10 {
-///     tree.append(ts, ts + 100);
+///     tree.append(ts);
 /// }
 /// assert_eq!(tree.distance(4), 5);
-/// assert_eq!(tree.remove(4), Some(104));
+/// assert!(tree.remove(4));
 /// assert_eq!(tree.distance(3), 5);
 /// ```
 #[derive(Clone, Debug)]
@@ -144,10 +143,9 @@ impl AvlTree {
         }
     }
 
-    fn alloc(&mut self, ts: u64, addr: u64) -> u32 {
+    fn alloc(&mut self, ts: u64) -> u32 {
         let node = Node {
             ts,
-            addr,
             left: NIL,
             right: NIL,
             height: 1,
@@ -165,17 +163,17 @@ impl AvlTree {
         }
     }
 
-    fn insert_at(&mut self, n: u32, ts: u64, addr: u64) -> u32 {
+    fn insert_at(&mut self, n: u32, ts: u64) -> u32 {
         if n == NIL {
-            return self.alloc(ts, addr);
+            return self.alloc(ts);
         }
         match ts.cmp(&self.nodes[n as usize].ts) {
             std::cmp::Ordering::Less => {
-                let child = self.insert_at(self.nodes[n as usize].left, ts, addr);
+                let child = self.insert_at(self.nodes[n as usize].left, ts);
                 self.nodes[n as usize].left = child;
             }
             std::cmp::Ordering::Greater => {
-                let child = self.insert_at(self.nodes[n as usize].right, ts, addr);
+                let child = self.insert_at(self.nodes[n as usize].right, ts);
                 self.nodes[n as usize].right = child;
             }
             std::cmp::Ordering::Equal => {
@@ -200,13 +198,7 @@ impl AvlTree {
     /// (count of strictly-greater keys, paper Algorithm 2) into `rank` along
     /// the same descent — the fused `distance_and_remove` body. `remove`
     /// passes a scratch accumulator and discards it.
-    fn remove_rank_at(
-        &mut self,
-        n: u32,
-        ts: u64,
-        rank: &mut u64,
-        removed: &mut Option<u64>,
-    ) -> u32 {
+    fn remove_rank_at(&mut self, n: u32, ts: u64, rank: &mut u64, removed: &mut bool) -> u32 {
         if n == NIL {
             return NIL;
         }
@@ -224,7 +216,7 @@ impl AvlTree {
             std::cmp::Ordering::Equal => {
                 let right = self.nodes[n as usize].right;
                 *rank += self.size(right) as u64;
-                *removed = Some(self.nodes[n as usize].addr);
+                *removed = true;
                 let (left, right) = {
                     let node = &self.nodes[n as usize];
                     (node.left, node.right)
@@ -250,20 +242,20 @@ impl AvlTree {
     /// root and height. Mid-split yields sibling sizes differing by at most
     /// one, so sibling heights differ by at most one — the AVL invariant
     /// holds by construction. Recursion depth is O(log n).
-    fn build_balanced(&mut self, pairs: &[(u64, u64)]) -> (u32, u8) {
-        if pairs.is_empty() {
+    fn build_balanced(&mut self, keys: &[u64]) -> (u32, u8) {
+        if keys.is_empty() {
             return (NIL, 0);
         }
-        let mid = pairs.len() / 2;
-        let idx = self.alloc(pairs[mid].0, pairs[mid].1);
-        let (left, lh) = self.build_balanced(&pairs[..mid]);
-        let (right, rh) = self.build_balanced(&pairs[mid + 1..]);
+        let mid = keys.len() / 2;
+        let idx = self.alloc(keys[mid]);
+        let (left, lh) = self.build_balanced(&keys[..mid]);
+        let (right, rh) = self.build_balanced(&keys[mid + 1..]);
         let height = 1 + lh.max(rh);
         let node = &mut self.nodes[idx as usize];
         node.left = left;
         node.right = right;
         node.height = height;
-        node.size = pairs.len() as u32;
+        node.size = keys.len() as u32;
         (idx, height)
     }
 
@@ -298,8 +290,8 @@ impl AvlTree {
 
 impl ReuseTree for AvlTree {
     /// The key is the timestamp.
-    fn append(&mut self, timestamp: u64, addr: u64) -> u64 {
-        self.insert(timestamp, addr);
+    fn append(&mut self, timestamp: u64) -> u64 {
+        self.insert(timestamp);
         timestamp
     }
 
@@ -324,8 +316,8 @@ impl ReuseTree for AvlTree {
         d
     }
 
-    fn remove(&mut self, timestamp: u64) -> Option<u64> {
-        let mut removed = None;
+    fn remove(&mut self, timestamp: u64) -> bool {
+        let mut removed = false;
         let mut rank = 0;
         self.root = self.remove_rank_at(self.root, timestamp, &mut rank, &mut removed);
         removed
@@ -334,17 +326,17 @@ impl ReuseTree for AvlTree {
     fn distance_and_remove(&mut self, timestamp: u64) -> Option<u64> {
         // Fused: the rank accumulates along the removal descent itself, so
         // the hot path pays one root-to-node walk instead of two.
-        let mut removed = None;
+        let mut removed = false;
         let mut rank = 0;
         self.root = self.remove_rank_at(self.root, timestamp, &mut rank, &mut removed);
-        removed.map(|_| rank)
+        removed.then_some(rank)
     }
 
     fn distance_and_remove_each(&mut self, keys: &mut [u64]) {
         sweep::distance_and_remove_each(self, keys);
     }
 
-    fn oldest(&self) -> Option<(u64, u64)> {
+    fn oldest(&self) -> Option<u64> {
         if self.root == NIL {
             return None;
         }
@@ -352,8 +344,7 @@ impl ReuseTree for AvlTree {
         while self.nodes[cur as usize].left != NIL {
             cur = self.nodes[cur as usize].left;
         }
-        let node = &self.nodes[cur as usize];
-        Some((node.ts, node.addr))
+        Some(self.nodes[cur as usize].ts)
     }
 
     fn len(&self) -> usize {
@@ -370,7 +361,7 @@ impl ReuseTree for AvlTree {
         self.nodes.reserve(additional);
     }
 
-    fn for_each_in_order(&self, mut visit: impl FnMut(u64, u64)) {
+    fn for_each_in_order(&self, mut visit: impl FnMut(u64)) {
         let mut stack = Vec::new();
         let mut cur = self.root;
         while cur != NIL || !stack.is_empty() {
@@ -380,22 +371,22 @@ impl ReuseTree for AvlTree {
             }
             let n = stack.pop().expect("stack non-empty");
             let node = &self.nodes[n as usize];
-            visit(node.ts, node.addr);
+            visit(node.ts);
             cur = node.right;
         }
     }
 }
 
 impl SearchTree for AvlTree {
-    fn insert(&mut self, timestamp: u64, addr: u64) {
-        self.root = self.insert_at(self.root, timestamp, addr);
+    fn insert(&mut self, timestamp: u64) {
+        self.root = self.insert_at(self.root, timestamp);
     }
 
-    fn rebuild_from_sorted(&mut self, pairs: &[(u64, u64)]) {
+    fn rebuild_from_sorted(&mut self, keys: &[u64]) {
         self.nodes.clear();
         self.free.clear();
-        self.nodes.reserve(pairs.len());
-        let (root, _) = self.build_balanced(pairs);
+        self.nodes.reserve(keys.len());
+        let (root, _) = self.build_balanced(keys);
         self.root = root;
     }
 }
@@ -416,7 +407,7 @@ mod tests {
     fn stays_balanced_under_sequential_inserts() {
         let mut tree = AvlTree::new();
         for ts in 0..4096u64 {
-            tree.insert(ts, ts);
+            tree.insert(ts);
         }
         // A perfectly balanced tree of 4096 nodes has height 13; AVL
         // guarantees ≤ 1.44 log2(n) ≈ 17.
@@ -432,9 +423,9 @@ mod tests {
     fn validates_under_interleaved_deletes() {
         let mut tree = AvlTree::new();
         for ts in 0..2000u64 {
-            tree.insert(ts, ts * 2);
+            tree.insert(ts);
             if ts % 2 == 1 {
-                assert_eq!(tree.remove(ts / 2), Some(ts / 2 * 2));
+                assert!(tree.remove(ts / 2));
             }
         }
         tree.validate();
@@ -445,7 +436,7 @@ mod tests {
     fn distance_counts_strictly_greater() {
         let mut tree = AvlTree::new();
         for ts in [10u64, 20, 30, 40, 50] {
-            tree.insert(ts, ts);
+            tree.insert(ts);
         }
         assert_eq!(tree.distance(30), 2);
         assert_eq!(tree.distance(25), 3, "absent key counts all greater keys");
@@ -458,17 +449,11 @@ mod tests {
     fn remove_interior_node_with_two_children() {
         let mut tree = AvlTree::new();
         for ts in [50u64, 30, 70, 20, 40, 60, 80] {
-            tree.insert(ts, ts + 1);
+            tree.insert(ts);
         }
-        assert_eq!(tree.remove(50), Some(51));
+        assert!(tree.remove(50));
         tree.validate();
-        assert_eq!(
-            tree.to_sorted_vec()
-                .iter()
-                .map(|&(t, _)| t)
-                .collect::<Vec<_>>(),
-            vec![20, 30, 40, 60, 70, 80]
-        );
+        assert_eq!(tree.to_sorted_vec(), vec![20, 30, 40, 60, 70, 80]);
     }
 
     #[test]

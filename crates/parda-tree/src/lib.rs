@@ -26,14 +26,16 @@
 //! of the naïve algorithm (paper Section III-A), kept as the correctness
 //! baseline; it answers distances directly and is no [`ReuseTree`].
 //!
-//! Every structure stores `(key, addr)` entries. A key is what
-//! [`ReuseTree::append`] returned: the timestamp itself in the search
-//! trees, and an axis position in the [`VectorTree`], which stores no
-//! timestamps at all. The engines keep that key in their last-access table
-//! and hand it back on a hit, a removal or an LRU eviction. The address
-//! payload is needed by the bounded algorithm's LRU eviction (paper
-//! Algorithm 7, `find_oldest`) and by the windowed streamer, which appends
-//! each window's live addresses to its history.
+//! Every structure stores keys only. A key is what [`ReuseTree::append`]
+//! returned: the timestamp itself in the search trees, and an axis
+//! position in the [`VectorTree`], which stores no timestamps at all. The
+//! engines keep that key in their last-access table and hand it back on a
+//! hit, a removal or an LRU eviction. No structure stores the address an
+//! entry stands for: the engines' table maps addresses to keys, and where
+//! a caller needs the address of a key — the bounded algorithm's LRU
+//! eviction (paper Algorithm 7, `find_oldest`) and the windowed streamer's
+//! export of each window's live addresses to its history — it reads it
+//! from the chunk the engine analyzed, at the key's offset.
 
 pub mod avl;
 pub mod fenwick;
@@ -64,10 +66,10 @@ pub(crate) const NIL: u32 = u32::MAX;
 /// holds. A tree owns its state (`'static`), so an engine can travel to a
 /// worker that outlives the call that made it.
 pub trait ReuseTree: 'static {
-    /// Append an entry for an access to `addr` at `timestamp`, newer than
-    /// every live entry, and return its key. The structure must have room
-    /// for it: call [`ReuseTree::make_room`] first.
-    fn append(&mut self, timestamp: u64, addr: u64) -> u64;
+    /// Append an entry for an access at `timestamp`, newer than every live
+    /// entry, and return its key. The structure must have room for it: call
+    /// [`ReuseTree::make_room`] first.
+    fn append(&mut self, timestamp: u64) -> u64;
 
     /// The key the next append, of an access at `timestamp`, will return.
     /// After [`ReuseTree::make_room`]`(n)`, appends of consecutive timestamps
@@ -80,7 +82,9 @@ pub trait ReuseTree: 'static {
     /// Make room for `appends` further appends. A structure that has to
     /// move live keys to do so returns how it moved them, and the caller
     /// must map every key it holds through the [`Relabel`] before it uses
-    /// one again. The search trees never move a key.
+    /// one again, dropping the keys it reports dead. After
+    /// `make_room(n)` on an empty structure, `n` appends never move a key.
+    /// The search trees never move a key.
     fn make_room(&mut self, appends: usize) -> Option<&Relabel> {
         let _ = appends;
         None
@@ -93,20 +97,18 @@ pub trait ReuseTree: 'static {
     /// restructure on access.
     fn distance(&mut self, key: u64) -> u64;
 
-    /// Remove the entry at `key`, returning its address.
-    fn remove(&mut self, key: u64) -> Option<u64>;
+    /// Remove the entry at `key`; `false` if no entry at `key` is live.
+    fn remove(&mut self, key: u64) -> bool;
 
     /// Fused hot-path operation: `distance(key)` followed by `remove(key)`.
     /// Returns the distance alone, or `None` if `key` is not live.
     ///
     /// This is what Algorithm 1's body performs per hit; implementations can
-    /// do it in a single descent. No caller needs the address (the engines'
-    /// last-access table already knows it), so an implementation need not
-    /// read the entry that holds it: the vector tree only clears the
-    /// entry's occupancy bit.
+    /// do it in a single descent. The vector tree only clears the entry's
+    /// occupancy bit.
     fn distance_and_remove(&mut self, key: u64) -> Option<u64> {
         let d = self.distance(key);
-        self.remove(key).map(|_| d)
+        self.remove(key).then_some(d)
     }
 
     /// [`ReuseTree::distance_and_remove`] of each of `keys` in turn,
@@ -122,9 +124,9 @@ pub trait ReuseTree: 'static {
         }
     }
 
-    /// The oldest live entry, as `(key, addr)` — the LRU victim for bounded
+    /// The key of the oldest live entry — the LRU victim for bounded
     /// analysis (`find_oldest` in Algorithm 7).
-    fn oldest(&self) -> Option<(u64, u64)>;
+    fn oldest(&self) -> Option<u64>;
 
     /// Number of live entries.
     fn len(&self) -> usize;
@@ -142,14 +144,15 @@ pub trait ReuseTree: 'static {
     /// sized once instead of reallocating mid-chunk); default is a no-op.
     fn reserve(&mut self, _additional: usize) {}
 
-    /// Visit every live entry as `(key, addr)`, oldest first. The windowed
-    /// streamer exports an item's live addresses to its history this way.
-    fn for_each_in_order(&self, visit: impl FnMut(u64, u64));
+    /// Visit every live key, oldest first. The windowed streamer exports
+    /// an item's live addresses to its history this way, reading each
+    /// key's address from the item's chunk.
+    fn for_each_in_order(&self, visit: impl FnMut(u64));
 
-    /// Every live `(key, addr)` entry, oldest first.
-    fn to_sorted_vec(&self) -> Vec<(u64, u64)> {
+    /// Every live key, oldest first.
+    fn to_sorted_vec(&self) -> Vec<u64> {
         let mut v = Vec::with_capacity(self.len());
-        self.for_each_in_order(|key, addr| v.push((key, addr)));
+        self.for_each_in_order(|key| v.push(key));
         v
     }
 }
@@ -159,13 +162,13 @@ pub trait ReuseTree: 'static {
 /// a sorted run, which the batched absorb's dense sweep does
 /// ([`sweep`]).
 pub(crate) trait SearchTree: ReuseTree {
-    /// Insert `(timestamp, addr)` anywhere in timestamp order. Timestamps
-    /// must be unique; a duplicate is a logic error and may panic.
-    fn insert(&mut self, timestamp: u64, addr: u64);
+    /// Insert `timestamp` anywhere in timestamp order. Timestamps must be
+    /// unique; a duplicate is a logic error and may panic.
+    fn insert(&mut self, timestamp: u64);
 
-    /// Replace the contents with `pairs` (strictly increasing timestamps)
+    /// Replace the contents with `keys` (strictly increasing timestamps)
     /// in O(n).
-    fn rebuild_from_sorted(&mut self, pairs: &[(u64, u64)]);
+    fn rebuild_from_sorted(&mut self, keys: &[u64]);
 }
 
 /// Which tree implementation a generic engine should use. Handy for CLI
@@ -229,13 +232,16 @@ impl std::str::FromStr for TreeKind {
 pub(crate) mod conformance {
     //! Shared black-box conformance suites: the keyed one runs against
     //! every [`ReuseTree`], the timestamp-keyed one against the search
-    //! trees.
+    //! trees. The trees store keys only; each suite reads a live key's
+    //! address from the trace it appended, as the engines read it from
+    //! their chunk, and compares `(key, addr)` pairs with the model's.
 
     use super::{sweep, ReuseTree, SearchTree};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// Reference model: a sorted map from timestamp to address.
+    /// Reference model: a sorted map from live timestamp to the address
+    /// the trace holds there.
     #[derive(Default)]
     pub struct Model {
         map: BTreeMap<u64, u64>,
@@ -264,6 +270,14 @@ pub(crate) mod conformance {
 
         pub fn sorted(&self) -> Vec<(u64, u64)> {
             self.map.iter().map(|(&k, &v)| (k, v)).collect()
+        }
+
+        /// Timestamp keys paired with the address the trace holds at each:
+        /// a search tree's contents as the engines read them.
+        pub fn read(&self, keys: &[u64]) -> Vec<(u64, u64)> {
+            keys.iter()
+                .map(|&ts| (ts, *self.map.get(&ts).unwrap_or(&u64::MAX)))
+                .collect()
         }
 
         /// The live timestamp `pick` lands on, if any entry is live.
@@ -299,11 +313,12 @@ pub(crate) mod conformance {
             self.keys[&ts]
         }
 
-        /// Make room for `n` appends, relabelling the kept keys.
+        /// Make room for `n` appends, relabelling the kept keys. Every kept
+        /// key is live, so none may come back dead.
         pub fn make_room(&mut self, n: usize) {
             if let Some(relabel) = self.tree.make_room(n) {
                 for key in self.keys.values_mut() {
-                    *key = relabel.apply(*key);
+                    *key = relabel.apply(*key).expect("a live key stays live");
                 }
             }
         }
@@ -314,7 +329,7 @@ pub(crate) mod conformance {
             self.make_room(1);
             let ts = self.next_ts + gap;
             let expect = self.tree.next_key(ts);
-            let key = self.tree.append(ts, addr);
+            let key = self.tree.append(ts);
             assert_eq!(
                 key, expect,
                 "append({ts}) returned another key than next_key"
@@ -330,8 +345,20 @@ pub(crate) mod conformance {
             let expect = self.model.remove(ts).map(|_| self.model.distance(ts));
             let d = self.tree.distance_and_remove(key);
             assert_eq!(d, expect, "distance_and_remove of ts {ts}");
-            assert_eq!(self.tree.remove(key), None, "a removed key is gone");
+            assert!(!self.tree.remove(key), "a removed key is gone");
             d
+        }
+
+        /// Live keys paired with the address the trace holds at each one's
+        /// timestamp (`u64::MAX` for a key the harness never handed out).
+        pub fn read(&self, keys: &[u64]) -> Vec<(u64, u64)> {
+            let ts_of: BTreeMap<u64, u64> = self.keys.iter().map(|(&ts, &k)| (k, ts)).collect();
+            keys.iter()
+                .map(|key| {
+                    let addr = ts_of.get(key).and_then(|ts| self.model.map.get(ts));
+                    (*key, *addr.unwrap_or(&u64::MAX))
+                })
+                .collect()
         }
 
         /// Every check that reads the whole state.
@@ -343,10 +370,15 @@ pub(crate) mod conformance {
                 .into_iter()
                 .map(|(ts, addr)| (self.key(ts), addr))
                 .collect();
-            assert_eq!(self.tree.to_sorted_vec(), contents, "in-order contents");
             assert_eq!(
-                self.tree.oldest(),
-                self.model.oldest().map(|(ts, addr)| (self.key(ts), addr)),
+                self.read(&self.tree.to_sorted_vec()),
+                contents,
+                "in-order contents"
+            );
+            let oldest: Vec<u64> = self.tree.oldest().into_iter().collect();
+            assert_eq!(
+                self.read(&oldest).first().copied(),
+                contents.first().copied(),
                 "oldest"
             );
         }
@@ -408,8 +440,8 @@ pub(crate) mod conformance {
                 KeyedOp::Remove(pick) => {
                     if let Some(ts) = k.model.pick(pick) {
                         let key = k.keys.remove(&ts).expect("live");
-                        assert_eq!(k.tree.remove(key), k.model.remove(ts), "remove");
-                        assert_eq!(k.tree.remove(key), None, "remove twice");
+                        assert_eq!(k.tree.remove(key), k.model.remove(ts).is_some(), "remove");
+                        assert!(!k.tree.remove(key), "remove twice");
                     }
                 }
                 KeyedOp::DistanceAndRemove(pick) => {
@@ -459,8 +491,8 @@ pub(crate) mod conformance {
         assert_eq!(k.tree.distance(k.key(49)), 50);
         assert_eq!(k.tree.distance(k.key(0)), 99);
         assert_eq!(k.tree.distance(k.key(99)), 0);
-        assert_eq!(k.tree.oldest(), Some((k.key(0), 0)));
-        assert_eq!(k.tree.remove(k.key(0)), Some(0));
+        assert_eq!(k.read(&[k.tree.oldest().unwrap()]), vec![(k.key(0), 0)]);
+        assert!(k.tree.remove(k.key(0)));
         k.keys.remove(&0);
         k.model.remove(0);
         k.check();
@@ -476,8 +508,8 @@ pub(crate) mod conformance {
         k.tree.clear();
         assert!(k.tree.is_empty());
         assert!(k.tree.make_room(1).is_none(), "a cleared tree has room");
-        let key = k.tree.append(5, 55);
-        assert_eq!(k.tree.to_sorted_vec(), vec![(key, 55)]);
+        let key = k.tree.append(5);
+        assert_eq!(k.tree.to_sorted_vec(), vec![key]);
     }
 
     /// One random operation of the timestamp-keyed suite.
@@ -511,13 +543,13 @@ pub(crate) mod conformance {
                         continue; // duplicate timestamps are excluded by contract
                     }
                     model.insert(ts, addr);
-                    tree.insert(ts, addr);
+                    tree.insert(ts);
                 }
                 Op::Distance(ts) => {
                     assert_eq!(tree.distance(ts), model.distance(ts), "distance({ts})");
                 }
                 Op::Remove(ts) => {
-                    assert_eq!(tree.remove(ts), model.remove(ts), "remove({ts})");
+                    assert_eq!(tree.remove(ts), model.remove(ts).is_some(), "remove({ts})");
                 }
                 Op::DistanceAndRemove(ts) => {
                     let expect = model.remove(ts).map(|_| model.distance(ts));
@@ -528,11 +560,20 @@ pub(crate) mod conformance {
                     );
                 }
                 Op::Oldest => {
-                    assert_eq!(tree.oldest(), model.oldest(), "oldest");
+                    let oldest: Vec<u64> = tree.oldest().into_iter().collect();
+                    assert_eq!(
+                        model.read(&oldest).first().copied(),
+                        model.oldest(),
+                        "oldest"
+                    );
                 }
             }
             assert_eq!(tree.len(), model.len(), "len after op");
-            assert_eq!(tree.to_sorted_vec(), model.sorted(), "in-order contents");
+            assert_eq!(
+                model.read(&tree.to_sorted_vec()),
+                model.sorted(),
+                "in-order contents"
+            );
         }
     }
 
@@ -549,7 +590,7 @@ pub(crate) mod conformance {
                 continue;
             }
             model.insert(ts, addr);
-            tree.insert(ts, addr);
+            tree.insert(ts);
         }
         let keys: Vec<u64> = model.map.keys().copied().collect();
         let sorted_ts: Vec<u64> = keys
@@ -567,7 +608,7 @@ pub(crate) mod conformance {
         }
         assert_eq!(tree.len(), model.len(), "len after batch");
         assert_eq!(
-            tree.to_sorted_vec(),
+            model.read(&tree.to_sorted_vec()),
             model.sorted(),
             "survivors after batch"
         );
@@ -575,7 +616,7 @@ pub(crate) mod conformance {
         // The structure must remain fully functional after any rebuild.
         let next_ts = keys.last().map_or(0, |&t| t + 1);
         model.insert(next_ts, 4242);
-        tree.insert(next_ts, 4242);
+        tree.insert(next_ts);
         for &ts in keys.iter().take(8) {
             assert_eq!(
                 tree.distance(ts),
@@ -583,15 +624,23 @@ pub(crate) mod conformance {
                 "distance({ts}) after batch"
             );
         }
-        assert_eq!(tree.oldest(), model.oldest(), "oldest after batch");
-        assert_eq!(tree.to_sorted_vec(), model.sorted(), "contents after batch");
+        assert_eq!(
+            tree.oldest(),
+            model.oldest().map(|(ts, _)| ts),
+            "oldest after batch"
+        );
+        assert_eq!(
+            model.read(&tree.to_sorted_vec()),
+            model.sorted(),
+            "contents after batch"
+        );
     }
 
     /// Deterministic batch smoke: exercises the sparse (fused-descent) path,
     /// the dense (merge + rebuild) path, and the empty batch.
     pub fn batch_smoke<T: SearchTree>(tree: &mut T) {
         for ts in 0..200u64 {
-            tree.insert(ts, ts * 3);
+            tree.insert(ts);
         }
         // Empty batch is a no-op.
         let mut out = Vec::new();
@@ -605,7 +654,7 @@ pub(crate) mod conformance {
         assert_eq!(tree.len(), 197);
 
         // Dense path: delete every other survivor (98 * 8 >= 197).
-        let remaining: Vec<u64> = tree.to_sorted_vec().iter().map(|&(ts, _)| ts).collect();
+        let remaining: Vec<u64> = tree.to_sorted_vec();
         let half: Vec<u64> = remaining.iter().copied().step_by(2).collect();
         let mut model = Model::default();
         for &ts in &remaining {
@@ -618,46 +667,48 @@ pub(crate) mod conformance {
         for &ts in &half {
             model.remove(ts);
         }
-        assert_eq!(tree.to_sorted_vec(), model.sorted());
+        assert_eq!(model.read(&tree.to_sorted_vec()), model.sorted());
 
         // Still usable: insert past the end and query.
-        tree.insert(500, 5000);
+        tree.insert(500);
         assert_eq!(tree.distance(500), 0);
-        assert_eq!(tree.oldest(), model.oldest());
+        assert_eq!(tree.oldest(), model.oldest().map(|(ts, _)| ts));
     }
 
     /// Deterministic smoke sequence exercising all operations, inserts in
-    /// the middle and queries at absent timestamps included.
+    /// the middle and queries at absent timestamps included. The trace
+    /// holds address `ts * 10` at timestamp `ts`.
     pub fn smoke<T: SearchTree>(tree: &mut T) {
+        let addr = |ts: u64| ts * 10;
         assert!(tree.is_empty());
         assert_eq!(tree.oldest(), None);
-        assert_eq!(tree.remove(3), None);
+        assert!(!tree.remove(3));
         assert_eq!(tree.distance(0), 0);
 
         for ts in 0..100u64 {
-            tree.insert(ts, ts * 10);
+            tree.insert(ts);
         }
         assert_eq!(tree.len(), 100);
         assert_eq!(tree.distance(49), 50);
         assert_eq!(tree.distance(0), 99);
         assert_eq!(tree.distance(99), 0);
-        assert_eq!(tree.oldest(), Some((0, 0)));
+        assert_eq!(tree.oldest().map(|ts| (ts, addr(ts))), Some((0, 0)));
 
-        assert_eq!(tree.remove(0), Some(0));
-        assert_eq!(tree.oldest(), Some((1, 10)));
+        assert!(tree.remove(0));
+        assert_eq!(tree.oldest().map(|ts| (ts, addr(ts))), Some((1, 10)));
         assert_eq!(tree.distance_and_remove(50), Some(49));
-        assert_eq!(tree.remove(50), None);
+        assert!(!tree.remove(50));
         assert_eq!(tree.distance(49), 49);
         assert_eq!(tree.len(), 98);
 
         // Re-insert in the middle (a search tree takes any order).
-        tree.insert(50, 777);
+        tree.insert(50);
         assert_eq!(tree.distance(49), 50);
-        assert_eq!(tree.remove(50), Some(777));
+        assert!(tree.remove(50));
 
         tree.clear();
         assert!(tree.is_empty());
-        tree.insert(5, 55);
-        assert_eq!(tree.to_sorted_vec(), vec![(5, 55)]);
+        tree.insert(5);
+        assert_eq!(tree.to_sorted_vec(), vec![5]);
     }
 }

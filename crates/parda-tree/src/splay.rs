@@ -24,7 +24,6 @@ use crate::{sweep, ReuseTree, SearchTree, NIL};
 #[derive(Clone, Debug)]
 struct Node {
     ts: u64,
-    addr: u64,
     left: u32,
     right: u32,
     /// Number of nodes in the subtree rooted here (including this node).
@@ -39,12 +38,12 @@ struct Node {
 /// use parda_tree::{ReuseTree, SplayTree};
 ///
 /// let mut tree = SplayTree::new();
-/// for (ts, addr) in [(0, 100), (1, 200), (2, 300)] {
-///     assert_eq!(tree.append(ts, addr), ts, "the key is the timestamp");
+/// for ts in 0..3 {
+///     assert_eq!(tree.append(ts), ts, "the key is the timestamp");
 /// }
 /// // Two elements were accessed after time 0:
 /// assert_eq!(tree.distance(0), 2);
-/// assert_eq!(tree.oldest(), Some((0, 100)));
+/// assert_eq!(tree.oldest(), Some(0));
 /// ```
 #[derive(Clone, Debug)]
 pub struct SplayTree {
@@ -90,10 +89,9 @@ impl SplayTree {
         }
     }
 
-    fn alloc(&mut self, ts: u64, addr: u64) -> u32 {
+    fn alloc(&mut self, ts: u64) -> u32 {
         let node = Node {
             ts,
-            addr,
             left: NIL,
             right: NIL,
             size: 1,
@@ -245,15 +243,11 @@ impl SplayTree {
 
     /// Remove the current root, joining its subtrees (splay-tree delete:
     /// splay the left subtree's maximum up, then adopt the right subtree).
-    fn delete_root(&mut self) -> (u64, u64) {
+    fn delete_root(&mut self) {
         let old = self.root;
         debug_assert_ne!(old, NIL);
         let Node {
-            ts,
-            addr,
-            left,
-            right,
-            ..
+            ts, left, right, ..
         } = self.nodes[old as usize];
         if left == NIL {
             self.root = right;
@@ -269,25 +263,24 @@ impl SplayTree {
         }
         self.free.push(old);
         self.len -= 1;
-        (ts, addr)
     }
 
     /// Build a perfectly balanced subtree over a sorted run, returning its
     /// root. Any BST shape answers rank queries identically — distances
     /// depend only on the key set — so the rebuild picks the shape that
     /// minimizes subsequent descent depth. Recursion depth is O(log n).
-    fn build_balanced(&mut self, pairs: &[(u64, u64)]) -> u32 {
-        if pairs.is_empty() {
+    fn build_balanced(&mut self, keys: &[u64]) -> u32 {
+        if keys.is_empty() {
             return NIL;
         }
-        let mid = pairs.len() / 2;
-        let idx = self.alloc(pairs[mid].0, pairs[mid].1);
-        let left = self.build_balanced(&pairs[..mid]);
-        let right = self.build_balanced(&pairs[mid + 1..]);
+        let mid = keys.len() / 2;
+        let idx = self.alloc(keys[mid]);
+        let left = self.build_balanced(&keys[..mid]);
+        let right = self.build_balanced(&keys[mid + 1..]);
         let node = &mut self.nodes[idx as usize];
         node.left = left;
         node.right = right;
-        node.size = pairs.len() as u32;
+        node.size = keys.len() as u32;
         idx
     }
 
@@ -317,8 +310,8 @@ impl SplayTree {
 
 impl ReuseTree for SplayTree {
     /// The key is the timestamp.
-    fn append(&mut self, timestamp: u64, addr: u64) -> u64 {
-        self.insert(timestamp, addr);
+    fn append(&mut self, timestamp: u64) -> u64 {
+        self.insert(timestamp);
         timestamp
     }
 
@@ -339,16 +332,16 @@ impl ReuseTree for SplayTree {
         d
     }
 
-    fn remove(&mut self, timestamp: u64) -> Option<u64> {
+    fn remove(&mut self, timestamp: u64) -> bool {
         if self.root == NIL {
-            return None;
+            return false;
         }
         self.splay(timestamp);
         if self.nodes[self.root as usize].ts != timestamp {
-            return None;
+            return false;
         }
-        let (_, addr) = self.delete_root();
-        Some(addr)
+        self.delete_root();
+        true
     }
 
     fn distance_and_remove(&mut self, timestamp: u64) -> Option<u64> {
@@ -372,7 +365,7 @@ impl ReuseTree for SplayTree {
         sweep::distance_and_remove_each(self, keys);
     }
 
-    fn oldest(&self) -> Option<(u64, u64)> {
+    fn oldest(&self) -> Option<u64> {
         if self.root == NIL {
             return None;
         }
@@ -380,8 +373,7 @@ impl ReuseTree for SplayTree {
         while self.nodes[cur as usize].left != NIL {
             cur = self.nodes[cur as usize].left;
         }
-        let node = &self.nodes[cur as usize];
-        Some((node.ts, node.addr))
+        Some(self.nodes[cur as usize].ts)
     }
 
     fn len(&self) -> usize {
@@ -399,7 +391,7 @@ impl ReuseTree for SplayTree {
         self.nodes.reserve(additional);
     }
 
-    fn for_each_in_order(&self, mut visit: impl FnMut(u64, u64)) {
+    fn for_each_in_order(&self, mut visit: impl FnMut(u64)) {
         // Iterative in-order traversal; recursion depth on a splay tree can
         // reach O(n) in adversarial shapes.
         let mut stack = Vec::new();
@@ -411,16 +403,16 @@ impl ReuseTree for SplayTree {
             }
             let n = stack.pop().expect("stack non-empty");
             let node = &self.nodes[n as usize];
-            visit(node.ts, node.addr);
+            visit(node.ts);
             cur = node.right;
         }
     }
 }
 
 impl SearchTree for SplayTree {
-    fn insert(&mut self, timestamp: u64, addr: u64) {
+    fn insert(&mut self, timestamp: u64) {
         if self.root == NIL {
-            self.root = self.alloc(timestamp, addr);
+            self.root = self.alloc(timestamp);
             self.len = 1;
             return;
         }
@@ -431,7 +423,7 @@ impl SearchTree for SplayTree {
         if t_ts == timestamp {
             panic!("duplicate timestamp {timestamp} inserted into SplayTree");
         }
-        let new = self.alloc(timestamp, addr);
+        let new = self.alloc(timestamp);
         if timestamp < t_ts {
             let t_left = self.nodes[t as usize].left;
             self.nodes[new as usize].left = t_left;
@@ -452,12 +444,12 @@ impl SearchTree for SplayTree {
         self.root = new;
     }
 
-    fn rebuild_from_sorted(&mut self, pairs: &[(u64, u64)]) {
+    fn rebuild_from_sorted(&mut self, keys: &[u64]) {
         self.nodes.clear();
         self.free.clear();
-        self.nodes.reserve(pairs.len());
-        self.root = self.build_balanced(pairs);
-        self.len = pairs.len();
+        self.nodes.reserve(keys.len());
+        self.root = self.build_balanced(keys);
+        self.len = keys.len();
     }
 }
 
@@ -477,7 +469,7 @@ mod tests {
     fn validates_after_mixed_workload() {
         let mut tree = SplayTree::new();
         for ts in 0..500u64 {
-            tree.insert(ts, ts ^ 0xff);
+            tree.insert(ts);
             if ts % 3 == 0 && ts > 10 {
                 tree.remove(ts - 7);
             }
@@ -493,26 +485,25 @@ mod tests {
         // Paper Figure 1 / Table I: trace `d a c b c c g e f a`; at time 9
         // the tree holds {0:d, 1:a, 3:b, 5:c, 6:g, 7:e, 8:f} and the reuse
         // distance of the second `a` (previous access at ts 1) is 5.
+        let trace = b"dacbccgefa";
         let mut tree = SplayTree::new();
-        for (ts, addr) in [
-            (0, b'd'),
-            (1, b'a'),
-            (3, b'b'),
-            (5, b'c'),
-            (6, b'g'),
-            (7, b'e'),
-            (8, b'f'),
-        ] {
-            tree.insert(ts, addr as u64);
+        for ts in [0, 1, 3, 5, 6, 7, 8] {
+            tree.insert(ts);
         }
         assert_eq!(tree.distance(1), 5);
 
         // Processing the reference deletes ts 1 and re-inserts at ts 9,
-        // yielding Figure 1(b)'s node set.
-        assert_eq!(tree.remove(1), Some(b'a' as u64));
-        tree.insert(9, b'a' as u64);
+        // yielding Figure 1(b)'s node set; each node's address is the
+        // trace's reference at its timestamp.
+        assert!(tree.remove(1));
+        assert_eq!(trace[1], b'a');
+        tree.insert(9);
         tree.validate();
-        let contents = tree.to_sorted_vec();
+        let contents: Vec<(u64, u64)> = tree
+            .to_sorted_vec()
+            .into_iter()
+            .map(|ts| (ts, u64::from(trace[ts as usize])))
+            .collect();
         assert_eq!(
             contents,
             vec![
@@ -531,7 +522,7 @@ mod tests {
     fn splay_moves_accessed_node_to_root() {
         let mut tree = SplayTree::new();
         for ts in 0..64u64 {
-            tree.insert(ts, ts);
+            tree.insert(ts);
         }
         tree.distance(13);
         assert_eq!(tree.nodes[tree.root as usize].ts, 13);
@@ -542,7 +533,7 @@ mod tests {
     fn top_down_splay_of_absent_key_lands_on_neighbour() {
         let mut tree = SplayTree::new();
         for ts in (0..64u64).map(|t| t * 2) {
-            tree.insert(ts, ts);
+            tree.insert(ts);
         }
         // Searching an absent key restructures toward its neighbourhood and
         // the rank query still counts strictly-greater keys.
@@ -557,13 +548,13 @@ mod tests {
         let mut fused = SplayTree::new();
         let mut twostep = SplayTree::new();
         for ts in 0..256u64 {
-            fused.insert(ts, ts + 1000);
-            twostep.insert(ts, ts + 1000);
+            fused.insert(ts);
+            twostep.insert(ts);
         }
         for ts in (0..256u64).step_by(3) {
             let d = twostep.distance(ts);
-            let addr = twostep.remove(ts);
-            assert_eq!(fused.distance_and_remove(ts), addr.map(|_| d));
+            let removed = twostep.remove(ts);
+            assert_eq!(fused.distance_and_remove(ts), removed.then_some(d));
             fused.validate();
         }
         assert_eq!(fused.to_sorted_vec(), twostep.to_sorted_vec());
@@ -573,7 +564,7 @@ mod tests {
     fn sequential_inserts_make_distance_zero_for_latest() {
         let mut tree = SplayTree::new();
         for ts in 0..1000u64 {
-            tree.insert(ts, ts);
+            tree.insert(ts);
             assert_eq!(tree.distance(ts), 0);
         }
     }
@@ -581,9 +572,9 @@ mod tests {
     #[test]
     fn remove_missing_returns_none_and_keeps_state() {
         let mut tree = SplayTree::new();
-        tree.insert(10, 1);
-        tree.insert(20, 2);
-        assert_eq!(tree.remove(15), None);
+        tree.insert(10);
+        tree.insert(20);
+        assert!(!tree.remove(15));
         assert_eq!(tree.len(), 2);
         tree.validate();
     }
@@ -592,14 +583,14 @@ mod tests {
     fn free_list_reuses_slots() {
         let mut tree = SplayTree::new();
         for ts in 0..100u64 {
-            tree.insert(ts, ts);
+            tree.insert(ts);
         }
         for ts in 0..50u64 {
             tree.remove(ts);
         }
         let arena = tree.nodes.len();
         for ts in 100..150u64 {
-            tree.insert(ts, ts);
+            tree.insert(ts);
         }
         assert_eq!(tree.nodes.len(), arena, "freed slots must be reused");
         tree.validate();
@@ -615,7 +606,7 @@ mod tests {
         let mut tree = SplayTree::new();
         // Left-spine adversarial shape: descending inserts.
         for ts in (0..4096u64).rev() {
-            tree.insert(ts, ts);
+            tree.insert(ts);
         }
         let delete: Vec<u64> = (0..4096u64).step_by(2).collect();
         let mut out = Vec::new();

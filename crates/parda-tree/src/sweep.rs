@@ -111,16 +111,16 @@ pub(crate) fn rank_delete_batch<T: SearchTree>(tree: &mut T, sorted: &[u64], out
     }
     // Dense sweep: one in-order pass plus a rebuild of the survivors.
     let live = tree.len() as u64;
-    let pairs = tree.to_sorted_vec();
+    let keys = tree.to_sorted_vec();
     let mut cursor = 0usize;
-    let mut survivors = Vec::with_capacity(pairs.len() - k.min(pairs.len()));
-    for (i, &(key, addr)) in pairs.iter().enumerate() {
+    let mut survivors = Vec::with_capacity(keys.len() - k.min(keys.len()));
+    for (i, &key) in keys.iter().enumerate() {
         if cursor < k && sorted[cursor] == key {
             // `live − 1 − i` entries sit strictly after position i.
             out.push(live - 1 - i as u64);
             cursor += 1;
         } else {
-            survivors.push((key, addr));
+            survivors.push(key);
         }
     }
     assert_eq!(

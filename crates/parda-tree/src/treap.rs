@@ -12,7 +12,6 @@ use parda_hash::fx_hash_u64;
 #[derive(Clone, Debug)]
 struct Node {
     ts: u64,
-    addr: u64,
     priority: u64,
     left: u32,
     right: u32,
@@ -27,11 +26,11 @@ struct Node {
 /// use parda_tree::{ReuseTree, Treap};
 ///
 /// let mut tree = Treap::new();
-/// tree.append(1, 10);
-/// tree.append(2, 20);
-/// tree.append(3, 30);
+/// tree.append(1);
+/// tree.append(2);
+/// tree.append(3);
 /// assert_eq!(tree.distance(1), 2);
-/// assert_eq!(tree.to_sorted_vec(), vec![(1, 10), (2, 20), (3, 30)]);
+/// assert_eq!(tree.to_sorted_vec(), vec![1, 2, 3]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Treap {
@@ -83,10 +82,9 @@ impl Treap {
         self.nodes[n as usize].size = 1 + self.size(l) + self.size(r);
     }
 
-    fn alloc(&mut self, ts: u64, addr: u64) -> u32 {
+    fn alloc(&mut self, ts: u64) -> u32 {
         let node = Node {
             ts,
-            addr,
             priority: fx_hash_u64(ts),
             left: NIL,
             right: NIL,
@@ -151,13 +149,7 @@ impl Treap {
     /// (count of strictly-greater keys) into `rank` along the same descent.
     /// At the found node the two children are merged in place — one descent
     /// plus one merge, instead of the find + split + split + merge dance.
-    fn remove_rank_at(
-        &mut self,
-        n: u32,
-        ts: u64,
-        rank: &mut u64,
-        removed: &mut Option<u64>,
-    ) -> u32 {
+    fn remove_rank_at(&mut self, n: u32, ts: u64, rank: &mut u64, removed: &mut bool) -> u32 {
         if n == NIL {
             return NIL;
         }
@@ -182,7 +174,7 @@ impl Treap {
                     (node.left, node.right)
                 };
                 *rank += self.size(right) as u64;
-                *removed = Some(self.nodes[n as usize].addr);
+                *removed = true;
                 self.free.push(n);
                 self.merge(left, right)
             }
@@ -258,8 +250,8 @@ impl Treap {
 
 impl ReuseTree for Treap {
     /// The key is the timestamp.
-    fn append(&mut self, timestamp: u64, addr: u64) -> u64 {
-        self.insert(timestamp, addr);
+    fn append(&mut self, timestamp: u64) -> u64 {
+        self.insert(timestamp);
         timestamp
     }
 
@@ -282,8 +274,8 @@ impl ReuseTree for Treap {
         d
     }
 
-    fn remove(&mut self, timestamp: u64) -> Option<u64> {
-        let mut removed = None;
+    fn remove(&mut self, timestamp: u64) -> bool {
+        let mut removed = false;
         let mut rank = 0;
         self.root = self.remove_rank_at(self.root, timestamp, &mut rank, &mut removed);
         removed
@@ -291,17 +283,17 @@ impl ReuseTree for Treap {
 
     fn distance_and_remove(&mut self, timestamp: u64) -> Option<u64> {
         // Fused: rank accumulates along the removal descent, one walk total.
-        let mut removed = None;
+        let mut removed = false;
         let mut rank = 0;
         self.root = self.remove_rank_at(self.root, timestamp, &mut rank, &mut removed);
-        removed.map(|_| rank)
+        removed.then_some(rank)
     }
 
     fn distance_and_remove_each(&mut self, keys: &mut [u64]) {
         sweep::distance_and_remove_each(self, keys);
     }
 
-    fn oldest(&self) -> Option<(u64, u64)> {
+    fn oldest(&self) -> Option<u64> {
         if self.root == NIL {
             return None;
         }
@@ -309,8 +301,7 @@ impl ReuseTree for Treap {
         while self.nodes[cur as usize].left != NIL {
             cur = self.nodes[cur as usize].left;
         }
-        let node = &self.nodes[cur as usize];
-        Some((node.ts, node.addr))
+        Some(self.nodes[cur as usize].ts)
     }
 
     fn len(&self) -> usize {
@@ -327,7 +318,7 @@ impl ReuseTree for Treap {
         self.nodes.reserve(additional);
     }
 
-    fn for_each_in_order(&self, mut visit: impl FnMut(u64, u64)) {
+    fn for_each_in_order(&self, mut visit: impl FnMut(u64)) {
         let mut stack = Vec::new();
         let mut cur = self.root;
         while cur != NIL || !stack.is_empty() {
@@ -337,20 +328,20 @@ impl ReuseTree for Treap {
             }
             let n = stack.pop().expect("stack non-empty");
             let node = &self.nodes[n as usize];
-            visit(node.ts, node.addr);
+            visit(node.ts);
             cur = node.right;
         }
     }
 }
 
 impl SearchTree for Treap {
-    fn insert(&mut self, timestamp: u64, addr: u64) {
+    fn insert(&mut self, timestamp: u64) {
         debug_assert_eq!(
             self.find(timestamp),
             NIL,
             "duplicate timestamp {timestamp} inserted into Treap"
         );
-        let new = self.alloc(timestamp, addr);
+        let new = self.alloc(timestamp);
         let (lo, hi) = self.split(self.root, timestamp);
         let left = self.merge(lo, new);
         self.root = self.merge(left, hi);
@@ -363,14 +354,14 @@ impl SearchTree for Treap {
     /// preference for the left operand), hang the popped chain as the new
     /// node's left child, and attach. Priorities are a pure function of the
     /// key, so the rebuilt shape is identical to incremental insertion.
-    fn rebuild_from_sorted(&mut self, pairs: &[(u64, u64)]) {
+    fn rebuild_from_sorted(&mut self, keys: &[u64]) {
         self.nodes.clear();
         self.free.clear();
-        self.nodes.reserve(pairs.len());
+        self.nodes.reserve(keys.len());
         self.root = NIL;
         let mut spine: Vec<u32> = Vec::new();
-        for &(ts, addr) in pairs {
-            let new = self.alloc(ts, addr);
+        for &ts in keys {
+            let new = self.alloc(ts);
             let p = self.nodes[new as usize].priority;
             let mut popped = NIL;
             while let Some(&top) = spine.last() {
@@ -410,10 +401,10 @@ mod tests {
         let mut a = Treap::new();
         let mut b = Treap::new();
         for ts in 0..100u64 {
-            a.insert(ts, ts);
+            a.insert(ts);
         }
         for ts in (0..100u64).rev() {
-            b.insert(ts, ts);
+            b.insert(ts);
         }
         // Same key set via different insertion orders ⇒ same treap shape,
         // hence identical root.
@@ -427,7 +418,7 @@ mod tests {
     fn depth_is_logarithmic_in_expectation() {
         let mut tree = Treap::new();
         for ts in 0..8192u64 {
-            tree.insert(ts, ts);
+            tree.insert(ts);
         }
         fn depth(t: &Treap, n: u32) -> u32 {
             if n == NIL {
@@ -446,13 +437,13 @@ mod tests {
     fn remove_then_reinsert_round_trips() {
         let mut tree = Treap::new();
         for ts in 0..50u64 {
-            tree.insert(ts, ts + 500);
+            tree.insert(ts);
         }
         for ts in 10..20u64 {
-            assert_eq!(tree.remove(ts), Some(ts + 500));
+            assert!(tree.remove(ts));
         }
         for ts in 10..20u64 {
-            tree.insert(ts, ts + 900);
+            tree.insert(ts);
         }
         assert_eq!(tree.len(), 50);
         assert_eq!(tree.distance(9), 40);
@@ -468,7 +459,7 @@ mod tests {
     fn dense_batch_rebuild_matches_incremental_shape() {
         let mut tree = Treap::new();
         for ts in 0..512u64 {
-            tree.insert(ts, ts);
+            tree.insert(ts);
         }
         // Keep every third key: dense path (341 * 8 ≥ 512) → cartesian
         // rebuild, whose shape must equal incremental insertion of the
@@ -480,7 +471,7 @@ mod tests {
 
         let mut fresh = Treap::new();
         for ts in (0..512u64).filter(|t| t % 3 == 0) {
-            fresh.insert(ts, ts);
+            fresh.insert(ts);
         }
         assert_eq!(
             tree.nodes[tree.root as usize].ts,

@@ -6,36 +6,38 @@
 //! top. The reuse distance of an access is the count of 1s after the slot
 //! of the previous access to the same element.
 //!
-//! **Keys are positions.** An append takes the next slot of the time axis
-//! and returns the slot's index as its key; the caller keeps that key in
-//! its last-access table instead of a timestamp. So the structure stores
-//! no timestamps: a slot holds only its address (8 bytes), which bounded
-//! eviction and the windowed streamer's export need. A hit goes straight
-//! to its slot, with no search and no slot read.
+//! **Keys are positions, and a slot is one bit.** An append takes the next
+//! slot of the time axis and returns the slot's index as its key; the
+//! caller keeps that key in its last-access table instead of a timestamp.
+//! So the structure is an occupancy set: it stores no timestamps and no
+//! addresses, only which slots are live. A caller that needs a live key's
+//! address knows it already — an engine that started its chunk empty reads
+//! it from the chunk at the key's offset. A hit goes straight to its bit,
+//! with no search.
 //!
 //! **Two levels.** The 1s are an occupancy bitmap, one bit per slot, and a
 //! [`Fenwick`] tree counts the live slots of each 512-slot block — the
 //! partial-sum tree's wide bottom level. A rank is a block prefix sum plus
 //! the popcount of at most 8 words, all in one cache line; a removal clears
 //! one bit and walks the block tree, which is 1/512 the length of the axis.
-//! The bit alone says whether a slot is live, so every address, `u64::MAX`
-//! included, is plain data. The oldest entry, bounded mode's LRU victim, is
-//! a block `select` plus the first set bit.
+//! The oldest entry, bounded mode's LRU victim, is a block `select` plus
+//! the first set bit.
 //!
 //! **Compaction relabels.** The time axis grows with N, not M, so the
-//! structure compacts: when an append would pass the end of the axis, the
-//! dead slots are squeezed out and the axis is resized to twice the live
-//! count (at least 64 slots, and room for the appends asked for). A
-//! survivor's new position is its rank among the old live bits, read from
+//! structure compacts: when the appends asked for would pass the end of the
+//! axis, the dead slots are squeezed out and the axis is resized to twice
+//! the live count (at least 64 slots, and room for the appends asked for).
+//! A survivor's new position is its rank among the old live bits, read from
 //! per-word prefix counts over the old bitmap; [`ReuseTree::make_room`]
 //! lends that map ([`Relabel`]) to the caller, who rewrites its table in
-//! one sweep. The survivors are a prefix of ones, so the bitmap and block
-//! counts are rebuilt linearly. Each compaction buys as many appends as it
-//! moved slots: amortized O(1) per access. A capacity hint (`reserve`)
-//! reserves memory for slots and bitmap words without lengthening the
-//! axis: the memory stays untouched until the axis reaches it, and it
-//! spares an engine the freed growth steps of arrays grown from 64 slots,
-//! which stay resident.
+//! one sweep and drops the keys the map reports dead. The survivors are a
+//! prefix of ones, so the bitmap and block counts are rebuilt linearly, and
+//! the whole compaction reads one word per 64 slots. Each compaction buys
+//! as many appends as it moved slots: amortized O(1) per access. A caller
+//! that makes room for all its appends at once on an empty structure —
+//! an engine analyzing one chunk — never compacts: its keys are its
+//! appends' offsets. A capacity hint (`reserve`) reserves bitmap words
+//! without lengthening the axis.
 //!
 //! This is the [`ReuseTree`] the CLI and the daemon run by default, the
 //! windowed streamer's history and the SHARDS sketch's distance oracle.
@@ -61,8 +63,9 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// How a [`VectorTree`] compaction moved the live keys: each one's new key
-/// is its rank among the keys live before the compaction.
+/// How a [`VectorTree`] compaction moved the keys: a key live at the
+/// compaction moves to its rank among the live keys, and any other key
+/// (one the caller still holds for an entry it removed) is dead.
 #[derive(Clone, Debug, Default)]
 pub struct Relabel {
     /// Per word of the old bitmap: its bits, and the live slots before it.
@@ -70,11 +73,13 @@ pub struct Relabel {
 }
 
 impl Relabel {
-    /// The new key of `key`, which must have been live at the compaction.
+    /// The new key of `key`, or `None` if its entry was not live at the
+    /// compaction. `key` must be below the old axis's next key.
     #[inline]
-    pub fn apply(&self, key: u64) -> u64 {
+    pub fn apply(&self, key: u64) -> Option<u64> {
         let (bits, before) = self.words[(key / 64) as usize];
-        before + u64::from((bits & ((1 << (key % 64)) - 1)).count_ones())
+        let bit = 1u64 << (key % 64);
+        (bits & bit != 0).then(|| before + u64::from((bits & (bit - 1)).count_ones()))
     }
 }
 
@@ -87,21 +92,21 @@ impl Relabel {
 ///
 /// let mut v = VectorTree::new();
 /// assert!(v.make_room(10).is_none());
-/// let keys: Vec<u64> = (0..10).map(|ts| v.append(ts, ts + 100)).collect();
+/// let keys: Vec<u64> = (0..10).map(|ts| v.append(ts)).collect();
+/// assert_eq!(keys, (0..10).collect::<Vec<u64>>(), "keys are offsets");
 /// assert_eq!(v.distance_and_remove(keys[4]), Some(5));
-/// assert_eq!(v.remove(keys[7]), Some(107));
-/// assert_eq!(v.oldest(), Some((keys[0], 100)));
+/// assert!(v.remove(keys[7]));
+/// assert_eq!(v.oldest(), Some(keys[0]));
 /// ```
 #[derive(Clone, Debug)]
 pub struct VectorTree {
-    /// The address appended at each slot of the axis; a dead slot keeps
-    /// its address and only loses its bit.
-    addrs: Vec<u64>,
     /// Occupancy: bit `i % 64` of word `i / 64` is set iff slot `i` is
     /// live. Covers the whole axis.
     bits: Vec<u64>,
     /// Live slots per `BLOCK`-slot block of the axis.
     blocks: Fenwick,
+    /// Slots taken since the last compaction: the next append's key.
+    next: usize,
     /// Slots that fit before the next compaction.
     axis: usize,
     live: usize,
@@ -122,15 +127,22 @@ impl VectorTree {
     /// Create an empty structure.
     pub fn new() -> Self {
         let mut v = Self {
-            addrs: Vec::new(),
             bits: Vec::new(),
             blocks: Fenwick::new(0),
+            next: 0,
             axis: 0,
             live: 0,
             relabel: Relabel::default(),
         };
         v.reset_axis(0);
         v
+    }
+
+    /// Bytes the axis holds: its bitmap words and block counts.
+    pub fn memory_bytes(&self) -> u64 {
+        let words = self.bits.len() * std::mem::size_of::<u64>();
+        let blocks = (self.blocks.len() + 1) * std::mem::size_of::<u32>();
+        (words + blocks) as u64
     }
 
     fn is_live(&self, idx: usize) -> bool {
@@ -155,40 +167,35 @@ impl VectorTree {
         rank
     }
 
-    /// Mark live slot `idx` dead. Its address stays.
+    /// Mark live slot `idx` dead.
     fn kill(&mut self, idx: usize) {
         self.bits[idx / 64] &= !(1 << (idx % 64));
         self.blocks.sub(idx / BLOCK, 1);
         self.live -= 1;
     }
 
-    /// Squeeze out the dead slots, recording in `relabel` where each
-    /// survivor goes: its rank among the old live bits.
+    /// Record in `relabel` where each survivor goes — its rank among the
+    /// old live bits — and squeeze the dead slots out of the count of
+    /// taken slots.
     fn compact(&mut self) {
         self.relabel.words.clear();
         self.relabel.words.reserve(self.bits.len());
         let mut kept = 0;
-        for (w, &word) in self.bits.iter().enumerate() {
-            self.relabel.words.push((word, kept as u64));
-            let mut rest = word;
-            while rest != 0 {
-                self.addrs[kept] = self.addrs[w * 64 + rest.trailing_zeros() as usize];
-                kept += 1;
-                rest &= rest - 1;
-            }
+        for &word in &self.bits {
+            self.relabel.words.push((word, kept));
+            kept += u64::from(word.count_ones());
         }
-        debug_assert_eq!(kept, self.live);
-        self.addrs.truncate(kept);
+        debug_assert_eq!(kept, self.live as u64);
+        self.next = self.live;
     }
 
-    /// Lay out an axis of `max(2 × live, live + room, 64)` slots for
-    /// `addrs`, which must hold exactly the live set, in order: the bitmap
-    /// becomes `live` leading ones and the block counts follow.
+    /// Lay out an axis of `max(2 × live, live + room, 64)` slots whose
+    /// first `live` slots are the live set: the bitmap becomes `live`
+    /// leading ones and the block counts follow.
     fn reset_axis(&mut self, room: usize) {
-        debug_assert_eq!(self.addrs.len(), self.live);
+        debug_assert_eq!(self.next, self.live);
         let live = self.live;
         self.axis = (2 * live).max(live + room).max(Self::MIN_AXIS);
-        self.addrs.reserve_exact(self.axis - live);
         self.bits.clear();
         self.bits.resize(live / 64, u64::MAX);
         // The partial word, perhaps empty: the axis has room for it.
@@ -202,11 +209,11 @@ impl VectorTree {
     /// block counts and the live count.
     #[doc(hidden)]
     pub fn validate(&self) {
-        assert!(self.addrs.len() <= self.axis, "slots overflow the axis");
+        assert!(self.next <= self.axis, "slots overflow the axis");
         assert_eq!(self.bits.len(), self.axis.div_ceil(64), "bitmap length");
         assert_eq!(self.blocks.len(), self.axis.div_ceil(BLOCK), "blocks");
         assert!(
-            (self.addrs.len()..self.bits.len() * 64).all(|i| !self.is_live(i)),
+            (self.next..self.bits.len() * 64).all(|i| !self.is_live(i)),
             "a bit is set past the last slot"
         );
         let popcount =
@@ -225,31 +232,31 @@ impl VectorTree {
 
 impl ReuseTree for VectorTree {
     /// The key is the next slot of the axis; the timestamp is not stored.
-    fn append(&mut self, _timestamp: u64, addr: u64) -> u64 {
-        let idx = self.addrs.len();
+    fn append(&mut self, _timestamp: u64) -> u64 {
+        let idx = self.next;
         assert!(
             idx < self.axis,
             "VectorTree::append past the axis: make room first"
         );
         self.bits[idx / 64] |= 1 << (idx % 64);
         self.blocks.add(idx / BLOCK, 1);
-        self.addrs.push(addr);
+        self.next += 1;
         self.live += 1;
         idx as u64
     }
 
     fn next_key(&self, _timestamp: u64) -> u64 {
-        self.addrs.len() as u64
+        self.next as u64
     }
 
     /// Compacts when the appends would pass the end of the axis. Only a
     /// compaction that squeezed out dead slots moved keys; an axis that is
     /// all live just grows.
     fn make_room(&mut self, appends: usize) -> Option<&Relabel> {
-        if self.addrs.len() + appends <= self.axis {
+        if self.next + appends <= self.axis {
             return None;
         }
-        let moved = self.live < self.addrs.len();
+        let moved = self.live < self.next;
         if moved {
             self.compact();
         }
@@ -262,18 +269,18 @@ impl ReuseTree for VectorTree {
         self.live as u64 - self.rank(key as usize + 1)
     }
 
-    fn remove(&mut self, key: u64) -> Option<u64> {
+    fn remove(&mut self, key: u64) -> bool {
         let idx = key as usize;
-        if !self.is_live(idx) {
-            return None;
+        let live = self.is_live(idx);
+        if live {
+            self.kill(idx);
         }
-        self.kill(idx);
-        Some(self.addrs[idx])
+        live
     }
 
     fn distance_and_remove(&mut self, key: u64) -> Option<u64> {
         // Fused: `key` is live, so the newer entries are everything live
-        // but it and the slots before it. The slot itself is never read.
+        // but it and the slots before it.
         let idx = key as usize;
         if !self.is_live(idx) {
             return None;
@@ -283,39 +290,37 @@ impl ReuseTree for VectorTree {
         Some(d)
     }
 
-    fn oldest(&self) -> Option<(u64, u64)> {
+    fn oldest(&self) -> Option<u64> {
         // The first block with a live slot holds the first set bit.
         let first = self.blocks.select(1)? * BLOCK_WORDS;
         let bit = set_bits(&self.bits[first..])
             .next()
             .expect("a counted block holds a set bit");
-        let idx = first * 64 + bit;
-        Some((idx as u64, self.addrs[idx]))
+        Some((first * 64 + bit) as u64)
     }
 
     fn len(&self) -> usize {
         self.live
     }
 
-    /// Reserve memory only: the axis stays sized to the live set, and the
-    /// reserved slots stay untouched until the axis reaches them.
+    /// Reserve memory only: the axis stays as it is, and the reserved
+    /// words stay untouched until the axis reaches them.
     fn reserve(&mut self, additional: usize) {
-        self.addrs.reserve(additional);
-        self.bits.reserve(additional / 64);
+        self.bits.reserve(additional.div_ceil(64));
     }
 
     fn clear(&mut self) {
-        // Keep the axis and the allocations for the next fill; its first
-        // compaction sizes the axis to the new live set.
-        self.addrs.clear();
+        // Keep the axis and the allocations for the next fill; making room
+        // past it sizes the axis to the new live set.
+        self.next = 0;
         self.bits.fill(0);
         self.blocks.reset_prefix_filled(self.blocks.len(), 0, BLOCK);
         self.live = 0;
     }
 
-    fn for_each_in_order(&self, mut visit: impl FnMut(u64, u64)) {
-        for idx in set_bits(&self.bits) {
-            visit(idx as u64, self.addrs[idx]);
+    fn for_each_in_order(&self, mut visit: impl FnMut(u64)) {
+        for idx in set_bits(&self.bits[..self.next.div_ceil(64)]) {
+            visit(idx as u64);
         }
     }
 }
@@ -335,16 +340,28 @@ mod tests {
     fn compaction_relabels_survivors_to_their_ranks() {
         let mut v = VectorTree::new();
         assert!(v.make_room(64).is_none());
-        let keys: Vec<u64> = (0..64u64).map(|ts| v.append(ts, ts + 500)).collect();
+        let trace: Vec<u64> = (0..64u64).map(|ts| ts + 500).collect();
+        let keys: Vec<u64> = (0..64u64).map(|ts| v.append(ts)).collect();
         assert_eq!(keys, (0..64).collect::<Vec<_>>(), "keys are slots");
         for &key in keys.iter().filter(|&&k| k % 3 != 0) {
             v.remove(key);
         }
         let relabel = v.make_room(1).expect("dead slots move the survivors");
-        let moved: Vec<u64> = (0..64u64).step_by(3).map(|k| relabel.apply(k)).collect();
+        let moved: Vec<u64> = (0..64u64)
+            .step_by(3)
+            .map(|k| relabel.apply(k).unwrap())
+            .collect();
         assert_eq!(moved, (0..22).collect::<Vec<_>>());
-        let contents: Vec<(u64, u64)> = (0..22u64).map(|k| (k, k * 3 + 500)).collect();
-        assert_eq!(v.to_sorted_vec(), contents);
+        assert_eq!(relabel.apply(1), None, "a removed key is reported dead");
+        assert_eq!(relabel.apply(62), None);
+        // Each survivor's address, read from the trace at its old key.
+        let contents: Vec<(u64, u64)> = (0..64u64)
+            .step_by(3)
+            .map(|old| (relabel.apply(old).unwrap(), trace[old as usize]))
+            .collect();
+        let expect: Vec<(u64, u64)> = (0..22u64).map(|k| (k, k * 3 + 500)).collect();
+        assert_eq!(contents, expect);
+        assert_eq!(v.to_sorted_vec(), (0..22).collect::<Vec<_>>());
         assert_eq!(v.next_key(64), 22, "appends continue after the survivors");
         v.validate();
     }
@@ -354,11 +371,28 @@ mod tests {
         let mut v = VectorTree::new();
         let _ = v.make_room(64);
         for ts in 0..64u64 {
-            v.append(ts, ts);
+            v.append(ts);
         }
         assert!(v.make_room(1).is_none(), "nothing dead, nothing moves");
-        assert_eq!(v.append(64, 64), 64);
+        assert_eq!(v.append(64), 64);
         assert_eq!(v.distance_and_remove(0), Some(64));
+        v.validate();
+    }
+
+    #[test]
+    fn room_made_up_front_never_compacts() {
+        // An engine that starts a chunk empty makes room for the whole
+        // chunk: every later make_room is free, however many die.
+        let mut v = VectorTree::new();
+        assert!(v.make_room(10_000).is_none());
+        for ts in 0..10_000u64 {
+            assert!(v.make_room(1).is_none(), "compacted at {ts}");
+            assert_eq!(v.append(ts), ts, "the key is the offset");
+            if ts >= 10 {
+                assert_eq!(v.distance_and_remove(ts - 10), Some(10));
+            }
+        }
+        assert_eq!(v.to_sorted_vec(), (9_990..10_000).collect::<Vec<_>>());
         v.validate();
     }
 
@@ -367,7 +401,7 @@ mod tests {
         let mut v = VectorTree::new();
         let _ = v.make_room(64);
         for ts in 0..64u64 {
-            let key = v.append(ts, ts);
+            let key = v.append(ts);
             if ts < 60 {
                 v.remove(key);
             }
@@ -375,15 +409,15 @@ mod tests {
         // Four survivors would get a 64-slot axis; the batch needs more.
         assert!(v.make_room(1_000).is_some());
         for ts in 0..1_000u64 {
-            assert_eq!(v.append(ts, ts), ts + 4);
+            assert_eq!(v.append(ts), ts + 4);
         }
         v.validate();
     }
 
     #[test]
     fn axis_follows_the_live_set_not_the_capacity_hint() {
-        // An engine passes its chunk length as a capacity hint; a sliding
-        // window of 1,000 live entries must still run on a ~2K axis.
+        // A capacity hint reserves memory only; a sliding window of 1,000
+        // live entries appended one at a time runs on a ~2K axis.
         const LIVE: u64 = 1_000;
         let mut k = Keyed::new(VectorTree::new());
         k.tree.reserve(1 << 20);
@@ -407,7 +441,7 @@ mod tests {
     fn distance_counts_strictly_newer() {
         let mut v = VectorTree::new();
         let _ = v.make_room(5);
-        let keys: Vec<u64> = [10u64, 20, 30, 40, 50].map(|ts| v.append(ts, ts)).to_vec();
+        let keys: Vec<u64> = [10u64, 20, 30, 40, 50].map(|ts| v.append(ts)).to_vec();
         assert_eq!(v.distance(keys[2]), 2);
         assert_eq!(v.distance(keys[4]), 0);
         assert_eq!(v.distance(keys[0]), 4);
@@ -420,11 +454,11 @@ mod tests {
     fn oldest_skips_dead_slots() {
         let mut v = VectorTree::new();
         let _ = v.make_room(10);
-        let keys: Vec<u64> = (0..10u64).map(|ts| v.append(ts, ts * 2)).collect();
+        let keys: Vec<u64> = (0..10u64).map(|ts| v.append(ts)).collect();
         for &key in &keys[..5] {
             v.remove(key);
         }
-        assert_eq!(v.oldest(), Some((keys[5], 10)));
+        assert_eq!(v.oldest(), Some(keys[5]));
         v.validate();
     }
 
@@ -433,40 +467,40 @@ mod tests {
         let mut v = VectorTree::new();
         // Three full blocks and part of a fourth.
         let _ = v.make_room(1_636);
-        let keys: Vec<u64> = (0..1_636u64).map(|ts| v.append(ts, ts + 7)).collect();
+        let keys: Vec<u64> = (0..1_636u64).map(|ts| v.append(ts)).collect();
         // Empty the whole first block and most of the second, so the
         // select lands in block 1 and the bit scan skips its leading words.
         for ts in 0..(BLOCK as u64 + 300) {
             assert_eq!(v.distance_and_remove(keys[ts as usize]), Some(1_635 - ts));
         }
-        assert_eq!(v.oldest(), Some((keys[812], 819)));
+        assert_eq!(v.oldest(), Some(keys[812]));
         v.remove(keys[812]);
-        assert_eq!(v.oldest(), Some((keys[813], 820)));
+        assert_eq!(v.oldest(), Some(keys[813]));
         v.validate();
     }
 
     #[test]
-    fn the_largest_address_is_plain_data() {
-        const MAX: u64 = u64::MAX;
+    fn removing_a_dead_key_changes_nothing() {
         let mut v = VectorTree::new();
         let _ = v.make_room(5);
-        let keys: Vec<u64> = [MAX, 3, MAX - 1, MAX]
-            .iter()
-            .enumerate()
-            .map(|(ts, &addr)| v.append(ts as u64, addr))
-            .collect();
-        assert_eq!(v.oldest(), Some((keys[0], MAX)));
-        assert_eq!(v.distance_and_remove(keys[0]), Some(3));
-        assert_eq!(v.oldest(), Some((keys[1], 3)));
-        assert_eq!(v.remove(keys[3]), Some(MAX));
-        assert_eq!(v.to_sorted_vec(), vec![(keys[1], 3), (keys[2], MAX - 1)]);
-        let last = v.append(4, MAX);
-        assert_eq!(
-            v.to_sorted_vec(),
-            vec![(keys[1], 3), (keys[2], MAX - 1), (last, MAX)]
-        );
-        assert_eq!(v.distance(keys[1]), 2);
+        let keys: Vec<u64> = (0..4u64).map(|ts| v.append(ts)).collect();
+        assert!(v.remove(keys[0]));
+        assert!(!v.remove(keys[0]), "removed twice");
+        assert_eq!(v.distance_and_remove(keys[0]), None);
+        assert_eq!(v.oldest(), Some(keys[1]));
+        assert_eq!(v.to_sorted_vec(), keys[1..].to_vec());
+        let last = v.append(4);
+        assert_eq!(v.to_sorted_vec(), vec![keys[1], keys[2], keys[3], last]);
+        assert_eq!(v.distance(keys[1]), 3);
         v.validate();
+    }
+
+    #[test]
+    fn memory_is_the_axis_bits_and_block_counts() {
+        let mut v = VectorTree::new();
+        assert_eq!(v.memory_bytes(), 8 + 2 * 4, "one word, one block");
+        let _ = v.make_room(4_096);
+        assert_eq!(v.memory_bytes(), 64 * 8 + 9 * 4);
     }
 
     #[test]

@@ -149,6 +149,51 @@ fn streamed_report_conserves_cascade_mass() {
     }
 }
 
+#[test]
+fn relabels_run_only_in_the_history() {
+    // Each item engine starts its chunk empty and makes room for all of
+    // it, so it never compacts; the history compacts once its axis fills
+    // with slots the windows' hits have emptied.
+    let trace = modular_trace(60_000, 5_003, 7);
+    let (hist, report) = Analysis::new()
+        .ranks(2)
+        .tree(TreeKind::Vector)
+        .mode(Mode::Phased {
+            chunk: 500,
+            reduction: Reduction::ShipToRankZero,
+        })
+        .stats(true)
+        .run_stream(SliceStream::new(&trace));
+    let report = report.expect("stats requested");
+    assert_eq!(hist.total(), 60_000);
+    for m in &report.per_rank {
+        assert_eq!(m.engine.relabels, 0, "rank {} relabelled", m.rank);
+    }
+    let phased = report.phased.expect("streamed runs report windows");
+    assert!(phased.phases > 1);
+    assert!(
+        phased.history.relabels >= 1,
+        "the history compacted {} times",
+        phased.history.relabels
+    );
+
+    // One window: items only, no history.
+    let (one, report) = Analysis::new()
+        .ranks(4)
+        .tree(TreeKind::Vector)
+        .mode(Mode::Threads)
+        .stats(true)
+        .run(&trace);
+    assert_eq!(one, hist);
+    let report = report.expect("stats requested");
+    for m in &report.per_rank {
+        assert_eq!(m.engine.relabels, 0, "rank {} relabelled", m.rank);
+    }
+    if let Some(phased) = report.phased {
+        assert_eq!(phased.history.relabels, 0);
+    }
+}
+
 proptest! {
     /// The invariants hold for every trace shape, rank count, tree, and
     /// subdivision grain.

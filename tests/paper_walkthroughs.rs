@@ -44,7 +44,17 @@ fn figure1_distance_computation_at_time_9() {
     let mut engine: parda::core::Engine<SplayTree> = parda::core::Engine::new(None, 0);
     engine.process_chunk(&trace.as_slice()[..9], 0, parda::core::MissSink::Infinite);
 
-    let before: Vec<(u64, u64)> = engine.export_state();
+    // The tree's keys are the timestamps; each node's address is the
+    // trace's reference at its timestamp.
+    let state = |engine: &parda::core::Engine<SplayTree>| -> Vec<(u64, u64)> {
+        let trace = trace.as_slice();
+        engine
+            .export_state()
+            .into_iter()
+            .map(|ts| (ts, trace[ts as usize]))
+            .collect()
+    };
+    let before: Vec<(u64, u64)> = state(&engine);
     assert_eq!(
         before,
         vec![
@@ -61,7 +71,7 @@ fn figure1_distance_computation_at_time_9() {
 
     engine.process_chunk(&trace.as_slice()[9..], 9, parda::core::MissSink::Infinite);
     assert_eq!(engine.histogram().count(5), 1, "d(a@9) = 5");
-    let after: Vec<(u64, u64)> = engine.export_state();
+    let after: Vec<(u64, u64)> = state(&engine);
     assert_eq!(
         after,
         vec![

@@ -7,14 +7,17 @@
 //! which this harness keeps beside the timestamp and relabels whenever
 //! `make_room` compacts the vector's axis. Timestamps come in stretches:
 //! consecutive ones alternate with gapped ones, which the search trees see
-//! and the vector ignores.
+//! and the vector ignores. The trees store keys only; the harness keeps
+//! the trace (the address appended at each timestamp) and reads each live
+//! key's address from it, as the engines read it from their chunk.
 
 use parda::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-/// The four trees and the vector's key for each live timestamp.
+/// The four trees, the vector's key for each live timestamp, and the
+/// trace.
 #[derive(Default)]
 struct Trees {
     splay: SplayTree,
@@ -23,6 +26,8 @@ struct Trees {
     vector: VectorTree,
     /// Timestamp → the vector's key for it.
     keys: HashMap<u64, u64>,
+    /// Timestamp → the address appended there.
+    trace: HashMap<u64, u64>,
 }
 
 impl Trees {
@@ -33,25 +38,26 @@ impl Trees {
         );
         if let Some(relabel) = self.vector.make_room(1) {
             for key in self.keys.values_mut() {
-                *key = relabel.apply(*key);
+                *key = relabel.apply(*key).expect("a kept key is live");
             }
         }
-        assert_eq!(self.splay.append(ts, addr), ts);
-        assert_eq!(self.avl.append(ts, addr), ts);
-        assert_eq!(self.treap.append(ts, addr), ts);
-        let key = self.vector.append(ts, addr);
+        assert_eq!(self.splay.append(ts), ts);
+        assert_eq!(self.avl.append(ts), ts);
+        assert_eq!(self.treap.append(ts), ts);
+        let key = self.vector.append(ts);
         self.keys.insert(ts, key);
+        self.trace.insert(ts, addr);
     }
 
-    /// Remove live `ts` from every tree, returning the address.
+    /// Remove live `ts` from every tree, returning its address.
     fn remove(&mut self, ts: u64) -> u64 {
-        let a = self.splay.remove(ts);
-        assert_eq!(self.avl.remove(ts), a);
-        assert_eq!(self.treap.remove(ts), a);
+        assert!(self.splay.remove(ts), "live");
+        assert!(self.avl.remove(ts));
+        assert!(self.treap.remove(ts));
         let key = self.keys.remove(&ts).expect("live");
-        assert_eq!(self.vector.remove(key), a);
-        assert_eq!(self.vector.remove(key), None, "removed twice");
-        a.expect("live")
+        assert!(self.vector.remove(key));
+        assert!(!self.vector.remove(key), "removed twice");
+        self.trace[&ts]
     }
 
     /// The engines' fused hit on live `ts`.
@@ -85,14 +91,23 @@ impl Trees {
     }
 
     fn check(&self) {
-        let contents = self.splay.to_sorted_vec();
-        assert_eq!(self.avl.to_sorted_vec(), contents);
-        assert_eq!(self.treap.to_sorted_vec(), contents);
+        // Each tree's live keys, each with the address read from the trace
+        // at its timestamp.
+        let read = |keys: Vec<u64>, ts_of: &dyn Fn(u64) -> Option<u64>| -> Vec<(u64, u64)> {
+            keys.into_iter()
+                .map(|key| (key, ts_of(key).map_or(u64::MAX, |ts| self.trace[&ts])))
+                .collect()
+        };
+        let contents = read(self.splay.to_sorted_vec(), &Some);
+        assert_eq!(read(self.avl.to_sorted_vec(), &Some), contents);
+        assert_eq!(read(self.treap.to_sorted_vec(), &Some), contents);
         let keyed: Vec<(u64, u64)> = contents
             .iter()
             .map(|&(ts, addr)| (self.keys[&ts], addr))
             .collect();
-        assert_eq!(self.vector.to_sorted_vec(), keyed);
+        let ts_of: HashMap<u64, u64> = self.keys.iter().map(|(&ts, &key)| (key, ts)).collect();
+        let vector = read(self.vector.to_sorted_vec(), &|key| ts_of.get(&key).copied());
+        assert_eq!(vector, keyed);
         self.splay.validate();
         self.avl.validate();
         self.treap.validate();
@@ -149,7 +164,7 @@ fn torture(seed: u64, ops: usize) {
             let o = t.splay.oldest();
             assert_eq!(t.avl.oldest(), o);
             assert_eq!(t.treap.oldest(), o);
-            let keyed = o.map(|(ts, addr)| (t.keys[&ts], addr));
+            let keyed = o.map(|ts| t.keys[&ts]);
             assert_eq!(t.vector.oldest(), keyed, "oldest at step {step}");
         }
 
