@@ -276,28 +276,46 @@ sys.exit(0 if ok else 1)
 EOF
 
 step "corruption smoke (checksums catch a flipped byte; best-effort recovers)"
-cargo run -q -p parda-cli --bin parda -- \
-    gen --pattern zipf --footprint 2000 --refs 200000 --out "$smoke_dir/dirty.trc"
-cargo run -q -p parda-cli --bin parda -- analyze "$smoke_dir/dirty.trc" --verify > /dev/null
-# Flip one payload byte past the header; strict must exit 2, best-effort 0.
-python3 - "$smoke_dir/dirty.trc" <<'EOF'
+# Flip one payload byte past the header: the file's middle byte.
+flip_middle_byte() {
+    python3 - "$1" <<'EOF'
 import sys
 p = sys.argv[1]
 b = bytearray(open(p, "rb").read())
 b[len(b) // 2] ^= 0x40
 open(p, "wb").write(b)
 EOF
-set +e
-cargo run -q -p parda-cli --bin parda -- analyze "$smoke_dir/dirty.trc" > /dev/null 2>&1
-code=$?
-set -e
-if [[ $code -ne 2 ]]; then
-    echo "corruption smoke: expected exit 2 (corrupt), got $code" >&2
-    exit 1
-fi
+}
+# A strict reader of a corrupt trace must exit 2.
+expect_corrupt() {
+    set +e
+    cargo run -q -p parda-cli --bin parda -- "$@" > /dev/null 2>&1
+    local code=$?
+    set -e
+    if [[ $code -ne 2 ]]; then
+        echo "corruption smoke: \`parda $*\` expected exit 2 (corrupt), got $code" >&2
+        exit 1
+    fi
+}
+cargo run -q -p parda-cli --bin parda -- \
+    gen --pattern zipf --footprint 2000 --refs 200000 --out "$smoke_dir/dirty.trc"
+cargo run -q -p parda-cli --bin parda -- analyze "$smoke_dir/dirty.trc" --verify > /dev/null
+flip_middle_byte "$smoke_dir/dirty.trc"
+expect_corrupt analyze "$smoke_dir/dirty.trc"
 cargo run -q -p parda-cli --bin parda -- \
     analyze "$smoke_dir/dirty.trc" --degradation=best-effort --stats=json \
     | python3 -m json.tool > /dev/null
+# The same on a thread-tagged (v2.2) trace, whose frames open with a tag
+# block: --verify, analyze and partition's tagged load must all exit 2,
+# and best-effort must recover.
+cargo run -q -p parda-cli --bin parda -- \
+    gen --kernel mt-stencil --size 48 --threads 3 --out "$smoke_dir/dirty-mt.trc"
+flip_middle_byte "$smoke_dir/dirty-mt.trc"
+expect_corrupt analyze "$smoke_dir/dirty-mt.trc" --verify
+expect_corrupt analyze "$smoke_dir/dirty-mt.trc"
+expect_corrupt partition "$smoke_dir/dirty-mt.trc" --capacity 2048
+cargo run -q -p parda-cli --bin parda -- \
+    analyze "$smoke_dir/dirty-mt.trc" --degradation=best-effort > /dev/null
 
 step "server smoke (serve + submit must equal offline analyze, drain on SIGTERM)"
 # Run the binary directly: `cargo run` does not forward SIGTERM to its child,

@@ -621,6 +621,24 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The client's `--retries/--backoff/--timeout` reconnect policy, shared
+/// by `submit` and `partition --addr`.
+fn parse_retry(args: &Args) -> Result<parda_server::RetryPolicy, CliError> {
+    let retries: u32 = args.get_parsed("retries", 1)?;
+    if retries == 0 {
+        return Err("--retries must be at least 1".into());
+    }
+    let mut retry = parda_server::RetryPolicy::with_attempts(retries);
+    let backoff_ms: u64 = args.get_parsed("backoff", 50)?;
+    retry.backoff = Duration::from_millis(backoff_ms);
+    let timeout_secs: u64 = args.get_parsed("timeout", 30)?;
+    // 0 keeps the OS defaults: block indefinitely.
+    let deadline = (timeout_secs > 0).then(|| Duration::from_secs(timeout_secs));
+    retry.connect_timeout = deadline;
+    retry.io_timeout = deadline;
+    Ok(retry)
+}
+
 /// `parda submit`: stream a trace file to a daemon and print the reply.
 pub fn submit(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args.require_positional(0, "trace file")?;
@@ -657,18 +675,7 @@ pub fn submit(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if matches!(stats_fmt, StatsFormat::Json) {
         opts.reply = parda_server::ReplyFormat::Json;
     }
-    let retries: u32 = args.get_parsed("retries", 1)?;
-    if retries == 0 {
-        return Err("--retries must be at least 1".into());
-    }
-    opts.retry = parda_server::RetryPolicy::with_attempts(retries);
-    let backoff_ms: u64 = args.get_parsed("backoff", 50)?;
-    opts.retry.backoff = Duration::from_millis(backoff_ms);
-    let timeout_secs: u64 = args.get_parsed("timeout", 30)?;
-    // 0 keeps the OS defaults: block indefinitely.
-    let deadline = (timeout_secs > 0).then(|| Duration::from_secs(timeout_secs));
-    opts.retry.connect_timeout = deadline;
-    opts.retry.io_timeout = deadline;
+    opts.retry = parse_retry(args)?;
 
     let reply = parda_server::submit_file(addr, path, &opts)?;
 
@@ -845,17 +852,7 @@ pub fn partition(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             .push(("partition".to_string(), format!("{capacity}/{granularity}")));
         opts.config.push(("tree".to_string(), tree.name().into()));
         opts.frame_refs = args.get_parsed("frame-refs", opts.frame_refs)?;
-        let retries: u32 = args.get_parsed("retries", 1)?;
-        if retries == 0 {
-            return Err("--retries must be at least 1".into());
-        }
-        opts.retry = parda_server::RetryPolicy::with_attempts(retries);
-        let backoff_ms: u64 = args.get_parsed("backoff", 50)?;
-        opts.retry.backoff = Duration::from_millis(backoff_ms);
-        let timeout_secs: u64 = args.get_parsed("timeout", 30)?;
-        let deadline = (timeout_secs > 0).then(|| Duration::from_secs(timeout_secs));
-        opts.retry.connect_timeout = deadline;
-        opts.retry.io_timeout = deadline;
+        opts.retry = parse_retry(args)?;
 
         let reply = parda_server::submit_tagged(addr, &trace, &opts)?;
         let doc = reply
@@ -883,17 +880,18 @@ pub fn partition(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let plan = recommend_partition(&analysis.per_thread_solo, capacity, granularity);
     let metrics = shared_metrics(&analysis, &label, Some(&plan));
 
+    // The offline run's report; its wall time runs to when it is built.
+    let report = |metrics| Report {
+        mode: "concurrent".to_string(),
+        tree: tree.name().to_string(),
+        ranks: 1,
+        trace_refs: trace.len() as u64,
+        total_ns: started.elapsed().as_nanos() as u64,
+        shared: Some(metrics),
+        ..Report::default()
+    };
     if matches!(stats_fmt, StatsFormat::Json) {
-        let report = Report {
-            mode: "concurrent".to_string(),
-            tree: tree.name().to_string(),
-            ranks: 1,
-            trace_refs: trace.len() as u64,
-            total_ns: started.elapsed().as_nanos() as u64,
-            shared: Some(metrics),
-            ..Report::default()
-        };
-        return write_stats_json(&analysis.shared, &report, out);
+        return write_stats_json(&analysis.shared, &report(metrics), out);
     }
     if args.has("json") {
         let json = serde_json::to_string(&analysis.shared).map_err(io_err)?;
@@ -902,16 +900,7 @@ pub fn partition(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
     render_partition(&metrics, out)?;
     if matches!(stats_fmt, StatsFormat::Pretty) {
-        let report = Report {
-            mode: "concurrent".to_string(),
-            tree: tree.name().to_string(),
-            ranks: 1,
-            trace_refs: trace.len() as u64,
-            total_ns: started.elapsed().as_nanos() as u64,
-            shared: Some(metrics),
-            ..Report::default()
-        };
-        write!(out, "{}", report.render_pretty()).map_err(io_err)?;
+        write!(out, "{}", report(metrics).render_pretty()).map_err(io_err)?;
     }
     Ok(())
 }

@@ -25,15 +25,14 @@
 //! [`PardaError::ConnectionLost`].
 
 use crate::proto::{
-    encode_data_frame, encode_resume, encode_tagged_data_frame, hello_payload, write_msg,
-    AcceptPayload, ErrorFrame, Message, MsgKind, MAX_PAYLOAD, STATS_FORMAT_BINARY,
-    STATS_FORMAT_JSON, TOKEN_LEN,
+    encode_resume, hello_payload, write_msg, AcceptPayload, ErrorFrame, Message, MsgKind,
+    MAX_PAYLOAD, STATS_FORMAT_BINARY, STATS_FORMAT_JSON, TOKEN_LEN,
 };
 use crate::session::ReplyFormat;
 use parda_core::PardaError;
 use parda_hist::ReuseHistogram;
 use parda_obs::ClientRetryMetrics;
-use parda_trace::io::Encoding;
+use parda_trace::io::{encode_inline_frame, Encoding};
 use parda_trace::{Addr, ThreadedTrace};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -422,9 +421,10 @@ impl Payload<'_> {
         let start = usize::try_from(seq).unwrap_or(usize::MAX) * frame_refs;
         let end = (start + frame_refs).min(self.len());
         match self {
-            Payload::Plain(t) => Ok(encode_data_frame(&t[start..end], encoding)),
+            Payload::Plain(t) => encode_inline_frame(&t[start..end], None, encoding),
             Payload::Tagged(t) => {
-                encode_tagged_data_frame(&t.addrs()[start..end], &t.tids()[start..end], encoding)
+                let (addrs, tids) = (&t.addrs()[start..end], &t.tids()[start..end]);
+                encode_inline_frame(addrs, Some(tids), encoding)
             }
         }
     }

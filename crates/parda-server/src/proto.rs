@@ -26,10 +26,13 @@
 //! — and the client retransmits only frames past it. Nothing is replayed
 //! server-side, so the histogram stays bit-identical to an unbroken run.
 //!
-//! A DATA payload is byte-for-byte the v2.1 *inline frame* layout from
-//! `parda-trace::io` — `count u32 | len u32 | crc32c u32 | encoded refs` —
-//! so the file format's CRC verification and frame decoding (and therefore
-//! the `Degradation` quarantine machinery) apply unchanged on the wire.
+//! A DATA payload is byte-for-byte one v2.1 *inline frame* — `count u32 |
+//! len u32 | crc32c u32 | encoded refs` — or, in tagged sessions, one v2.2
+//! frame with its thread-ID tag block. The trace crate's frame codec
+//! ([`encode_inline_frame`], [`decode_inline_frame`]) lays out and checks
+//! both, so the file format's CRC verification and frame decoding (and
+//! therefore the `Degradation` quarantine machinery) apply unchanged on the
+//! wire.
 //!
 //! ERROR payloads carry a class byte aligned with the `PardaError`
 //! taxonomy plus two u32 details (rank/attempts, rank/deadline-ms) and a
@@ -37,11 +40,7 @@
 //! maps it onto the existing exit-code classes.
 
 use parda_core::PardaError;
-use parda_hash::crc32c;
-use parda_trace::io::{
-    decode_frame_payload_into, decode_tagged_frame_payload_into, encode_frame_payload,
-    encode_tagged_frame_payload, Encoding,
-};
+use parda_trace::io::{decode_inline_frame, encode_inline_frame, Encoding, FrameError};
 use parda_trace::{Addr, Tid};
 use std::io::{self, Read, Write};
 use std::time::Duration;
@@ -56,9 +55,6 @@ pub const WIRE_VERSION: u8 = 1;
 /// 65 536-ref framing is ~512 KiB; this leaves generous headroom while
 /// bounding what a lying length prefix can make the server allocate).
 pub const MAX_PAYLOAD: usize = 64 << 20;
-
-/// Bytes of the DATA inline header (`count u32 | len u32 | crc32c u32`).
-pub const DATA_HEADER_LEN: usize = 12;
 
 /// STATS payload format byte: UTF-8 `{"histogram":…,"stats":…}` document.
 pub const STATS_FORMAT_JSON: u8 = 0;
@@ -79,7 +75,7 @@ pub enum MsgKind {
     Hello = 1,
     /// Client → server: session configuration as `key=value` lines.
     Config = 2,
-    /// Client → server: one v2.1 trace frame.
+    /// Client → server: one v2.1 trace frame (v2.2 in tagged sessions).
     Data = 3,
     /// Client → server: end of trace, run the analysis.
     Fin = 4,
@@ -256,155 +252,40 @@ pub fn check_hello(payload: &[u8]) -> Result<(), String> {
 
 /// Build one DATA payload: the v2.1 inline frame layout over `addrs`.
 pub fn encode_data_frame(addrs: &[Addr], encoding: Encoding) -> Vec<u8> {
-    let body = encode_frame_payload(addrs, encoding);
-    let mut out = Vec::with_capacity(DATA_HEADER_LEN + body.len());
-    out.extend_from_slice(&(addrs.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32c(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    encode_inline_frame(addrs, None, encoding).expect("a DATA frame fits its u32 length word")
 }
 
-/// Why a DATA frame was unusable — split so the lossy degradation path can
-/// tally CRC failures separately and still account the dropped references.
-#[derive(Debug)]
-pub enum DataFrameError {
-    /// The inline header itself is truncated or inconsistent with the
-    /// message length; the claimed reference count is unknown.
-    Malformed(String),
-    /// The payload's CRC32C does not match the header.
-    Crc {
-        /// References the header claimed.
-        count: u32,
-    },
-    /// CRC matched (or the check was skipped) but the payload failed to
-    /// decode.
-    Decode {
-        /// References the header claimed.
-        count: u32,
-        /// The decoder's message.
-        detail: String,
-    },
-}
-
-impl DataFrameError {
-    /// References the frame claimed to carry (0 when unknowable).
-    pub fn count(&self) -> u64 {
-        match self {
-            DataFrameError::Malformed(_) => 0,
-            DataFrameError::Crc { count } | DataFrameError::Decode { count, .. } => {
-                u64::from(*count)
-            }
-        }
-    }
-
-    /// One-line description.
-    pub fn message(&self) -> String {
-        match self {
-            DataFrameError::Malformed(msg) => format!("malformed DATA frame: {msg}"),
-            DataFrameError::Crc { count } => {
-                format!("DATA frame CRC32C mismatch ({count} refs quarantined)")
-            }
-            DataFrameError::Decode { detail, .. } => format!("DATA frame decode failed: {detail}"),
-        }
-    }
-}
-
-/// Validate and decode one DATA payload: header shape, CRC32C over the
-/// encoded body, then the shared v2 frame decoder.
-pub fn decode_data_frame(payload: &[u8], encoding: Encoding) -> Result<Vec<Addr>, DataFrameError> {
-    let mut out = Vec::new();
-    decode_data_frame_into(payload, encoding, &mut out)?;
-    Ok(out)
-}
-
-/// [`decode_data_frame`] into a caller-owned arena so a shard decoding
-/// frames from hundreds of sessions performs no per-frame allocation.
-/// The arena is cleared and refilled; its capacity is retained.
-pub fn decode_data_frame_into(
-    payload: &[u8],
-    encoding: Encoding,
-    out: &mut Vec<Addr>,
-) -> Result<(), DataFrameError> {
-    if payload.len() < DATA_HEADER_LEN {
-        return Err(DataFrameError::Malformed(format!(
-            "{} bytes is shorter than the {DATA_HEADER_LEN}-byte inline header",
-            payload.len()
-        )));
-    }
-    let count = u32::from_le_bytes(payload[0..4].try_into().unwrap());
-    let len = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-    let crc = u32::from_le_bytes(payload[8..12].try_into().unwrap());
-    let body = &payload[DATA_HEADER_LEN..];
-    if body.len() != len as usize {
-        return Err(DataFrameError::Malformed(format!(
-            "header claims {len} payload bytes, message carries {}",
-            body.len()
-        )));
-    }
-    if crc32c(body) != crc {
-        return Err(DataFrameError::Crc { count });
-    }
-    decode_frame_payload_into(body, encoding, count as usize, out).map_err(|e| {
-        DataFrameError::Decode {
-            count,
-            detail: e.to_string(),
-        }
-    })
-}
-
-/// Build one thread-tagged DATA payload: the same `count | len | crc32c`
-/// inline header over the v2.2 tagged frame body (TID dictionary +
-/// bit-packed tags + encoded addresses). Sessions configured `tagged=1`
-/// exchange these instead of plain frames.
+/// Build one thread-tagged DATA payload: the v2.2 inline frame (TID
+/// dictionary + bit-packed tags + encoded addresses). Sessions configured
+/// `tagged=1` exchange these instead of plain frames.
 pub fn encode_tagged_data_frame(
     addrs: &[Addr],
     tids: &[Tid],
     encoding: Encoding,
 ) -> io::Result<Vec<u8>> {
-    let body = encode_tagged_frame_payload(addrs, tids, encoding)?;
-    let mut out = Vec::with_capacity(DATA_HEADER_LEN + body.len());
-    out.extend_from_slice(&(addrs.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32c(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    Ok(out)
+    encode_inline_frame(addrs, Some(tids), encoding)
 }
 
-/// Validate and decode one tagged DATA payload into caller-owned arenas
-/// (cleared and refilled; capacity retained). Header shape and CRC checks
-/// mirror [`decode_data_frame_into`].
-pub fn decode_tagged_data_frame_into(
+/// Validate and decode one plain DATA payload into a caller-owned arena
+/// (see [`decode_inline_frame`]), so a shard decoding frames from hundreds
+/// of sessions performs no per-frame allocation.
+pub fn decode_data_frame_into(
     payload: &[u8],
     encoding: Encoding,
-    addrs: &mut Vec<Addr>,
-    tids: &mut Vec<Tid>,
-) -> Result<(), DataFrameError> {
-    if payload.len() < DATA_HEADER_LEN {
-        return Err(DataFrameError::Malformed(format!(
-            "{} bytes is shorter than the {DATA_HEADER_LEN}-byte inline header",
-            payload.len()
-        )));
-    }
-    let count = u32::from_le_bytes(payload[0..4].try_into().unwrap());
-    let len = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-    let crc = u32::from_le_bytes(payload[8..12].try_into().unwrap());
-    let body = &payload[DATA_HEADER_LEN..];
-    if body.len() != len as usize {
-        return Err(DataFrameError::Malformed(format!(
-            "header claims {len} payload bytes, message carries {}",
-            body.len()
-        )));
-    }
-    if crc32c(body) != crc {
-        return Err(DataFrameError::Crc { count });
-    }
-    decode_tagged_frame_payload_into(body, encoding, count as usize, addrs, tids).map_err(|e| {
-        DataFrameError::Decode {
-            count,
-            detail: e.to_string(),
+    out: &mut Vec<Addr>,
+) -> Result<(), FrameError> {
+    decode_inline_frame(payload, encoding, out, None)
+}
+
+/// The daemon's one-line report of a DATA frame it could not use.
+pub fn data_frame_message(e: &FrameError) -> String {
+    match e {
+        FrameError::Malformed(msg) => format!("malformed DATA frame: {msg}"),
+        FrameError::Crc { count } => {
+            format!("DATA frame CRC32C mismatch ({count} refs quarantined)")
         }
-    })
+        FrameError::Decode { detail, .. } => format!("DATA frame decode failed: {detail}"),
+    }
 }
 
 /// Error class byte on the wire, aligned with [`PardaError::class`] plus
@@ -662,6 +543,9 @@ mod tests {
         assert!(check_hello(b"").is_err());
     }
 
+    /// Bytes of a DATA frame's inline header: count, len, crc32c.
+    const HEADER: usize = 12;
+
     proptest! {
         #[test]
         fn data_frames_round_trip(
@@ -670,7 +554,8 @@ mod tests {
         ) {
             let encoding = if raw { Encoding::Raw } else { Encoding::DeltaVarint };
             let frame = encode_data_frame(&addrs, encoding);
-            let back = decode_data_frame(&frame, encoding).unwrap();
+            let mut back = Vec::new();
+            decode_data_frame_into(&frame, encoding, &mut back).unwrap();
             prop_assert_eq!(back, addrs);
         }
 
@@ -683,9 +568,10 @@ mod tests {
             let frame = encode_data_frame(&addrs, Encoding::DeltaVarint);
             let mut bad = frame.clone();
             // Flip in the body (CRC catches it) or in the CRC field itself.
-            let at = if flip_body { DATA_HEADER_LEN } else { 8 };
+            let at = if flip_body { HEADER } else { 8 };
             bad[at] ^= 1 << bit;
-            prop_assert!(decode_data_frame(&bad, Encoding::DeltaVarint).is_err());
+            let mut out = Vec::new();
+            prop_assert!(decode_data_frame_into(&bad, Encoding::DeltaVarint, &mut out).is_err());
         }
     }
 
@@ -696,47 +582,46 @@ mod tests {
         for encoding in [Encoding::Raw, Encoding::DeltaVarint] {
             let frame = encode_tagged_data_frame(&addrs, &tids, encoding).unwrap();
             let (mut a, mut t) = (Vec::new(), Vec::new());
-            decode_tagged_data_frame_into(&frame, encoding, &mut a, &mut t).unwrap();
+            decode_inline_frame(&frame, encoding, &mut a, Some(&mut t)).unwrap();
             assert_eq!(a, addrs);
             assert_eq!(t, tids);
 
             let mut bad = frame.clone();
-            bad[DATA_HEADER_LEN] ^= 0x08;
+            bad[HEADER] ^= 0x08;
             assert!(matches!(
-                decode_tagged_data_frame_into(&bad, encoding, &mut a, &mut t),
-                Err(DataFrameError::Crc { count: 5 })
+                decode_inline_frame(&bad, encoding, &mut a, Some(&mut t)),
+                Err(FrameError::Crc { count: 5 })
             ));
             assert!(matches!(
-                decode_tagged_data_frame_into(&frame[..6], encoding, &mut a, &mut t),
-                Err(DataFrameError::Malformed(_))
+                decode_inline_frame(&frame[..6], encoding, &mut a, Some(&mut t)),
+                Err(FrameError::Malformed(_))
             ));
         }
     }
 
     #[test]
     fn crc_and_malformed_errors_are_distinguished() {
+        let mut out = Vec::new();
         let frame = encode_data_frame(&[1, 2, 3], Encoding::Raw);
         let mut bad = frame.clone();
-        bad[DATA_HEADER_LEN] ^= 0x40;
-        match decode_data_frame(&bad, Encoding::Raw) {
-            Err(DataFrameError::Crc { count: 3 }) => {}
+        bad[HEADER] ^= 0x40;
+        match decode_data_frame_into(&bad, Encoding::Raw, &mut out) {
+            Err(e @ FrameError::Crc { count: 3 }) => assert_eq!(
+                data_frame_message(&e),
+                "DATA frame CRC32C mismatch (3 refs quarantined)"
+            ),
             other => panic!("expected Crc error, got {other:?}"),
         }
-        match decode_data_frame(&frame[..6], Encoding::Raw) {
-            Err(DataFrameError::Malformed(_)) => {}
+        match decode_data_frame_into(&frame[..6], Encoding::Raw, &mut out) {
+            Err(FrameError::Malformed(_)) => {}
             other => panic!("expected Malformed error, got {other:?}"),
         }
-        // Consistent header+CRC but an undecodable payload: re-CRC a
-        // truncated raw body so only the count disagrees.
-        let mut torn = Vec::new();
-        torn.extend_from_slice(&3u32.to_le_bytes());
-        torn.extend_from_slice(&16u32.to_le_bytes());
-        torn.extend_from_slice(
-            &crc32c(&frame[DATA_HEADER_LEN..DATA_HEADER_LEN + 16]).to_le_bytes(),
-        );
-        torn.extend_from_slice(&frame[DATA_HEADER_LEN..DATA_HEADER_LEN + 16]);
-        match decode_data_frame(&torn, Encoding::Raw) {
-            Err(DataFrameError::Decode { count: 3, .. }) => {}
+        // Consistent header+CRC but an undecodable payload: a two-ref raw
+        // frame whose header claims three, so only the count disagrees.
+        let mut torn = encode_data_frame(&[1, 2], Encoding::Raw);
+        torn[..4].copy_from_slice(&3u32.to_le_bytes());
+        match decode_data_frame_into(&torn, Encoding::Raw, &mut out) {
+            Err(FrameError::Decode { count: 3, .. }) => {}
             other => panic!("expected Decode error, got {other:?}"),
         }
     }

@@ -35,16 +35,15 @@
 //! O(sketch) — the shard records the high-water mark as proof.
 
 use crate::proto::{
-    decode_data_frame_into, decode_resume, decode_tagged_data_frame_into, encode_histogram_binary,
-    write_msg, AcceptPayload, DataFrameError, ErrorClass, ErrorFrame, MsgKind, STATS_FORMAT_BINARY,
-    STATS_FORMAT_JSON, TOKEN_LEN,
+    data_frame_message, decode_resume, encode_histogram_binary, write_msg, AcceptPayload,
+    ErrorClass, ErrorFrame, MsgKind, STATS_FORMAT_BINARY, STATS_FORMAT_JSON, TOKEN_LEN,
 };
 use crate::server::ServerConfig;
 use parda_core::phased::Reduction;
 use parda_core::{Analysis, ApproxMode, Mode, PardaError, SessionAnalysis};
 use parda_hist::ReuseHistogram;
 use parda_obs::{RecoveryMetrics, Report, ServerCounters};
-use parda_trace::io::Encoding;
+use parda_trace::io::{decode_inline_frame, Encoding, FrameError};
 use parda_trace::{Addr, Degradation, ThreadedTrace, Tid};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -749,14 +748,11 @@ impl Session {
         host.counters.bytes_in.add(payload.len() as u64);
         let cfg = self.cfg.as_ref().expect("streaming implies config");
         let (encoding, tagged) = (cfg.encoding, cfg.tagged);
-        let decoded = if tagged {
-            decode_tagged_data_frame_into(payload, encoding, host.arena, &mut self.tid_arena)
-        } else {
-            decode_data_frame_into(payload, encoding, host.arena)
-        };
+        let tids = tagged.then_some(&mut self.tid_arena);
+        let decoded = decode_inline_frame(payload, encoding, host.arena, tids);
         parda_failpoint::failpoint!("server::decode", {
             return self.quarantine(
-                DataFrameError::Decode {
+                FrameError::Decode {
                     count: 0,
                     detail: "injected server decode failure".into(),
                 },
@@ -791,16 +787,14 @@ impl Session {
 
     /// Strict: fail the session. Lossy: tally the quarantined frame
     /// (mirroring `FramedStream`'s per-frame recovery) and carry on.
-    fn quarantine(
-        &mut self,
-        e: DataFrameError,
-        host: &mut SessionHost,
-    ) -> Result<(), SessionError> {
+    fn quarantine(&mut self, e: FrameError, host: &mut SessionHost) -> Result<(), SessionError> {
         let cfg = self.cfg.as_ref().expect("streaming implies config");
         if !cfg.degradation.is_lossy() {
-            return Err(SessionError::from_parda(&PardaError::Corrupt(e.message())));
+            return Err(SessionError::from_parda(&PardaError::Corrupt(
+                data_frame_message(&e),
+            )));
         }
-        if matches!(e, DataFrameError::Crc { .. }) {
+        if matches!(e, FrameError::Crc { .. }) {
             self.recovery.crc_failures += 1;
         }
         self.recovery.skip_frame(self.frame_seq - 1, e.count());

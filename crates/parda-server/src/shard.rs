@@ -16,7 +16,7 @@
 //!   shard-mates (fairness is asserted by the e2e suite).
 //!
 //! Frame payloads are decoded into one reusable per-shard arena
-//! ([`crate::proto::decode_data_frame_into`]) — steady-state ingest does
+//! ([`parda_trace::io::decode_inline_frame`]) — steady-state ingest does
 //! no per-frame allocation. Session stepping runs under `catch_unwind`, so
 //! a panicking session (failpoint or bug) costs one error frame, never the
 //! shard.

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! magic   8 bytes  "PARDATRC"
-//! version u32 LE   1 or 2
+//! version u32 LE   major | minor << 16  (1.0, 2.0, 2.1 or 2.2)
 //! encoding u32 LE  0 = raw u64 LE addresses, 1 = zig-zag delta varint
 //! count   u64 LE   number of references
 //! ```
@@ -19,58 +19,41 @@
 //! cost 1–2 bytes instead of 8.
 //!
 //! **Version 2** splits the payload into independently decodable *frames* of
-//! [`FRAME_REFS`] references. Each frame starts with an inline header
-//! (`count` u32 LE, `payload_len` u32 LE) and, for the delta encoding,
-//! resets the delta baseline to zero — so any frame can be decoded knowing
-//! only its bytes. A seekable index closes the file:
+//! [`FRAME_REFS`] references, and a seekable index closes the file:
 //!
 //! ```text
-//! frames  count u32 | payload_len u32 | payload ...   (repeated)
+//! frames  inline header | payload                     (repeated)
 //! index   offset u64 | count u32 | len u32            (one entry per frame)
+//! [index crc32c u32]                                  (v2.1 on)
 //! nframes u64 LE
 //! magic   8 bytes  "PARDAIDX"
 //! ```
 //!
-//! The footer is found by reading the last 16 bytes, which makes two fast
-//! paths possible: [`decode_trace`] decodes all frames of an in-memory v2
-//! image in parallel, and [`crate::stream::FramedStream`] decodes frames on
-//! background threads while an analyzer consumes earlier ones.
+//! The minor version picks the frame layout: v2.0 frames carry
+//! `count | len`, v2.1 adds a CRC32C of the payload (and the index CRC),
+//! and v2.2 opens every payload with a thread-ID tag block. One frame
+//! codec (`frame.rs`) is the only code that lays out, parses, checks or
+//! decodes a frame; every reader and writer here, the recovery layer in
+//! [`crate::recover`], [`crate::stream::FramedStream`] and the daemon's
+//! DATA messages ([`encode_inline_frame`], [`decode_inline_frame`]) go
+//! through it. v2.0 and v2.1 files stay readable, and address-only
+//! readers ([`read_trace`], [`decode_trace`], the stream) accept v2.2
+//! files by checking and skipping the tag blocks; [`load_tagged_trace`]
+//! keeps them.
 //!
-//! **Version 2.1** (the default written by [`write_trace_v2`]) adds
-//! end-to-end integrity. The version word carries a minor number in its
-//! upper half (`major | minor << 16`), the inline frame header grows a
-//! CRC32C of the payload (`count` u32, `payload_len` u32, `crc32c` u32),
-//! and the footer index is itself protected by a CRC32C written between the
-//! entries and the frame count. v2.0 files remain fully readable; v2.1
-//! readers verify every frame checksum before trusting the bytes, and the
-//! recovery layer in [`crate::recover`] can skip corrupt frames or resync
-//! after a destroyed footer instead of failing the whole analysis.
-//!
-//! **Version 2.2** ([`write_tagged_trace_v2`]) adds *thread tags*: every
-//! frame payload is prefixed with a compact per-frame TID block before the
-//! address block, so multi-threaded traces carry which thread issued each
-//! reference while the address encoding (and everything downstream of it)
-//! stays byte-identical:
-//!
-//! ```text
-//! tagged payload  ntids u8                          (1..=255)
-//!                 tid varint × ntids                (per-frame dictionary,
-//!                                                    first-appearance order)
-//!                 indices, ⌈log₂ ntids⌉ bits/ref    (omitted when ntids = 1)
-//!                 address block                     (raw or delta, as v2.0/2.1)
-//! ```
-//!
-//! The frame CRC32C covers the whole tagged payload. The minor version
-//! gates the layout: only minor ≥ 2 frames carry a tag block, so untagged
-//! v2.0/v2.1 files are written and parsed exactly as before, bit for bit.
-//! Address-only readers ([`read_trace`], [`decode_trace`],
-//! [`crate::stream::FramedStream`]) accept v2.2 files by skipping the tag
-//! block; [`decode_tagged_trace`] and friends recover the tags.
+//! The index is found from the file's last 16 bytes (20 with the index
+//! CRC), which makes two fast paths possible: [`decode_trace`] decodes
+//! all frames of an in-memory v2 image in parallel, and
+//! [`crate::stream::FramedStream`] decodes frames on background threads
+//! while an analyzer consumes earlier ones.
 
+use crate::frame::{zigzag_decode, zigzag_encode, FrameFormat, FrameHeader};
 use crate::{Addr, ThreadedTrace, Tid, Trace};
 use rayon::prelude::*;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+
+pub use crate::frame::{decode_inline_frame, encode_inline_frame, FrameError};
 
 pub(crate) const MAGIC: &[u8; 8] = b"PARDATRC";
 const VERSION: u32 = 1;
@@ -82,17 +65,13 @@ pub(crate) const V2_MINOR_CRC: u32 = 1;
 pub(crate) const V2_MINOR_TID: u32 = 2;
 const FOOTER_MAGIC: &[u8; 8] = b"PARDAIDX";
 
-/// References per v2 frame: big enough that per-frame overhead (8-byte
+/// References per v2 frame: big enough that per-frame overhead (inline
 /// header, one absolute-address varint) vanishes, small enough that a 10M
 /// reference trace still fans out over ~150 frames.
 pub const FRAME_REFS: usize = 65_536;
 
 /// Fixed file header: magic + version + encoding + count.
 pub(crate) const HEADER_LEN: u64 = 24;
-/// Inline v2.0 frame header: count u32 + payload_len u32.
-pub(crate) const FRAME_HEADER_LEN: u64 = 8;
-/// Inline v2.1 frame header: count u32 + payload_len u32 + crc32c u32.
-pub(crate) const FRAME_HEADER_LEN_V21: u64 = 12;
 /// Footer index entry: offset u64 + count u32 + len u32.
 pub(crate) const INDEX_ENTRY_LEN: u64 = 16;
 /// Cap for `Vec::with_capacity` from untrusted header counts.
@@ -137,16 +116,6 @@ impl Encoding {
     }
 }
 
-#[inline]
-fn zigzag_encode(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn zigzag_decode(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 fn write_varint<W: Write>(mut w: W, mut v: u64) -> io::Result<()> {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -155,19 +124,6 @@ fn write_varint<W: Write>(mut w: W, mut v: u64) -> io::Result<()> {
             return w.write_all(&[byte]);
         }
         w.write_all(&[byte | 0x80])?;
-    }
-}
-
-#[inline]
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
 }
 
@@ -202,36 +158,10 @@ fn read_varint<R: Read>(mut r: R) -> io::Result<u64> {
     }
 }
 
-/// Slice-based varint decode for the in-memory frame paths; same
-/// validation as [`read_varint`], without per-byte reader dispatch.
-#[inline]
-fn decode_varint_slice(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *buf.get(*pos).ok_or_else(|| invalid("truncated varint"))?;
-        *pos += 1;
-        if shift == 63 && (b & 0x7f) > 1 {
-            return Err(invalid("varint overflows 64 bits"));
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(invalid("varint longer than 10 bytes"));
-        }
-    }
-}
-
 /// Serialize a trace to a writer in format v1.
 pub fn write_trace<W: Write>(w: W, trace: &Trace, encoding: Encoding) -> io::Result<()> {
     let mut w = BufWriter::new(w);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&encoding.to_u32().to_le_bytes())?;
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
+    w.write_all(&TraceHeader::new(VERSION, 0, encoding, trace.len()).to_bytes())?;
     match encoding {
         Encoding::Raw => {
             for &a in trace.as_slice() {
@@ -250,270 +180,6 @@ pub fn write_trace<W: Write>(w: W, trace: &Trace, encoding: Encoding) -> io::Res
     w.flush()
 }
 
-/// Encode one frame's payload; the delta baseline resets to zero so frames
-/// decode independently (the first reference costs one absolute varint).
-fn encode_frame(addrs: &[Addr], encoding: Encoding, out: &mut Vec<u8>) {
-    match encoding {
-        Encoding::Raw => {
-            out.reserve(addrs.len() * 8);
-            for &a in addrs {
-                out.extend_from_slice(&a.to_le_bytes());
-            }
-        }
-        Encoding::DeltaVarint => {
-            let mut prev: Addr = 0;
-            for &a in addrs {
-                let delta = a.wrapping_sub(prev) as i64;
-                push_varint(out, zigzag_encode(delta));
-                prev = a;
-            }
-        }
-    }
-}
-
-/// Decode one frame's payload into an exactly-sized output slice.
-pub(crate) fn decode_frame_into(
-    payload: &[u8],
-    encoding: Encoding,
-    out: &mut [Addr],
-) -> io::Result<()> {
-    parda_failpoint::failpoint!(
-        "trace::decode_frame",
-        return Err(invalid("injected frame decode failure"))
-    );
-    match encoding {
-        Encoding::Raw => {
-            if payload.len() != out.len() * 8 {
-                return Err(invalid("raw frame length does not match its count"));
-            }
-            for (slot, bytes) in out.iter_mut().zip(payload.chunks_exact(8)) {
-                *slot = u64::from_le_bytes(bytes.try_into().unwrap());
-            }
-        }
-        Encoding::DeltaVarint => {
-            let mut pos = 0usize;
-            let mut prev: Addr = 0;
-            for slot in out.iter_mut() {
-                let delta = zigzag_decode(decode_varint_slice(payload, &mut pos)?);
-                prev = prev.wrapping_add(delta as u64);
-                *slot = prev;
-            }
-            if pos != payload.len() {
-                return Err(invalid("trailing bytes in frame payload"));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Bits per packed dictionary index for a tag block with `ntids` entries.
-#[inline]
-fn tag_index_bits(ntids: usize) -> usize {
-    debug_assert!(ntids > 1);
-    (usize::BITS - (ntids - 1).leading_zeros()) as usize
-}
-
-/// Append a v2.2 tag block for one frame's thread IDs: `ntids` u8, the
-/// per-frame TID dictionary (varints, first-appearance order), then — when
-/// the frame has more than one distinct TID — the per-reference dictionary
-/// indices packed at `⌈log₂ ntids⌉` bits each, LSB-first within bytes.
-fn encode_tag_block(tids: &[Tid], out: &mut Vec<u8>) -> io::Result<()> {
-    debug_assert!(!tids.is_empty(), "tag block requires a non-empty frame");
-    let mut dict: Vec<Tid> = Vec::new();
-    let mut index_of: parda_hash::FxHashMap<Tid, u8> = Default::default();
-    let mut indices: Vec<u8> = Vec::with_capacity(tids.len());
-    for &t in tids {
-        let idx = match index_of.get(&t) {
-            Some(&i) => i,
-            None => {
-                if dict.len() == 255 {
-                    return Err(invalid("more than 255 distinct thread IDs in one frame"));
-                }
-                let i = dict.len() as u8;
-                dict.push(t);
-                index_of.insert(t, i);
-                i
-            }
-        };
-        indices.push(idx);
-    }
-    out.push(dict.len() as u8);
-    for &t in &dict {
-        push_varint(out, u64::from(t));
-    }
-    if dict.len() > 1 {
-        let bits = tag_index_bits(dict.len());
-        let mut acc: u32 = 0;
-        let mut nbits = 0usize;
-        for &i in &indices {
-            acc |= u32::from(i) << nbits;
-            nbits += bits;
-            while nbits >= 8 {
-                out.push((acc & 0xff) as u8);
-                acc >>= 8;
-                nbits -= 8;
-            }
-        }
-        if nbits > 0 {
-            out.push((acc & 0xff) as u8);
-        }
-    }
-    Ok(())
-}
-
-/// Parse one frame's tag block into `count` thread IDs appended to `tids`
-/// (cleared first); returns the payload offset where the address block
-/// starts.
-pub(crate) fn parse_tag_block(
-    payload: &[u8],
-    count: usize,
-    tids: &mut Vec<Tid>,
-) -> io::Result<usize> {
-    let ntids = usize::from(
-        *payload
-            .first()
-            .ok_or_else(|| invalid("truncated tag block"))?,
-    );
-    if ntids == 0 {
-        return Err(invalid("tag block with zero thread IDs"));
-    }
-    let mut pos = 1usize;
-    let mut dict: Vec<Tid> = Vec::with_capacity(ntids);
-    for _ in 0..ntids {
-        let v =
-            decode_varint_slice(payload, &mut pos).map_err(|_| invalid("truncated tag block"))?;
-        dict.push(Tid::try_from(v).map_err(|_| invalid("thread ID overflows 32 bits"))?);
-    }
-    tids.clear();
-    tids.reserve(count);
-    if ntids == 1 {
-        tids.resize(count, dict[0]);
-        return Ok(pos);
-    }
-    let bits = tag_index_bits(ntids);
-    let nbytes = count
-        .checked_mul(bits)
-        .map(|b| b.div_ceil(8))
-        .ok_or_else(|| invalid("tag block index overflow"))?;
-    let idx_bytes = payload
-        .get(pos..pos + nbytes)
-        .ok_or_else(|| invalid("truncated tag block"))?;
-    let mut acc: u32 = 0;
-    let mut nbits = 0usize;
-    let mut at = 0usize;
-    let mask = (1u32 << bits) - 1;
-    for _ in 0..count {
-        while nbits < bits {
-            acc |= u32::from(idx_bytes[at]) << nbits;
-            at += 1;
-            nbits += 8;
-        }
-        let i = (acc & mask) as usize;
-        acc >>= bits;
-        nbits -= bits;
-        if i >= ntids {
-            return Err(invalid("thread index out of dictionary range"));
-        }
-        tids.push(dict[i]);
-    }
-    Ok(pos + nbytes)
-}
-
-/// For a possibly-tagged frame payload, return the address block: the whole
-/// payload when `tagged` is false, otherwise the bytes after a structurally
-/// validated (but not decoded) tag block. This is what lets every
-/// address-only reader accept v2.2 files.
-pub(crate) fn split_addr_payload(payload: &[u8], tagged: bool, count: usize) -> io::Result<&[u8]> {
-    if !tagged {
-        return Ok(payload);
-    }
-    let ntids = usize::from(
-        *payload
-            .first()
-            .ok_or_else(|| invalid("truncated tag block"))?,
-    );
-    if ntids == 0 {
-        return Err(invalid("tag block with zero thread IDs"));
-    }
-    let mut pos = 1usize;
-    for _ in 0..ntids {
-        let v =
-            decode_varint_slice(payload, &mut pos).map_err(|_| invalid("truncated tag block"))?;
-        if Tid::try_from(v).is_err() {
-            return Err(invalid("thread ID overflows 32 bits"));
-        }
-    }
-    if ntids > 1 {
-        let nbytes = count
-            .checked_mul(tag_index_bits(ntids))
-            .map(|b| b.div_ceil(8))
-            .ok_or_else(|| invalid("tag block index overflow"))?;
-        pos = pos
-            .checked_add(nbytes)
-            .ok_or_else(|| invalid("tag block index overflow"))?;
-    }
-    payload
-        .get(pos..)
-        .ok_or_else(|| invalid("truncated tag block"))
-}
-
-/// Encode one frame's payload bytes exactly as [`write_trace_v2_framed`]
-/// would lay them out inside the file (delta baseline reset per frame).
-///
-/// Public so other transports — the `parda-server` wire protocol — can
-/// carry v2 frames verbatim and share this module's decoder and CRC
-/// handling.
-pub fn encode_frame_payload(addrs: &[Addr], encoding: Encoding) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_frame(addrs, encoding, &mut out);
-    out
-}
-
-/// Decode one frame's payload of exactly `count` references (the count a
-/// v2 inline frame header or footer index entry advertises).
-///
-/// `count` is validated against the payload size before any allocation:
-/// raw frames are exactly 8 bytes per reference, delta-varint frames at
-/// least 1 — so a lying header cannot force an oversized allocation.
-pub fn decode_frame_payload(
-    payload: &[u8],
-    encoding: Encoding,
-    count: usize,
-) -> io::Result<Vec<Addr>> {
-    let plausible = match encoding {
-        Encoding::Raw => count.checked_mul(8) == Some(payload.len()),
-        Encoding::DeltaVarint => count <= payload.len(),
-    };
-    if !plausible {
-        return Err(invalid("frame count does not fit its payload"));
-    }
-    let mut out = vec![0 as Addr; count];
-    decode_frame_into(payload, encoding, &mut out)?;
-    Ok(out)
-}
-
-/// [`decode_frame_payload`] into a caller-owned buffer so a steady-state
-/// decode loop (e.g. a server shard draining frames from many sessions)
-/// performs no per-frame allocation. The buffer is cleared and resized to
-/// `count`; its capacity is retained across calls.
-pub fn decode_frame_payload_into(
-    payload: &[u8],
-    encoding: Encoding,
-    count: usize,
-    out: &mut Vec<Addr>,
-) -> io::Result<()> {
-    let plausible = match encoding {
-        Encoding::Raw => count.checked_mul(8) == Some(payload.len()),
-        Encoding::DeltaVarint => count <= payload.len(),
-    };
-    if !plausible {
-        return Err(invalid("frame count does not fit its payload"));
-    }
-    out.clear();
-    out.resize(count, 0 as Addr);
-    decode_frame_into(payload, encoding, out)
-}
-
 /// Location and size of one v2 frame, as recorded in the footer index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct FrameIndexEntry {
@@ -523,6 +189,20 @@ pub(crate) struct FrameIndexEntry {
     pub count: u32,
     /// Encoded payload bytes (excluding the inline header).
     pub len: u32,
+}
+
+impl FrameIndexEntry {
+    /// The inline header found at this entry's offset, if it agrees with
+    /// the entry.
+    pub(crate) fn check(&self, h: FrameHeader) -> Result<FrameHeader, FrameError> {
+        if (h.count, h.len) == (self.count, self.len) {
+            Ok(h)
+        } else {
+            Err(FrameError::Malformed(
+                "frame header disagrees with index".into(),
+            ))
+        }
+    }
 }
 
 /// Parsed 24-byte file header.
@@ -538,22 +218,46 @@ pub(crate) struct TraceHeader {
 }
 
 impl TraceHeader {
+    fn new(version: u32, minor: u32, encoding: Encoding, count: usize) -> Self {
+        Self {
+            version,
+            minor,
+            encoding,
+            count: count as u64,
+        }
+    }
+
+    fn to_bytes(self) -> [u8; HEADER_LEN as usize] {
+        let mut out = [0u8; HEADER_LEN as usize];
+        out[..8].copy_from_slice(MAGIC);
+        out[8..12].copy_from_slice(&(self.version | (self.minor << 16)).to_le_bytes());
+        out[12..16].copy_from_slice(&self.encoding.to_u32().to_le_bytes());
+        out[16..].copy_from_slice(&self.count.to_le_bytes());
+        out
+    }
+
     /// `true` when frames carry a CRC32C in their inline header.
     pub fn checksummed(&self) -> bool {
         self.minor >= V2_MINOR_CRC
     }
 
-    /// Inline frame header length for this minor version.
-    pub fn frame_header_len(&self) -> u64 {
-        if self.checksummed() {
-            FRAME_HEADER_LEN_V21
-        } else {
-            FRAME_HEADER_LEN
+    /// `true` when every frame payload starts with a thread-ID tag block
+    /// (v2.2).
+    pub fn tagged(&self) -> bool {
+        self.version == VERSION_V2 && self.minor >= V2_MINOR_TID
+    }
+
+    /// How this file's frames are laid out.
+    pub fn frame_format(&self) -> FrameFormat {
+        FrameFormat {
+            encoding: self.encoding,
+            checksummed: self.checksummed(),
+            tagged: self.tagged(),
         }
     }
 
     /// Footer tail length after the index entries: `[index_crc u32]` (v2.1
-    /// only) + `nframes u64` + magic.
+    /// on) + `nframes u64` + magic.
     pub fn footer_tail_len(&self) -> u64 {
         if self.checksummed() {
             20
@@ -562,10 +266,15 @@ impl TraceHeader {
         }
     }
 
-    /// `true` when every frame payload starts with a thread-ID tag block
-    /// (v2.2).
-    pub fn tagged(&self) -> bool {
-        self.version == VERSION_V2 && self.minor >= V2_MINOR_TID
+    /// Thread IDs come only from v2.2 files: an untagged trace is refused
+    /// rather than given a made-up thread.
+    pub fn require_tags(&self, wanted: bool) -> io::Result<()> {
+        if wanted && !self.tagged() {
+            return Err(invalid(
+                "trace is not thread-tagged (write it with a v2.2 tagged writer)",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -602,22 +311,59 @@ pub(crate) fn parse_header(bytes: &[u8]) -> io::Result<TraceHeader> {
     })
 }
 
-/// Check an index against the header: contiguous frames starting right
-/// after the file header, per-frame count/len consistent with the
-/// encoding, non-empty frames, counts summing to the header count. Returns
-/// the payload end offset (= index start).
-pub(crate) fn validate_index(entries: &[FrameIndexEntry], header: &TraceHeader) -> io::Result<u64> {
-    let mut expect_offset = HEADER_LEN;
+/// Locate the footer index from the footer tail (the file's last
+/// [`TraceHeader::footer_tail_len`] bytes): its start offset in a file of
+/// `file_len` bytes, and its length.
+fn locate_index(tail: &[u8], file_len: u64) -> io::Result<(u64, usize)> {
+    let (nframes, magic) = tail[tail.len() - 16..].split_at(8);
+    if magic != FOOTER_MAGIC {
+        return Err(invalid("bad trace index magic"));
+    }
+    let nframes = u64::from_le_bytes(nframes.try_into().unwrap());
+    let index_bytes = nframes
+        .checked_mul(INDEX_ENTRY_LEN)
+        .ok_or_else(|| invalid("frame index overflow"))?;
+    let start = file_len
+        .checked_sub(tail.len() as u64 + index_bytes)
+        .filter(|&s| s >= HEADER_LEN)
+        .ok_or_else(|| invalid("frame index larger than file"))?;
+    Ok((start, index_bytes as usize))
+}
+
+/// Parse the footer index entries `raw` that start at `index_start`, under
+/// their footer `tail`. The index CRC (v2.1 on) must match, and the
+/// entries must describe contiguous frames from the file header to the
+/// index, each of a shape its count allows, whose counts sum to the
+/// header's — so no frame can make a reader allocate past the file size.
+fn parse_index(
+    raw: &[u8],
+    tail: &[u8],
+    header: &TraceHeader,
+    index_start: u64,
+) -> io::Result<Vec<FrameIndexEntry>> {
+    if header.checksummed() {
+        let stored = u32::from_le_bytes(tail[..4].try_into().unwrap());
+        if parda_hash::crc32c(raw) != stored {
+            return Err(invalid("frame index CRC mismatch"));
+        }
+    }
+    let fmt = header.frame_format();
+    let mut entries = Vec::with_capacity(raw.len() / INDEX_ENTRY_LEN as usize);
+    let mut offset = HEADER_LEN;
     let mut total: u64 = 0;
-    for e in entries {
-        if e.offset != expect_offset {
+    for chunk in raw.chunks_exact(INDEX_ENTRY_LEN as usize) {
+        let e = FrameIndexEntry {
+            offset: u64::from_le_bytes(chunk[..8].try_into().unwrap()),
+            count: u32::from_le_bytes(chunk[8..12].try_into().unwrap()),
+            len: u32::from_le_bytes(chunk[12..16].try_into().unwrap()),
+        };
+        if e.offset != offset {
             return Err(invalid("frame index offsets are not contiguous"));
         }
-        // The per-encoding count/len relationship also bounds total
-        // allocation by the file size (every reference costs bytes).
-        check_frame_shape(e.count, e.len, header.encoding, header.tagged())?;
+        fmt.check_shape(e.count, e.len)?;
         total += u64::from(e.count);
-        expect_offset += header.frame_header_len() + u64::from(e.len);
+        offset += fmt.header_len() as u64 + u64::from(e.len);
+        entries.push(e);
     }
     if total != header.count {
         return Err(invalid(format!(
@@ -625,51 +371,21 @@ pub(crate) fn validate_index(entries: &[FrameIndexEntry], header: &TraceHeader) 
             header.count
         )));
     }
-    Ok(expect_offset)
+    if offset != index_start {
+        return Err(invalid("frame payload does not end at the index"));
+    }
+    Ok(entries)
 }
 
 /// Parse and validate the footer index of an in-memory v2 image.
 pub(crate) fn parse_footer(bytes: &[u8], header: &TraceHeader) -> io::Result<Vec<FrameIndexEntry>> {
-    let tail_len = header.footer_tail_len();
-    let min = HEADER_LEN + tail_len;
-    if (bytes.len() as u64) < min {
+    let tail_len = header.footer_tail_len() as usize;
+    if bytes.len() < HEADER_LEN as usize + tail_len {
         return Err(invalid("v2 trace shorter than its footer"));
     }
-    if &bytes[bytes.len() - 8..] != FOOTER_MAGIC {
-        return Err(invalid("bad trace index magic"));
-    }
-    let nframes = u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap());
-    let index_bytes = nframes
-        .checked_mul(INDEX_ENTRY_LEN)
-        .ok_or_else(|| invalid("frame index overflow"))?;
-    let index_start = (bytes.len() as u64)
-        .checked_sub(tail_len + index_bytes)
-        .filter(|&s| s >= HEADER_LEN)
-        .ok_or_else(|| invalid("frame index larger than file"))?;
-    let raw = &bytes[index_start as usize..index_start as usize + index_bytes as usize];
-    if header.checksummed() {
-        let stored = u32::from_le_bytes(
-            bytes[bytes.len() - 20..bytes.len() - 16]
-                .try_into()
-                .unwrap(),
-        );
-        if parda_hash::crc32c(raw) != stored {
-            return Err(invalid("frame index CRC mismatch"));
-        }
-    }
-    let mut entries = Vec::with_capacity(nframes as usize);
-    for chunk in raw.chunks_exact(INDEX_ENTRY_LEN as usize) {
-        entries.push(FrameIndexEntry {
-            offset: u64::from_le_bytes(chunk[..8].try_into().unwrap()),
-            count: u32::from_le_bytes(chunk[8..12].try_into().unwrap()),
-            len: u32::from_le_bytes(chunk[12..16].try_into().unwrap()),
-        });
-    }
-    let payload_end = validate_index(&entries, header)?;
-    if payload_end != index_start {
-        return Err(invalid("frame payload does not end at the index"));
-    }
-    Ok(entries)
+    let tail = &bytes[bytes.len() - tail_len..];
+    let (start, len) = locate_index(tail, bytes.len() as u64)?;
+    parse_index(&bytes[start as usize..][..len], tail, header, start)
 }
 
 /// Read and validate a v2 file's header plus footer index via seeks,
@@ -695,61 +411,21 @@ pub(crate) fn read_header_and_index(
     if file_len < HEADER_LEN + tail_len {
         return Err(invalid("v2 trace shorter than its footer"));
     }
-    let mut tail = [0u8; 20];
-    let tail = &mut tail[..tail_len as usize];
+    let mut tail = vec![0u8; tail_len as usize];
     f.seek(SeekFrom::End(-(tail_len as i64)))?;
-    f.read_exact(tail)?;
-    if &tail[tail_len as usize - 8..] != FOOTER_MAGIC {
-        return Err(invalid("bad trace index magic"));
-    }
-    let nframes = u64::from_le_bytes(
-        tail[tail_len as usize - 16..tail_len as usize - 8]
-            .try_into()
-            .unwrap(),
-    );
-    let index_bytes = nframes
-        .checked_mul(INDEX_ENTRY_LEN)
-        .ok_or_else(|| invalid("frame index overflow"))?;
-    let index_start = file_len
-        .checked_sub(tail_len + index_bytes)
-        .filter(|&s| s >= HEADER_LEN)
-        .ok_or_else(|| invalid("frame index larger than file"))?;
-    f.seek(SeekFrom::Start(index_start))?;
-    let mut raw = vec![0u8; index_bytes as usize];
+    f.read_exact(&mut tail)?;
+    let (start, len) = locate_index(&tail, file_len)?;
+    f.seek(SeekFrom::Start(start))?;
+    let mut raw = vec![0u8; len];
     f.read_exact(&mut raw)
         .map_err(|e| eof_is_corruption(e, "frame index"))?;
-    if header.checksummed() {
-        let stored = u32::from_le_bytes(tail[..4].try_into().unwrap());
-        if parda_hash::crc32c(&raw) != stored {
-            return Err(invalid("frame index CRC mismatch"));
-        }
-    }
-    let mut entries = Vec::with_capacity(nframes as usize);
-    for chunk in raw.chunks_exact(INDEX_ENTRY_LEN as usize) {
-        entries.push(FrameIndexEntry {
-            offset: u64::from_le_bytes(chunk[..8].try_into().unwrap()),
-            count: u32::from_le_bytes(chunk[8..12].try_into().unwrap()),
-            len: u32::from_le_bytes(chunk[12..16].try_into().unwrap()),
-        });
-    }
-    let payload_end = validate_index(&entries, &header)?;
-    if payload_end != index_start {
-        return Err(invalid("frame payload does not end at the index"));
-    }
+    let entries = parse_index(&raw, &tail, &header, start)?;
     f.seek(SeekFrom::Start(HEADER_LEN))?;
     Ok((header, entries))
 }
 
-/// Serialize a trace in format v2 with the default [`FRAME_REFS`] framing.
-/// Writes minor version 1: every frame payload and the footer index carry a
-/// CRC32C.
-pub fn write_trace_v2<W: Write>(w: W, trace: &Trace, encoding: Encoding) -> io::Result<()> {
-    write_trace_v2_framed(w, trace, encoding, FRAME_REFS)
-}
-
 /// Serialize in format v2.1 with an explicit frame size (tests use tiny
-/// frames to exercise multi-frame paths cheaply). Frames are encoded in
-/// parallel — they are independent by construction — then written in order.
+/// frames to exercise multi-frame paths cheaply).
 pub fn write_trace_v2_framed<W: Write>(
     w: W,
     trace: &Trace,
@@ -769,288 +445,97 @@ pub fn write_trace_v2_framed_opts<W: Write>(
     frame_refs: usize,
     checksums: bool,
 ) -> io::Result<()> {
-    assert!(frame_refs > 0, "frame size must be positive");
     let minor = if checksums { V2_MINOR_CRC } else { 0 };
-    let version_word = VERSION_V2 | (minor << 16);
-    let mut w = BufWriter::new(w);
-    w.write_all(MAGIC)?;
-    w.write_all(&version_word.to_le_bytes())?;
-    w.write_all(&encoding.to_u32().to_le_bytes())?;
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
-
-    let chunks: Vec<&[Addr]> = trace.as_slice().chunks(frame_refs).collect();
-    let frames: Vec<(Vec<u8>, u32)> = chunks
-        .par_iter()
-        .map(|chunk| {
-            let mut buf = Vec::new();
-            encode_frame(chunk, encoding, &mut buf);
-            let crc = if checksums {
-                parda_hash::crc32c(&buf)
-            } else {
-                0
-            };
-            (buf, crc)
-        })
-        .collect();
-
-    let frame_header_len = if checksums {
-        FRAME_HEADER_LEN_V21
-    } else {
-        FRAME_HEADER_LEN
-    };
-    let mut entries: Vec<FrameIndexEntry> = Vec::with_capacity(frames.len());
-    let mut offset = HEADER_LEN;
-    for (chunk, (payload, crc)) in chunks.iter().zip(&frames) {
-        let len =
-            u32::try_from(payload.len()).map_err(|_| invalid("frame payload exceeds u32 bytes"))?;
-        w.write_all(&(chunk.len() as u32).to_le_bytes())?;
-        w.write_all(&len.to_le_bytes())?;
-        if checksums {
-            w.write_all(&crc.to_le_bytes())?;
-        }
-        w.write_all(payload)?;
-        entries.push(FrameIndexEntry {
-            offset,
-            count: chunk.len() as u32,
-            len,
-        });
-        offset += frame_header_len + u64::from(len);
-    }
-    let mut index = Vec::with_capacity(entries.len() * INDEX_ENTRY_LEN as usize);
-    for e in &entries {
-        index.extend_from_slice(&e.offset.to_le_bytes());
-        index.extend_from_slice(&e.count.to_le_bytes());
-        index.extend_from_slice(&e.len.to_le_bytes());
-    }
-    w.write_all(&index)?;
-    if checksums {
-        w.write_all(&parda_hash::crc32c(&index).to_le_bytes())?;
-    }
-    w.write_all(&(entries.len() as u64).to_le_bytes())?;
-    w.write_all(FOOTER_MAGIC)?;
-    w.flush()
-}
-
-/// Serialize a thread-tagged trace in format v2.2 with the default
-/// [`FRAME_REFS`] framing. Tagged files always carry checksums.
-pub fn write_tagged_trace_v2<W: Write>(
-    w: W,
-    trace: &ThreadedTrace,
-    encoding: Encoding,
-) -> io::Result<()> {
-    write_tagged_trace_v2_framed(w, trace, encoding, FRAME_REFS)
+    write_v2(w, trace.as_slice(), None, encoding, frame_refs, minor)
 }
 
 /// Serialize a thread-tagged trace in format v2.2 with an explicit frame
-/// size. Each frame payload is a tag block followed by the usual address
-/// block; the frame CRC covers both. Fails if any frame spans more than
-/// 255 distinct thread IDs.
+/// size. Fails if any frame spans more than 255 distinct thread IDs.
 pub fn write_tagged_trace_v2_framed<W: Write>(
     w: W,
     trace: &ThreadedTrace,
     encoding: Encoding,
     frame_refs: usize,
 ) -> io::Result<()> {
-    assert!(frame_refs > 0, "frame size must be positive");
-    let version_word = VERSION_V2 | (V2_MINOR_TID << 16);
-    let mut w = BufWriter::new(w);
-    w.write_all(MAGIC)?;
-    w.write_all(&version_word.to_le_bytes())?;
-    w.write_all(&encoding.to_u32().to_le_bytes())?;
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
+    write_v2(
+        w,
+        trace.addrs(),
+        Some(trace.tids()),
+        encoding,
+        frame_refs,
+        V2_MINOR_TID,
+    )
+}
 
-    let addr_chunks: Vec<&[Addr]> = trace.addrs().chunks(frame_refs).collect();
-    let tid_chunks: Vec<&[Tid]> = trace.tids().chunks(frame_refs).collect();
-    let frames: Vec<io::Result<(Vec<u8>, u32)>> = addr_chunks
-        .par_iter()
-        .zip(tid_chunks.par_iter())
+/// The v2 writer, for every minor version (`tids` exactly when tagged).
+/// Frames are encoded in parallel — they are independent by construction —
+/// then written in order, and the footer index closes the file.
+fn write_v2<W: Write>(
+    w: W,
+    addrs: &[Addr],
+    tids: Option<&[Tid]>,
+    encoding: Encoding,
+    frame_refs: usize,
+    minor: u32,
+) -> io::Result<()> {
+    assert!(frame_refs > 0, "frame size must be positive");
+    let header = TraceHeader::new(VERSION_V2, minor, encoding, addrs.len());
+    let fmt = header.frame_format();
+    let jobs: Vec<(&[Addr], Option<&[Tid]>)> = match tids {
+        Some(tids) => addrs
+            .chunks(frame_refs)
+            .zip(tids.chunks(frame_refs))
+            .map(|(a, t)| (a, Some(t)))
+            .collect(),
+        None => addrs.chunks(frame_refs).map(|a| (a, None)).collect(),
+    };
+    let frames: Vec<io::Result<(FrameHeader, Vec<u8>)>> = jobs
+        .into_par_iter()
         .map(|(addrs, tids)| {
             let mut buf = Vec::new();
-            encode_tag_block(tids, &mut buf)?;
-            encode_frame(addrs, encoding, &mut buf);
-            let crc = parda_hash::crc32c(&buf);
-            Ok((buf, crc))
+            fmt.encode(addrs, tids, &mut buf).map(|h| (h, buf))
         })
         .collect();
 
-    let mut entries: Vec<FrameIndexEntry> = Vec::with_capacity(frames.len());
+    let nframes = frames.len() as u64;
+    let mut w = BufWriter::new(w);
+    w.write_all(&header.to_bytes())?;
+    let mut index = Vec::with_capacity(frames.len() * INDEX_ENTRY_LEN as usize);
     let mut offset = HEADER_LEN;
-    for (chunk, frame) in addr_chunks.iter().zip(frames) {
-        let (payload, crc) = frame?;
-        let len =
-            u32::try_from(payload.len()).map_err(|_| invalid("frame payload exceeds u32 bytes"))?;
-        w.write_all(&(chunk.len() as u32).to_le_bytes())?;
-        w.write_all(&len.to_le_bytes())?;
-        w.write_all(&crc.to_le_bytes())?;
-        w.write_all(&payload)?;
-        entries.push(FrameIndexEntry {
-            offset,
-            count: chunk.len() as u32,
-            len,
-        });
-        offset += FRAME_HEADER_LEN_V21 + u64::from(len);
-    }
-    let mut index = Vec::with_capacity(entries.len() * INDEX_ENTRY_LEN as usize);
-    for e in &entries {
-        index.extend_from_slice(&e.offset.to_le_bytes());
-        index.extend_from_slice(&e.count.to_le_bytes());
-        index.extend_from_slice(&e.len.to_le_bytes());
+    for frame in frames {
+        let (h, bytes) = frame?;
+        w.write_all(&bytes)?;
+        index.extend_from_slice(&offset.to_le_bytes());
+        index.extend_from_slice(&h.count.to_le_bytes());
+        index.extend_from_slice(&h.len.to_le_bytes());
+        offset += bytes.len() as u64;
     }
     w.write_all(&index)?;
-    w.write_all(&parda_hash::crc32c(&index).to_le_bytes())?;
-    w.write_all(&(entries.len() as u64).to_le_bytes())?;
+    if header.checksummed() {
+        w.write_all(&parda_hash::crc32c(&index).to_le_bytes())?;
+    }
+    w.write_all(&nframes.to_le_bytes())?;
     w.write_all(FOOTER_MAGIC)?;
     w.flush()
 }
 
-/// Deserialize a thread-tagged trace from a (possibly non-seekable)
-/// reader. Only v2.2 tagged files qualify; untagged traces are rejected
-/// rather than silently assigned a fake thread ID.
-pub fn read_tagged_trace<R: Read>(r: R) -> io::Result<ThreadedTrace> {
-    let mut r = BufReader::new(r);
-    let mut header_bytes = [0u8; HEADER_LEN as usize];
-    r.read_exact(&mut header_bytes)
-        .map_err(|e| eof_is_corruption(e, "trace header"))?;
-    let header = parse_header(&header_bytes)?;
-    if !header.tagged() {
-        return Err(invalid(
-            "trace is not thread-tagged (write it with a v2.2 tagged writer)",
-        ));
-    }
-    let count = header.count as usize;
-    let mut addrs = Vec::with_capacity(count.min(PREALLOC_CAP));
-    let mut tids = Vec::with_capacity(count.min(PREALLOC_CAP));
-    read_v2_frames_sequential(&mut r, &header, &mut addrs, Some(&mut tids))?;
-    Ok(ThreadedTrace::from_parts(addrs, tids))
-}
-
-/// Decode a complete in-memory v2.2 image, addresses and thread IDs both,
-/// with the same parallel per-frame layout as [`decode_trace`].
-pub fn decode_tagged_trace(bytes: &[u8]) -> io::Result<ThreadedTrace> {
-    let header = parse_header(bytes)?;
-    if !header.tagged() {
-        return Err(invalid(
-            "trace is not thread-tagged (write it with a v2.2 tagged writer)",
-        ));
-    }
-    let entries = parse_footer(bytes, &header)?;
-    let count = header.count as usize;
-    let mut addrs = vec![0u64; count];
-
-    let mut slices: Vec<&mut [Addr]> = Vec::with_capacity(entries.len());
-    let mut rest = addrs.as_mut_slice();
-    for e in &entries {
-        let (head, tail) = rest.split_at_mut(e.count as usize);
-        slices.push(head);
-        rest = tail;
-    }
-
-    let fh_len = header.frame_header_len() as usize;
-    let jobs: Vec<(FrameIndexEntry, &mut [Addr])> = entries.iter().copied().zip(slices).collect();
-    let results: Vec<io::Result<Vec<Tid>>> = jobs
-        .into_par_iter()
-        .map(|(e, slice)| {
-            let at = e.offset as usize;
-            let fh = &bytes[at..at + fh_len];
-            let fcount = u32::from_le_bytes(fh[..4].try_into().unwrap());
-            let flen = u32::from_le_bytes(fh[4..8].try_into().unwrap());
-            if fcount != e.count || flen != e.len {
-                return Err(invalid("frame header disagrees with index"));
-            }
-            let payload = &bytes[at + fh_len..at + fh_len + flen as usize];
-            let stored = u32::from_le_bytes(fh[8..12].try_into().unwrap());
-            if parda_hash::crc32c(payload) != stored {
-                return Err(invalid("frame CRC mismatch"));
-            }
-            let mut frame_tids = Vec::new();
-            let off = parse_tag_block(payload, e.count as usize, &mut frame_tids)?;
-            decode_frame_into(&payload[off..], header.encoding, slice)?;
-            Ok(frame_tids)
-        })
-        .collect();
-    let mut tids = Vec::with_capacity(count);
-    for r in results {
-        tids.extend_from_slice(&r?);
-    }
-    Ok(ThreadedTrace::from_parts(addrs, tids))
-}
-
-/// Write a thread-tagged trace to a file path in format v2.2.
-pub fn save_tagged_trace_v2<P: AsRef<Path>>(
-    path: P,
-    trace: &ThreadedTrace,
-    encoding: Encoding,
-) -> io::Result<()> {
-    write_tagged_trace_v2(std::fs::File::create(path)?, trace, encoding)
-}
-
-/// Read a thread-tagged trace from a file path via the parallel decoder.
-pub fn load_tagged_trace<P: AsRef<Path>>(path: P) -> io::Result<ThreadedTrace> {
-    decode_tagged_trace(&std::fs::read(path)?)
-}
-
-/// Encode one tagged frame's payload bytes exactly as
-/// [`write_tagged_trace_v2_framed`] lays them out: tag block, then address
-/// block. Public for the `parda-server` wire protocol.
-pub fn encode_tagged_frame_payload(
-    addrs: &[Addr],
-    tids: &[Tid],
-    encoding: Encoding,
-) -> io::Result<Vec<u8>> {
-    if addrs.len() != tids.len() {
-        return Err(invalid("one thread ID per reference required"));
-    }
-    if addrs.is_empty() {
-        return Err(invalid("empty tagged frame"));
-    }
-    let mut out = Vec::new();
-    encode_tag_block(tids, &mut out)?;
-    encode_frame(addrs, encoding, &mut out);
-    Ok(out)
-}
-
-/// Decode one tagged frame's payload of exactly `count` references into
-/// caller-owned buffers (cleared and refilled; capacity retained). The
-/// advertised `count` is validated against the payload size before any
-/// allocation is sized from it.
-pub fn decode_tagged_frame_payload_into(
-    payload: &[u8],
-    encoding: Encoding,
-    count: usize,
-    addrs: &mut Vec<Addr>,
-    tids: &mut Vec<Tid>,
-) -> io::Result<()> {
-    if count == 0 {
-        return Err(invalid("empty tagged frame"));
-    }
-    let plausible = match encoding {
-        // Tag block is at least 2 bytes; the address block is exact.
-        Encoding::Raw => count
-            .checked_mul(8)
-            .and_then(|b| b.checked_add(2))
-            .is_some_and(|min| min <= payload.len()),
-        Encoding::DeltaVarint => count < payload.len(),
-    };
-    if !plausible {
-        return Err(invalid("frame count does not fit its payload"));
-    }
-    let off = parse_tag_block(payload, count, tids)?;
-    addrs.clear();
-    addrs.resize(count, 0 as Addr);
-    decode_frame_into(&payload[off..], encoding, addrs)
-}
-
 /// Deserialize a trace from a reader; handles v1 and (sequentially) v2.
 pub fn read_trace<R: Read>(r: R) -> io::Result<Trace> {
+    read_image(r, None).map(Trace::from_vec)
+}
+
+/// [`read_trace`], keeping a v2.2 file's thread IDs in `tids`.
+fn read_image<R: Read>(r: R, tids: Option<&mut Vec<Tid>>) -> io::Result<Vec<Addr>> {
     let mut r = BufReader::new(r);
     let mut header_bytes = [0u8; HEADER_LEN as usize];
     r.read_exact(&mut header_bytes)?;
     let header = parse_header(&header_bytes)?;
+    header.require_tags(tids.is_some())?;
     let count = header.count as usize;
 
     let mut addrs = Vec::with_capacity(count.min(PREALLOC_CAP));
     if header.version == VERSION_V2 {
-        read_v2_frames_sequential(&mut r, &header, &mut addrs, None)?;
+        read_v2_frames_sequential(&mut r, &header, &mut addrs, tids)?;
     } else {
         match header.encoding {
             Encoding::Raw => {
@@ -1084,140 +569,66 @@ pub fn read_trace<R: Read>(r: R) -> io::Result<Trace> {
             }
         }
     }
-    Ok(Trace::from_vec(addrs))
-}
-
-/// Sanity-check one inline frame header against the file header *before*
-/// any allocation is sized from it: an adversarial `count`/`len` pair must
-/// come back as `InvalidData`, never as a multi-gigabyte `resize` or a
-/// decode panic. The encoding pins the relationship between the two fields
-/// (raw: exactly 8 bytes/ref; delta: 1..=10 bytes/ref). Tagged (v2.2)
-/// frames loosen the bounds by the tag block: at least 2 bytes (`ntids`
-/// plus one dictionary varint), at most [`TAG_BLOCK_FIXED_MAX`] plus one
-/// index byte per reference.
-pub(crate) fn check_frame_shape(
-    fcount: u32,
-    flen: u32,
-    encoding: Encoding,
-    tagged: bool,
-) -> io::Result<()> {
-    if fcount == 0 {
-        return Err(invalid("empty frame in v2 trace"));
-    }
-    // Dictionary-block size bounds: 1-byte ntids + up to 255 five-byte u32
-    // varints; the packed indices add at most one byte per reference.
-    const TAG_BLOCK_FIXED_MAX: u64 = 1 + 255 * 5;
-    let (tag_min, tag_max) = if tagged {
-        (2u64, TAG_BLOCK_FIXED_MAX + u64::from(fcount))
-    } else {
-        (0, 0)
-    };
-    match encoding {
-        Encoding::Raw => {
-            let addr_len = u64::from(fcount) * 8;
-            if u64::from(flen) < addr_len + tag_min || u64::from(flen) > addr_len + tag_max {
-                return Err(invalid("raw frame length does not match its count"));
-            }
-        }
-        Encoding::DeltaVarint => {
-            if u64::from(flen) < u64::from(fcount) + tag_min {
-                return Err(invalid("delta frame shorter than its count"));
-            }
-            if u64::from(flen) > u64::from(fcount) * 10 + tag_max {
-                return Err(invalid("delta frame longer than 10 bytes per reference"));
-            }
-        }
-    }
-    Ok(())
+    Ok(addrs)
 }
 
 /// Sequential v2 path for non-seekable readers (pipes): walk the inline
 /// frame headers, then read the footer and check it matches what was seen.
-/// When `tids` is given (and the file is tagged) the per-reference thread
-/// IDs are appended alongside the addresses; otherwise tag blocks are
-/// skipped.
+/// With `tids` the thread IDs are kept; otherwise tag blocks are checked
+/// and skipped.
 fn read_v2_frames_sequential<R: Read>(
     r: &mut R,
     header: &TraceHeader,
     addrs: &mut Vec<Addr>,
     mut tids: Option<&mut Vec<Tid>>,
 ) -> io::Result<()> {
+    let fmt = header.frame_format();
     let count = header.count as usize;
-    let fh_len = header.frame_header_len() as usize;
     let mut seen: Vec<FrameIndexEntry> = Vec::new();
     let mut offset = HEADER_LEN;
     let mut payload = Vec::new();
-    let mut frame_tids: Vec<Tid> = Vec::new();
+    let mut frame_tids = Vec::new();
     while addrs.len() < count {
-        let mut fh = [0u8; FRAME_HEADER_LEN_V21 as usize];
-        let fh = &mut fh[..fh_len];
-        r.read_exact(fh)
-            .map_err(|e| eof_is_corruption(e, "frame header"))?;
-        let fcount = u32::from_le_bytes(fh[..4].try_into().unwrap());
-        let flen = u32::from_le_bytes(fh[4..8].try_into().unwrap());
-        check_frame_shape(fcount, flen, header.encoding, header.tagged())?;
-        if addrs.len() + fcount as usize > count {
+        let h = fmt.read_header(r)?;
+        fmt.check_shape(h.count, h.len)?;
+        if addrs.len() + h.count as usize > count {
             return Err(invalid("frame counts exceed header count"));
         }
-        payload.resize(flen as usize, 0);
-        r.read_exact(&mut payload)
-            .map_err(|e| eof_is_corruption(e, "frame payload"))?;
-        if header.checksummed() {
-            let stored = u32::from_le_bytes(fh[8..12].try_into().unwrap());
-            if parda_hash::crc32c(&payload) != stored {
-                return Err(invalid("frame CRC mismatch"));
-            }
+        // Grow the buffer with the bytes that arrive, not with the length
+        // the header claims: a pipe has no file size to bound it by.
+        payload.clear();
+        r.by_ref()
+            .take(u64::from(h.len))
+            .read_to_end(&mut payload)?;
+        if payload.len() != h.len as usize {
+            return Err(invalid("truncated frame payload"));
         }
-        let addr_payload = match tids.as_deref_mut() {
-            Some(out) if header.tagged() => {
-                let off = parse_tag_block(&payload, fcount as usize, &mut frame_tids)?;
-                out.extend_from_slice(&frame_tids);
-                &payload[off..]
-            }
-            _ => split_addr_payload(&payload, header.tagged(), fcount as usize)?,
-        };
         let start = addrs.len();
-        addrs.resize(start + fcount as usize, 0);
-        decode_frame_into(addr_payload, header.encoding, &mut addrs[start..])?;
+        addrs.resize(start + h.count as usize, 0);
+        let keep = tids.is_some().then_some(&mut frame_tids);
+        fmt.decode(h, &payload, &mut addrs[start..], keep)?;
+        if let Some(tids) = tids.as_deref_mut() {
+            tids.extend_from_slice(&frame_tids);
+        }
         seen.push(FrameIndexEntry {
             offset,
-            count: fcount,
-            len: flen,
+            count: h.count,
+            len: h.len,
         });
-        offset += fh_len as u64 + u64::from(flen);
+        offset += (fmt.header_len() + payload.len()) as u64;
     }
 
-    // Footer: one index entry per frame seen, [index crc,] nframes, magic.
-    let tail_len = header.footer_tail_len() as usize;
+    // Footer: one index entry per frame seen, then the tail.
     let index_len = seen.len() * INDEX_ENTRY_LEN as usize;
-    let mut footer = vec![0u8; index_len + tail_len];
+    let mut footer = vec![0u8; index_len + header.footer_tail_len() as usize];
     r.read_exact(&mut footer)
         .map_err(|e| eof_is_corruption(e, "frame index"))?;
-    for (i, e) in seen.iter().enumerate() {
-        let at = i * INDEX_ENTRY_LEN as usize;
-        let entry = FrameIndexEntry {
-            offset: u64::from_le_bytes(footer[at..at + 8].try_into().unwrap()),
-            count: u32::from_le_bytes(footer[at + 8..at + 12].try_into().unwrap()),
-            len: u32::from_le_bytes(footer[at + 12..at + 16].try_into().unwrap()),
-        };
-        if entry != *e {
-            return Err(invalid("frame index disagrees with frame headers"));
-        }
-    }
-    let tail = &footer[index_len..];
-    if header.checksummed() {
-        let stored = u32::from_le_bytes(tail[..4].try_into().unwrap());
-        if parda_hash::crc32c(&footer[..index_len]) != stored {
-            return Err(invalid("frame index CRC mismatch"));
-        }
-    }
-    let tail = &tail[tail_len - 16..];
-    let nframes = u64::from_le_bytes(tail[..8].try_into().unwrap());
-    if nframes != seen.len() as u64 {
+    let (raw, tail) = footer.split_at(index_len);
+    if locate_index(tail, offset + footer.len() as u64)?.0 != offset {
         return Err(invalid("frame index count disagrees with frames read"));
     }
-    if &tail[8..] != FOOTER_MAGIC {
-        return Err(invalid("bad trace index magic"));
+    if parse_index(raw, tail, header, offset)? != seen {
+        return Err(invalid("frame index disagrees with frame headers"));
     }
     Ok(())
 }
@@ -1226,51 +637,69 @@ fn read_v2_frames_sequential<R: Read>(
 /// frames are decoded in parallel: each frame gets a disjoint slice of the
 /// preallocated output, sized from the validated footer index.
 pub fn decode_trace(bytes: &[u8]) -> io::Result<Trace> {
+    decode_image(bytes, None).map(Trace::from_vec)
+}
+
+/// [`decode_trace`], keeping a v2.2 image's thread IDs in `tids`.
+fn decode_image(bytes: &[u8], tids: Option<&mut Vec<Tid>>) -> io::Result<Vec<Addr>> {
     let header = parse_header(bytes)?;
+    header.require_tags(tids.is_some())?;
     if header.version != VERSION_V2 {
-        // v1 has no frame structure; decode the flat payload sequentially
-        // (still slice-based, so no per-byte reader overhead).
-        return read_trace(bytes);
+        // v1 has no frame structure; decode the flat payload sequentially.
+        return read_image(bytes, tids);
     }
     let entries = parse_footer(bytes, &header)?;
-    let count = header.count as usize;
-    let mut out = vec![0u64; count];
+    decode_frames(bytes, &header, &entries, tids)
+}
 
-    let mut slices: Vec<&mut [Addr]> = Vec::with_capacity(entries.len());
+/// The frame `e` indexes in an in-memory image whose footer index passed
+/// [`parse_footer`]: its inline header, checked against the entry, and its
+/// payload.
+pub(crate) fn indexed_frame<'a>(
+    bytes: &'a [u8],
+    fmt: FrameFormat,
+    e: &FrameIndexEntry,
+) -> Result<(FrameHeader, &'a [u8]), FrameError> {
+    let frame = &bytes[e.offset as usize..];
+    let h = e.check(fmt.parse_header(frame)?)?;
+    Ok((h, &frame[fmt.header_len()..][..h.len as usize]))
+}
+
+/// Decode every frame of a validated in-memory v2 image in parallel, each
+/// into its own slice of one preallocated output; with `tids`, keep the
+/// thread IDs too.
+pub(crate) fn decode_frames(
+    bytes: &[u8],
+    header: &TraceHeader,
+    entries: &[FrameIndexEntry],
+    mut tids: Option<&mut Vec<Tid>>,
+) -> io::Result<Vec<Addr>> {
+    let fmt = header.frame_format();
+    let mut out = vec![0 as Addr; header.count as usize];
+    let mut jobs: Vec<(&FrameIndexEntry, &mut [Addr])> = Vec::with_capacity(entries.len());
     let mut rest = out.as_mut_slice();
-    for e in &entries {
+    for e in entries {
         let (head, tail) = rest.split_at_mut(e.count as usize);
-        slices.push(head);
+        jobs.push((e, head));
         rest = tail;
     }
-
-    let fh_len = header.frame_header_len() as usize;
-    let jobs: Vec<(FrameIndexEntry, &mut [Addr])> = entries.iter().copied().zip(slices).collect();
-    let results: Vec<io::Result<()>> = jobs
+    let keep_tids = tids.is_some();
+    let results: Vec<Result<Vec<Tid>, FrameError>> = jobs
         .into_par_iter()
         .map(|(e, slice)| {
-            let at = e.offset as usize;
-            let fh = &bytes[at..at + fh_len];
-            let fcount = u32::from_le_bytes(fh[..4].try_into().unwrap());
-            let flen = u32::from_le_bytes(fh[4..8].try_into().unwrap());
-            if fcount != e.count || flen != e.len {
-                return Err(invalid("frame header disagrees with index"));
-            }
-            let payload = &bytes[at + fh_len..at + fh_len + flen as usize];
-            if header.checksummed() {
-                let stored = u32::from_le_bytes(fh[8..12].try_into().unwrap());
-                if parda_hash::crc32c(payload) != stored {
-                    return Err(invalid("frame CRC mismatch"));
-                }
-            }
-            let addr_payload = split_addr_payload(payload, header.tagged(), e.count as usize)?;
-            decode_frame_into(addr_payload, header.encoding, slice)
+            let (h, payload) = indexed_frame(bytes, fmt, e)?;
+            let mut frame_tids = Vec::new();
+            fmt.decode(h, payload, slice, keep_tids.then_some(&mut frame_tids))?;
+            Ok(frame_tids)
         })
         .collect();
     for r in results {
-        r?;
+        let frame_tids = r?;
+        if let Some(tids) = tids.as_deref_mut() {
+            tids.extend_from_slice(&frame_tids);
+        }
     }
-    Ok(Trace::from_vec(out))
+    Ok(out)
 }
 
 /// Write a trace to a file path in format v1.
@@ -1278,9 +707,20 @@ pub fn save_trace<P: AsRef<Path>>(path: P, trace: &Trace, encoding: Encoding) ->
     write_trace(std::fs::File::create(path)?, trace, encoding)
 }
 
-/// Write a trace to a file path in format v2 (framed).
+/// Write a trace to a file path in format v2.1 with the default
+/// [`FRAME_REFS`] framing.
 pub fn save_trace_v2<P: AsRef<Path>>(path: P, trace: &Trace, encoding: Encoding) -> io::Result<()> {
-    write_trace_v2(std::fs::File::create(path)?, trace, encoding)
+    write_trace_v2_framed(std::fs::File::create(path)?, trace, encoding, FRAME_REFS)
+}
+
+/// Write a thread-tagged trace to a file path in format v2.2 with the
+/// default [`FRAME_REFS`] framing.
+pub fn save_tagged_trace_v2<P: AsRef<Path>>(
+    path: P,
+    trace: &ThreadedTrace,
+    encoding: Encoding,
+) -> io::Result<()> {
+    write_tagged_trace_v2_framed(std::fs::File::create(path)?, trace, encoding, FRAME_REFS)
 }
 
 /// Read the major format version of a trace file from its header (the
@@ -1309,34 +749,19 @@ pub fn load_trace<P: AsRef<Path>>(path: P) -> io::Result<Trace> {
     }
 }
 
+/// Read a thread-tagged (v2.2) trace from a file path via the parallel
+/// decoder. Untagged traces are refused rather than given a made-up
+/// thread ID.
+pub fn load_tagged_trace<P: AsRef<Path>>(path: P) -> io::Result<ThreadedTrace> {
+    let mut tids = Vec::new();
+    let addrs = decode_image(&std::fs::read(path)?, Some(&mut tids))?;
+    Ok(ThreadedTrace::from_parts(addrs, tids))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    proptest! {
-        #[test]
-        fn frame_payload_round_trips(
-            addrs in proptest::collection::vec(0u64..1 << 40, 0..300),
-            raw in any::<bool>(),
-        ) {
-            let encoding = if raw { Encoding::Raw } else { Encoding::DeltaVarint };
-            let payload = encode_frame_payload(&addrs, encoding);
-            let back = decode_frame_payload(&payload, encoding, addrs.len()).unwrap();
-            prop_assert_eq!(back, addrs);
-        }
-    }
-
-    #[test]
-    fn frame_payload_rejects_implausible_counts() {
-        let payload = encode_frame_payload(&[1, 2, 3], Encoding::Raw);
-        assert!(decode_frame_payload(&payload, Encoding::Raw, 4).is_err());
-        assert!(decode_frame_payload(&payload, Encoding::Raw, usize::MAX / 4).is_err());
-        // Delta: each reference costs at least one byte, so a count far
-        // beyond the payload length must be rejected before allocating.
-        let payload = encode_frame_payload(&[1, 2, 3], Encoding::DeltaVarint);
-        assert!(decode_frame_payload(&payload, Encoding::DeltaVarint, payload.len() + 1).is_err());
-    }
 
     fn round_trip(trace: &Trace, encoding: Encoding) -> Trace {
         let mut buf = Vec::new();
@@ -1443,13 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn zigzag_is_involutive_on_edges() {
-        for v in [0i64, 1, -1, i64::MAX, i64::MIN, 1234567, -7654321] {
-            assert_eq!(zigzag_decode(zigzag_encode(v)), v);
-        }
-    }
-
-    #[test]
     fn save_and_load_via_path() {
         let dir = std::env::temp_dir().join("parda-trace-io-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1483,7 +901,7 @@ mod tests {
         let n = FRAME_REFS + FRAME_REFS / 2;
         let t: Trace = (0..n as u64).map(|i| 0x4000_0000 + i * 16).collect();
         let mut buf = Vec::new();
-        write_trace_v2(&mut buf, &t, Encoding::DeltaVarint).unwrap();
+        write_trace_v2_framed(&mut buf, &t, Encoding::DeltaVarint, FRAME_REFS).unwrap();
         assert_eq!(decode_trace(&buf).unwrap(), t);
     }
 
@@ -1529,7 +947,7 @@ mod tests {
         let header = parse_header(&buf).unwrap();
         assert_eq!((header.version, header.minor), (2, 1));
         assert!(header.checksummed());
-        assert_eq!(header.frame_header_len(), FRAME_HEADER_LEN_V21);
+        assert_eq!(header.frame_format().header_len(), 12);
 
         let mut legacy = Vec::new();
         write_trace_v2_framed_opts(&mut legacy, &t, Encoding::Raw, 16, false).unwrap();
@@ -1558,7 +976,7 @@ mod tests {
         // accept any bytes, so only the CRC can catch this.
         let header = parse_header(&buf).unwrap();
         let entries = parse_footer(&buf, &header).unwrap();
-        let poke = entries[2].offset as usize + FRAME_HEADER_LEN_V21 as usize + 9;
+        let poke = entries[2].offset as usize + header.frame_format().header_len() + 9;
         buf[poke] ^= 0x04;
         let err = decode_trace(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -1632,11 +1050,25 @@ mod tests {
         }
     }
 
+    /// The tagged in-memory decode behind [`load_tagged_trace`].
+    fn decode_tagged(bytes: &[u8]) -> io::Result<ThreadedTrace> {
+        let mut tids = Vec::new();
+        let addrs = decode_image(bytes, Some(&mut tids))?;
+        Ok(ThreadedTrace::from_parts(addrs, tids))
+    }
+
+    /// The sequential (pipe) reader, keeping thread IDs.
+    fn read_tagged(r: impl Read) -> io::Result<ThreadedTrace> {
+        let mut tids = Vec::new();
+        let addrs = read_image(r, Some(&mut tids))?;
+        Ok(ThreadedTrace::from_parts(addrs, tids))
+    }
+
     fn round_trip_tagged(trace: &ThreadedTrace, encoding: Encoding, frame_refs: usize) -> Vec<u8> {
         let mut buf = Vec::new();
         write_tagged_trace_v2_framed(&mut buf, trace, encoding, frame_refs).unwrap();
-        let parallel = decode_tagged_trace(&buf).unwrap();
-        let sequential = read_tagged_trace(buf.as_slice()).unwrap();
+        let parallel = decode_tagged(&buf).unwrap();
+        let sequential = read_tagged(buf.as_slice()).unwrap();
         assert_eq!(&parallel, trace, "parallel tagged decode differs");
         assert_eq!(&sequential, trace, "sequential tagged decode differs");
         buf
@@ -1706,9 +1138,11 @@ mod tests {
         let t: Trace = (0..100u64).collect();
         let mut buf = Vec::new();
         write_trace_v2_framed(&mut buf, &t, Encoding::Raw, 16).unwrap();
-        let err = decode_tagged_trace(&buf).unwrap_err();
+        let err = decode_tagged(&buf).unwrap_err();
         assert!(err.to_string().contains("not thread-tagged"), "{err}");
-        assert!(read_tagged_trace(buf.as_slice()).is_err());
+        let err = load_tagged_trace(std_tmp_write("untagged.trc", &buf)).unwrap_err();
+        assert!(err.to_string().contains("not thread-tagged"), "{err}");
+        assert!(read_tagged(buf.as_slice()).is_err());
     }
 
     #[test]
@@ -1723,9 +1157,9 @@ mod tests {
         // header): only the CRC can catch index-block corruption.
         let header = parse_header(&buf).unwrap();
         let entries = parse_footer(&buf, &header).unwrap();
-        let poke = entries[1].offset as usize + FRAME_HEADER_LEN_V21 as usize + 2;
+        let poke = entries[1].offset as usize + header.frame_format().header_len() + 2;
         buf[poke] ^= 0x10;
-        let err = decode_tagged_trace(&buf).unwrap_err();
+        let err = decode_tagged(&buf).unwrap_err();
         assert!(err.to_string().contains("CRC"), "{err}");
         let err = decode_trace(&buf).unwrap_err();
         assert!(err.to_string().contains("CRC"), "{err}");
@@ -1742,37 +1176,7 @@ mod tests {
         // Split across frames the same TIDs fit fine.
         let mut ok = Vec::new();
         write_tagged_trace_v2_framed(&mut ok, &t, Encoding::Raw, 128).unwrap();
-        assert_eq!(decode_tagged_trace(&ok).unwrap(), t);
-    }
-
-    #[test]
-    fn tagged_wire_payload_round_trips() {
-        let addrs: Vec<Addr> = (0..100u64).map(|i| i * 64).collect();
-        let tids: Vec<Tid> = (0..100).map(|i| (i % 7) as Tid).collect();
-        for encoding in [Encoding::Raw, Encoding::DeltaVarint] {
-            let payload = encode_tagged_frame_payload(&addrs, &tids, encoding).unwrap();
-            let mut got_addrs = Vec::new();
-            let mut got_tids = Vec::new();
-            decode_tagged_frame_payload_into(
-                &payload,
-                encoding,
-                addrs.len(),
-                &mut got_addrs,
-                &mut got_tids,
-            )
-            .unwrap();
-            assert_eq!(got_addrs, addrs);
-            assert_eq!(got_tids, tids);
-            // A lying count is rejected before any decode.
-            assert!(decode_tagged_frame_payload_into(
-                &payload,
-                encoding,
-                usize::MAX / 8,
-                &mut got_addrs,
-                &mut got_tids,
-            )
-            .is_err());
-        }
+        assert_eq!(decode_tagged(&ok).unwrap(), t);
     }
 
     proptest! {

@@ -14,8 +14,9 @@
 //!   parameters (M, N, original runtime) plus a locality profile, scaled to
 //!   laptop-size traces;
 //! * [`io`] — compact binary trace formats: flat v1 (raw or delta-varint)
-//!   and block-framed v2 with a seekable index, parallel frame decode, and
-//!   (v2.1) CRC32C frame checksums;
+//!   and block-framed v2 with a seekable index, parallel frame decode,
+//!   (v2.1) CRC32C frame checksums and (v2.2) thread tags; one private
+//!   frame codec lays out and decodes every v2 frame and DATA message;
 //! * [`recover`] — corruption recovery: [`recover::Degradation`] policies,
 //!   the lossy frame decoder with resync scan, and CRC verification;
 //! * [`stream`] — [`stream::FramedStream`], an [`AddressStream`] that
@@ -24,6 +25,7 @@
 //!   by the generators to realize target distance distributions.
 
 pub mod alias;
+mod frame;
 pub mod gen;
 pub mod io;
 pub mod lru_stack;
@@ -136,7 +138,7 @@ pub type Tid = u32;
 
 /// A thread-tagged reference trace: one thread ID per reference, in the
 /// observed global interleaving order. This is the in-memory form of a
-/// v2.2 thread-tagged trace file ([`io::write_tagged_trace_v2`]): the
+/// v2.2 thread-tagged trace file ([`io::save_tagged_trace_v2`]): the
 /// shared stream a multi-threaded program actually issued, with enough
 /// information to recover each thread's private stream exactly.
 ///

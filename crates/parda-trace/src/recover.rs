@@ -21,14 +21,20 @@
 //! tallied in a [`RecoveryMetrics`] so callers can report exactly what was
 //! lost — a partial histogram with an honest corruption report instead of
 //! no histogram at all.
+//!
+//! Every path here checks and decodes frames with the frame codec the
+//! strict readers use (`frame.rs`), so the lossy walk and the resync scan
+//! keep exactly the frames a strict reader accepts and drop the rest
+//! whole; the codec's typed error says when a drop was a CRC failure.
 
+use crate::frame::{decode_varint_slice, zigzag_decode, FrameError};
 use crate::io::{
-    check_frame_shape, decode_frame_into, invalid, parse_footer, parse_header, parse_tag_block,
-    read_trace, split_addr_payload, Encoding, TraceHeader, HEADER_LEN, VERSION_V2,
+    decode_frames, indexed_frame, invalid, parse_footer, parse_header, read_trace, Encoding,
+    FrameIndexEntry, TraceHeader, HEADER_LEN, VERSION_V2,
 };
 use crate::{Addr, ThreadedTrace, Tid, Trace};
 use parda_obs::RecoveryMetrics;
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
 use std::str::FromStr;
 
@@ -87,41 +93,7 @@ pub fn decode_trace_recovering(
     bytes: &[u8],
     policy: Degradation,
 ) -> io::Result<(Trace, RecoveryMetrics)> {
-    let header = parse_header(bytes)?;
-    let mut metrics = RecoveryMetrics::default();
-
-    if header.version != VERSION_V2 {
-        // v1 has no frame structure to recover around: decode whole, and
-        // under BestEffort salvage the longest decodable prefix.
-        match read_trace(bytes) {
-            Ok(t) => return Ok((t, metrics)),
-            Err(_) if policy == Degradation::BestEffort => {
-                let t = salvage_v1_prefix(bytes, &header);
-                metrics.refs_dropped = header.count.saturating_sub(t.len() as u64);
-                metrics.resyncs = 1;
-                return Ok((t, metrics));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
-    match parse_footer(bytes, &header) {
-        Ok(entries) => {
-            metrics.frames_total = entries.len() as u64;
-            if policy == Degradation::Strict {
-                return crate::io::decode_trace(bytes).map(|t| (t, metrics));
-            }
-            let out = lossy_walk(bytes, &header, &entries, &mut metrics, None);
-            Ok((Trace::from_vec(out), metrics))
-        }
-        Err(_) if policy == Degradation::BestEffort => {
-            metrics.resyncs = 1;
-            let out = resync_scan(bytes, &header, &mut metrics, None);
-            metrics.refs_dropped = header.count.saturating_sub(out.len() as u64);
-            Ok((Trace::from_vec(out), metrics))
-        }
-        Err(e) => Err(e),
-    }
+    recover(bytes, policy, None).map(|(addrs, metrics)| (Trace::from_vec(addrs), metrics))
 }
 
 /// Decode an in-memory v2.2 thread-tagged image under a degradation
@@ -132,29 +104,52 @@ pub fn decode_tagged_trace_recovering(
     bytes: &[u8],
     policy: Degradation,
 ) -> io::Result<(ThreadedTrace, RecoveryMetrics)> {
+    let mut tids = Vec::new();
+    let (addrs, metrics) = recover(bytes, policy, Some(&mut tids))?;
+    Ok((ThreadedTrace::from_parts(addrs, tids), metrics))
+}
+
+/// [`decode_trace_recovering`], keeping a v2.2 image's thread IDs in
+/// `tids`.
+fn recover(
+    bytes: &[u8],
+    policy: Degradation,
+    tids: Option<&mut Vec<Tid>>,
+) -> io::Result<(Vec<Addr>, RecoveryMetrics)> {
     let header = parse_header(bytes)?;
-    if !header.tagged() {
-        return Err(invalid(
-            "trace is not thread-tagged (write it with a v2.2 tagged writer)",
-        ));
-    }
+    header.require_tags(tids.is_some())?;
     let mut metrics = RecoveryMetrics::default();
+
+    if header.version != VERSION_V2 {
+        // v1 has no frame structure to recover around: decode whole, and
+        // under BestEffort salvage the longest decodable prefix.
+        return match read_trace(bytes) {
+            Ok(t) => Ok((t.into_vec(), metrics)),
+            Err(_) if policy == Degradation::BestEffort => {
+                let addrs = salvage_v1_prefix(bytes, &header);
+                metrics.refs_dropped = header.count.saturating_sub(addrs.len() as u64);
+                metrics.resyncs = 1;
+                Ok((addrs, metrics))
+            }
+            Err(e) => Err(e),
+        };
+    }
+
     match parse_footer(bytes, &header) {
         Ok(entries) => {
             metrics.frames_total = entries.len() as u64;
-            if policy == Degradation::Strict {
-                return crate::io::decode_tagged_trace(bytes).map(|t| (t, metrics));
-            }
-            let mut tids: Vec<Tid> = Vec::new();
-            let out = lossy_walk(bytes, &header, &entries, &mut metrics, Some(&mut tids));
-            Ok((ThreadedTrace::from_parts(out, tids), metrics))
+            let addrs = if policy == Degradation::Strict {
+                decode_frames(bytes, &header, &entries, tids)?
+            } else {
+                lossy_walk(bytes, &header, &entries, &mut metrics, tids)
+            };
+            Ok((addrs, metrics))
         }
         Err(_) if policy == Degradation::BestEffort => {
             metrics.resyncs = 1;
-            let mut tids: Vec<Tid> = Vec::new();
-            let out = resync_scan(bytes, &header, &mut metrics, Some(&mut tids));
-            metrics.refs_dropped = header.count.saturating_sub(out.len() as u64);
-            Ok((ThreadedTrace::from_parts(out, tids), metrics))
+            let addrs = resync_scan(bytes, &header, &mut metrics, tids);
+            metrics.refs_dropped = header.count.saturating_sub(addrs.len() as u64);
+            Ok((addrs, metrics))
         }
         Err(e) => Err(e),
     }
@@ -162,60 +157,38 @@ pub fn decode_tagged_trace_recovering(
 
 /// Walk an intact footer index, decoding every frame that passes its
 /// integrity checks and skipping (with a metrics tally) the ones that
-/// don't. When `tids` is given the file's tag blocks are decoded alongside
-/// the addresses; otherwise they are skipped structurally.
+/// don't. When `tids` is given the file's thread IDs are kept alongside
+/// the addresses.
 fn lossy_walk(
     bytes: &[u8],
     header: &TraceHeader,
-    entries: &[crate::io::FrameIndexEntry],
+    entries: &[FrameIndexEntry],
     metrics: &mut RecoveryMetrics,
     mut tids: Option<&mut Vec<Tid>>,
 ) -> Vec<Addr> {
+    let fmt = header.frame_format();
     let mut out: Vec<Addr> = Vec::new();
     let mut frame_tids: Vec<Tid> = Vec::new();
-    let fh_len = header.frame_header_len() as usize;
     for (i, e) in entries.iter().enumerate() {
-        let at = e.offset as usize;
-        let fh = &bytes[at..at + fh_len];
-        let payload = &bytes[at + fh_len..at + fh_len + e.len as usize];
-        let fcount = u32::from_le_bytes(fh[..4].try_into().unwrap());
-        let flen = u32::from_le_bytes(fh[4..8].try_into().unwrap());
-        if fcount != e.count || flen != e.len {
-            metrics.skip_frame(i as u64, u64::from(e.count));
-            continue;
-        }
-        if header.checksummed() {
-            let stored = u32::from_le_bytes(fh[8..12].try_into().unwrap());
-            if parda_hash::crc32c(payload) != stored {
-                metrics.crc_failures += 1;
-                metrics.skip_frame(i as u64, u64::from(e.count));
-                continue;
-            }
-        }
-        let addr_payload = if tids.is_some() {
-            match parse_tag_block(payload, e.count as usize, &mut frame_tids) {
-                Ok(off) => &payload[off..],
-                Err(_) => {
-                    metrics.skip_frame(i as u64, u64::from(e.count));
-                    continue;
-                }
-            }
-        } else {
-            match split_addr_payload(payload, header.tagged(), e.count as usize) {
-                Ok(p) => p,
-                Err(_) => {
-                    metrics.skip_frame(i as u64, u64::from(e.count));
-                    continue;
-                }
-            }
-        };
         let start = out.len();
         out.resize(start + e.count as usize, 0);
-        if decode_frame_into(addr_payload, header.encoding, &mut out[start..]).is_err() {
-            out.truncate(start);
-            metrics.skip_frame(i as u64, u64::from(e.count));
-        } else if let Some(ts) = tids.as_deref_mut() {
-            ts.extend_from_slice(&frame_tids);
+        let decoded = indexed_frame(bytes, fmt, e).and_then(|(h, payload)| {
+            let keep = tids.is_some().then_some(&mut frame_tids);
+            fmt.decode(h, payload, &mut out[start..], keep)
+        });
+        match decoded {
+            Ok(()) => {
+                if let Some(ts) = tids.as_deref_mut() {
+                    ts.extend_from_slice(&frame_tids);
+                }
+            }
+            Err(err) => {
+                out.truncate(start);
+                if matches!(err, FrameError::Crc { .. }) {
+                    metrics.crc_failures += 1;
+                }
+                metrics.skip_frame(i as u64, u64::from(e.count));
+            }
         }
     }
     out
@@ -231,7 +204,7 @@ pub fn load_trace_recovering<P: AsRef<Path>>(
 
 /// Longest decodable v1 prefix: raw traces keep every complete word, delta
 /// traces keep everything up to the first broken varint.
-fn salvage_v1_prefix(bytes: &[u8], header: &TraceHeader) -> Trace {
+fn salvage_v1_prefix(bytes: &[u8], header: &TraceHeader) -> Vec<Addr> {
     let body = &bytes[HEADER_LEN as usize..];
     let count = header.count as usize;
     let mut out: Vec<Addr> = Vec::new();
@@ -242,10 +215,10 @@ fn salvage_v1_prefix(bytes: &[u8], header: &TraceHeader) -> Trace {
             }
         }
         Encoding::DeltaVarint => {
-            let mut r = body;
+            let mut pos = 0;
             let mut prev: Addr = 0;
             while out.len() < count {
-                let Ok(v) = read_varint_prefix(&mut r) else {
+                let Ok(v) = decode_varint_slice(body, &mut pos) else {
                     break;
                 };
                 prev = prev.wrapping_add(zigzag_decode(v) as u64);
@@ -253,35 +226,7 @@ fn salvage_v1_prefix(bytes: &[u8], header: &TraceHeader) -> Trace {
             }
         }
     }
-    Trace::from_vec(out)
-}
-
-// Local copies of the varint/zig-zag decode helpers: the `io` versions are
-// deliberately not exported, and the salvage path accepts a *prefix* where
-// the strict reader demands the whole payload.
-fn read_varint_prefix<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        let b = byte[0];
-        if shift == 63 && (b & 0x7f) > 1 {
-            return Err(invalid("varint overflows 64 bits"));
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(invalid("varint longer than 10 bytes"));
-        }
-    }
-}
-
-fn zigzag_decode(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
+    out
 }
 
 /// Scan a v2 byte stream for decodable frames after the footer index was
@@ -297,49 +242,35 @@ fn resync_scan(
     metrics: &mut RecoveryMetrics,
     mut tids: Option<&mut Vec<Tid>>,
 ) -> Vec<Addr> {
-    let fh_len = header.frame_header_len() as usize;
+    let fmt = header.frame_format();
     let mut out: Vec<Addr> = Vec::new();
     let mut frame_tids: Vec<Tid> = Vec::new();
     let mut at = HEADER_LEN as usize;
     let mut aligned = true;
     let mut frame_idx = 0u64;
-    while at + fh_len <= bytes.len() {
-        let fh = &bytes[at..at + fh_len];
-        let fcount = u32::from_le_bytes(fh[..4].try_into().unwrap());
-        let flen = u32::from_le_bytes(fh[4..8].try_into().unwrap());
-        let plausible = check_frame_shape(fcount, flen, header.encoding, header.tagged()).is_ok()
-            && u64::from(fcount) <= header.count
-            && at + fh_len + flen as usize <= bytes.len();
+    while let Ok(h) = fmt.parse_header(&bytes[at..]) {
+        let end = at + fmt.header_len() + h.len as usize;
+        let plausible = fmt.check_shape(h.count, h.len).is_ok()
+            && u64::from(h.count) <= header.count
+            && end <= bytes.len();
         if plausible {
-            let payload = &bytes[at + fh_len..at + fh_len + flen as usize];
-            let crc_ok = !header.checksummed()
-                || u32::from_le_bytes(fh[8..12].try_into().unwrap()) == parda_hash::crc32c(payload);
-            let addr_payload = if !crc_ok {
-                None
-            } else if tids.is_some() {
-                parse_tag_block(payload, fcount as usize, &mut frame_tids)
-                    .ok()
-                    .map(|off| &payload[off..])
-            } else {
-                split_addr_payload(payload, header.tagged(), fcount as usize).ok()
-            };
-            if let Some(addr_payload) = addr_payload {
-                let start = out.len();
-                out.resize(start + fcount as usize, 0);
-                if decode_frame_into(addr_payload, header.encoding, &mut out[start..]).is_ok() {
-                    if let Some(ts) = tids.as_deref_mut() {
-                        ts.extend_from_slice(&frame_tids);
-                    }
-                    if !aligned {
-                        metrics.resyncs += 1;
-                        aligned = true;
-                    }
-                    frame_idx += 1;
-                    at += fh_len + flen as usize;
-                    continue;
+            let start = out.len();
+            out.resize(start + h.count as usize, 0);
+            let payload = &bytes[at + fmt.header_len()..end];
+            let keep = tids.is_some().then_some(&mut frame_tids);
+            if fmt.decode(h, payload, &mut out[start..], keep).is_ok() {
+                if let Some(ts) = tids.as_deref_mut() {
+                    ts.extend_from_slice(&frame_tids);
                 }
-                out.truncate(start);
+                if !aligned {
+                    metrics.resyncs += 1;
+                    aligned = true;
+                }
+                frame_idx += 1;
+                at = end;
+                continue;
             }
+            out.truncate(start);
         }
         if aligned {
             metrics.skip_frame(frame_idx, 0);
@@ -362,66 +293,42 @@ pub struct VerifyReport {
     pub frames: u64,
     /// References covered by the verified frames.
     pub refs: u64,
-    /// `true` when verification used stored CRC32C checksums; `false` when
-    /// the file predates checksums and a full decode validation ran
-    /// instead.
+    /// `true` when the frames carry stored CRC32C checksums (v2.1 on);
+    /// every frame is decoded either way.
     pub checksummed: bool,
     /// `true` when frames carry thread-ID tag blocks (v2.2).
     pub tagged: bool,
 }
 
 /// Verify the integrity of every frame in a trace file without running any
-/// analysis. v2.1 files are checked against their stored CRCs (footer index
-/// first, then every frame payload); older files fall back to a full decode
-/// validation. The first violation is returned as `InvalidData` naming the
-/// offending frame.
+/// analysis: the footer index (and its CRC on v2.1 files), then every
+/// frame through the same checks and decode the readers run (stored CRC
+/// first, where the file has one). The first violation is returned as
+/// `InvalidData` naming the offending frame.
 pub fn verify_trace<P: AsRef<Path>>(path: P) -> io::Result<VerifyReport> {
     let bytes = std::fs::read(path)?;
     let header = parse_header(&bytes)?;
-    if header.version != VERSION_V2 {
-        let t = read_trace(bytes.as_slice())?;
-        return Ok(VerifyReport {
-            version: header.version,
-            minor: header.minor,
-            frames: 0,
-            refs: t.len() as u64,
-            checksummed: false,
-            tagged: false,
-        });
-    }
-    let entries = parse_footer(&bytes, &header)?;
-    if !header.checksummed() {
-        let t = crate::io::decode_trace(&bytes)?;
-        return Ok(VerifyReport {
-            version: header.version,
-            minor: header.minor,
-            frames: entries.len() as u64,
-            refs: t.len() as u64,
-            checksummed: false,
-            tagged: false,
-        });
-    }
-    let fh_len = header.frame_header_len() as usize;
-    for (i, e) in entries.iter().enumerate() {
-        let at = e.offset as usize;
-        let fh = &bytes[at..at + fh_len];
-        let fcount = u32::from_le_bytes(fh[..4].try_into().unwrap());
-        let flen = u32::from_le_bytes(fh[4..8].try_into().unwrap());
-        if fcount != e.count || flen != e.len {
-            return Err(invalid(format!("frame {i} header disagrees with index")));
+    let (frames, refs) = if header.version == VERSION_V2 {
+        let entries = parse_footer(&bytes, &header)?;
+        let fmt = header.frame_format();
+        let mut addrs = Vec::new();
+        for (i, e) in entries.iter().enumerate() {
+            addrs.clear();
+            addrs.resize(e.count as usize, 0);
+            indexed_frame(&bytes, fmt, e)
+                .and_then(|(h, payload)| fmt.decode(h, payload, &mut addrs, None))
+                .map_err(|err| invalid(format!("frame {i}: {err}")))?;
         }
-        let stored = u32::from_le_bytes(fh[8..12].try_into().unwrap());
-        let payload = &bytes[at + fh_len..at + fh_len + e.len as usize];
-        if parda_hash::crc32c(payload) != stored {
-            return Err(invalid(format!("frame {i} CRC mismatch")));
-        }
-    }
+        (entries.len() as u64, header.count)
+    } else {
+        (0, read_trace(bytes.as_slice())?.len() as u64)
+    };
     Ok(VerifyReport {
         version: header.version,
         minor: header.minor,
-        frames: entries.len() as u64,
-        refs: header.count,
-        checksummed: true,
+        frames,
+        refs,
+        checksummed: header.checksummed(),
         tagged: header.tagged(),
     })
 }
@@ -429,9 +336,7 @@ pub fn verify_trace<P: AsRef<Path>>(path: P) -> io::Result<VerifyReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{
-        write_trace_v2_framed, write_trace_v2_framed_opts, Encoding, FRAME_HEADER_LEN_V21,
-    };
+    use crate::io::{write_trace_v2_framed, write_trace_v2_framed_opts, Encoding};
 
     fn sample(n: u64) -> Trace {
         (0..n).map(|i| i.wrapping_mul(0x9E37_79B9) >> 13).collect()
@@ -441,7 +346,7 @@ mod tests {
     fn frame_payload_offset(bytes: &[u8], frame: usize) -> usize {
         let header = parse_header(bytes).unwrap();
         let entries = parse_footer(bytes, &header).unwrap();
-        entries[frame].offset as usize + FRAME_HEADER_LEN_V21 as usize
+        entries[frame].offset as usize + header.frame_format().header_len()
     }
 
     #[test]

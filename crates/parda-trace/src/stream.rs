@@ -14,6 +14,11 @@
 //! applied to decompression: decode bandwidth overlaps analysis instead of
 //! preceding it.
 //!
+//! The reader thread only reads each frame and parses its inline header,
+//! which must agree with the frame's index entry; the decoder threads run
+//! the frame codec's check and decode (CRC, tag block, addresses), the
+//! same code every other reader runs, so CRC work spreads over the pool.
+//!
 //! Corruption handling follows the stream's [`Degradation`] policy
 //! ([`FramedStream::open_with_policy`]). Under `Strict` (the default) the
 //! stream stops at the first bad frame and records the error in its
@@ -26,10 +31,8 @@
 //! streamed around (the index is what the pipeline seeks by); callers fall
 //! back to [`crate::recover::decode_trace_recovering`] for that.
 
-use crate::io::{
-    decode_frame_into, eof_is_corruption, invalid, parse_tag_block, read_header_and_index,
-    FrameIndexEntry,
-};
+use crate::frame::{FrameError, FrameFormat, FrameHeader};
+use crate::io::{eof_is_corruption, invalid, read_header_and_index, FrameIndexEntry};
 use crate::recover::Degradation;
 use crate::{Addr, AddressStream, Tid};
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
@@ -76,9 +79,8 @@ type FramePayload = std::io::Result<(Vec<Addr>, Vec<Tid>)>;
 /// One decoded frame, keyed by sequence number.
 type DecodedFrame = (u64, FramePayload);
 
-/// Reader → decoder work item: sequence, ref count, stored CRC32C (v2.1
-/// files only), encoded payload.
-type FrameJob = (u64, u32, Option<u32>, Vec<u8>);
+/// Reader → decoder work item: sequence, inline header, payload.
+type FrameJob = (u64, FrameHeader, Vec<u8>);
 
 /// An [`AddressStream`] over a v2 trace file, decoded by background threads.
 pub struct FramedStream {
@@ -137,8 +139,7 @@ impl FramedStream {
         let (header, entries) = read_header_and_index(&mut file)?;
         let nframes = entries.len() as u64;
         let total_refs = header.count;
-        let encoding = header.encoding;
-        let tagged = header.tagged();
+        let fmt = header.frame_format();
         let frame_counts: Vec<u32> = entries.iter().map(|e| e.count).collect();
         let error = StreamErrorHandle::default();
         let recovery = Arc::new(Mutex::new(RecoveryMetrics {
@@ -169,31 +170,23 @@ impl FramedStream {
                     // decoder starvation (the reader or the disk is the
                     // bottleneck).
                     let idle = Stopwatch::start();
-                    let Ok((seq, count, crc, payload)) = work_rx.recv() else {
+                    let Ok((seq, h, payload)) = work_rx.recv() else {
                         return; // reader done; work channel closed
                     };
                     counters.decoder_idle_ns.add(idle.ns());
 
                     let sw = Stopwatch::start();
+                    let mut addrs = vec![0 as Addr; h.count as usize];
+                    let mut tids = Vec::new();
+                    let decoded =
+                        fmt.decode(h, &payload, &mut addrs, fmt.tagged.then_some(&mut tids));
+                    if let Err(FrameError::Crc { .. }) = decoded {
+                        lock_metrics(&recovery).crc_failures += 1;
+                    }
                     #[allow(unused_mut)]
-                    let mut result = match crc {
-                        Some(stored) if parda_hash::crc32c(&payload) != stored => {
-                            lock_metrics(&recovery).crc_failures += 1;
-                            Err(invalid("frame CRC mismatch"))
-                        }
-                        _ => {
-                            let mut tids = Vec::new();
-                            let tag = if tagged {
-                                parse_tag_block(&payload, count as usize, &mut tids)
-                            } else {
-                                Ok(0)
-                            };
-                            tag.and_then(|off| {
-                                let mut out = vec![0u64; count as usize];
-                                decode_frame_into(&payload[off..], encoding, &mut out)
-                                    .map(|()| (out, tids))
-                            })
-                        }
+                    let mut result: FramePayload = match decoded {
+                        Ok(()) => Ok((addrs, tids)),
+                        Err(e) => Err(e.into()),
                     };
                     parda_failpoint::failpoint!(
                         "stream::decode",
@@ -202,7 +195,7 @@ impl FramedStream {
                     counters.decode_ns.add(sw.ns());
                     if result.is_ok() {
                         counters.frames_decoded.incr();
-                        counters.refs_decoded.add(count as u64);
+                        counters.refs_decoded.add(u64::from(h.count));
                     }
 
                     // Hand the frame to the consumer; a full channel means
@@ -225,17 +218,8 @@ impl FramedStream {
             }));
         }
 
-        let checksummed = header.checksummed();
-        let fh_len = header.frame_header_len() as usize;
         handles.push(std::thread::spawn(move || {
-            read_frames(
-                &mut file,
-                &entries,
-                fh_len,
-                checksummed,
-                &work_txs,
-                &done_tx,
-            );
+            read_frames(&mut file, &entries, fmt, &work_txs, &done_tx);
         }));
 
         Ok(Self {
@@ -244,7 +228,7 @@ impl FramedStream {
             next_seq: 0,
             nframes,
             total_refs,
-            tagged,
+            tagged: fmt.tagged,
             current: Vec::new(),
             current_tids: Vec::new(),
             pos: 0,
@@ -416,39 +400,29 @@ fn lock_metrics(m: &Mutex<RecoveryMetrics>) -> std::sync::MutexGuard<'_, Recover
 fn read_frames(
     file: &mut File,
     entries: &[FrameIndexEntry],
-    fh_len: usize,
-    checksummed: bool,
+    fmt: FrameFormat,
     work_txs: &[Sender<FrameJob>],
     done_tx: &Sender<DecodedFrame>,
 ) {
     use std::io::{Seek, SeekFrom};
     for (i, entry) in entries.iter().enumerate() {
         let seq = i as u64;
-        let read = (|| {
+        let read = (|| -> std::io::Result<(FrameHeader, Vec<u8>)> {
             parda_failpoint::failpoint!(
                 "stream::read_frame",
                 return Err(invalid("injected frame read failure"))
             );
             file.seek(SeekFrom::Start(entry.offset))?;
-            let mut fh = [0u8; 12];
-            let fh = &mut fh[..fh_len];
-            file.read_exact(fh)
-                .map_err(|e| eof_is_corruption(e, "frame header"))?;
-            let fcount = u32::from_le_bytes(fh[..4].try_into().unwrap());
-            let flen = u32::from_le_bytes(fh[4..8].try_into().unwrap());
-            if fcount != entry.count || flen != entry.len {
-                return Err(invalid("frame header disagrees with index"));
-            }
-            let crc = checksummed.then(|| u32::from_le_bytes(fh[8..12].try_into().unwrap()));
-            let mut payload = vec![0u8; flen as usize];
+            let h = entry.check(fmt.read_header(file)?)?;
+            let mut payload = vec![0u8; h.len as usize];
             file.read_exact(&mut payload)
                 .map_err(|e| eof_is_corruption(e, "frame payload"))?;
-            Ok((crc, payload))
+            Ok((h, payload))
         })();
         match read {
-            Ok((crc, payload)) => {
+            Ok((h, payload)) => {
                 if work_txs[i % work_txs.len()]
-                    .send((seq, entry.count, crc, payload))
+                    .send((seq, h, payload))
                     .is_err()
                 {
                     return; // consumer gone; quiet shutdown
@@ -599,7 +573,7 @@ mod tests {
     fn frame_payload_offset(bytes: &[u8], frame: usize) -> usize {
         let header = crate::io::parse_header(bytes).unwrap();
         let entries = crate::io::parse_footer(bytes, &header).unwrap();
-        entries[frame].offset as usize + header.frame_header_len() as usize
+        entries[frame].offset as usize + header.frame_format().header_len()
     }
 
     #[test]
@@ -666,7 +640,7 @@ mod tests {
         let header = crate::io::parse_header(&buf).unwrap();
         let entries = crate::io::parse_footer(&buf, &header).unwrap();
         let e = entries[9];
-        let poke = e.offset as usize + header.frame_header_len() as usize + e.len as usize - 1;
+        let poke = e.offset as usize + header.frame_format().header_len() + e.len as usize - 1;
         buf[poke] = 0x80;
         std::fs::write(&path, &buf).unwrap();
 

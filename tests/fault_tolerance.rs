@@ -3,12 +3,25 @@
 //! first violation; the lossy policies produce exactly the histogram of
 //! the surviving frames plus an honest [`parda::obs::RecoveryMetrics`]
 //! report. The corruptions here are randomized — byte flips, truncations,
-//! and outright garbage — over freshly written v2.1 files.
+//! and outright garbage — over freshly written v2.1 files; a mutation
+//! harness drives every reader over v2.0, v2.1 and v2.2 images, and the
+//! daemon's DATA frames, under bit flips, truncations, 4-byte rewrites and
+//! runs of random bytes.
 
 use parda::prelude::*;
-use parda::trace::io::{write_trace_v2_framed, Encoding};
-use parda::trace::{decode_trace_recovering, load_trace_recovering, verify_trace};
+use parda::trace::io::{
+    decode_inline_frame, decode_trace, encode_inline_frame, read_trace,
+    write_tagged_trace_v2_framed, write_trace_v2_framed, write_trace_v2_framed_opts, Encoding,
+    FrameError,
+};
+use parda::trace::stream::FramedStream;
+use parda::trace::{
+    decode_tagged_trace_recovering, decode_trace_recovering, load_trace_recovering, verify_trace,
+    ThreadedTrace, Tid,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const FRAME_REFS: usize = 64;
 
@@ -230,4 +243,215 @@ fn verify_matches_decoder_verdict() {
     std::fs::write(&path, &bad).unwrap();
     let err = verify_trace(&path).unwrap_err();
     assert!(err.to_string().contains("frame 4"), "{err}");
+}
+
+/// The v2 layouts the mutation harness covers: minor version (0 = v2.0,
+/// 1 = v2.1 with CRCs, 2 = v2.2 thread-tagged) and address encoding.
+const V2_LAYOUTS: [(u32, Encoding); 6] = [
+    (0, Encoding::Raw),
+    (0, Encoding::DeltaVarint),
+    (1, Encoding::Raw),
+    (1, Encoding::DeltaVarint),
+    (2, Encoding::Raw),
+    (2, Encoding::DeltaVarint),
+];
+
+/// Three thread IDs in a skewed interleaving, so tag blocks pack 2-bit
+/// indices over a three-entry dictionary.
+fn tids_for(n: usize) -> Vec<Tid> {
+    (0..n)
+        .map(|i| [7, 300, 70_000][(i * i / 5 + i) % 3])
+        .collect()
+}
+
+/// A multi-frame v2 image of `trace` in one of [`V2_LAYOUTS`].
+fn v2_image(trace: &[u64], minor: u32, encoding: Encoding) -> Vec<u8> {
+    let mut buf = Vec::new();
+    if minor == 2 {
+        let t = ThreadedTrace::from_parts(trace.to_vec(), tids_for(trace.len()));
+        write_tagged_trace_v2_framed(&mut buf, &t, encoding, FRAME_REFS).unwrap();
+    } else {
+        let t = Trace::from_vec(trace.to_vec());
+        write_trace_v2_framed_opts(&mut buf, &t, encoding, FRAME_REFS, minor == 1).unwrap();
+    }
+    buf
+}
+
+fn word_at(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+}
+
+/// Offsets of the words a reader trusts in a clean v2 image: the file
+/// header's version, encoding and count, every frame's inline header,
+/// every index entry, the index CRC, and the footer's frame count and
+/// magic. The 4-byte rewrites aim at these half of the time.
+fn structural_words(image: &[u8], minor: u32) -> Vec<usize> {
+    let n = image.len();
+    let tail = if minor == 0 { 16 } else { 20 };
+    let nframes = word_at(image, n - 16);
+    let index = n - tail - 16 * nframes;
+    let mut words = vec![8, 12, 16, 20, n - 16, n - 12, n - 8, n - 4];
+    if minor > 0 {
+        words.push(n - 20);
+    }
+    for i in 0..nframes {
+        let entry = index + 16 * i;
+        words.extend((0..4).map(|w| entry + 4 * w));
+        let frame = word_at(image, entry);
+        words.extend([frame, frame + 4]);
+        if minor > 0 {
+            words.push(frame + 8);
+        }
+    }
+    words
+}
+
+/// One corruption of `image`, chosen by `kind`: a bit flip, a truncation,
+/// a 4-byte rewrite with 0, 1, 2^31, `u32::MAX` or a random word (at one
+/// of the `words` offsets half the time), or a run of up to 32 random
+/// bytes. `pos` and `arg` pick where and what.
+fn mutate(image: &[u8], kind: u8, pos: u64, arg: u64, words: &[usize]) -> Vec<u8> {
+    let mut bad = image.to_vec();
+    let n = image.len();
+    let pos = pos as usize;
+    match kind % 4 {
+        0 => bad[pos % n] ^= 1 << (arg % 8),
+        1 => bad.truncate(pos % n),
+        2 => {
+            let at = if arg & 1 == 0 {
+                words[pos % words.len()]
+            } else {
+                pos % (n - 3)
+            };
+            let word = [0, 1, 1 << 31, u32::MAX, (arg >> 32) as u32][(arg >> 1) as usize % 5];
+            bad[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        }
+        _ => {
+            let at = pos % n;
+            let len = (1 + arg as usize % 32).min(n - at);
+            let mut rng = StdRng::seed_from_u64(arg);
+            for b in &mut bad[at..at + len] {
+                *b = rng.gen();
+            }
+        }
+    }
+    bad
+}
+
+/// Every reference the strict stream yields, or the error its handle
+/// recorded.
+fn stream_all(path: &std::path::Path, policy: Degradation) -> std::io::Result<Vec<u64>> {
+    let mut stream = FramedStream::open_with_policy(path, 2, policy)?;
+    let errors = stream.error_handle();
+    let mut out = Vec::new();
+    stream.fill(&mut out, usize::MAX);
+    drop(stream);
+    errors.take().map_or(Ok(out), Err)
+}
+
+proptest! {
+    /// Mutated v2.0, v2.1 and v2.2 images, raw and delta: no reader
+    /// panics, whatever the policy, and the strict readers reach one
+    /// verdict — the same addresses when they accept. The stream refuses
+    /// v1 by design, so it joins the verdict only while the version word
+    /// still says v2. On checksummed images with an intact file header
+    /// every effective mutation is rejected.
+    #[test]
+    fn every_reader_survives_mutated_images_and_strict_readers_agree(
+        trace in proptest::collection::vec(0u64..1 << 40, 130..400),
+        mutations in proptest::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 8..9),
+    ) {
+        let path = tmp("mutated.trc");
+        for (minor, encoding) in V2_LAYOUTS {
+            let image = v2_image(&trace, minor, encoding);
+            let words = structural_words(&image, minor);
+            for &(kind, pos, arg) in &mutations {
+                let bad = mutate(&image, kind, pos, arg, &words);
+                std::fs::write(&path, &bad).unwrap();
+                let what = format!("v2.{minor} {encoding:?} mutation {kind} at {pos}");
+                let header_intact = bad.get(..24) == Some(&image[..24]);
+
+                for policy in [Degradation::Strict, Degradation::Repair, Degradation::BestEffort] {
+                    let lossy = decode_trace_recovering(&bad, policy);
+                    let tagged = decode_tagged_trace_recovering(&bad, policy);
+                    if policy == Degradation::BestEffort && header_intact {
+                        prop_assert!(lossy.is_ok(), "{what}: best-effort failed past a clean header");
+                        prop_assert!(minor < 2 || tagged.is_ok(), "{what}: tagged best-effort failed");
+                    }
+                }
+                let _ = stream_all(&path, Degradation::BestEffort);
+
+                let sequential = read_trace(bad.as_slice()).map(Trace::into_vec);
+                let parallel = decode_trace(&bad).map(Trace::into_vec);
+                let recovering = decode_trace_recovering(&bad, Degradation::Strict)
+                    .map(|(t, _)| t.into_vec());
+                let verified = verify_trace(&path);
+                let mut verdicts = vec![
+                    ("read_trace", sequential.is_ok()),
+                    ("decode_trace", parallel.is_ok()),
+                    ("decode_trace_recovering", recovering.is_ok()),
+                    ("verify_trace", verified.is_ok()),
+                ];
+                let streamed = (bad.len() >= 12 && bad[8..10] == [2, 0])
+                    .then(|| stream_all(&path, Degradation::Strict));
+                if let Some(streamed) = &streamed {
+                    verdicts.push(("FramedStream", streamed.is_ok()));
+                }
+                let accepted = sequential.is_ok();
+                prop_assert!(
+                    verdicts.iter().all(|&(_, ok)| ok == accepted),
+                    "{what}: strict readers disagree: {verdicts:?}"
+                );
+                if let Ok(addrs) = &sequential {
+                    prop_assert_eq!(parallel.as_ref().unwrap(), addrs, "{}", what);
+                    prop_assert_eq!(recovering.as_ref().unwrap(), addrs, "{}", what);
+                    prop_assert_eq!(verified.unwrap().refs, addrs.len() as u64, "{}", what);
+                    if let Some(Ok(streamed)) = &streamed {
+                        prop_assert_eq!(streamed, addrs, "{}", what);
+                    }
+                    if minor == 2 && header_intact {
+                        let (t, _) = decode_tagged_trace_recovering(&bad, Degradation::Strict)
+                            .unwrap();
+                        prop_assert_eq!(t.addrs(), addrs.as_slice(), "{}", what);
+                    }
+                }
+                if minor > 0 && bad != image && header_intact {
+                    prop_assert!(!accepted, "{what}: a checksummed image took a mutation");
+                }
+            }
+        }
+    }
+
+    /// The daemon's DATA frames — plain and tagged, raw and delta — under
+    /// the same mutations: every effective one is rejected with a typed
+    /// error (CRC32C covers the payload, the header must fit it), never a
+    /// panic, and an untouched frame still decodes.
+    #[test]
+    fn mutated_data_frames_are_rejected_with_a_typed_error(
+        addrs in proptest::collection::vec(0u64..1 << 40, 1..200),
+        mutations in proptest::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 16..17),
+    ) {
+        let tids = tids_for(addrs.len());
+        let (mut got, mut got_tids) = (Vec::new(), Vec::new());
+        for encoding in [Encoding::Raw, Encoding::DeltaVarint] {
+            for tagged in [false, true] {
+                let frame =
+                    encode_inline_frame(&addrs, tagged.then_some(tids.as_slice()), encoding)
+                        .unwrap();
+                for &(kind, pos, arg) in &mutations {
+                    let bad = mutate(&frame, kind, pos, arg, &[0, 4, 8]);
+                    let keep = tagged.then_some(&mut got_tids);
+                    let decoded: Result<(), FrameError> =
+                        decode_inline_frame(&bad, encoding, &mut got, keep);
+                    let what = format!("{encoding:?} tagged={tagged} mutation {kind} at {pos}");
+                    if bad == frame {
+                        prop_assert!(decoded.is_ok(), "{what}: {decoded:?}");
+                        prop_assert_eq!(&got, &addrs);
+                    } else {
+                        prop_assert!(decoded.is_err(), "{what}: a mutated frame decoded");
+                    }
+                }
+            }
+        }
+    }
 }
